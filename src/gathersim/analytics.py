@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import geometry
 from .scenario import Scenario
 
@@ -47,6 +45,13 @@ class MseAdvantageParams:
     sampling_period: float
     uplink_delay: float
     min_unique: int  # smallest unique-component count among informed sensors
+
+    @property
+    def noise_ratio(self) -> float:
+        """trigger_threshold / noise_std; infinite for noiseless sensors."""
+        if self.noise_std == 0:
+            return math.inf
+        return self.trigger_threshold / self.noise_std
 
 
 @dataclass(frozen=True)
@@ -167,16 +172,19 @@ def mse_advantage(params: MseAdvantageParams) -> tuple[float, bool]:
     Returns (threshold, satisfied): feedback is accuracy-advantageous when
     trigger_threshold / noise_std exceeds
     sqrt(max(0, 2*sampling_period / (uplink_delay * min_unique) - 1)).
+    With noise_std = 0 the ratio is infinite and the condition always holds,
+    since the threshold is finite.
     """
-    for name in ("trigger_threshold", "noise_std", "sampling_period", "uplink_delay"):
+    for name in ("trigger_threshold", "sampling_period", "uplink_delay"):
         if getattr(params, name) <= 0:
             raise ValueError(f"{name} must be > 0")
+    if params.noise_std < 0:
+        raise ValueError("noise_std must be >= 0")
     if params.min_unique < 1:
         raise ValueError("min_unique must be >= 1")
     ratio = 2.0 * params.sampling_period / (params.uplink_delay * params.min_unique)
     threshold = math.sqrt(max(0.0, ratio - 1.0))
-    satisfied = params.trigger_threshold / params.noise_std > threshold
-    return threshold, satisfied
+    return threshold, params.noise_ratio > threshold
 
 
 def mse_bounds(
@@ -283,6 +291,13 @@ def approx_params(scenario: Scenario, resolution: float = 0.05) -> list[SensorAd
     return out
 
 
+def sensor_advantage(est: SensorAdvantageEstimate, y: float, delay_scale: float) -> float:
+    """g at one sensor's estimated cell, its delay ratio scaled by `delay_scale`."""
+    x = min(est.delay_ratio * delay_scale, 1.0)
+    # fractional set sizes are meaningful here: the polynomial extends smoothly
+    return advantage_poly(AdvantageParams(x=x, y=y, set_size=max(2.0, est.set_size_estimate)))
+
+
 def approx_network_advantage(
     estimates: Sequence[SensorAdvantageEstimate],
     y: float,
@@ -293,12 +308,6 @@ def approx_network_advantage(
     delay ratio, which maps a common-axis x value onto per-sensor ratios."""
     if not estimates:
         raise ValueError("no sensors with collaborative membership")
-    votes = 0
-    for est in estimates:
-        x = min(est.delay_ratio * delay_scale, 1.0)
-        # fractional set sizes are meaningful here: the polynomial extends smoothly
-        g = advantage_poly(AdvantageParams(x=x, y=y, set_size=max(2.0, est.set_size_estimate)))
-        if g > 0:
-            votes += 1
+    votes = sum(1 for est in estimates if sensor_advantage(est, y, delay_scale) > 0)
     frac = votes / len(estimates)
     return frac, frac >= 0.5

@@ -17,7 +17,6 @@ import yaml
 from . import analytics, experiments, geometry, svgplot
 from .protocol import run_trial, trace_to_csv
 from .scenario import (
-    Architecture,
     Scenario,
     ScenarioError,
     load_scenario,
@@ -229,6 +228,17 @@ def cmd_region(args) -> int:
     return 0
 
 
+def _print_accuracy(params: analytics.MseAdvantageParams) -> None:
+    try:
+        threshold, ok = analytics.mse_advantage(params)
+    except ValueError as e:
+        raise ScenarioError(str(e)) from e
+    print(
+        f"mse_ratio_threshold = {threshold:.6g} "
+        f"(threshold/noise = {params.noise_ratio:.6g}: {'satisfied' if ok else 'not satisfied'})"
+    )
+
+
 def cmd_analyze(args) -> int:
     printed = False
     if args.scenario:
@@ -240,11 +250,7 @@ def cmd_analyze(args) -> int:
         print(f"cost ratio y = {y:.6g} (uplink/downlink)")
         print("sensor  delay_est  delay_ratio  set_size_est  g  advantage")
         for est in estimates:
-            g = analytics.advantage_poly(
-                analytics.AdvantageParams(
-                    x=min(est.delay_ratio, 1.0), y=y, set_size=max(2.0, est.set_size_estimate)
-                )
-            )
+            g = analytics.sensor_advantage(est, y, 1.0)
             print(
                 f"{est.sensor_id}  {est.delay_estimate:.6g}  {est.delay_ratio:.6g}  "
                 f"{est.set_size_estimate:.6g}  {g:.6g}  {'yes' if g > 0 else 'no'}"
@@ -252,18 +258,14 @@ def cmd_analyze(args) -> int:
         frac, verdict = analytics.approx_network_advantage(estimates, y)
         print(f"network advantage vote: {frac:.6g} -> {'advantageous' if verdict else 'not-advantageous'}")
         proto = scenario.protocol
-        params = analytics.MseAdvantageParams(
-            trigger_threshold=proto.trigger_threshold,
-            noise_std=proto.noise_std if proto.noise_std > 0 else 1e-12,
-            sampling_period=proto.sampling_period,
-            uplink_delay=proto.uplink_delay,
-            min_unique=args.numin or 1,
-        )
-        threshold, ok = analytics.mse_advantage(params)
-        ratio = params.trigger_threshold / params.noise_std
-        print(
-            f"mse_ratio_threshold = {threshold:.6g} "
-            f"(threshold/noise = {ratio:.6g}: {'satisfied' if ok else 'not satisfied'})"
+        _print_accuracy(
+            analytics.MseAdvantageParams(
+                trigger_threshold=proto.trigger_threshold,
+                noise_std=proto.noise_std,
+                sampling_period=proto.sampling_period,
+                uplink_delay=proto.uplink_delay,
+                min_unique=args.numin or 1,
+            )
         )
         return 0
 
@@ -288,21 +290,14 @@ def cmd_analyze(args) -> int:
         for name in ("ts", "dtu", "numin", "eps", "sigma"):
             if getattr(args, name) is None:
                 raise ScenarioError(f"--{name} is required for the accuracy condition")
-        params = analytics.MseAdvantageParams(
-            trigger_threshold=args.eps,
-            noise_std=args.sigma,
-            sampling_period=args.ts,
-            uplink_delay=args.dtu,
-            min_unique=args.numin,
-        )
-        try:
-            threshold, ok = analytics.mse_advantage(params)
-        except ValueError as e:
-            raise ScenarioError(str(e)) from e
-        ratio = args.eps / args.sigma
-        print(
-            f"mse_ratio_threshold = {threshold:.6g} "
-            f"(threshold/noise = {ratio:.6g}: {'satisfied' if ok else 'not satisfied'})"
+        _print_accuracy(
+            analytics.MseAdvantageParams(
+                trigger_threshold=args.eps,
+                noise_std=args.sigma,
+                sampling_period=args.ts,
+                uplink_delay=args.dtu,
+                min_unique=args.numin,
+            )
         )
         printed = True
 

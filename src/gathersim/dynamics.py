@@ -22,21 +22,12 @@ _MAX_DIRECTION_DRAWS = 256
 
 @dataclass(frozen=True)
 class WorldState:
-    """Ground-truth positions of all targets at a point in simulated time."""
+    """Ground-truth positions of all targets."""
 
-    time: float
     positions: np.ndarray  # shape (n_targets, 2), row i belongs to target_ids[i]
     target_ids: tuple[int, ...]
     environment: Environment
     confinements: tuple[Optional[tuple[Point, float]], ...]
-
-
-@dataclass(frozen=True)
-class Measurement:
-    target_id: int
-    sensor_id: int
-    value: Point
-    timestamp: float
 
 
 def initial_world(scenario: Scenario) -> WorldState:
@@ -46,7 +37,6 @@ def initial_world(scenario: Scenario) -> WorldState:
         (t.confine_center, t.confine_radius) if t.confined else None for t in targets
     )
     return WorldState(
-        time=0.0,
         positions=positions,
         target_ids=tuple(t.id for t in targets),
         environment=scenario.environment,
@@ -111,24 +101,10 @@ def observed_rows(positions: np.ndarray, sensor: SensorSpec) -> np.ndarray:
     return np.nonzero(d2 <= sensor.radius * sensor.radius)[0]
 
 
-def measure(state: WorldState, sensor: SensorSpec, noise_std: float, rng) -> list[Measurement]:
-    """One noisy position measurement per target inside the sensor's region.
+def measure(positions: np.ndarray, rows: np.ndarray, noise_std: float, rng) -> np.ndarray:
+    """Noisy positions of the given target rows, shape (len(rows), 2).
 
     Noise is zero-mean Gaussian with the given standard deviation applied
     independently per coordinate.
     """
-    rows = observed_rows(state.positions, sensor)
-    noise = rng.standard_normal((len(rows), 2))
-    out = []
-    for k, row in enumerate(rows):
-        vx = float(state.positions[row, 0] + noise_std * noise[k, 0])
-        vy = float(state.positions[row, 1] + noise_std * noise[k, 1])
-        out.append(
-            Measurement(
-                target_id=state.target_ids[row],
-                sensor_id=sensor.id,
-                value=(vx, vy),
-                timestamp=state.time,
-            )
-        )
-    return out
+    return positions[rows] + noise_std * rng.standard_normal((len(rows), 2))

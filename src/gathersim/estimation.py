@@ -33,7 +33,6 @@ class EstimatorState:
         self._counts = np.zeros(n, dtype=np.int64)
         self._epochs = np.full(n, -1, dtype=np.int64)
         self._valid = np.zeros(n, dtype=bool)
-        self.last_update_time = np.full(n, np.nan)
 
     def estimate(self, target_id: int) -> Point | None:
         row = self._row[target_id]
@@ -45,11 +44,9 @@ class EstimatorState:
     def fusion_count(self, target_id: int) -> int:
         return int(self._counts[self._row[target_id]])
 
-    def epoch(self, target_id: int) -> int:
-        return int(self._epochs[self._row[target_id]])
-
-    def absorb(self, target_id: int, value: Point, step: int, now: float) -> None:
-        """Fold one measurement into the estimate under the epoch rules."""
+    def absorb(self, target_id: int, value: Point, step: int) -> None:
+        """Fold one measurement into the estimate under the epoch rules; a
+        measurement older than the current estimate is stale and dropped."""
         row = self._row[target_id]
         if self._valid[row] and self._epochs[row] == step:
             self._sums[row, 0] += value[0]
@@ -61,9 +58,6 @@ class EstimatorState:
             self._counts[row] = 1
             self._epochs[row] = step
             self._valid[row] = True
-        else:
-            return  # older epoch than the current estimate: stale, drop
-        self.last_update_time[row] = now
 
     def mean_squared_error(self, positions: np.ndarray) -> float:
         c = np.maximum(self._counts, 1)
@@ -73,10 +67,10 @@ class EstimatorState:
         return float(np.mean(diff[:, 0] ** 2 + diff[:, 1] ** 2))
 
 
-def fuse(state: EstimatorState, packet, now: float) -> EstimatorState:
+def fuse(state: EstimatorState, packet) -> EstimatorState:
     """Fuse a fully received uplink packet into the central estimate."""
     for tid, value in packet.components:
-        state.absorb(tid, value, packet.step, now)
+        state.absorb(tid, value, packet.step)
     return state
 
 
@@ -91,16 +85,17 @@ class EstimatorTrace:
     def time_average(self, horizon: float) -> float:
         return self.integral / horizon
 
-    def final_integral(self) -> float:
-        return self.integral
 
+def accumulate_mse(trace: EstimatorTrace, inst: float, dt: float) -> EstimatorTrace:
+    """Extend the error integral by dt at the instantaneous error `inst`.
 
-def accumulate_mse(trace: EstimatorTrace, state: EstimatorState, world, dt: float) -> EstimatorTrace:
-    """Extend the error integral by dt using the current estimate and truth."""
+    The engine recomputes `inst` with `EstimatorState.mean_squared_error` only
+    when the estimate (fusion) or the truth (a move) changes, and integrates
+    the cached value at every other event.
+    """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     now = trace.last_time + dt
-    inst = state.mean_squared_error(world.positions)
     if dt > 0:
         trace.integral += dt * inst
         trace.rows.append((now, inst, trace.integral))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from . import geometry
-from .analytics import AdvantageParams, AdvantagePoint, advantage_poly
+from .analytics import AdvantagePoint, raster_region
 from .protocol import run_trial
 from .scenario import (
     Architecture,
@@ -32,7 +32,7 @@ from .scenario import (
 
 
 class RunningStats:
-    """Mergeable mean/standard-error accumulator."""
+    """Mean/standard-error accumulator."""
 
     __slots__ = ("n", "total", "total_sq")
 
@@ -45,13 +45,6 @@ class RunningStats:
         self.n += 1
         self.total += value
         self.total_sq += value * value
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        out = RunningStats()
-        out.n = self.n + other.n
-        out.total = self.total + other.total
-        out.total_sq = self.total_sq + other.total_sq
-        return out
 
     @property
     def mean(self) -> float:
@@ -143,16 +136,6 @@ class SweepRow:
 class SweepResult:
     rows: list[SweepRow] = field(default_factory=list)
 
-    def row(self, backoff_interval: float, uplink_power: float, architecture: str) -> SweepRow:
-        for r in self.rows:
-            if (
-                r.backoff_interval == backoff_interval
-                and r.uplink_power == uplink_power
-                and r.architecture == architecture
-            ):
-                return r
-        raise KeyError((backoff_interval, uplink_power, architecture))
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("# gathersim-csv v1 sweep\n")
@@ -165,21 +148,35 @@ class SweepResult:
                 )
 
 
-def _sweep_task(args) -> tuple[int, int, PairedOutcome]:
-    scenario, tb_index, trial_index, paired = args
-    return tb_index, trial_index, run_paired_trial(scenario, trial_index, paired)
-
-
 def default_jobs() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
 def _run_tasks(tasks, worker, jobs: int):
+    """`worker` over `tasks`, results in task order for any worker count."""
     if jobs <= 1:
         return [worker(t) for t in tasks]
     chunk = max(1, len(tasks) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
+
+
+def _paired_task(args) -> PairedOutcome:
+    return run_paired_trial(*args)
+
+
+def paired_grid(
+    scenarios: Sequence[Scenario], trials: int, jobs: int, paired_seeds: bool
+) -> list[list[PairedOutcome]]:
+    """Paired trials 0..trials-1 of every scenario (one grid cell each).
+
+    Returns one list per scenario, in trial order. Trial i of a cell is seeded
+    from the cell's seed and i, so cells sharing a seed see common random
+    numbers, and the outcomes do not depend on the worker count.
+    """
+    tasks = [(scenario, i, paired_seeds) for scenario in scenarios for i in range(trials)]
+    outcomes = _run_tasks(tasks, _paired_task, jobs)
+    return [outcomes[k * trials:(k + 1) * trials] for k in range(len(scenarios))]
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
@@ -189,22 +186,15 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     (backoff, trial) order, so they are independent of worker count.
     """
     spec.check()
-    tasks = []
-    for tb_index, tb in enumerate(spec.backoff_intervals):
-        scenario = replace(
-            spec.base, protocol=replace(spec.base.protocol, backoff_interval=float(tb))
-        )
-        for trial_index in range(spec.trials):
-            tasks.append((scenario, tb_index, trial_index, spec.paired_seeds))
-    outcomes = _run_tasks(tasks, _sweep_task, jobs)
-    by_tb: dict[int, list[PairedOutcome]] = {i: [] for i in range(len(spec.backoff_intervals))}
-    for tb_index, trial_index, outcome in sorted(outcomes, key=lambda r: (r[0], r[1])):
-        by_tb[tb_index].append(outcome)
+    scenarios = [
+        replace(spec.base, protocol=replace(spec.base.protocol, backoff_interval=float(tb)))
+        for tb in spec.backoff_intervals
+    ]
+    grid = paired_grid(scenarios, spec.trials, jobs, spec.paired_seeds)
 
     down = spec.base.costs.downlink_power
     result = SweepResult()
-    for tb_index, tb in enumerate(spec.backoff_intervals):
-        outs = by_tb[tb_index]
+    for tb, outs in zip(spec.backoff_intervals, grid):
         for up_power in spec.uplink_powers:
             for arch in ("FB", "NF"):
                 power = RunningStats()
@@ -388,11 +378,6 @@ def assumption1_scenario(
     return scenario
 
 
-def _region_task(args) -> tuple[int, int, PairedOutcome]:
-    scenario, x_index, trial_index = args
-    return x_index, trial_index, run_paired_trial(scenario, trial_index, True)
-
-
 def region_experiment(
     set_size: int,
     x_values: Sequence[float],
@@ -421,9 +406,8 @@ def region_experiment(
         if x <= 0:
             raise ValueError("delay ratio grid must be strictly positive (backoff would be infinite)")
     sampling = max(200.0, lead_delay / min(xs) + lead_delay + 10.0)
-    tasks = []
-    for xi, x in enumerate(xs):
-        scenario = assumption1_scenario(
+    scenarios = [
+        assumption1_scenario(
             set_size,
             collaborative_targets,
             0,
@@ -435,27 +419,16 @@ def region_experiment(
             horizon=5.0 * sampling,
             seed=seed,
         )
-        for trial_index in range(trials):
-            tasks.append((scenario, xi, trial_index))
-    outcomes = _run_tasks(tasks, _region_task, jobs)
-    by_x: dict[int, list[PairedOutcome]] = {i: [] for i in range(len(xs))}
-    for xi, trial_index, outcome in sorted(outcomes, key=lambda r: (r[0], r[1])):
-        by_x[xi].append(outcome)
+        for x in xs
+    ]
+    grid = paired_grid(scenarios, trials, jobs, True)
 
-    points = []
-    for xi, x in enumerate(xs):
-        outs = by_x[xi]
-        for y in ys:
-            stats = RunningStats()
-            for o in outs:
-                stats.add(o.power_difference(uplink_power=y, downlink_power=1.0))
-            g = advantage_poly(AdvantageParams(x=min(x, 1.0), y=y, set_size=set_size))
-            points.append(
-                AdvantagePoint(
-                    x=x, y=y, set_size=set_size, g=g, theory_advantage=g > 0,
-                    empirical_mean=stats.mean, empirical_se=stats.stderr,
-                )
-            )
+    points = raster_region(set_size, xs, ys)  # x-major, like the grid
+    for k, cell in enumerate(points):
+        stats = RunningStats()
+        for o in grid[k // len(ys)]:
+            stats.add(o.power_difference(uplink_power=cell.y, downlink_power=1.0))
+        points[k] = replace(cell, empirical_mean=stats.mean, empirical_se=stats.stderr)
     return points
 
 

@@ -14,35 +14,25 @@ elicited it (everyone else overhears for free).
 Event ordering at equal timestamps: target moves, then transmission ends, then
 feedback arrivals, then sampling, then transmission starts. A transmission
 scheduled exactly at a feedback arrival is therefore not cancelled, and one
-scheduled exactly at the next sampling instant is dropped.
+scheduled exactly at the next sampling instant is dropped. Components still
+scheduled when the run ends are dropped at the horizon, so every triggered
+component ends in exactly one TX_START, CANCEL or DROP.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import WorldState, initial_world, observed_rows, step_targets
+from .dynamics import initial_world, measure, observed_rows, step_targets
 from .estimation import EstimatorState, EstimatorTrace, accumulate_mse, fuse
 from .scenario import Architecture, CostParams, ProtocolParams, Scenario, ScenarioError, validate
 
 CENTRAL = -1  # sensor id used for central-unit rows in logs
-
-EVENT_KINDS = (
-    "SAMPLE",
-    "TRIGGER",
-    "BACKOFF_SET",
-    "TX_START",
-    "TX_END",
-    "FEEDBACK_START",
-    "FEEDBACK_END",
-    "CANCEL",
-    "DROP",
-)
 
 # queue ordering for simultaneous events
 _MOVE, _TX_END, _FEEDBACK_END, _SAMPLE, _TX_START = range(5)
@@ -101,80 +91,59 @@ class Packet:
     step: int
     components: tuple[tuple[int, tuple[float, float]], ...]
     collaborative: frozenset[int]  # target ids observed by >= 2 sensors this step
-    start_time: float
     duration: float
 
 
-@dataclass
 class PowerLedger:
     """Per-step, per-sensor uplink/downlink component counts and charges.
 
-    Component counts are integers; charges are counts times the per-component
-    costs, so they are exact whenever the costs are integers.
+    `counts[step, sensor]` holds the (uplink, downlink) component counts.
+    Charges are counts times the per-component costs, computed on Python
+    ints, so they are exact whenever the costs are integers.
     """
 
-    costs: CostParams
-    n_sensors: int
-    n_steps: int
-    counts: dict[tuple[int, int], list[int]] = field(default_factory=dict)
-
-    def _cell(self, step: int, sensor: int) -> list[int]:
-        key = (step, sensor)
-        cell = self.counts.get(key)
-        if cell is None:
-            cell = [0, 0]
-            self.counts[key] = cell
-        return cell
+    def __init__(self, costs: CostParams, n_sensors: int, n_steps: int):
+        self.costs = costs
+        self.counts = np.zeros((n_steps, n_sensors, 2), dtype=np.int64)
 
     def add_uplink(self, step: int, sensor: int, components: int) -> None:
-        self._cell(step, sensor)[0] += components
+        self.counts[step, sensor, 0] += components
 
     def add_downlink(self, step: int, sensor: int, components: int) -> None:
-        self._cell(step, sensor)[1] += components
+        self.counts[step, sensor, 1] += components
 
-    def uplink_components(self, sensor: Optional[int] = None) -> int:
-        return sum(
-            c[0] for (k, s), c in self.counts.items() if sensor is None or s == sensor
-        )
+    def uplink_components(self) -> int:
+        return int(self.counts[:, :, 0].sum())
 
-    def downlink_components(self, sensor: Optional[int] = None) -> int:
-        return sum(
-            c[1] for (k, s), c in self.counts.items() if sensor is None or s == sensor
-        )
+    def downlink_components(self) -> int:
+        return int(self.counts[:, :, 1].sum())
 
-    def step_power(self, step: int):
-        up = sum(c[0] for (k, s), c in self.counts.items() if k == step)
-        down = sum(c[1] for (k, s), c in self.counts.items() if k == step)
+    def charge(self, up: int, down: int):
         return up * self.costs.uplink_power + down * self.costs.downlink_power
 
     def total_power(self):
-        up = self.uplink_components()
-        down = self.downlink_components()
-        return up * self.costs.uplink_power + down * self.costs.downlink_power
+        return self.charge(self.uplink_components(), self.downlink_components())
 
     def normalized_total_power(self) -> float:
         """Total power divided by the per-component uplink cost."""
         return self.total_power() / self.costs.uplink_power
 
-    def rows(self):
-        for step in range(self.n_steps):
-            for sensor in range(self.n_sensors):
-                up, down = self.counts.get((step, sensor), (0, 0))
-                yield step, sensor, up * self.costs.uplink_power, down * self.costs.downlink_power
-
     def to_csv(self, path) -> None:
+        up_cost, down_cost = self.costs.uplink_power, self.costs.downlink_power
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("# gathersim-csv v1 power\n")
             fh.write("step,sensor,uplink,downlink\n")
-            for step, sensor, up, down in self.rows():
-                fh.write(f"{step},{sensor},{up!r},{down!r}\n")
+            for step, per_sensor in enumerate(self.counts.tolist()):
+                for sensor, (up, down) in enumerate(per_sensor):
+                    fh.write(f"{step},{sensor},{up * up_cost!r},{down * down_cost!r}\n")
 
 
 def power_at_step(ledger: PowerLedger, step: int):
     """Total power charged to the given sampling step, both directions."""
-    if step < 0 or step >= ledger.n_steps:
-        raise IndexError(f"step {step} outside 0..{ledger.n_steps - 1}")
-    return ledger.step_power(step)
+    n_steps = ledger.counts.shape[0]
+    if step < 0 or step >= n_steps:
+        raise IndexError(f"step {step} outside 0..{n_steps - 1}")
+    return ledger.charge(*ledger.counts[step].sum(axis=0).tolist())
 
 
 def trace_to_csv(trace: EstimatorTrace, path) -> None:
@@ -188,7 +157,7 @@ def trace_to_csv(trace: EstimatorTrace, path) -> None:
 class SensorRuntime:
     """Mutable per-sensor protocol state for one trial."""
 
-    __slots__ = ("id", "spec", "acknowledged", "pending", "pending_step", "start_time", "in_flight")
+    __slots__ = ("id", "spec", "acknowledged", "pending", "pending_step", "start_time")
 
     def __init__(self, spec):
         self.id = spec.id
@@ -197,7 +166,6 @@ class SensorRuntime:
         self.pending: dict[int, tuple[float, float]] = {}
         self.pending_step: int = -1
         self.start_time: Optional[float] = None
-        self.in_flight: Optional[Packet] = None
 
 
 class TrialResult(NamedTuple):
@@ -224,6 +192,7 @@ def run_trial(
 
     proto = scenario.protocol
     fb = scenario.architecture == Architecture.FB
+    # validated ids are 0..n-1, so sensors[i] has id i
     sensors = [SensorRuntime(s) for s in sorted(scenario.sensors, key=lambda s: s.id)]
     n_sensors = len(sensors)
     eps = proto.trigger_threshold
@@ -251,9 +220,12 @@ def run_trial(
     log = EventLog(architecture=scenario.architecture, protocol=proto)
     ledger = PowerLedger(costs=scenario.costs, n_sensors=n_sensors, n_steps=len(sample_times))
 
-    if trajectory_out is not None:
-        for i, tid in enumerate(tids):
-            trajectory_out.append((0.0, tid, float(world.positions[i, 0]), float(world.positions[i, 1])))
+    def record_positions(t: float) -> None:
+        if trajectory_out is not None:
+            for tid, (x, y) in zip(tids, world.positions.tolist()):
+                trajectory_out.append((t, tid, x, y))
+
+    record_positions(0.0)
 
     heap: list[tuple] = []
     seq = 0
@@ -268,10 +240,9 @@ def run_trial(
     for i, t in enumerate(move_times):
         push(t, _MOVE, 0, "MOVE", i)
 
-    _step_collab: dict[int, frozenset[int]] = {}
+    collab: frozenset[int] = frozenset()  # collaborative targets of the current step
 
-    def handle_sample(t: float, step: int) -> None:
-        # stale unstarted transmissions are superseded by this step
+    def drop_pending(t: float) -> None:
         for s in sensors:
             if s.pending:
                 dropped = tuple(sorted(s.pending))
@@ -282,13 +253,14 @@ def run_trial(
                 s.pending.clear()
                 s.start_time = None
 
+    def handle_sample(t: float, step: int) -> None:
+        nonlocal collab
+        drop_pending(t)  # stale unstarted transmissions are superseded by this step
         observed = [observed_rows(world.positions, s.spec) for s in sensors]
         counts = np.zeros(len(tids), dtype=np.int64)
         for rows in observed:
             counts[rows] += 1
         collab = frozenset(tids[i] for i in np.nonzero(counts >= 2)[0])
-        _step_collab.clear()
-        _step_collab[step] = collab
         n_observed = int(np.count_nonzero(counts))
         log.append(
             time=t, kind="SAMPLE", step=step, sensor=CENTRAL,
@@ -298,12 +270,10 @@ def run_trial(
         draws = backoff_rng.random(n_sensors)
         for idx, s in enumerate(sensors):
             rows = observed[idx]
-            noise = noise_rng.standard_normal((len(rows), 2))
+            values = measure(world.positions, rows, proto.noise_std, noise_rng)
             scheduled: dict[int, tuple[float, float]] = {}
-            for r, row in enumerate(rows):
+            for row, (vx, vy) in zip(rows.tolist(), values.tolist()):
                 tid = tids[row]
-                vx = float(world.positions[row, 0] + proto.noise_std * noise[r, 0])
-                vy = float(world.positions[row, 1] + proto.noise_std * noise[r, 1])
                 ack = s.acknowledged.get(tid)
                 if ack is None or math.hypot(vx - ack[0], vy - ack[1]) > eps:
                     scheduled[tid] = (vx, vy)
@@ -333,33 +303,31 @@ def run_trial(
             push(t + b, _TX_START, s.id, "TX_START", step)
 
     def handle_tx_start(t: float, sensor: SensorRuntime, step: int) -> None:
+        # a pending transmission always belongs to the current step: every
+        # SAMPLE drops what the previous step left unstarted
         if sensor.pending_step != step or not sensor.pending:
             return  # dropped or fully cancelled in the meantime
         comps = tuple(sorted(sensor.pending.items()))
-        collab = frozenset(
-            tid for tid, _ in comps if tid in _step_collab.get(step, frozenset())
-        )
         n = len(comps)
         packet = Packet(
-            sensor_id=sensor.id, step=step, components=comps, collaborative=collab,
-            start_time=t, duration=n * proto.uplink_delay,
+            sensor_id=sensor.id, step=step, components=comps,
+            collaborative=frozenset(tid for tid, _ in comps if tid in collab),
+            duration=n * proto.uplink_delay,
         )
         sensor.pending.clear()
         sensor.start_time = None
-        sensor.in_flight = packet
         ledger.add_uplink(step, sensor.id, n)
         tgt = tuple(tid for tid, _ in comps)
         log.append(time=t, kind="TX_START", step=step, sensor=sensor.id, targets=tgt, size=n)
         push(t + packet.duration, _TX_END, sensor.id, "TX_END", packet)
 
     def handle_tx_end(t: float, sensor: SensorRuntime, packet: Packet) -> None:
-        sensor.in_flight = None
         tgt = tuple(tid for tid, _ in packet.components)
         log.append(
             time=t, kind="TX_END", step=packet.step, sensor=sensor.id,
             targets=tgt, size=len(packet.components),
         )
-        fuse(estimator, packet, t)
+        fuse(estimator, packet)
         for tid, value in packet.components:
             sensor.acknowledged[tid] = value
         if fb and packet.collaborative:
@@ -402,30 +370,29 @@ def run_trial(
                         targets=(tid,), size=1,
                     )
 
-    def handle_move(t: float) -> None:
-        nonlocal world
-        world = replace(step_targets(world, scenario.dynamics, motion_rng), time=t)
-        if trajectory_out is not None:
-            for i, tid in enumerate(tids):
-                trajectory_out.append((t, tid, float(world.positions[i, 0]), float(world.positions[i, 1])))
-
-    by_id = {s.id: s for s in sensors}
+    # the error changes only when a fusion (TX_END) or a move does
+    inst = estimator.mean_squared_error(world.positions)
     while heap:
         t, order, key, _, kind, payload = heapq.heappop(heap)
         if t > horizon:
             break
-        accumulate_mse(trace, estimator, world, t - trace.last_time)
+        accumulate_mse(trace, inst, t - trace.last_time)
         if kind == "SAMPLE":
             handle_sample(t, payload)
         elif kind == "TX_START":
-            handle_tx_start(t, by_id[key], payload)
+            handle_tx_start(t, sensors[key], payload)
         elif kind == "TX_END":
-            handle_tx_end(t, by_id[key], payload)
+            handle_tx_end(t, sensors[key], payload)
+            inst = estimator.mean_squared_error(world.positions)
         elif kind == "FEEDBACK_END":
             handle_feedback_end(t, payload)
         elif kind == "MOVE":
-            handle_move(t)
-    accumulate_mse(trace, estimator, world, horizon - trace.last_time)
+            world = step_targets(world, scenario.dynamics, motion_rng)
+            record_positions(t)
+            inst = estimator.mean_squared_error(world.positions)
+    accumulate_mse(trace, inst, horizon - trace.last_time)
+    # components still scheduled at the horizon would start after it
+    drop_pending(horizon)
 
     return TrialResult(events=log, power=ledger, trace=trace)
 

@@ -8,7 +8,7 @@ All values use abstract time/length/power units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -116,9 +116,6 @@ class Scenario:
     costs: CostParams
     architecture: Architecture
     seed: int
-
-    def with_architecture(self, architecture: Architecture) -> "Scenario":
-        return replace(self, architecture=architecture)
 
 
 def _is_finite_number(v) -> bool:
@@ -229,6 +226,13 @@ def _num(section: dict, key: str, where: str) -> float:
         raise ScenarioError(f"{where}.{key}: must be a number") from None
 
 
+def _id(section: dict, default: int, where: str) -> int:
+    value = section.get("id", default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioError(f"{where}.id: must be an integer (got {value!r})")
+    return value
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from a parsed config tree. Does not validate invariants."""
     if not isinstance(data, dict):
@@ -246,7 +250,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"sensors[{i}]: must be a mapping")
         sensors.append(
             SensorSpec(
-                id=int(s.get("id", i)),
+                id=_id(s, i, f"sensors[{i}]"),
                 center=_point(s.get("center"), f"sensors[{i}].center"),
                 radius=_num(s, "radius", f"sensors[{i}]"),
             )
@@ -268,7 +272,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             cr = _num(confine, "radius", f"targets[{i}].confine")
         targets.append(
             TargetSpec(
-                id=int(t.get("id", i)),
+                id=_id(t, i, f"targets[{i}]"),
                 position=_point(t.get("position"), f"targets[{i}].position"),
                 confine_center=cc,
                 confine_radius=cr,
@@ -366,11 +370,8 @@ def load_scenario(path) -> Scenario:
     Raises ScenarioError on malformed input or on the first violated invariant
     (the message lists every violation found).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as e:
-        raise e
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = fh.read()
     try:
         data = yaml.safe_load(raw)
     except yaml.YAMLError as e:

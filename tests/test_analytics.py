@@ -193,6 +193,15 @@ def test_mse_advantage_vanishing_noise():
     assert ok
 
 
+def test_mse_advantage_noiseless():
+    # threshold/noise is infinite at sigma = 0, above any finite threshold
+    thr, ok = mse_advantage(MseAdvantageParams(2.0, 0.0, 150.0, 2.0, 1))
+    assert math.isclose(thr, math.sqrt(149.0))
+    assert ok
+    with pytest.raises(ValueError):
+        mse_advantage(MseAdvantageParams(2.0, -0.1, 150.0, 2.0, 1))
+
+
 def test_mse_advantage_rejects_nonpositive():
     with pytest.raises(ValueError):
         mse_advantage(MseAdvantageParams(0.0, 0.1, 150.0, 2.0, 1))

@@ -25,6 +25,15 @@ def test_validate_bad_file(tmp_path):
     assert run(["validate", bad]) == 1
 
 
+@pytest.mark.parametrize("bad_id", ["a", "0.7", "true"])
+@pytest.mark.parametrize("entry", ["{id: 0, center", "{id: 0, position"])
+def test_validate_rejects_non_integer_ids(minimal_path, tmp_path, capsys, entry, bad_id):
+    bad = tmp_path / "bad_id.yaml"
+    bad.write_text(read(minimal_path).replace(entry, entry.replace("0", bad_id)))
+    assert run(["validate", bad]) == 1
+    assert "id: must be an integer" in capsys.readouterr().err
+
+
 def test_validate_missing_file(tmp_path):
     assert run(["validate", tmp_path / "nope.yaml"]) == 2
 
@@ -129,6 +138,17 @@ def test_analyze_accuracy_condition(capsys):
     out = capsys.readouterr().out
     assert "12.2066" in out
     assert "satisfied" in out
+
+
+def test_analyze_noiseless_accuracy_condition(setting1_path, tmp_path, capsys):
+    assert run([
+        "analyze", "--ts", 150, "--dtu", 2, "--numin", 1, "--eps", 2, "--sigma", 0,
+    ]) == 0
+    assert "threshold/noise = inf: satisfied" in capsys.readouterr().out
+    noiseless = tmp_path / "noiseless.yaml"
+    noiseless.write_text(read(setting1_path).replace("noise_std: 0.1", "noise_std: 0.0"))
+    assert run(["analyze", "--scenario", noiseless]) == 0
+    assert "threshold/noise = inf: satisfied" in capsys.readouterr().out
 
 
 def test_analyze_scenario_table(setting1_path, capsys):

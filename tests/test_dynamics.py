@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from gathersim import dynamics
-from gathersim.dynamics import WorldState, initial_world, measure, reflect, step_targets
+from gathersim.dynamics import WorldState, initial_world, measure, observed_rows, reflect, step_targets
 from gathersim.scenario import DynamicsParams, Environment, SensorSpec
 
 ENV = Environment(50.0, 50.0)
@@ -14,7 +14,6 @@ def world(positions, confinements=None):
     pos = np.array(positions, dtype=float)
     n = pos.shape[0]
     return WorldState(
-        time=0.0,
         positions=pos,
         target_ids=tuple(range(n)),
         environment=ENV,
@@ -91,11 +90,10 @@ def test_confined_targets_stay_inside_and_move_full_step():
 def test_measure_noiseless_is_exact():
     w = world([(10.0, 10.0), (40.0, 40.0)])
     sensor = SensorSpec(0, (10.0, 10.0), 5.0)
-    out = measure(w, sensor, 0.0, np.random.default_rng(0))
-    assert len(out) == 1
-    assert out[0].value == (10.0, 10.0)
-    assert out[0].target_id == 0
-    assert out[0].sensor_id == 0
+    rows = observed_rows(w.positions, sensor)
+    out = measure(w.positions, rows, 0.0, np.random.default_rng(0))
+    assert rows.tolist() == [0]
+    assert out.tolist() == [[10.0, 10.0]]
 
 
 def test_measure_count_equals_targets_in_region():
@@ -104,16 +102,16 @@ def test_measure_count_equals_targets_in_region():
     w = world([tuple(p) for p in positions])
     sensor = SensorSpec(0, (25.0, 25.0), 12.0)
     inside = sum(1 for p in positions if math.hypot(p[0] - 25.0, p[1] - 25.0) <= 12.0)
-    assert len(measure(w, sensor, 0.1, rng)) == inside
+    rows = observed_rows(w.positions, sensor)
+    assert len(measure(w.positions, rows, 0.1, rng)) == inside
 
 
 def test_noise_standard_deviation():
     w = world([(25.0, 25.0)])
     sensor = SensorSpec(0, (25.0, 25.0), 5.0)
     rng = np.random.default_rng(5)
-    draws = np.array(
-        [measure(w, sensor, 0.1, rng)[0].value for _ in range(50_000)]
-    )
+    rows = observed_rows(w.positions, sensor)
+    draws = np.array([measure(w.positions, rows, 0.1, rng)[0] for _ in range(50_000)])
     stds = (draws - 25.0).std(axis=0, ddof=1)
     assert 0.099 <= stds[0] <= 0.101
     assert 0.099 <= stds[1] <= 0.101

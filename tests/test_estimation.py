@@ -9,50 +9,48 @@ from gathersim.estimation import EstimatorState, EstimatorTrace, accumulate_mse,
 from gathersim.protocol import Packet
 
 
-def packet(sensor, step, comps, start=0.0):
+def packet(sensor, step, comps):
     return Packet(
         sensor_id=sensor,
         step=step,
         components=tuple(comps),
         collaborative=frozenset(),
-        start_time=start,
         duration=1.0,
     )
 
 
-class FakeWorld:
-    def __init__(self, positions):
-        self.positions = np.array(positions, dtype=float)
+def mse(state, positions):
+    return state.mean_squared_error(np.array(positions, dtype=float))
 
 
 def test_two_measurements_average():
     state = EstimatorState([0], (5.0, 5.0))
-    fuse(state, packet(0, 0, [(0, (1.0, 2.0))]), 1.0)
-    fuse(state, packet(1, 0, [(0, (3.0, 6.0))]), 2.0)
+    fuse(state, packet(0, 0, [(0, (1.0, 2.0))]))
+    fuse(state, packet(1, 0, [(0, (3.0, 6.0))]))
     assert state.estimate(0) == (2.0, 4.0)
     assert state.fusion_count(0) == 2
 
 
 def test_first_measurement_exact():
     state = EstimatorState([0], (5.0, 5.0))
-    fuse(state, packet(0, 0, [(0, (1.25, -0.5))]), 1.0)
+    fuse(state, packet(0, 0, [(0, (1.25, -0.5))]))
     assert state.estimate(0) == (1.25, -0.5)
     assert state.fusion_count(0) == 1
 
 
 def test_epoch_replacement_and_reset():
     state = EstimatorState([0], (5.0, 5.0))
-    fuse(state, packet(0, 0, [(0, (1.0, 1.0))]), 1.0)
-    fuse(state, packet(1, 0, [(0, (2.0, 2.0))]), 2.0)
-    fuse(state, packet(0, 1, [(0, (10.0, 10.0))]), 3.0)
+    fuse(state, packet(0, 0, [(0, (1.0, 1.0))]))
+    fuse(state, packet(1, 0, [(0, (2.0, 2.0))]))
+    fuse(state, packet(0, 1, [(0, (10.0, 10.0))]))
     assert state.estimate(0) == (10.0, 10.0)
     assert state.fusion_count(0) == 1
 
 
 def test_stale_epoch_discarded():
     state = EstimatorState([0], (5.0, 5.0))
-    fuse(state, packet(0, 2, [(0, (10.0, 10.0))]), 1.0)
-    fuse(state, packet(1, 1, [(0, (0.0, 0.0))]), 2.0)
+    fuse(state, packet(0, 2, [(0, (10.0, 10.0))]))
+    fuse(state, packet(1, 1, [(0, (0.0, 0.0))]))
     assert state.estimate(0) == (10.0, 10.0)
     assert state.fusion_count(0) == 1
 
@@ -66,7 +64,7 @@ def test_fused_variance_shrinks_like_sample_mean():
         state = EstimatorState([0], (0.0, 0.0))
         for j in range(m):
             v = (sigma * rng.standard_normal(), sigma * rng.standard_normal())
-            fuse(state, packet(j, 0, [(0, v)]), 1.0)
+            fuse(state, packet(j, 0, [(0, v)]))
         values.append(state.estimate(0))
     arr = np.array(values)
     var = arr.var(axis=0, ddof=1)
@@ -81,12 +79,12 @@ def test_fused_variance_shrinks_like_sample_mean():
 def test_order_independence_within_epoch(values, seed):
     state_a = EstimatorState([0], (0.0, 0.0))
     for i, v in enumerate(values):
-        fuse(state_a, packet(i, 0, [(0, v)]), 1.0)
+        fuse(state_a, packet(i, 0, [(0, v)]))
     shuffled = list(values)
     random.Random(seed).shuffle(shuffled)
     state_b = EstimatorState([0], (0.0, 0.0))
     for i, v in enumerate(shuffled):
-        fuse(state_b, packet(i, 0, [(0, v)]), 1.0)
+        fuse(state_b, packet(i, 0, [(0, v)]))
     ax, ay = state_a.estimate(0)
     bx, by = state_b.estimate(0)
     assert math.isclose(ax, bx, rel_tol=0, abs_tol=1e-12 * max(1.0, abs(ax)))
@@ -95,36 +93,36 @@ def test_order_independence_within_epoch(values, seed):
 
 def test_integral_zero_for_perfect_estimate():
     state = EstimatorState([0], (0.0, 0.0))
-    fuse(state, packet(0, 0, [(0, (7.0, 8.0))]), 0.0)
+    fuse(state, packet(0, 0, [(0, (7.0, 8.0))]))
     trace = EstimatorTrace()
-    accumulate_mse(trace, state, FakeWorld([(7.0, 8.0)]), 5.0)
+    accumulate_mse(trace, mse(state, [(7.0, 8.0)]), 5.0)
     assert trace.integral == 0.0
 
 
 def test_integral_known_increment():
     state = EstimatorState([0], (0.0, 0.0))
-    fuse(state, packet(0, 0, [(0, (3.0, 4.0))]), 0.0)
+    fuse(state, packet(0, 0, [(0, (3.0, 4.0))]))
     trace = EstimatorTrace()
-    accumulate_mse(trace, state, FakeWorld([(0.0, 0.0)]), 2.0)
+    accumulate_mse(trace, mse(state, [(0.0, 0.0)]), 2.0)
     assert trace.integral == 50.0  # error vector (3,4): 25 per unit time
 
 
 def test_unseen_target_scored_against_default_point():
     state = EstimatorState([0], (10.0, 10.0))
     trace = EstimatorTrace()
-    accumulate_mse(trace, state, FakeWorld([(13.0, 14.0)]), 1.0)
+    accumulate_mse(trace, mse(state, [(13.0, 14.0)]), 1.0)
     assert trace.integral == 25.0
 
 
 def test_integral_additivity():
     state = EstimatorState([0], (0.0, 0.0))
-    fuse(state, packet(0, 0, [(0, (3.0, 4.0))]), 0.0)
-    world = FakeWorld([(0.0, 0.0)])
+    fuse(state, packet(0, 0, [(0, (3.0, 4.0))]))
+    inst = mse(state, [(0.0, 0.0)])
     one = EstimatorTrace()
-    accumulate_mse(one, state, world, 8.0)
+    accumulate_mse(one, inst, 8.0)
     split = EstimatorTrace()
-    accumulate_mse(split, state, world, 3.0)
-    accumulate_mse(split, state, world, 5.0)
+    accumulate_mse(split, inst, 3.0)
+    accumulate_mse(split, inst, 5.0)
     assert abs(one.integral - split.integral) < 1e-12
     assert one.last_time == split.last_time
 
@@ -132,7 +130,7 @@ def test_integral_additivity():
 def test_negative_dt_rejected():
     state = EstimatorState([0], (0.0, 0.0))
     with pytest.raises(ValueError):
-        accumulate_mse(EstimatorTrace(), state, FakeWorld([(0.0, 0.0)]), -1.0)
+        accumulate_mse(EstimatorTrace(), mse(state, [(0.0, 0.0)]), -1.0)
 
 
 def test_feedback_wins_mse_in_paired_trials():

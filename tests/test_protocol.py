@@ -1,6 +1,8 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from scripted_cases import (
     DOWNLINK_POWER,
@@ -25,6 +27,7 @@ from gathersim.scenario import (
     ScenarioError,
     SensorSpec,
     TargetSpec,
+    load_scenario,
 )
 
 
@@ -201,8 +204,28 @@ def test_trial_determinism():
     a = run_trial(scn)
     b = run_trial(scn)
     assert a.events.records == b.events.records
-    assert a.power.counts == b.power.counts
+    assert np.array_equal(a.power.counts, b.power.counts)
     assert a.trace.rows == b.trace.rows
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4, 5])
+def test_every_triggered_component_ends_once(setting1_path, seed):
+    # backoffs longer than the time left after the last sample push some
+    # transmissions past the horizon, where they are dropped
+    scn = load_scenario(setting1_path)
+    scn = replace(scn, seed=seed, protocol=replace(scn.protocol, backoff_interval=200.0))
+    res = run_trial(scn)
+    triggered = set()
+    ends = Counter()
+    for r in res.events.records:
+        components = {(r.step, r.sensor, t) for t in r.targets}
+        if r.kind == "TRIGGER":
+            triggered |= components
+        elif r.kind in ("TX_START", "CANCEL", "DROP"):
+            ends.update(components)
+    assert set(ends) == triggered
+    assert set(ends.values()) == {1}
+    assert any(r.time == scn.protocol.horizon for r in res.events.of_kind("DROP"))
 
 
 def test_drop_when_backoff_crosses_next_sample():
