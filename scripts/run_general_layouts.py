@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from gathersim import analytics, experiments
+from gathersim.protocol import write_csv
 from gathersim.scenario import (
     Architecture,
     CostParams,
@@ -82,7 +83,7 @@ def main() -> int:
         scenarios = [
             replace(base, protocol=replace(base.protocol, backoff_interval=b)) for b in backoffs
         ]
-        grid = experiments.paired_grid(scenarios, args.trials, args.jobs, True)
+        grid = experiments.paired_grid(scenarios, args.trials, args.jobs)
         rows = []
         agree = 0
         for x, backoff, outcomes in zip(xs, backoffs, grid):
@@ -98,13 +99,11 @@ def main() -> int:
                 if predicted == empirical:
                     agree += 1
         path = out / f"approx_{name}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# gathersim-csv v1 approx-region\n")
-            fh.write("x,y,vote_fraction,predicted,empirical_mean,empirical_se,empirical\n")
-            for x, y, frac, predicted, mean, se, empirical in rows:
-                fh.write(
-                    f"{x!r},{y!r},{frac!r},{int(predicted)},{mean!r},{se!r},{int(empirical)}\n"
-                )
+        write_csv(path, "approx-region",
+                  "x,y,vote_fraction,predicted,empirical_mean,empirical_se,empirical", (
+                      f"{x!r},{y!r},{frac!r},{int(predicted)},{mean!r},{se!r},{int(empirical)}\n"
+                      for x, y, frac, predicted, mean, se, empirical in rows
+                  ))
         total = len(rows)
         print(f"{name}: wrote {path}; cell agreement {agree}/{total} ({100.0 * agree / total:.0f}%)")
     return 0

@@ -9,58 +9,27 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-import yaml
-
 from . import analytics, experiments, geometry, svgplot
-from .protocol import run_trial, trace_to_csv
+from .protocol import run_trial, trace_to_csv, write_csv
 from .scenario import (
-    Scenario,
     ScenarioError,
+    checked_scenario,
+    int_field,
     load_scenario,
-    scenario_from_dict,
-    validate as validate_scenario,
+    num_list,
+    read_mapping,
 )
+# not called here, but benchmark/spans.py wraps these names on this module
+from .scenario import scenario_from_dict, validate as validate_scenario  # noqa: F401
+
+SWEEP_KEYS = ("scenario", "backoff_intervals", "uplink_powers", "trials")
 
 
 def _out_dir(args) -> Path:
     raw = args.out or os.environ.get("GATHERSIM_OUTDIR") or "out"
     return Path(raw)
-
-
-def _apply_overrides(data: dict, overrides: list[str]) -> dict:
-    for ov in overrides:
-        if "=" not in ov:
-            raise ScenarioError(f"override {ov!r} is not of the form path=value")
-        path, raw_value = ov.split("=", 1)
-        value = yaml.safe_load(raw_value)
-        keys = path.split(".")
-        node = data
-        for key in keys[:-1]:
-            if not isinstance(node.get(key), dict):
-                raise ScenarioError(f"override path {path!r} does not exist")
-            node = node[key]
-        if keys[-1] not in node:
-            raise ScenarioError(f"override path {path!r} does not exist")
-        node[keys[-1]] = value
-    return data
-
-
-def _load_with_overrides(path: str, overrides: list[str], seed=None) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh.read())
-    if not isinstance(data, dict):
-        raise ScenarioError("top level of a scenario file must be a mapping")
-    _apply_overrides(data, overrides or [])
-    if seed is not None:
-        data["seed"] = seed
-    scenario = scenario_from_dict(data)
-    violations = validate_scenario(scenario)
-    if violations:
-        raise ScenarioError("; ".join(violations))
-    return scenario
 
 
 def _parse_grid(spec: str, name: str) -> list[float]:
@@ -86,7 +55,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load_with_overrides(args.scenario, args.override, args.seed)
+    scenario = load_scenario(args.scenario, args.override, args.seed)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     trajectory = [] if args.dump_trajectory else None
@@ -95,24 +64,21 @@ def cmd_simulate(args) -> int:
     result.power.to_csv(out / "power.csv")
     trace_to_csv(result.trace, out / "mse.csv")
     if trajectory is not None:
-        with open(out / "trajectory.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("# gathersim-csv v1 trajectory\n")
-            fh.write("time,target_id,x,y\n")
-            for t, tid, x, y in trajectory:
-                fh.write(f"{t!r},{tid},{x!r},{y!r}\n")
+        write_csv(out / "trajectory.csv", "trajectory", "time,target_id,x,y",
+                  (f"{t!r},{tid},{x!r},{y!r}\n" for t, tid, x, y in trajectory))
     if args.dump_structure:
         sets = geometry.collaborative_sets(scenario)
         members = geometry.membership(
             scenario, [t.position for t in sorted(scenario.targets, key=lambda t: t.id)]
         )
         structure = geometry.component_counts(members, sets)
-        with open(out / "structure.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("# gathersim-csv v1 structure\n")
-            fh.write("kind,members,count\n")
-            for cs in structure.sets:
-                fh.write(f"collaborative,{';'.join(map(str, sorted(cs.members)))},{cs.collaborative_count}\n")
-            for sensor in sorted(structure.unique_counts):
-                fh.write(f"unique,{sensor},{structure.unique_counts[sensor]}\n")
+        lines = [
+            f"collaborative,{';'.join(map(str, sorted(cs.members)))},{cs.collaborative_count}\n"
+            for cs in structure.sets
+        ]
+        lines += [f"unique,{sensor},{structure.unique_counts[sensor]}\n"
+                  for sensor in sorted(structure.unique_counts)]
+        write_csv(out / "structure.csv", "structure", "kind,members,count", lines)
     print(
         f"architecture={scenario.architecture.value} "
         f"total_power_norm={result.power.normalized_total_power()!r} "
@@ -124,49 +90,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_sweep_spec(path: str, trials_override, seed) -> experiments.SweepSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh.read())
-    if not isinstance(data, dict):
-        raise ScenarioError("sweep spec must be a mapping")
-    scenario_ref = data.get("scenario")
-    base_dir = Path(path).parent
-    if isinstance(scenario_ref, str):
-        base = load_scenario(base_dir / scenario_ref)
-    elif isinstance(scenario_ref, dict):
-        base = scenario_from_dict(scenario_ref)
-        violations = validate_scenario(base)
-        if violations:
-            raise ScenarioError("; ".join(violations))
-    else:
+def _load_sweep_spec(path: str, trials, seed) -> experiments.SweepSpec:
+    data = read_mapping(path)
+    unknown = [key for key in data if key not in SWEEP_KEYS]
+    if unknown:
+        raise ScenarioError(f"sweep spec: unknown keys {unknown}; allowed: {', '.join(SWEEP_KEYS)}")
+    base = data.get("scenario")
+    if isinstance(base, str):
+        base = read_mapping(Path(path).parent / base)
+    elif not isinstance(base, dict):
         raise ScenarioError("sweep spec needs 'scenario': a path or an inline mapping")
-    if seed is not None:
-        base = replace(base, seed=seed)
-    tb = data.get("backoff_intervals")
-    dpu = data.get("uplink_powers")
-    trials = trials_override if trials_override is not None else data.get("trials", 1)
-    if not isinstance(tb, list) or not tb:
-        raise ScenarioError("sweep spec needs a nonempty 'backoff_intervals' list")
-    if not isinstance(dpu, list) or not dpu:
-        raise ScenarioError("sweep spec needs a nonempty 'uplink_powers' list")
     return experiments.SweepSpec(
-        base=base,
-        backoff_intervals=tuple(float(v) for v in tb),
-        uplink_powers=tuple(float(v) for v in dpu),
-        trials=int(trials),
-        paired_seeds=bool(data.get("paired_seeds", True)),
+        base=checked_scenario(base, (), seed),
+        backoff_intervals=num_list(data, "backoff_intervals", "sweep spec"),
+        uplink_powers=num_list(data, "uplink_powers", "sweep spec"),
+        trials=int_field(data, "trials", 1, "sweep spec") if trials is None else trials,
     )
 
 
 def cmd_sweep(args) -> int:
     spec = _load_sweep_spec(args.spec, args.trials, args.seed)
-    try:
-        spec.check()
-    except ValueError as e:
-        raise ScenarioError(str(e)) from e
+    result = experiments.run_sweep(spec, jobs=args.jobs)  # checks the spec first
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    result = experiments.run_sweep(spec, jobs=args.jobs)
     result.to_csv(out / "sweep.csv")
     print(f"wrote {out / 'sweep.csv'} ({len(result.rows)} rows)")
     if args.plot:
@@ -264,7 +210,7 @@ def cmd_analyze(args) -> int:
                 noise_std=proto.noise_std,
                 sampling_period=proto.sampling_period,
                 uplink_delay=proto.uplink_delay,
-                min_unique=args.numin or 1,
+                min_unique=1 if args.numin is None else args.numin,
             )
         )
         return 0

@@ -13,11 +13,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
 from . import geometry
 from .analytics import AdvantagePoint, raster_region
-from .protocol import run_trial
+from .protocol import run_trial, write_csv
 from .scenario import (
     Architecture,
     CostParams,
@@ -25,6 +26,7 @@ from .scenario import (
     Environment,
     ProtocolParams,
     Scenario,
+    ScenarioError,
     SensorSpec,
     TargetSpec,
     validate,
@@ -62,9 +64,6 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return base_seed ^ trial_index
 
 
-_UNPAIRED_SALT = 0x9E3779B97F4A7C15
-
-
 @dataclass(frozen=True)
 class PairedOutcome:
     """Component counts and time-averaged error from one paired trial."""
@@ -82,12 +81,11 @@ class PairedOutcome:
         ) * uplink_power - self.fb_downlink * downlink_power
 
 
-def run_paired_trial(scenario: Scenario, trial_index: int, paired_seeds: bool = True) -> PairedOutcome:
+def run_paired_trial(scenario: Scenario, trial_index: int) -> PairedOutcome:
     seed = trial_seed(scenario.seed, trial_index)
-    nf_seed = seed if paired_seeds else seed ^ _UNPAIRED_SALT
     horizon = scenario.protocol.horizon
     fb = run_trial(replace(scenario, architecture=Architecture.FB, seed=seed))
-    nf = run_trial(replace(scenario, architecture=Architecture.NF, seed=nf_seed))
+    nf = run_trial(replace(scenario, architecture=Architecture.NF, seed=seed))
     return PairedOutcome(
         fb_uplink=fb.power.uplink_components(),
         fb_downlink=fb.power.downlink_components(),
@@ -105,18 +103,28 @@ class SweepSpec:
     backoff_intervals: tuple[float, ...]
     uplink_powers: tuple[float, ...]
     trials: int
-    paired_seeds: bool = True
+
+    def cells(self) -> list[Scenario]:
+        """The base scenario at each backoff interval, in grid order."""
+        return [
+            replace(self.base, protocol=replace(self.base.protocol, backoff_interval=float(tb)))
+            for tb in self.backoff_intervals
+        ]
 
     def check(self) -> None:
+        """Raise ScenarioError unless every (backoff, uplink cost) point is valid."""
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ScenarioError("trials must be >= 1")
         if not self.backoff_intervals:
-            raise ValueError("backoff_intervals must be nonempty")
+            raise ScenarioError("backoff_intervals must be nonempty")
         if not self.uplink_powers:
-            raise ValueError("uplink_powers must be nonempty")
-        violations = validate(self.base)
+            raise ScenarioError("uplink_powers must be nonempty")
+        violations = dict.fromkeys(
+            v for cell in self.cells() for up in self.uplink_powers
+            for v in validate(replace(cell, costs=replace(cell.costs, uplink_power=up)))
+        )
         if violations:
-            raise ValueError("; ".join(violations))
+            raise ScenarioError("; ".join(violations))
 
 
 @dataclass(frozen=True)
@@ -137,15 +145,13 @@ class SweepResult:
     rows: list[SweepRow] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("# gathersim-csv v1 sweep\n")
-            fh.write("T_b,dp_u,dp_d,arch,mean_power_norm,se_power,mean_mse,se_mse,trials\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.backoff_interval!r},{r.uplink_power!r},{r.downlink_power!r},"
-                    f"{r.architecture},{r.mean_power_norm!r},{r.se_power!r},"
-                    f"{r.mean_mse!r},{r.se_mse!r},{r.trials}\n"
-                )
+        header = "T_b,dp_u,dp_d,arch,mean_power_norm,se_power,mean_mse,se_mse,trials"
+        write_csv(path, "sweep", header, (
+            f"{r.backoff_interval!r},{r.uplink_power!r},{r.downlink_power!r},"
+            f"{r.architecture},{r.mean_power_norm!r},{r.se_power!r},"
+            f"{r.mean_mse!r},{r.se_mse!r},{r.trials}\n"
+            for r in self.rows
+        ))
 
 
 def default_jobs() -> int:
@@ -161,21 +167,21 @@ def _run_tasks(tasks, worker, jobs: int):
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
-def _paired_task(args) -> PairedOutcome:
-    return run_paired_trial(*args)
+def _paired_task(scenarios: Sequence[Scenario], task: tuple[int, int]) -> PairedOutcome:
+    cell, i = task
+    return run_paired_trial(scenarios[cell], i)
 
 
-def paired_grid(
-    scenarios: Sequence[Scenario], trials: int, jobs: int, paired_seeds: bool
-) -> list[list[PairedOutcome]]:
+def paired_grid(scenarios: Sequence[Scenario], trials: int, jobs: int) -> list[list[PairedOutcome]]:
     """Paired trials 0..trials-1 of every scenario (one grid cell each).
 
     Returns one list per scenario, in trial order. Trial i of a cell is seeded
     from the cell's seed and i, so cells sharing a seed see common random
-    numbers, and the outcomes do not depend on the worker count.
+    numbers, and the outcomes do not depend on the worker count. Tasks carry
+    only (cell index, trial index); the scenarios travel with the worker.
     """
-    tasks = [(scenario, i, paired_seeds) for scenario in scenarios for i in range(trials)]
-    outcomes = _run_tasks(tasks, _paired_task, jobs)
+    tasks = [(cell, i) for cell in range(len(scenarios)) for i in range(trials)]
+    outcomes = _run_tasks(tasks, partial(_paired_task, scenarios), jobs)
     return [outcomes[k * trials:(k + 1) * trials] for k in range(len(scenarios))]
 
 
@@ -186,11 +192,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     (backoff, trial) order, so they are independent of worker count.
     """
     spec.check()
-    scenarios = [
-        replace(spec.base, protocol=replace(spec.base.protocol, backoff_interval=float(tb)))
-        for tb in spec.backoff_intervals
-    ]
-    grid = paired_grid(scenarios, spec.trials, jobs, spec.paired_seeds)
+    grid = paired_grid(spec.cells(), spec.trials, jobs)
 
     down = spec.base.costs.downlink_power
     result = SweepResult()
@@ -421,7 +423,7 @@ def region_experiment(
         )
         for x in xs
     ]
-    grid = paired_grid(scenarios, trials, jobs, True)
+    grid = paired_grid(scenarios, trials, jobs)
 
     points = raster_region(set_size, xs, ys)  # x-major, like the grid
     for k, cell in enumerate(points):
@@ -447,11 +449,11 @@ def region_agreement(points: Sequence[AdvantagePoint]) -> tuple[float, int, int]
 
 
 def region_to_csv(points: Sequence[AdvantagePoint], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# gathersim-csv v1 region\n")
-        fh.write("x,y,set_size,g,theoretical,empirical_mean,empirical_se\n")
-        for p in points:
-            theo = "advantageous" if p.theory_advantage else "not-advantageous"
-            mean = "" if p.empirical_mean is None else repr(p.empirical_mean)
-            se = "" if p.empirical_se is None else repr(p.empirical_se)
-            fh.write(f"{p.x!r},{p.y!r},{p.set_size},{p.g!r},{theo},{mean},{se}\n")
+    def line(p: AdvantagePoint) -> str:
+        theo = "advantageous" if p.theory_advantage else "not-advantageous"
+        mean = "" if p.empirical_mean is None else repr(p.empirical_mean)
+        se = "" if p.empirical_se is None else repr(p.empirical_se)
+        return f"{p.x!r},{p.y!r},{p.set_size},{p.g!r},{theo},{mean},{se}\n"
+
+    write_csv(path, "region", "x,y,set_size,g,theoretical,empirical_mean,empirical_se",
+              map(line, points))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,6 +38,13 @@ CENTRAL = -1  # sensor id used for central-unit rows in logs
 _MOVE, _TX_END, _FEEDBACK_END, _SAMPLE, _TX_START = range(5)
 
 BackoffSchedule = Callable[[int, int], Optional[float]]
+
+
+def write_csv(path, kind: str, header: str, lines: Iterable[str]) -> None:
+    """Write the schema line for `kind`, the column header, then `lines` (each ending in \\n)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# gathersim-csv v1 {kind}\n{header}\n")
+        fh.writelines(lines)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,13 +81,11 @@ class EventLog:
         return sum(1 for r in self.records if r.kind == kind)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("# gathersim-csv v1 events\n")
-            fh.write("time,kind,step,sensor,targets,size,value\n")
-            for r in self.records:
-                tgt = ";".join(str(t) for t in r.targets)
-                val = "" if r.value is None else repr(r.value)
-                fh.write(f"{r.time!r},{r.kind},{r.step},{r.sensor},{tgt},{r.size},{val}\n")
+        write_csv(path, "events", "time,kind,step,sensor,targets,size,value", (
+            f"{r.time!r},{r.kind},{r.step},{r.sensor},{';'.join(map(str, r.targets))},"
+            f"{r.size},{'' if r.value is None else repr(r.value)}\n"
+            for r in self.records
+        ))
 
 
 @dataclass(frozen=True)
@@ -130,12 +135,11 @@ class PowerLedger:
 
     def to_csv(self, path) -> None:
         up_cost, down_cost = self.costs.uplink_power, self.costs.downlink_power
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("# gathersim-csv v1 power\n")
-            fh.write("step,sensor,uplink,downlink\n")
-            for step, per_sensor in enumerate(self.counts.tolist()):
-                for sensor, (up, down) in enumerate(per_sensor):
-                    fh.write(f"{step},{sensor},{up * up_cost!r},{down * down_cost!r}\n")
+        write_csv(path, "power", "step,sensor,uplink,downlink", (
+            f"{step},{sensor},{up * up_cost!r},{down * down_cost!r}\n"
+            for step, per_sensor in enumerate(self.counts.tolist())
+            for sensor, (up, down) in enumerate(per_sensor)
+        ))
 
 
 def power_at_step(ledger: PowerLedger, step: int):
@@ -147,11 +151,9 @@ def power_at_step(ledger: PowerLedger, step: int):
 
 
 def trace_to_csv(trace: EstimatorTrace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# gathersim-csv v1 mse\n")
-        fh.write("time,mse_instant,mse_integral\n")
-        for t, inst, integral in trace.rows:
-            fh.write(f"{t!r},{inst!r},{integral!r}\n")
+    write_csv(path, "mse", "time,mse_instant,mse_integral", (
+        f"{t!r},{inst!r},{integral!r}\n" for t, inst, integral in trace.rows
+    ))
 
 
 class SensorRuntime:

@@ -2,7 +2,8 @@
 
 A Scenario is one concrete simulation point (one backoff interval, one cost
 pair, one architecture). Parameter sweeps live in `experiments`, never here.
-All values use abstract time/length/power units.
+All values use abstract time/length/power units. All YAML input is parsed
+here, and every parse or shape error is raised as a ScenarioError.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from typing import Optional
 import yaml
 
 Point = tuple[float, float]
+
+# Largest horizon / sampling_period or horizon / move_period that `validate` accepts: a
+# trial keeps every step and move in its event queue and power ledger from the start.
+MAX_STEPS = 100_000
 
 
 class ScenarioError(ValueError):
@@ -187,6 +192,13 @@ def validate(scenario: Scenario) -> list[str]:
             f"DynamicsParams.move_probability: must be within [0, 1] (got {d.move_probability!r})"
         )
 
+    for name, period in (("ProtocolParams.sampling_period", p.sampling_period),
+                         ("DynamicsParams.move_period", d.move_period)):
+        if _is_finite_number(p.horizon) and _is_finite_number(period) and period > 0:
+            if p.horizon / period > MAX_STEPS:
+                out.append(f"ProtocolParams.horizon: horizon / {name} must be <= {MAX_STEPS} "
+                           f"(got {p.horizon / period:.6g})")
+
     c = scenario.costs
     if not (_is_finite_number(c.uplink_power) and c.uplink_power > 0):
         out.append(f"CostParams.uplink_power: must be > 0 (got {c.uplink_power!r})")
@@ -199,13 +211,17 @@ def validate(scenario: Scenario) -> list[str]:
     return out
 
 
+def _float(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{where}: must be a number (got {value!r})") from None
+
+
 def _point(raw, where: str) -> Point:
     if (not isinstance(raw, (list, tuple))) or len(raw) != 2:
         raise ScenarioError(f"{where}: expected a 2-element [x, y] list")
-    try:
-        return (float(raw[0]), float(raw[1]))
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where}: coordinates must be numbers") from None
+    return (_float(raw[0], where), _float(raw[1], where))
 
 
 def _section(data: dict, key: str) -> dict:
@@ -220,24 +236,27 @@ def _section(data: dict, key: str) -> dict:
 def _num(section: dict, key: str, where: str) -> float:
     if key not in section:
         raise ScenarioError(f"{where}.{key}: missing")
-    try:
-        return float(section[key])
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where}.{key}: must be a number") from None
+    return _float(section[key], f"{where}.{key}")
 
 
-def _id(section: dict, default: int, where: str) -> int:
-    value = section.get("id", default)
+def num_list(section: dict, key: str, where: str) -> tuple[float, ...]:
+    """`section[key]` as a nonempty tuple of floats."""
+    raw = section.get(key)
+    if not isinstance(raw, list) or not raw:
+        raise ScenarioError(f"{where}.{key}: must be a nonempty list of numbers")
+    return tuple(_float(v, f"{where}.{key}[{i}]") for i, v in enumerate(raw))
+
+
+def int_field(section: dict, key: str, default: int, where: str) -> int:
+    """`section[key]`, or `default` when absent; bools are not integers."""
+    value = section.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{where}.id: must be an integer (got {value!r})")
+        raise ScenarioError(f"{where}.{key}: must be an integer (got {value!r})")
     return value
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from a parsed config tree. Does not validate invariants."""
-    if not isinstance(data, dict):
-        raise ScenarioError("top level of a scenario file must be a mapping")
-
     env_d = _section(data, "environment")
     env = Environment(_num(env_d, "width", "environment"), _num(env_d, "height", "environment"))
 
@@ -250,7 +269,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"sensors[{i}]: must be a mapping")
         sensors.append(
             SensorSpec(
-                id=_id(s, i, f"sensors[{i}]"),
+                id=int_field(s, "id", i, f"sensors[{i}]"),
                 center=_point(s.get("center"), f"sensors[{i}].center"),
                 radius=_num(s, "radius", f"sensors[{i}]"),
             )
@@ -272,7 +291,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             cr = _num(confine, "radius", f"targets[{i}].confine")
         targets.append(
             TargetSpec(
-                id=_id(t, i, f"targets[{i}]"),
+                id=int_field(t, "id", i, f"targets[{i}]"),
                 position=_point(t.get("position"), f"targets[{i}].position"),
                 confine_center=cc,
                 confine_radius=cr,
@@ -364,23 +383,56 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return data
 
 
-def load_scenario(path) -> Scenario:
-    """Load, parse and validate a scenario file.
-
-    Raises ScenarioError on malformed input or on the first violated invariant
-    (the message lists every violation found).
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
+def _parse_yaml(text: str, where: str):
     try:
-        data = yaml.safe_load(raw)
+        return yaml.safe_load(text)
     except yaml.YAMLError as e:
-        raise ScenarioError(f"could not parse scenario file {path}: {e}") from e
+        raise ScenarioError(f"could not parse {where}: {e}") from e
+
+
+def read_mapping(path) -> dict:
+    """Parse a YAML file whose top level must be a mapping."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = _parse_yaml(fh.read(), f"file {path}")
+    if not isinstance(data, dict):
+        raise ScenarioError(f"top level of {path} must be a mapping")
+    return data
+
+
+def _apply_overrides(data: dict, overrides) -> None:
+    """Set each `dotted.path=value` in place; values are parsed as YAML."""
+    for ov in overrides:
+        if "=" not in ov:
+            raise ScenarioError(f"override {ov!r} is not of the form path=value")
+        path, raw_value = ov.split("=", 1)
+        keys = path.split(".")
+        node = data
+        for key in keys[:-1]:
+            if not isinstance(node.get(key), dict):
+                raise ScenarioError(f"override path {path!r} does not exist")
+            node = node[key]
+        if keys[-1] not in node:
+            raise ScenarioError(f"override path {path!r} does not exist")
+        node[keys[-1]] = _parse_yaml(raw_value, f"override {ov!r}")
+
+
+def checked_scenario(data: dict, overrides, seed: Optional[int]) -> Scenario:
+    """Apply overrides and a seed to a parsed scenario tree, then build and
+    validate the Scenario. Raises ScenarioError listing every violation."""
+    _apply_overrides(data, overrides)
+    if seed is not None:
+        data["seed"] = seed
     scenario = scenario_from_dict(data)
     violations = validate(scenario)
     if violations:
         raise ScenarioError("; ".join(violations))
     return scenario
+
+
+def load_scenario(path, overrides=(), seed: Optional[int] = None) -> Scenario:
+    """Load, parse and validate a scenario file, after applying `overrides`
+    (`dotted.path=value` strings) and, when given, a replacement seed."""
+    return checked_scenario(read_mapping(path), overrides, seed)
 
 
 def save_scenario(scenario: Scenario, path) -> None:

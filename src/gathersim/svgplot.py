@@ -68,10 +68,6 @@ class SvgCanvas:
             f"{body}\n</svg>\n"
         )
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.render())
-
 
 class _Frame:
     """Maps data coordinates onto a plot rectangle with margins."""

@@ -87,6 +87,42 @@ def test_simulate_io_failure(setting1_path, tmp_path):
     assert run(["simulate", setting1_path, "--out", blocker / "sub"]) == 2
 
 
+SPEC = "scenario: setting1.yaml\nbackoff_intervals: [20]\nuplink_powers: [1]\ntrials: 1\n"
+
+# case: (text of INPUT, or None; argv, where INPUT and SETTING1 stand for file paths)
+BAD_INPUTS = {
+    "simulate_malformed_yaml": ("environment: [1, 2\n", ["simulate", "INPUT"]),
+    "simulate_malformed_override": (
+        None, ["simulate", "SETTING1", "--override", "protocol.horizon=["],
+    ),
+    "simulate_unbounded_horizon": (
+        None, ["simulate", "SETTING1", "--override", "protocol.horizon=1e9"],
+    ),
+    "sweep_malformed_yaml": ("backoff_intervals: [1, 2\n", ["sweep", "INPUT"]),
+    "sweep_non_numeric_backoff": (SPEC.replace("[20]", "[a]"), ["sweep", "INPUT"]),
+    "sweep_non_integer_trials": (SPEC.replace("trials: 1", "trials: abc"), ["sweep", "INPUT"]),
+    "sweep_unknown_key": (SPEC.replace("trials: 1", "trails: 500"), ["sweep", "INPUT"]),
+    "sweep_zero_uplink_power": (SPEC.replace("powers: [1]", "powers: [0]"), ["sweep", "INPUT"]),
+    "analyze_zero_numin": (None, ["analyze", "--scenario", "SETTING1", "--numin", 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_1_with_message(case, setting1_path, tmp_path, capsys):
+    text, argv = BAD_INPUTS[case]
+    files = {"INPUT": tmp_path / "input.yaml", "SETTING1": setting1_path}
+    if text is not None:
+        files["INPUT"].write_text(text.replace("setting1.yaml", str(setting1_path)))
+    argv = [files.get(a, a) for a in argv]
+    if argv[0] != "analyze":
+        argv += ["--out", tmp_path / "out"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_row_count(scenarios_dir, tmp_path):
     out = tmp_path / "sweep"
     spec = scenarios_dir / "setting1_sweep.yaml"

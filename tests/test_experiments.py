@@ -12,7 +12,6 @@ from gathersim.experiments import (
     assumption1_scenario,
     region_agreement,
     region_experiment,
-    run_paired_trial,
     run_sweep,
     trial_seed,
 )
@@ -167,10 +166,3 @@ def test_sweep_spec_validation(setting1_path):
     with pytest.raises(ValueError):
         SweepSpec(scn, (1.0,), (1.0,), 0).check()
 
-
-def test_unpaired_seeds_decouple():
-    scn = assumption1_scenario(3, 3, 0, 9.0, 2.0, 1.0, backoff_interval=30.0, seed=8)
-    paired = run_paired_trial(scn, 0, paired_seeds=True)
-    unpaired = run_paired_trial(scn, 0, paired_seeds=False)
-    assert paired.fb_uplink == unpaired.fb_uplink  # same feedback trial
-    assert paired.nf_mse != unpaired.nf_mse

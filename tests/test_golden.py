@@ -1,8 +1,10 @@
 """Byte-for-byte gate on the CSVs that `simulate`, `sweep` and `region` write.
 
 The files under `tests/golden/` were written by the same commands before the
-engine and grid harness were last refactored. Any change to an output byte is
-an output change and must come with regenerated files and a note saying why.
+engine and grid harness were last refactored, and the trajectory and structure
+dumps before the CSV writers were merged into one. Any change to an output
+byte is an output change and must come with regenerated files and a note
+saying why.
 """
 
 from pathlib import Path
@@ -20,6 +22,11 @@ CASES = {
         for name in ("setting1", "minimal")
         for seed in (1, 2)
     },
+    # replaces the entry above, so one case also checks the optional dumps
+    "simulate_setting1_seed1": [
+        "simulate", SCENARIOS / "setting1.yaml", "--seed", 1,
+        "--dump-trajectory", "--dump-structure",
+    ],
     **{
         f"sweep_jobs{jobs}": [
             "sweep", SCENARIOS / "setting1_sweep.yaml", "--trials", 3, "--jobs", jobs,

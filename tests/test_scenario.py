@@ -5,6 +5,7 @@ import yaml
 from hypothesis import given, strategies as st
 
 from gathersim.scenario import (
+    MAX_STEPS,
     Architecture,
     ScenarioError,
     load_scenario,
@@ -138,3 +139,33 @@ def test_missing_section():
     }
     with pytest.raises(ScenarioError, match="missing section 'protocol'"):
         scenario_from_dict(data)
+
+
+def test_validate_bounds_the_step_count(setting1_path):
+    scn = load_scenario(setting1_path)  # sampling and move periods are both 150
+
+    def violations(horizon, sampling_period=150.0):
+        protocol = dataclasses.replace(
+            scn.protocol, horizon=horizon, sampling_period=sampling_period
+        )
+        return validate(dataclasses.replace(scn, protocol=protocol))
+
+    assert violations(150.0 * MAX_STEPS) == []
+    over = violations(150.0 * (MAX_STEPS + 1))
+    assert [v.split(" must")[0] for v in over] == [
+        "ProtocolParams.horizon: horizon / ProtocolParams.sampling_period",
+        "ProtocolParams.horizon: horizon / DynamicsParams.move_period",
+    ]
+    (only,) = violations(150.0 * (MAX_STEPS + 1), sampling_period=300.0)
+    assert "DynamicsParams.move_period must be <= 100000" in only
+
+
+def test_overrides_and_seed(setting1_path):
+    scn = load_scenario(setting1_path, ["protocol.backoff_interval=60", "architecture=NF"], seed=5)
+    assert scn.protocol.backoff_interval == 60.0
+    assert scn.architecture is Architecture.NF
+    assert scn.seed == 5
+    with pytest.raises(ScenarioError, match="could not parse override"):
+        load_scenario(setting1_path, ["protocol.horizon=["])
+    with pytest.raises(ScenarioError, match="does not exist"):
+        load_scenario(setting1_path, ["protocol.nope=3"])
