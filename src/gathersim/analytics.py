@@ -247,7 +247,7 @@ class SensorAdvantageEstimate:
     set_size_estimate: float  # mean size of collaborative sets containing the sensor
 
 
-def approx_params(scenario: Scenario, resolution: float = 0.05) -> list[SensorAdvantageEstimate]:
+def approx_params(scenario: Scenario) -> list[SensorAdvantageEstimate]:
     """Estimate each sensor's delay ratio and effective set size.
 
     The expected packet size is the number of targets the sensor observes at
@@ -258,7 +258,7 @@ def approx_params(scenario: Scenario, resolution: float = 0.05) -> list[SensorAd
     each set currently holds (unweighted when none holds any). Sensors
     belonging to no collaborative set are excluded.
     """
-    sets = geometry.collaborative_sets(scenario, resolution=resolution)
+    sets = geometry.collaborative_sets(scenario)
     members = geometry.membership(
         scenario, [t.position for t in sorted(scenario.targets, key=lambda t: t.id)]
     )

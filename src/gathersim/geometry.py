@@ -9,7 +9,6 @@ collaborative component of the set that equals its observer group exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +17,9 @@ import numpy as np
 from .scenario import Scenario
 
 MembershipMap = dict[int, frozenset[int]]
+
+# Spacing of the grid whose cell centers decide whether sensor disks share a region.
+GRID_STEP = 0.05
 
 
 class GeometryError(RuntimeError):
@@ -58,64 +60,89 @@ def _set_key(members: frozenset[int]) -> tuple:
     return (len(members), tuple(sorted(members)))
 
 
-def collaborative_sets(scenario: Scenario, resolution: float = 0.05) -> list[frozenset[int]]:
+def _cells(first: int, last: int) -> np.ndarray:
+    """Centers of grid cells `first`..`last` along one axis."""
+    return (np.arange(first, last + 1) + 0.5) * GRID_STEP
+
+
+def collaborative_sets(scenario: Scenario) -> list[frozenset[int]]:
     """Enumerate every sensor group of size >= 2 with a nonempty common region.
 
-    Nonemptiness is decided by sampling cell centers of a dense grid over the
-    group's bounding box, clipped to the environment. The result lists all
-    such groups (maximal or not), ordered by size then member ids.
+    A group's region is nonempty when some cell center of the GRID_STEP grid
+    over the group's bounding box, clipped to the environment, lies in every
+    disk of the group, or when some target's initial position does (a region
+    thinner than the grid can still hold a target). The result lists all such
+    groups (maximal or not), ordered by size then member ids.
 
-    The necessary condition "every (k-1)-subset intersects" prunes the subset
-    lattice before any grid work.
+    Most pairs are decided without a grid scan: a pair whose centers are
+    farther apart than the sum of the radii is rejected, and a pair is
+    accepted when the cell center nearest the middle of its lens lies in both
+    disks. Larger groups are scanned. Size-k candidates extend each nonempty
+    (k-1)-group with a larger id, and only when every (k-1)-subset is nonempty.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
     env = scenario.environment
-    sensors = sorted(scenario.sensors, key=lambda s: s.id)
-    by_id = {s.id: s for s in sensors}
-    ids = [s.id for s in sensors]
+    by_id = {s.id: s for s in scenario.sensors}
+    ids = sorted(by_id)
+    targets = np.array([t.position for t in scenario.targets], dtype=float).reshape(-1, 2)
+
+    def inside_all(disks, x, y) -> np.ndarray:
+        mask = np.ones(np.shape(x), dtype=bool)
+        for s in disks:
+            mask &= (x - s.center[0]) ** 2 + (y - s.center[1]) ** 2 <= s.radius * s.radius
+        return mask
+
+    def lens_middle(a, b) -> tuple[float, float]:
+        dx, dy = b.center[0] - a.center[0], b.center[1] - a.center[1]
+        d = math.hypot(dx, dy)
+        if d == 0:
+            return a.center
+        # the center line crosses the lens at these distances from a's center
+        t = (max(-a.radius, d - b.radius) + min(a.radius, d + b.radius)) / 2
+        return (a.center[0] + t * dx / d, a.center[1] + t * dy / d)
 
     def nonempty(group: tuple[int, ...]) -> bool:
-        lo_x = max(max(by_id[j].center[0] - by_id[j].radius for j in group), 0.0)
-        hi_x = min(min(by_id[j].center[0] + by_id[j].radius for j in group), env.width)
-        lo_y = max(max(by_id[j].center[1] - by_id[j].radius for j in group), 0.0)
-        hi_y = min(min(by_id[j].center[1] + by_id[j].radius for j in group), env.height)
-        if lo_x >= hi_x or lo_y >= hi_y:
+        disks = [by_id[j] for j in group]
+        if len(disks) == 2:
+            a, b = disks
+            if math.dist(a.center, b.center) > (a.radius + b.radius) * (1 + 1e-9):
+                return False  # no point passes both `<=` tests of `inside_all`
+        lo_x = max(max(s.center[0] - s.radius for s in disks), 0.0)
+        hi_x = min(min(s.center[0] + s.radius for s in disks), env.width)
+        lo_y = max(max(s.center[1] - s.radius for s in disks), 0.0)
+        hi_y = min(min(s.center[1] + s.radius for s in disks), env.height)
+        i0 = max(0, math.ceil(lo_x / GRID_STEP - 0.5))
+        i1 = math.floor(hi_x / GRID_STEP - 0.5)
+        k0 = max(0, math.ceil(lo_y / GRID_STEP - 0.5))
+        k1 = math.floor(hi_y / GRID_STEP - 0.5)
+        has_cells = lo_x < hi_x and lo_y < hi_y and i0 <= i1 and k0 <= k1
+        if len(disks) == 2 and has_cells:
+            wx, wy = lens_middle(*disks)
+            i = min(max(round(wx / GRID_STEP - 0.5), i0), i1)
+            k = min(max(round(wy / GRID_STEP - 0.5), k0), k1)
+            if inside_all(disks, _cells(i, i), _cells(k, k))[0]:
+                return True
+        if inside_all(disks, targets[:, 0], targets[:, 1]).any():
+            return True
+        if not has_cells:
             return False
-        i0 = max(0, math.ceil(lo_x / resolution - 0.5))
-        i1 = math.floor(hi_x / resolution - 0.5)
-        k0 = max(0, math.ceil(lo_y / resolution - 0.5))
-        k1 = math.floor(hi_y / resolution - 0.5)
-        if i1 < i0 or k1 < k0:
-            return False
-        xs = (np.arange(i0, i1 + 1) + 0.5) * resolution
-        ys = (np.arange(k0, k1 + 1) + 0.5) * resolution
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        mask = np.ones(gx.shape, dtype=bool)
-        for j in group:
-            s = by_id[j]
-            mask &= (gx - s.center[0]) ** 2 + (gy - s.center[1]) ** 2 <= s.radius * s.radius
-            if not mask.any():
-                return False
-        return bool(mask.any())
+        gx, gy = np.meshgrid(_cells(i0, i1), _cells(k0, k1), indexing="ij")
+        return bool(inside_all(disks, gx, gy).any())
 
-    alive: set[frozenset[int]] = set()
+    # Groups are sorted tuples and each layer is in lexicographic order, so
+    # the result comes out ordered by size then members.
+    layer = [(j,) for j in ids]
     result: list[frozenset[int]] = []
-    for size in range(2, len(ids) + 1):
-        found_any = False
-        for group in itertools.combinations(ids, size):
-            if size > 2:
-                fs = frozenset(group)
-                if any(fs - {j} not in alive for j in group):
-                    continue
-            if nonempty(group):
-                fs = frozenset(group)
-                alive.add(fs)
-                result.append(fs)
-                found_any = True
-        if size > 2 and not found_any:
-            break
-    result.sort(key=_set_key)
+    while layer:
+        alive = set(layer)
+        layer = [
+            group + (j,)
+            for group in layer
+            for j in ids
+            if j > group[-1]
+            and all(group[:n] + group[n + 1:] + (j,) in alive for n in range(len(group)))
+            and nonempty(group + (j,))
+        ]
+        result += map(frozenset, layer)
     return result
 
 
@@ -124,8 +151,9 @@ def component_counts(members_map: MembershipMap, sets: list[frozenset[int]]) -> 
     set equal to its observer group.
 
     Raises GeometryError when a multi-observed target's group is missing from
-    `sets` (the target itself witnesses a nonempty intersection, so the
-    enumeration must have missed it, e.g. a too-coarse grid).
+    `sets`. `collaborative_sets` counts every group that observes a target at
+    its initial position, so this needs other positions, in a region thinner
+    than the grid.
     """
     unique: dict[int, int] = {}
     collab: dict[frozenset[int], int] = {fs: 0 for fs in sets}

@@ -383,9 +383,14 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return data
 
 
+# libyaml's scanner and parser when PyYAML was built with them; the constructor
+# and resolver are the same Python code either way, so values are identical.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _parse_yaml(text: str, where: str):
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as e:
         raise ScenarioError(f"could not parse {where}: {e}") from e
 

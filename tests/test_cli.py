@@ -1,7 +1,9 @@
 import os
 
 import pytest
+import yaml
 
+from gathersim import scenario
 from gathersim.cli import main
 
 
@@ -107,8 +109,7 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_1_with_message(case, setting1_path, tmp_path, capsys):
+def check_exits_1_with_message(case, setting1_path, tmp_path, capsys):
     text, argv = BAD_INPUTS[case]
     files = {"INPUT": tmp_path / "input.yaml", "SETTING1": setting1_path}
     if text is not None:
@@ -121,6 +122,20 @@ def test_bad_input_exits_1_with_message(case, setting1_path, tmp_path, capsys):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_1_with_message(case, setting1_path, tmp_path, capsys):
+    check_exits_1_with_message(case, setting1_path, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "case", ["simulate_malformed_override", "simulate_malformed_yaml", "sweep_malformed_yaml"]
+)
+def test_bad_yaml_exits_1_with_python_loader(case, setting1_path, tmp_path, capsys, monkeypatch):
+    # the reader falls back to PyYAML's pure-Python loader without libyaml
+    monkeypatch.setattr(scenario, "_LOADER", yaml.SafeLoader)
+    check_exits_1_with_message(case, setting1_path, tmp_path, capsys)
 
 
 def test_sweep_row_count(scenarios_dir, tmp_path):
@@ -191,6 +206,27 @@ def test_analyze_scenario_table(setting1_path, capsys):
     assert run(["analyze", "--scenario", setting1_path]) == 0
     out = capsys.readouterr().out
     assert "network advantage vote" in out
+
+
+def test_thin_lens_pair_is_a_collaborative_set(setting1_path, tmp_path, capsys):
+    # the two disks overlap in a lens 0.01 wide, which holds the target but
+    # no center of a 0.05-spaced grid cell
+    data = yaml.safe_load(read(setting1_path))
+    data["sensors"] = [
+        {"id": 0, "center": [10.0, 10.0], "radius": 10.0},
+        {"id": 1, "center": [29.99, 10.0], "radius": 10.0},
+    ]
+    data["targets"] = [{"id": 0, "position": [19.995, 10.0]}]
+    path = tmp_path / "thin.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert run(["simulate", path, "--out", tmp_path / "out", "--dump-structure"]) == 0
+    assert "collaborative,0;1,1" in read(tmp_path / "out" / "structure.csv").splitlines()
+    capsys.readouterr()
+    assert run(["analyze", "--scenario", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    first = lines.index("sensor  delay_est  delay_ratio  set_size_est  g  advantage") + 1
+    assert [line.split()[0] for line in lines[first:first + 2]] == ["0", "1"]
+    assert lines[first + 2].startswith("network advantage vote")
 
 
 def test_analyze_requires_arguments():

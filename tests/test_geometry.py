@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -79,6 +80,30 @@ def test_membership_disjoint_disks():
 def test_collaborative_sets_two_overlapping():
     scn = make_scenario([((3.0, 3.0), 1.0), ((4.0, 3.0), 1.0)], [(3.0, 3.0)])
     assert geometry.collaborative_sets(scn) == [frozenset({0, 1})]
+
+
+def test_collaborative_sets_thin_lens_held_by_a_target():
+    # the lens is 0.01 wide, between two grid columns; a target inside it
+    # still makes the pair a collaborative set
+    sensors = [((10.0, 10.0), 10.0), ((29.99, 10.0), 10.0)]
+    assert geometry.collaborative_sets(make_scenario(sensors, [(19.995, 10.0)], size=50.0)) == [
+        frozenset({0, 1})
+    ]
+    assert geometry.collaborative_sets(make_scenario(sensors, [(5.0, 5.0)], size=50.0)) == []
+
+
+def test_collaborative_sets_square_lattice():
+    # spacing 20 and radius 14: row and column neighbours overlap, diagonal
+    # neighbours (28.28 apart) do not, and no three disks share a point
+    sensors = [((10.0 + 20.0 * (i % 8), 10.0 + 20.0 * (i // 8)), 14.0) for i in range(64)]
+    expected = sorted(
+        [frozenset({i, i + 1}) for i in range(64) if i % 8 < 7]
+        + [frozenset({i, i + 8}) for i in range(56)],
+        key=sorted,
+    )
+    sets = geometry.collaborative_sets(make_scenario(sensors, [(1.0, 1.0)], size=160.0))
+    assert len(expected) == 112
+    assert sets == expected
 
 
 def test_collaborative_sets_disjoint():
@@ -178,3 +203,84 @@ def test_conservation_property(seed):
     members = geometry.membership(scn, targets)
     structure = geometry.component_counts(members, geometry.collaborative_sets(scn))
     assert structure.total_components() == sum(1 for g in members.values() if g)
+
+
+def dense_grid_sets(scenario):
+    """Reference enumeration: decide every group by scanning all cell centers
+    of the grid over its bounding box, clipped to the environment."""
+    resolution = geometry.GRID_STEP
+    env = scenario.environment
+    sensors = sorted(scenario.sensors, key=lambda s: s.id)
+    by_id = {s.id: s for s in sensors}
+    ids = [s.id for s in sensors]
+
+    def nonempty(group):
+        lo_x = max(max(by_id[j].center[0] - by_id[j].radius for j in group), 0.0)
+        hi_x = min(min(by_id[j].center[0] + by_id[j].radius for j in group), env.width)
+        lo_y = max(max(by_id[j].center[1] - by_id[j].radius for j in group), 0.0)
+        hi_y = min(min(by_id[j].center[1] + by_id[j].radius for j in group), env.height)
+        if lo_x >= hi_x or lo_y >= hi_y:
+            return False
+        i0 = max(0, math.ceil(lo_x / resolution - 0.5))
+        i1 = math.floor(hi_x / resolution - 0.5)
+        k0 = max(0, math.ceil(lo_y / resolution - 0.5))
+        k1 = math.floor(hi_y / resolution - 0.5)
+        if i1 < i0 or k1 < k0:
+            return False
+        xs = (np.arange(i0, i1 + 1) + 0.5) * resolution
+        ys = (np.arange(k0, k1 + 1) + 0.5) * resolution
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        mask = np.ones(gx.shape, dtype=bool)
+        for j in group:
+            s = by_id[j]
+            mask &= (gx - s.center[0]) ** 2 + (gy - s.center[1]) ** 2 <= s.radius * s.radius
+            if not mask.any():
+                return False
+        return bool(mask.any())
+
+    alive = set()
+    for size in range(2, len(ids) + 1):
+        for group in itertools.combinations(ids, size):
+            fs = frozenset(group)
+            if (size == 2 or all(fs - {j} in alive for j in group)) and nonempty(group):
+                alive.add(fs)
+    return alive
+
+
+def reference_sets(scenario):
+    """Dense-grid groups plus every >= 2-subset of a target's observer group."""
+    sets = dense_grid_sets(scenario)
+    members = geometry.membership(scenario, [t.position for t in scenario.targets])
+    for group in members.values():
+        for size in range(2, len(group) + 1):
+            sets.update(frozenset(c) for c in itertools.combinations(sorted(group), size))
+    return sorted(sets, key=lambda fs: (len(fs), sorted(fs)))
+
+
+@st.composite
+def layouts(draw):
+    """2-7 sensors with centers near or outside the field edge; some sensors
+    sit at a near-tangent gap from an earlier one, making lenses thinner than
+    the grid or disks that only touch."""
+    size = draw(st.floats(5.0, 20.0))
+    sensors = []
+    for i in range(draw(st.integers(2, 7))):
+        radius = draw(st.floats(0.5, 6.0))
+        if i and draw(st.booleans()):
+            (cx, cy), other = sensors[draw(st.integers(0, i - 1))]
+            gap = draw(st.sampled_from([-0.07, -0.01, 0.0, 0.001]))
+            angle = draw(st.floats(0.0, 2 * math.pi))
+            d = other + radius + gap
+            center = (cx + d * math.cos(angle), cy + d * math.sin(angle))
+        else:
+            center = (draw(st.floats(-2.0, size + 2.0)), draw(st.floats(-2.0, size + 2.0)))
+        sensors.append((center, radius))
+    targets = draw(st.lists(st.tuples(st.floats(0.01, size), st.floats(0.01, size)),
+                            min_size=1, max_size=3))
+    return make_scenario(sensors, targets, size=size)
+
+
+@given(layouts())
+@settings(max_examples=150)
+def test_collaborative_sets_match_dense_grid_reference(scn):
+    assert geometry.collaborative_sets(scn) == reference_sets(scn)

@@ -4,6 +4,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
+from gathersim import scenario
 from gathersim.scenario import (
     MAX_STEPS,
     Architecture,
@@ -47,6 +48,20 @@ def test_zero_radius_names_the_field(tmp_path, minimal_path):
     bad.write_text(yaml.safe_dump(data))
     with pytest.raises(ScenarioError, match=r"SensorSpec\[0\]\.radius"):
         load_scenario(bad)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_and_python_loaders_agree(scenarios_dir, setting1_path, tmp_path):
+    assert scenario._LOADER is yaml.CSafeLoader
+    saved = tmp_path / "saved.yaml"
+    save_scenario(load_scenario(setting1_path), saved)
+    paths = sorted(scenarios_dir.glob("*.yaml")) + [saved]
+    assert "setting1_sweep.yaml" in [p.name for p in paths]
+    for path in paths:
+        text = path.read_text()
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert isinstance(fast, dict)
+        assert repr(fast) == repr(yaml.load(text, Loader=yaml.SafeLoader))
 
 
 def test_parse_error(tmp_path):
