@@ -258,28 +258,21 @@ def approx_params(scenario: Scenario) -> list[SensorAdvantageEstimate]:
     each set currently holds (unweighted when none holds any). Sensors
     belonging to no collaborative set are excluded.
     """
-    sets = geometry.collaborative_sets(scenario)
-    members = geometry.membership(
-        scenario, [t.position for t in sorted(scenario.targets, key=lambda t: t.id)]
-    )
-    occupancy: dict[frozenset[int], int] = {fs: 0 for fs in sets}
-    for group in members.values():
-        if len(group) >= 2 and group in occupancy:
-            occupancy[group] += 1
+    structure = geometry.initial_structure(scenario)
     proto = scenario.protocol
     out = []
     for s in sorted(scenario.sensors, key=lambda s: s.id):
-        containing = [fs for fs in sets if s.id in fs]
+        containing = [cs for cs in structure.sets if s.id in cs.members]
         if not containing:
             continue
-        n_total = sum(1 for group in members.values() if s.id in group)
-        n_collab = sum(1 for group in members.values() if s.id in group and len(group) >= 2)
+        # every target the sensor observes with others lies in one of `containing`
+        n_collab = sum(cs.collaborative_count for cs in containing)
+        n_total = structure.unique_counts.get(s.id, 0) + n_collab
         delay = n_total * proto.uplink_delay + n_collab * proto.downlink_delay
-        weight = sum(occupancy[fs] for fs in containing)
-        if weight > 0:
-            size_est = sum(len(fs) * occupancy[fs] for fs in containing) / weight
+        if n_collab > 0:
+            size_est = sum(len(cs.members) * cs.collaborative_count for cs in containing) / n_collab
         else:
-            size_est = sum(len(fs) for fs in containing) / len(containing)
+            size_est = sum(len(cs.members) for cs in containing) / len(containing)
         out.append(
             SensorAdvantageEstimate(
                 sensor_id=s.id,

@@ -7,6 +7,7 @@ success, 1 for validation or parameter errors, 2 for I/O failures.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from . import analytics, experiments, geometry, svgplot
 from .protocol import run_trial, trace_to_csv, write_csv
 from .scenario import (
     ScenarioError,
+    check_keys,
     checked_scenario,
     int_field,
     load_scenario,
@@ -33,7 +35,8 @@ def _out_dir(args) -> Path:
 
 
 def _parse_grid(spec: str, name: str) -> list[float]:
-    """Parse 'lo:hi:n' into n evenly spaced values, or a comma list."""
+    """Parse 'lo:hi:n' into n evenly spaced values, or a nonempty comma list
+    of finite values."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -41,10 +44,12 @@ def _parse_grid(spec: str, name: str) -> list[float]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         if n < 1:
             raise ValueError(f"{name}: count must be >= 1")
-        if n == 1:
-            return [lo]
-        return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
-    return [float(v) for v in spec.split(",") if v.strip()]
+        values = [lo] if n == 1 else [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+    else:
+        values = [float(v) for v in spec.split(",") if v.strip()]
+    if not values or not all(map(math.isfinite, values)):
+        raise ValueError(f"{name}: expected one or more finite values (got {spec!r})")
+    return values
 
 
 def cmd_validate(args) -> int:
@@ -67,11 +72,7 @@ def cmd_simulate(args) -> int:
         write_csv(out / "trajectory.csv", "trajectory", "time,target_id,x,y",
                   (f"{t!r},{tid},{x!r},{y!r}\n" for t, tid, x, y in trajectory))
     if args.dump_structure:
-        sets = geometry.collaborative_sets(scenario)
-        members = geometry.membership(
-            scenario, [t.position for t in sorted(scenario.targets, key=lambda t: t.id)]
-        )
-        structure = geometry.component_counts(members, sets)
+        structure = geometry.initial_structure(scenario)
         lines = [
             f"collaborative,{';'.join(map(str, sorted(cs.members)))},{cs.collaborative_count}\n"
             for cs in structure.sets
@@ -92,9 +93,7 @@ def cmd_simulate(args) -> int:
 
 def _load_sweep_spec(path: str, trials, seed) -> experiments.SweepSpec:
     data = read_mapping(path)
-    unknown = [key for key in data if key not in SWEEP_KEYS]
-    if unknown:
-        raise ScenarioError(f"sweep spec: unknown keys {unknown}; allowed: {', '.join(SWEEP_KEYS)}")
+    check_keys(data, SWEEP_KEYS, "sweep spec")
     base = data.get("scenario")
     if isinstance(base, str):
         base = read_mapping(Path(path).parent / base)
@@ -146,13 +145,17 @@ def cmd_region(args) -> int:
         ys = _parse_grid(args.y_grid, "--y-grid")
     except ValueError as e:
         raise ScenarioError(str(e)) from e
+    if min(xs) < 0 or (min(xs) == 0 and not args.theory_only):
+        raise ScenarioError("--x-grid: delay ratios must be > 0 (>= 0 with --theory-only)")
+    if min(ys) <= 0:
+        raise ScenarioError("--y-grid: cost ratios must be > 0")
+    if not args.theory_only and args.trials < 1:
+        raise ScenarioError("--trials must be >= 1")
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     if args.theory_only:
         points = analytics.raster_region(args.setsize, xs, ys)
     else:
-        if args.trials < 1:
-            raise ScenarioError("--trials must be >= 1")
         points = experiments.region_experiment(
             args.setsize, xs, ys, args.trials, jobs=args.jobs, seed=args.seed or 0
         )
@@ -186,6 +189,8 @@ def _print_accuracy(params: analytics.MseAdvantageParams) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if (args.x is None) != (args.y is None):
+        raise ScenarioError("--x and --y must be given together")
     printed = False
     if args.scenario:
         scenario = load_scenario(args.scenario)
@@ -221,10 +226,10 @@ def cmd_analyze(args) -> int:
         thr = analytics.feasibility(args.setsize)
         print(f"feasibility_threshold(set_size={args.setsize}) = {thr:.6g}")
         printed = True
-        if args.x is not None and args.y is not None:
+        if args.x is not None:
             if not (0.0 <= args.x <= 1.0):
                 raise ScenarioError("--x must be within [0, 1]")
-            if args.y <= 0:
+            if not args.y > 0:
                 raise ScenarioError("--y must be > 0")
             g = analytics.advantage_poly(
                 analytics.AdvantageParams(x=args.x, y=args.y, set_size=args.setsize)

@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import geometry
 from .analytics import AdvantagePoint, raster_region
@@ -58,6 +58,13 @@ class RunningStats:
             return 0.0
         var = (self.total_sq - self.total * self.total / self.n) / (self.n - 1)
         return math.sqrt(max(0.0, var) / self.n)
+
+
+# Fixed protocol and motion parameters of the assumption-1 layouts.
+UPLINK_DELAY = 2.0  # per component
+DOWNLINK_DELAY = 1.0  # per component
+TRIGGER_THRESHOLD = 2.0
+MOVE_STEP = 3.0
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:
@@ -228,35 +235,26 @@ def assumption1_scenario(
     set_size: int,
     collaborative_targets: int,
     unique_targets: int,
-    lead_delay: float,
-    uplink_delay: Optional[float] = None,
-    downlink_delay: Optional[float] = None,
     *,
     backoff_interval: float = 30.0,
     sampling_period: float = 200.0,
     horizon: float = 900.0,
     noise_std: float = 0.1,
-    trigger_threshold: float = 2.0,
-    move_step: float = 3.0,
     move_probability: float = 1.0,
     uplink_power: float = 1.0,
     downlink_power: float = 1.0,
-    architecture: Architecture = Architecture.FB,
     seed: int = 0,
 ) -> Scenario:
-    """Symmetric layout where every set member schedules identical packets.
+    """Symmetric FB layout where every set member schedules identical packets.
 
     `set_size` sensors sit on a ring around the field center; their disks share
     a common overlap holding the collaborative targets, and each sensor owns an
     exclusive pocket holding its unique targets. Targets are confined so the
     structure persists while they move, every sensor always observes
-    collaborative_targets + unique_targets components, and the propagation
-    delay equals `lead_delay` uniformly.
-
-    When the per-component delays are omitted they are derived at a 2:1
-    uplink:downlink ratio from lead_delay; when given they must reproduce it.
-    Geometrically infeasible requests (pockets that cannot fit or hold a
-    moving target) are rejected.
+    collaborative_targets + unique_targets components, and every sensor's
+    propagation delay is UPLINK_DELAY per component plus DOWNLINK_DELAY per
+    collaborative component. Geometrically infeasible requests (pockets that
+    cannot fit or hold a moving target) are rejected.
     """
     if set_size < 2:
         raise ValueError(f"set size must be >= 2 (got {set_size})")
@@ -264,22 +262,6 @@ def assumption1_scenario(
         raise ValueError("at least one collaborative target is required")
     if unique_targets < 0:
         raise ValueError("unique_targets must be >= 0")
-    if lead_delay <= 0:
-        raise ValueError("lead_delay must be > 0")
-
-    n_packet = collaborative_targets + unique_targets
-    if uplink_delay is None and downlink_delay is None:
-        base = 2.0 * n_packet + 1.0 * collaborative_targets
-        scale = lead_delay / base
-        uplink_delay = 2.0 * scale
-        downlink_delay = 1.0 * scale
-    elif uplink_delay is None or downlink_delay is None:
-        raise ValueError("give both per-component delays or neither")
-    implied = n_packet * uplink_delay + collaborative_targets * downlink_delay
-    if abs(implied - lead_delay) > 1e-9:
-        raise ValueError(
-            f"per-component delays give propagation delay {implied}, not {lead_delay}"
-        )
 
     center = (25.0, 25.0)
     env = Environment(50.0, 50.0)
@@ -297,7 +279,7 @@ def assumption1_scenario(
         sensors.append(SensorSpec(id=j, center=(cx, cy), radius=disk_radius))
 
     overlap_radius = disk_radius - ring_radius - 1.0
-    if move_probability > 0 and overlap_radius < move_step + 0.2:
+    if move_probability > 0 and overlap_radius < MOVE_STEP + 0.2:
         raise ValueError("shared overlap too small for the requested move step")
 
     targets: list[TargetSpec] = []
@@ -327,7 +309,7 @@ def assumption1_scenario(
                 if i != j
             )
             pocket_radius = min(own_margin, other_margin) - 0.5
-            needed = move_step + 0.2 if move_probability > 0 else 0.3
+            needed = MOVE_STEP + 0.2 if move_probability > 0 else 0.3
             if pocket_radius < needed:
                 raise ValueError(
                     f"exclusive pocket for sensor {j} infeasible "
@@ -353,17 +335,17 @@ def assumption1_scenario(
         protocol=ProtocolParams(
             sampling_period=sampling_period,
             backoff_interval=backoff_interval,
-            uplink_delay=uplink_delay,
-            downlink_delay=downlink_delay,
-            trigger_threshold=trigger_threshold,
+            uplink_delay=UPLINK_DELAY,
+            downlink_delay=DOWNLINK_DELAY,
+            trigger_threshold=TRIGGER_THRESHOLD,
             noise_std=noise_std,
             horizon=horizon,
         ),
         dynamics=DynamicsParams(
-            move_step=move_step, move_period=sampling_period, move_probability=move_probability
+            move_step=MOVE_STEP, move_period=sampling_period, move_probability=move_probability
         ),
         costs=CostParams(uplink_power=uplink_power, downlink_power=downlink_power),
-        architecture=architecture,
+        architecture=Architecture.FB,
         seed=seed,
     )
 
@@ -387,18 +369,17 @@ def region_experiment(
     trials: int,
     jobs: int = 1,
     *,
-    collaborative_targets: int = 3,
-    lead_delay: float = 9.0,
-    uplink_delay: float = 2.0,
-    downlink_delay: float = 1.0,
     seed: int = 0,
 ) -> list[AdvantagePoint]:
     """Empirical advantage map over (delay ratio, cost ratio) grid cells.
 
-    Each x value pins the backoff interval to lead_delay / x; each cell's
-    power difference is recomputed from the same trials' component counts with
-    uplink power y and downlink power 1. Cells whose mean difference is within
-    two standard errors of zero should be treated as boundary cells.
+    Cells use the assumption-1 layout with three collaborative targets and no
+    unique ones, so every sensor's propagation delay is
+    3 * UPLINK_DELAY + 3 * DOWNLINK_DELAY. Each x value pins the backoff
+    interval to that delay / x; each cell's power difference is recomputed
+    from the same trials' component counts with uplink power y and downlink
+    power 1. Cells whose mean difference is within two standard errors of zero
+    should be treated as boundary cells.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -407,15 +388,14 @@ def region_experiment(
     for x in xs:
         if x <= 0:
             raise ValueError("delay ratio grid must be strictly positive (backoff would be infinite)")
+    collaborative = 3
+    lead_delay = collaborative * UPLINK_DELAY + collaborative * DOWNLINK_DELAY
     sampling = max(200.0, lead_delay / min(xs) + lead_delay + 10.0)
     scenarios = [
         assumption1_scenario(
             set_size,
-            collaborative_targets,
+            collaborative,
             0,
-            lead_delay,
-            uplink_delay,
-            downlink_delay,
             backoff_interval=lead_delay / x,
             sampling_period=sampling,
             horizon=5.0 * sampling,

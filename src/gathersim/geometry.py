@@ -176,3 +176,11 @@ def component_counts(members_map: MembershipMap, sets: list[frozenset[int]]) -> 
         sets=tuple(CollaborativeSet(fs, collab[fs]) for fs in ordered),
         unique_counts=unique,
     )
+
+
+def initial_structure(scenario: Scenario) -> CollaborativeStructure:
+    """Collaborative sets and their component counts at the targets' initial
+    positions."""
+    sets = collaborative_sets(scenario)
+    members = membership(scenario, [t.position for t in scenario.targets])
+    return component_counts(members, sets)

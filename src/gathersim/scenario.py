@@ -8,8 +8,9 @@ here, and every parse or shape error is raised as a ScenarioError.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -127,18 +128,38 @@ def _is_finite_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+# Every numeric field of a parameter section must be finite and > 0, except
+# these: field name -> (rule as printed, test).
+_BOUNDS = {
+    # noiseless scenarios are legitimate test points
+    "noise_std": (">= 0", lambda v: v >= 0),
+    "move_probability": ("within [0, 1]", lambda v: 0.0 <= v <= 1.0),
+}
+_POSITIVE = ("> 0", lambda v: v > 0)
+
+
+@functools.cache
+def _rules(cls) -> tuple:
+    return tuple((f.name, *_BOUNDS.get(f.name, _POSITIVE)) for f in fields(cls))
+
+
+def _bad_params(part) -> list[str]:
+    """Violations of one parameter section's fields, in field order."""
+    out = []
+    for name, rule, ok in _rules(type(part)):
+        value = getattr(part, name)
+        if not (_is_finite_number(value) and ok(value)):
+            out.append(f"{type(part).__name__}.{name}: must be {rule} (got {value!r})")
+    return out
+
+
 def validate(scenario: Scenario) -> list[str]:
     """Return an order-stable list of violated invariants; empty when valid.
 
     Pure: the same scenario always yields the identical list.
     """
-    out: list[str] = []
     env = scenario.environment
-
-    if not (_is_finite_number(env.width) and env.width > 0):
-        out.append(f"Environment.width: must be > 0 (got {env.width!r})")
-    if not (_is_finite_number(env.height) and env.height > 0):
-        out.append(f"Environment.height: must be > 0 (got {env.height!r})")
+    out = _bad_params(env)
 
     if len(scenario.sensors) < 1:
         out.append("Scenario.sensors: at least one sensor is required")
@@ -167,43 +188,19 @@ def validate(scenario: Scenario) -> list[str]:
             r = t.confine_radius
             if not (_is_finite_number(r) and r > 0):
                 out.append(f"TargetSpec[{i}].confine_radius: must be > 0")
-            elif env_ok and not (
-                cx - r > 0 and cx + r <= env.width and cy - r > 0 and cy + r <= env.height
-            ):
+            elif env_ok and not (env.contains((cx - r, cy - r)) and env.contains((cx + r, cy + r))):
                 out.append(f"TargetSpec[{i}].confine: disk must fit inside the environment")
 
-    p = scenario.protocol
-    for name in ("sampling_period", "backoff_interval", "uplink_delay",
-                 "downlink_delay", "trigger_threshold", "horizon"):
-        v = getattr(p, name)
-        if not (_is_finite_number(v) and v > 0):
-            out.append(f"ProtocolParams.{name}: must be > 0 (got {v!r})")
-    # noise_std 0 is allowed: noiseless scenarios are legitimate test points
-    if not (_is_finite_number(p.noise_std) and p.noise_std >= 0):
-        out.append(f"ProtocolParams.noise_std: must be >= 0 (got {p.noise_std!r})")
+    for part in (scenario.protocol, scenario.dynamics, scenario.costs):
+        out += _bad_params(part)
 
-    d = scenario.dynamics
-    if not (_is_finite_number(d.move_step) and d.move_step > 0):
-        out.append(f"DynamicsParams.move_step: must be > 0 (got {d.move_step!r})")
-    if not (_is_finite_number(d.move_period) and d.move_period > 0):
-        out.append(f"DynamicsParams.move_period: must be > 0 (got {d.move_period!r})")
-    if not (_is_finite_number(d.move_probability) and 0.0 <= d.move_probability <= 1.0):
-        out.append(
-            f"DynamicsParams.move_probability: must be within [0, 1] (got {d.move_probability!r})"
-        )
-
-    for name, period in (("ProtocolParams.sampling_period", p.sampling_period),
-                         ("DynamicsParams.move_period", d.move_period)):
-        if _is_finite_number(p.horizon) and _is_finite_number(period) and period > 0:
-            if p.horizon / period > MAX_STEPS:
+    horizon = scenario.protocol.horizon
+    for name, period in (("ProtocolParams.sampling_period", scenario.protocol.sampling_period),
+                         ("DynamicsParams.move_period", scenario.dynamics.move_period)):
+        if _is_finite_number(horizon) and _is_finite_number(period) and period > 0:
+            if horizon / period > MAX_STEPS:
                 out.append(f"ProtocolParams.horizon: horizon / {name} must be <= {MAX_STEPS} "
-                           f"(got {p.horizon / period:.6g})")
-
-    c = scenario.costs
-    if not (_is_finite_number(c.uplink_power) and c.uplink_power > 0):
-        out.append(f"CostParams.uplink_power: must be > 0 (got {c.uplink_power!r})")
-    if not (_is_finite_number(c.downlink_power) and c.downlink_power > 0):
-        out.append(f"CostParams.downlink_power: must be > 0 (got {c.downlink_power!r})")
+                           f"(got {horizon / period:.6g})")
 
     if not isinstance(scenario.seed, int) or isinstance(scenario.seed, bool):
         out.append(f"Scenario.seed: must be an integer (got {scenario.seed!r})")
@@ -224,19 +221,36 @@ def _point(raw, where: str) -> Point:
     return (_float(raw[0], where), _float(raw[1], where))
 
 
-def _section(data: dict, key: str) -> dict:
-    if key not in data:
-        raise ScenarioError(f"missing section {key!r}")
-    val = data[key]
-    if not isinstance(val, dict):
-        raise ScenarioError(f"section {key!r} must be a mapping")
-    return val
+def check_keys(mapping: dict, allowed, where: str) -> None:
+    """Raise ScenarioError naming every key of `mapping` outside `allowed`."""
+    unknown = [key for key in mapping if key not in allowed]
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {unknown}; allowed: {', '.join(allowed)}")
+
+
+def _entry(raw, allowed, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where}: must be a mapping")
+    check_keys(raw, allowed, where)
+    return raw
 
 
 def _num(section: dict, key: str, where: str) -> float:
     if key not in section:
         raise ScenarioError(f"{where}.{key}: missing")
     return _float(section[key], f"{where}.{key}")
+
+
+def _params(cls, data: dict, key: str):
+    """The parameter section `data[key]` as a `cls`: every field a required number."""
+    if key not in data:
+        raise ScenarioError(f"missing section {key!r}")
+    section = data[key]
+    if not isinstance(section, dict):
+        raise ScenarioError(f"section {key!r} must be a mapping")
+    names = [f.name for f in fields(cls)]
+    check_keys(section, names, key)
+    return cls(*(_num(section, name, key) for name in names))
 
 
 def num_list(section: dict, key: str, where: str) -> tuple[float, ...]:
@@ -255,18 +269,21 @@ def int_field(section: dict, key: str, default: int, where: str) -> int:
     return value
 
 
+def _mappings(data: dict, key: str, allowed) -> list[dict]:
+    """`data[key]` as a list of mappings whose keys all lie in `allowed`."""
+    raw = data.get(key)
+    if not isinstance(raw, list):
+        raise ScenarioError(f"section {key!r} must be a list")
+    return [_entry(item, allowed, f"{key}[{i}]") for i, item in enumerate(raw)]
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from a parsed config tree. Does not validate invariants."""
-    env_d = _section(data, "environment")
-    env = Environment(_num(env_d, "width", "environment"), _num(env_d, "height", "environment"))
+    check_keys(data, [f.name for f in fields(Scenario)], "scenario")
+    env = _params(Environment, data, "environment")
 
-    raw_sensors = data.get("sensors")
-    if not isinstance(raw_sensors, list):
-        raise ScenarioError("section 'sensors' must be a list")
     sensors = []
-    for i, s in enumerate(raw_sensors):
-        if not isinstance(s, dict):
-            raise ScenarioError(f"sensors[{i}]: must be a mapping")
+    for i, s in enumerate(_mappings(data, "sensors", ("id", "center", "radius"))):
         sensors.append(
             SensorSpec(
                 id=int_field(s, "id", i, f"sensors[{i}]"),
@@ -275,18 +292,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             )
         )
 
-    raw_targets = data.get("targets")
-    if not isinstance(raw_targets, list):
-        raise ScenarioError("section 'targets' must be a list")
     targets = []
-    for i, t in enumerate(raw_targets):
-        if not isinstance(t, dict):
-            raise ScenarioError(f"targets[{i}]: must be a mapping")
-        confine = t.get("confine")
+    for i, t in enumerate(_mappings(data, "targets", ("id", "position", "confine"))):
         cc, cr = None, None
-        if confine is not None:
-            if not isinstance(confine, dict):
-                raise ScenarioError(f"targets[{i}].confine: must be a mapping")
+        if t.get("confine") is not None:
+            confine = _entry(t["confine"], ("center", "radius"), f"targets[{i}].confine")
             cc = _point(confine.get("center"), f"targets[{i}].confine.center")
             cr = _num(confine, "radius", f"targets[{i}].confine")
         targets.append(
@@ -298,29 +308,9 @@ def scenario_from_dict(data: dict) -> Scenario:
             )
         )
 
-    p = _section(data, "protocol")
-    protocol = ProtocolParams(
-        sampling_period=_num(p, "sampling_period", "protocol"),
-        backoff_interval=_num(p, "backoff_interval", "protocol"),
-        uplink_delay=_num(p, "uplink_delay", "protocol"),
-        downlink_delay=_num(p, "downlink_delay", "protocol"),
-        trigger_threshold=_num(p, "trigger_threshold", "protocol"),
-        noise_std=_num(p, "noise_std", "protocol"),
-        horizon=_num(p, "horizon", "protocol"),
-    )
-
-    d = _section(data, "dynamics")
-    dynamics = DynamicsParams(
-        move_step=_num(d, "move_step", "dynamics"),
-        move_period=_num(d, "move_period", "dynamics"),
-        move_probability=_num(d, "move_probability", "dynamics"),
-    )
-
-    c = _section(data, "costs")
-    costs = CostParams(
-        uplink_power=_num(c, "uplink_power", "costs"),
-        downlink_power=_num(c, "downlink_power", "costs"),
-    )
+    protocol = _params(ProtocolParams, data, "protocol")
+    dynamics = _params(DynamicsParams, data, "dynamics")
+    costs = _params(CostParams, data, "costs")
 
     arch_raw = data.get("architecture")
     if not isinstance(arch_raw, str) or arch_raw.upper() not in ("FB", "NF"):
@@ -343,44 +333,27 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
 
 
+def _target_to_dict(t: TargetSpec) -> dict:
+    entry: dict = {"id": t.id, "position": list(t.position)}
+    if t.confined:
+        entry["confine"] = {"center": list(t.confine_center), "radius": t.confine_radius}
+    return entry
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    data: dict = {
-        "environment": {
-            "width": scenario.environment.width,
-            "height": scenario.environment.height,
-        },
+    return {
+        "environment": asdict(scenario.environment),
         "sensors": [
             {"id": s.id, "center": list(s.center), "radius": s.radius}
             for s in scenario.sensors
         ],
-        "targets": [],
-        "protocol": {
-            "sampling_period": scenario.protocol.sampling_period,
-            "backoff_interval": scenario.protocol.backoff_interval,
-            "uplink_delay": scenario.protocol.uplink_delay,
-            "downlink_delay": scenario.protocol.downlink_delay,
-            "trigger_threshold": scenario.protocol.trigger_threshold,
-            "noise_std": scenario.protocol.noise_std,
-            "horizon": scenario.protocol.horizon,
-        },
-        "dynamics": {
-            "move_step": scenario.dynamics.move_step,
-            "move_period": scenario.dynamics.move_period,
-            "move_probability": scenario.dynamics.move_probability,
-        },
-        "costs": {
-            "uplink_power": scenario.costs.uplink_power,
-            "downlink_power": scenario.costs.downlink_power,
-        },
+        "targets": [_target_to_dict(t) for t in scenario.targets],
+        "protocol": asdict(scenario.protocol),
+        "dynamics": asdict(scenario.dynamics),
+        "costs": asdict(scenario.costs),
         "architecture": scenario.architecture.value,
         "seed": scenario.seed,
     }
-    for t in scenario.targets:
-        entry: dict = {"id": t.id, "position": list(t.position)}
-        if t.confined:
-            entry["confine"] = {"center": list(t.confine_center), "radius": t.confine_radius}
-        data["targets"].append(entry)
-    return data
 
 
 # libyaml's scanner and parser when PyYAML was built with them; the constructor

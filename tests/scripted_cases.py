@@ -17,14 +17,12 @@ DOWNLINK_POWER = 1
 
 
 def scripted_scenario(set_size, collab, unique=0, seed=77):
-    tau = (collab + unique) * 2.0 + collab * 1.0
+    """Propagation delay (collab + unique) * 2 + collab * 1: uplink and
+    downlink delays are 2 and 1 per component."""
     return assumption1_scenario(
         set_size,
         collab,
         unique,
-        tau,
-        2.0,
-        1.0,
         backoff_interval=50.0,
         sampling_period=100.0,
         horizon=100.0,

@@ -11,7 +11,7 @@ import pytest
 from gathersim.experiments import region_experiment
 
 STEPS = 5  # region_experiment runs each trial for five sampling periods
-COLLABORATIVE = 3
+COLLABORATIVE = 3  # collaborative targets in every region_experiment cell
 TRIALS = 150
 
 
@@ -20,8 +20,7 @@ def test_power_gap_matches_closed_form(set_size):
     # the gap is affine in y through the informed count, so the cells of one x
     # share a z-score and two y values per x suffice
     points = region_experiment(
-        set_size, [0.05, 0.5, 0.9], [0.5, 4.0], TRIALS,
-        collaborative_targets=COLLABORATIVE, seed=0,
+        set_size, [0.05, 0.5, 0.9], [0.5, 4.0], TRIALS, seed=0
     )
     for p in points:
         expected = STEPS * COLLABORATIVE * p.g

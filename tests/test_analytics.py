@@ -271,7 +271,7 @@ def test_raster_clamps_large_ratios():
 def test_approx_params_exact_under_symmetry():
     from gathersim.experiments import assumption1_scenario
 
-    scn = assumption1_scenario(3, 3, 0, 9.0, 2.0, 1.0, backoff_interval=30.0)
+    scn = assumption1_scenario(3, 3, 0, backoff_interval=30.0)
     estimates = analytics.approx_params(scn)
     assert len(estimates) == 3
     for est in estimates:
@@ -313,7 +313,7 @@ def test_approx_params_excludes_isolated_sensor():
 def test_approx_network_advantage_votes():
     from gathersim.experiments import assumption1_scenario
 
-    scn = assumption1_scenario(3, 3, 0, 9.0, 2.0, 1.0, backoff_interval=30.0)
+    scn = assumption1_scenario(3, 3, 0, backoff_interval=30.0)
     estimates = analytics.approx_params(scn)
     frac, verdict = analytics.approx_network_advantage(estimates, y=5.0)
     assert frac == 1.0 and verdict

@@ -1,30 +1,38 @@
-"""The names the benchmark wraps from outside the package must keep resolving.
+"""The names the benchmark wraps from outside the package must keep resolving,
+and its output checks must accept what the program writes.
 
 `benchmark/spans.py` and `benchmark/run.py` patch module attributes by name
-and read fields of trial results, so a refactor that renames one of them
-breaks the benchmark. These checks catch that in the test suite instead.
+and read fields of trial results, and `benchmark/checks.py` imports from the
+package and parses the CSVs, so a refactor that renames one of them or
+changes an output breaks the benchmark. These checks catch that in the test
+suite instead.
 """
 
+import ast
+import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 import gathersim.experiments
+from gathersim.cli import main
 from gathersim.protocol import EventLog, PowerLedger, run_trial
 from gathersim.scenario import load_scenario
 
-SPANS = Path(__file__).resolve().parent.parent / "benchmark" / "spans.py"
+BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
 
-def _spans_module():
-    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARK / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_patch_point_resolves():
-    spans = _spans_module()
+    spans = _load("spans")
     for module, attr, _ in spans.PATCH_POINTS:
         owner, name = spans._resolve(module, attr)
         assert callable(getattr(owner, name)), f"{module}.{attr}"
@@ -45,3 +53,30 @@ def test_trial_events_carry_kind_and_size(minimal_path):
     assert records
     for r in records:
         assert isinstance(r.kind, str) and isinstance(r.size, int)
+
+
+def test_checks_imports_resolve():
+    tree = ast.parse((BENCHMARK / "checks.py").read_text(encoding="utf-8"))
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gathersim")
+        for alias in node.names
+    }
+    assert {("gathersim.analytics", "AdvantageParams"), ("gathersim.analytics", "advantage_poly")} <= imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("args", [
+    ["--seed", "1"],
+    ["--seed", "2"],
+    ["--override", "protocol.backoff_interval=200"],
+])
+def test_check_simulate_accepts_setting1(setting1_path, tmp_path, capsys, args):
+    scn = load_scenario(setting1_path)
+    assert main(["simulate", str(setting1_path), "--out", str(tmp_path), *args]) == 0
+    _load("checks").check_simulate(
+        tmp_path, capsys.readouterr().out, horizon=scn.protocol.horizon,
+        uplink_power=scn.costs.uplink_power, downlink_power=scn.costs.downlink_power,
+    )

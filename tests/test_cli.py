@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import pytest
 import yaml
@@ -90,6 +91,7 @@ def test_simulate_io_failure(setting1_path, tmp_path):
 
 
 SPEC = "scenario: setting1.yaml\nbackoff_intervals: [20]\nuplink_powers: [1]\ntrials: 1\n"
+MINIMAL = (Path(__file__).resolve().parent.parent / "scenarios" / "minimal.yaml").read_text()
 
 # case: (text of INPUT, or None; argv, where INPUT and SETTING1 stand for file paths)
 BAD_INPUTS = {
@@ -106,6 +108,25 @@ BAD_INPUTS = {
     "sweep_unknown_key": (SPEC.replace("trials: 1", "trails: 500"), ["sweep", "INPUT"]),
     "sweep_zero_uplink_power": (SPEC.replace("powers: [1]", "powers: [0]"), ["sweep", "INPUT"]),
     "analyze_zero_numin": (None, ["analyze", "--scenario", "SETTING1", "--numin", 0]),
+    "analyze_x_without_y": (None, ["analyze", "--setsize", 3, "--x", 0.2]),
+    "analyze_y_without_x": (None, ["analyze", "--setsize", 3, "--y", 2]),
+    "analyze_nan_cost_ratio": (None, ["analyze", "--setsize", 3, "--x", 0.2, "--y", "nan"]),
+    "validate_misspelt_confine": (
+        MINIMAL.replace("[5.0, 5.0]}", "[5.0, 5.0], confined: {center: [5.0, 5.0], radius: 2.0}}"),
+        ["validate", "INPUT"],
+    ),
+    "validate_unknown_cost_key": (
+        MINIMAL.replace("costs:\n", "costs:\n  idle_power: 3.0\n"), ["validate", "INPUT"],
+    ),
+    "validate_unknown_top_level_key": (MINIMAL + "trials: 500\n", ["validate", "INPUT"]),
+    "region_zero_delay_ratio": (None, ["region", "--setsize", 3, "--x-grid", "0,0.5"]),
+    "region_empty_grid": (None, ["region", "--setsize", 3, "--x-grid", ","]),
+    "region_theory_negative_ratio": (
+        None, ["region", "--setsize", 3, "--theory-only", "--x-grid", "-1"],
+    ),
+    "region_theory_nan_ratio": (None, ["region", "--setsize", 3, "--theory-only", "--x-grid", "nan"]),
+    "region_nan_cost_ratio": (None, ["region", "--setsize", 3, "--theory-only", "--y-grid", "nan"]),
+    "region_zero_cost_ratio": (None, ["region", "--setsize", 3, "--theory-only", "--y-grid", "0,1"]),
 }
 
 
@@ -115,7 +136,7 @@ def check_exits_1_with_message(case, setting1_path, tmp_path, capsys):
     if text is not None:
         files["INPUT"].write_text(text.replace("setting1.yaml", str(setting1_path)))
     argv = [files.get(a, a) for a in argv]
-    if argv[0] != "analyze":
+    if argv[0] not in ("analyze", "validate"):
         argv += ["--out", tmp_path / "out"]
     assert run(argv) == 1
     err = capsys.readouterr().err

@@ -137,9 +137,7 @@ def test_feedback_wins_mse_in_paired_trials():
     # accuracy-advantage regime: threshold/noise = 20, unique components exist
     from gathersim.experiments import assumption1_scenario, run_paired_trial
 
-    scn = assumption1_scenario(
-        3, 2, 2, 10.0, 2.0, 1.0, backoff_interval=30.0, seed=909,
-    )
+    scn = assumption1_scenario(3, 2, 2, backoff_interval=30.0, seed=909)
     wins = 0
     trials = 500
     for i in range(trials):

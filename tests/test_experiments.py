@@ -20,7 +20,7 @@ from gathersim.scenario import Architecture
 
 
 def test_assumption1_layout_delays():
-    scn = assumption1_scenario(3, 3, 0, 9.0, 2.0, 1.0)
+    scn = assumption1_scenario(3, 3, 0)
     assert scn.protocol.uplink_delay == 2.0
     assert scn.protocol.downlink_delay == 1.0
     members = geometry.membership(scn, [t.position for t in scn.targets])
@@ -34,14 +34,8 @@ def test_assumption1_layout_delays():
     assert n * scn.protocol.uplink_delay + n * scn.protocol.downlink_delay == 9.0
 
 
-def test_assumption1_derives_delays_at_two_to_one():
-    scn = assumption1_scenario(3, 3, 0, 18.0)
-    assert math.isclose(scn.protocol.uplink_delay, 4.0)
-    assert math.isclose(scn.protocol.downlink_delay, 2.0)
-
-
 def test_assumption1_two_sensors_two_components_each():
-    scn = assumption1_scenario(2, 1, 1, 5.0, 2.0, 1.0, noise_std=1e-9, move_probability=0.0)
+    scn = assumption1_scenario(2, 1, 1, noise_std=1e-9, move_probability=0.0)
     res = run_trial(scn, backoff_schedule=lambda k, s: float(s))
     sizes = [r.size for r in res.events.at_step(0, "TX_START")]
     assert sizes == [2, 2]
@@ -49,19 +43,16 @@ def test_assumption1_two_sensors_two_components_each():
 
 def test_assumption1_rejects_bad_requests():
     with pytest.raises(ValueError):
-        assumption1_scenario(1, 3, 0, 9.0)
+        assumption1_scenario(1, 3, 0)
     with pytest.raises(ValueError):
-        assumption1_scenario(3, 0, 0, 9.0)
+        assumption1_scenario(3, 0, 0)
     with pytest.raises(ValueError):
-        assumption1_scenario(3, 3, 0, 9.0, 2.0, 2.0)  # delays inconsistent
-    with pytest.raises(ValueError):
-        assumption1_scenario(4, 2, 1, 9.0)  # pockets cannot host moving targets
+        assumption1_scenario(4, 2, 1)  # pockets cannot host moving targets
 
 
 def test_paired_seed_coupling_log_equality():
     # noiseless paired runs must agree on sampling and backoff events exactly
-    scn = assumption1_scenario(3, 3, 0, 9.0, 2.0, 1.0, backoff_interval=30.0,
-                               noise_std=0.0, seed=555)
+    scn = assumption1_scenario(3, 3, 0, backoff_interval=30.0, noise_std=0.0, seed=555)
     seed = trial_seed(scn.seed, 4)
     fb = run_trial(replace(scn, architecture=Architecture.FB, seed=seed))
     nf = run_trial(replace(scn, architecture=Architecture.NF, seed=seed))
@@ -70,7 +61,7 @@ def test_paired_seed_coupling_log_equality():
 
 
 def test_paired_trajectories_identical():
-    scn = assumption1_scenario(3, 3, 0, 9.0, 2.0, 1.0, backoff_interval=30.0, seed=3)
+    scn = assumption1_scenario(3, 3, 0, backoff_interval=30.0, seed=3)
     traj_fb: list = []
     traj_nf: list = []
     run_trial(replace(scn, architecture=Architecture.FB), trajectory_out=traj_fb)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scripted_cases import (
     DOWNLINK_POWER,
     UPLINK_POWER,
@@ -167,7 +168,7 @@ def test_unique_components_cost_identically():
 def test_cancel_events_imply_informed_membership():
     # uniform-delay scenario, random draws: every cancelling sensor must be
     # classified informed at its step
-    scn = assumption1_scenario(3, 3, 0, 9.0, 2.0, 1.0, backoff_interval=30.0, seed=31)
+    scn = assumption1_scenario(3, 3, 0, backoff_interval=30.0, seed=31)
     full = frozenset({0, 1, 2})
     for trial in range(10):
         res = run_trial(replace(scn, seed=scn.seed ^ trial))
@@ -181,7 +182,7 @@ def test_cancel_events_imply_informed_membership():
 
 
 def test_no_overlapping_uplinks_and_monotone_times():
-    scn = assumption1_scenario(3, 2, 1, 8.0, 2.0, 1.0, backoff_interval=25.0, seed=13)
+    scn = assumption1_scenario(3, 2, 1, backoff_interval=25.0, seed=13)
     res = run_trial(scn)
     last = -math.inf
     for rec in res.events.records:
@@ -200,7 +201,7 @@ def test_no_overlapping_uplinks_and_monotone_times():
 
 
 def test_trial_determinism():
-    scn = assumption1_scenario(3, 2, 1, 8.0, 2.0, 1.0, backoff_interval=25.0, seed=99)
+    scn = assumption1_scenario(3, 2, 1, backoff_interval=25.0, seed=99)
     a = run_trial(scn)
     b = run_trial(scn)
     assert a.events.records == b.events.records
@@ -226,6 +227,69 @@ def test_every_triggered_component_ends_once(setting1_path, seed):
     assert set(ends) == triggered
     assert set(ends.values()) == {1}
     assert any(r.time == scn.protocol.horizon for r in res.events.of_kind("DROP"))
+
+
+@st.composite
+def small_scenarios(draw):
+    """1-4 sensors and 1-8 targets on a 50 x 50 field over at most six
+    sampling steps; the backoff interval sometimes exceeds the sampling period."""
+    coord = st.floats(1.0, 49.0)
+    sampling = draw(st.floats(10.0, 100.0))
+    return Scenario(
+        environment=Environment(50.0, 50.0),
+        sensors=tuple(
+            SensorSpec(i, (draw(coord), draw(coord)), draw(st.floats(5.0, 30.0)))
+            for i in range(draw(st.integers(1, 4)))
+        ),
+        targets=tuple(
+            TargetSpec(i, (draw(coord), draw(coord))) for i in range(draw(st.integers(1, 8)))
+        ),
+        protocol=ProtocolParams(
+            sampling_period=sampling,
+            backoff_interval=sampling * draw(st.floats(0.05, 2.0)),
+            uplink_delay=draw(st.floats(0.5, 5.0)),
+            downlink_delay=draw(st.floats(0.2, 3.0)),
+            trigger_threshold=draw(st.floats(0.1, 3.0)),
+            noise_std=draw(st.floats(0.0, 1.0)),
+            horizon=sampling * draw(st.integers(1, 6)),
+        ),
+        dynamics=DynamicsParams(
+            move_step=draw(st.floats(0.5, 5.0)),
+            move_period=draw(st.floats(10.0, 100.0)),
+            move_probability=draw(st.floats(0.0, 1.0)),
+        ),
+        costs=CostParams(2.0, 1.0),
+        architecture=Architecture.FB,
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@given(scn=small_scenarios())
+@settings(max_examples=300)
+def test_components_and_power_are_conserved(scn):
+    for arch in Architecture:
+        res = run_trial(replace(scn, architecture=arch))
+        collaborative = {r.step: set(r.targets) for r in res.events.of_kind("SAMPLE")}
+        triggered = Counter()
+        ended = Counter()
+        uplink = downlink = collaborative_uplink = 0
+        for r in res.events.records:
+            components = [(r.step, r.sensor, t) for t in r.targets]
+            if r.kind == "TRIGGER":
+                triggered.update(components)
+            elif r.kind in ("TX_START", "CANCEL", "DROP"):
+                ended.update(components)
+            if r.kind == "TX_START":
+                uplink += r.size
+                collaborative_uplink += len(collaborative[r.step].intersection(r.targets))
+            elif r.kind == "FEEDBACK_START":
+                downlink += r.size
+        assert set(triggered.values()) <= {1}
+        assert ended == triggered
+        assert res.power.uplink_components() == uplink
+        assert res.power.downlink_components() == downlink <= collaborative_uplink
+        if arch is Architecture.NF:
+            assert downlink == 0
 
 
 def test_drop_when_backoff_crosses_next_sample():

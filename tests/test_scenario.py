@@ -8,13 +8,66 @@ from gathersim import scenario
 from gathersim.scenario import (
     MAX_STEPS,
     Architecture,
+    CostParams,
+    DynamicsParams,
+    Environment,
+    ProtocolParams,
+    Scenario,
     ScenarioError,
+    SensorSpec,
+    TargetSpec,
     load_scenario,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate,
 )
+
+SECTIONS = {
+    "environment": Environment,
+    "protocol": ProtocolParams,
+    "dynamics": DynamicsParams,
+    "costs": CostParams,
+}
+PARAMETERS = [(key, f.name) for key, cls in SECTIONS.items() for f in dataclasses.fields(cls)]
+# one out-of-bounds value per field; every other field must be > 0
+BAD_VALUES = {"noise_std": -0.1, "move_probability": 1.5}
+
+
+def setting1_data(setting1_path) -> dict:
+    return yaml.safe_load(setting1_path.read_text())
+
+
+@pytest.mark.parametrize("section,name", PARAMETERS)
+def test_missing_parameter_is_named(setting1_path, section, name):
+    data = setting1_data(setting1_path)
+    del data[section][name]
+    with pytest.raises(ScenarioError, match=rf"^{section}\.{name}: missing$"):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("section,name", PARAMETERS)
+def test_out_of_bounds_parameter_is_the_only_violation(setting1_path, section, name):
+    data = setting1_data(setting1_path)
+    data[section][name] = BAD_VALUES.get(name, 0)
+    (violation,) = validate(scenario_from_dict(data))
+    assert violation.startswith(f"{SECTIONS[section].__name__}.{name}: must be ")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("protocol",), ("dynamics",), ("costs",), ("environment",), ("sensors", 1), ("targets", 2),
+     ("targets", 2, "confine"), ()],
+)
+def test_unknown_key_is_named(setting1_path, path):
+    data = setting1_data(setting1_path)
+    data["targets"][2]["confine"] = {"center": [25.0, 8.0], "radius": 4.0}
+    node = data
+    for key in path:
+        node = node[key]
+    node["idle_power"] = 3.0
+    with pytest.raises(ScenarioError, match=r"unknown keys \['idle_power'\]"):
+        scenario_from_dict(data)
 
 
 def test_minimal_file_loads(minimal_path):
@@ -110,40 +163,46 @@ def test_round_trip(tmp_path, setting1_path, minimal_path):
 def test_round_trip_with_confinement(tmp_path):
     from gathersim.experiments import assumption1_scenario
 
-    scn = assumption1_scenario(3, 3, 0, 9.0, 2.0, 1.0)
+    scn = assumption1_scenario(3, 3, 0)
     out = tmp_path / "conf.yaml"
     save_scenario(scn, out)
     assert load_scenario(out) == scn
 
 
-@given(
-    width=st.floats(1.0, 500.0),
-    period=st.floats(0.5, 1e4),
-    sigma=st.floats(0.0, 10.0),
-    seed=st.integers(0, 2**63 - 1),
-)
-def test_round_trip_random_values(tmp_path_factory, width, period, sigma, seed):
-    data = {
-        "environment": {"width": width, "height": width},
-        "sensors": [{"id": 0, "center": [width / 2, width / 2], "radius": width / 4}],
-        "targets": [{"id": 0, "position": [width / 2, width / 2]}],
-        "protocol": {
-            "sampling_period": period,
-            "backoff_interval": period / 2,
-            "uplink_delay": 1.0,
-            "downlink_delay": 0.5,
-            "trigger_threshold": 1.0,
-            "noise_std": sigma,
-            "horizon": period * 4,
-        },
-        "dynamics": {"move_step": 1.0, "move_period": period, "move_probability": 0.5},
-        "costs": {"uplink_power": 2.0, "downlink_power": 1.0},
-        "architecture": "FB",
-        "seed": seed,
-    }
-    scn = scenario_from_dict(data)
-    assert validate(scn) == []
+numbers = st.floats(allow_nan=False)
+points = st.tuples(numbers, numbers)
+
+
+def params(cls):
+    return st.builds(cls, **{f.name: numbers for f in dataclasses.fields(cls)})
+
+
+@st.composite
+def scenarios(draw):
+    n_sensors = draw(st.integers(1, 4))
+    confine = st.one_of(st.none(), st.tuples(points, numbers))
+    targets = [
+        TargetSpec(i, draw(points), *(draw(confine) or (None, None)))
+        for i in range(draw(st.integers(1, 5)))
+    ]
+    return Scenario(
+        environment=draw(params(Environment)),
+        sensors=tuple(SensorSpec(i, draw(points), draw(numbers)) for i in range(n_sensors)),
+        targets=tuple(targets),
+        protocol=draw(params(ProtocolParams)),
+        dynamics=draw(params(DynamicsParams)),
+        costs=draw(params(CostParams)),
+        architecture=draw(st.sampled_from(Architecture)),
+        seed=draw(st.integers(-(2**63), 2**64)),
+    )
+
+
+@given(scn=scenarios())
+def test_round_trip_random_values(scn):
+    # through YAML text too, so every float survives the dump and the loader
+    text = yaml.safe_dump(scenario_to_dict(scn), sort_keys=False)
     assert scenario_from_dict(scenario_to_dict(scn)) == scn
+    assert scenario_from_dict(yaml.load(text, Loader=scenario._LOADER)) == scn
 
 
 def test_missing_section():
