@@ -27,6 +27,12 @@ CASES = {
         "simulate", SCENARIOS / "setting1.yaml", "--seed", 1,
         "--dump-trajectory", "--dump-structure",
     ],
+    # backoffs past the 150 s sampling period: DROP rows and carried-over
+    # TX_END events in a full event log
+    "simulate_setting1_backoff200_seed3": [
+        "simulate", SCENARIOS / "setting1.yaml", "--override", "protocol.backoff_interval=200",
+        "--seed", 3,
+    ],
     **{
         f"sweep_jobs{jobs}": [
             "sweep", SCENARIOS / "setting1_sweep.yaml", "--trials", 3, "--jobs", jobs,
