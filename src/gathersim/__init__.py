@@ -21,7 +21,7 @@ from .experiments import (
     run_paired_trial,
     run_sweep,
 )
-from .protocol import classify_step, power_at_step, run_trial
+from .protocol import classify_step, run_trial
 from .scenario import (
     Architecture,
     CostParams,

@@ -189,6 +189,10 @@ def _print_accuracy(params: analytics.MseAdvantageParams) -> None:
 
 
 def cmd_analyze(args) -> int:
+    closed_form = [f"--{n}" for n in ("setsize", "x", "y", "ts", "dtu", "eps", "sigma")
+                   if getattr(args, n) is not None]
+    if args.scenario and closed_form:
+        raise ScenarioError(f"{', '.join(closed_form)} cannot be combined with --scenario")
     if (args.x is None) != (args.y is None):
         raise ScenarioError("--x and --y must be given together")
     printed = False

@@ -10,12 +10,12 @@ the jump stays inside its confinement disk, keeping the step length intact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .scenario import DynamicsParams, Environment, Point, Scenario, SensorSpec
+from .scenario import DynamicsParams, Environment, Point, Scenario
 
 _MAX_DIRECTION_DRAWS = 256
 
@@ -77,34 +77,41 @@ def _confined_jump(x: float, y: float, step: float, center: Point, radius: float
 
 def step_targets(state: WorldState, params: DynamicsParams, rng) -> WorldState:
     """Advance every target by one move period. Returns a new WorldState."""
-    pos = state.positions.copy()
+    pos = state.positions.tolist()
     env = state.environment
-    for i in range(pos.shape[0]):
+    for i, conf in enumerate(state.confinements):
         if rng.random() >= params.move_probability:
             continue
         if params.move_step == 0.0:
             continue
-        conf = state.confinements[i]
+        x, y = pos[i]
         if conf is not None:
-            pos[i] = _confined_jump(pos[i, 0], pos[i, 1], params.move_step, conf[0], conf[1], rng)
+            pos[i] = _confined_jump(x, y, params.move_step, conf[0], conf[1], rng)
         else:
             theta = rng.random() * 2.0 * math.pi
-            nx = pos[i, 0] + params.move_step * math.cos(theta)
-            ny = pos[i, 1] + params.move_step * math.sin(theta)
+            nx = x + params.move_step * math.cos(theta)
+            ny = y + params.move_step * math.sin(theta)
             pos[i] = (reflect(nx, env.width), reflect(ny, env.height))
-    return replace(state, positions=pos)
+    return WorldState(np.array(pos, dtype=float), state.target_ids, env, state.confinements)
 
 
-def observed_rows(positions: np.ndarray, sensor: SensorSpec) -> np.ndarray:
-    """Row indices of targets inside the sensor's observation disk."""
-    d2 = (positions[:, 0] - sensor.center[0]) ** 2 + (positions[:, 1] - sensor.center[1]) ** 2
-    return np.nonzero(d2 <= sensor.radius * sensor.radius)[0]
+def observed_rows(
+    positions: np.ndarray, centers: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sensor index, target row) of every target inside a sensor's observation
+    disk, ordered by sensor index and then by row.
+
+    `centers` has shape (n_sensors, 2) and `radii` shape (n_sensors,).
+    """
+    d = positions - centers[:, None, :]
+    d *= d
+    return np.nonzero(d[..., 0] + d[..., 1] <= (radii * radii)[:, None])
 
 
 def measure(positions: np.ndarray, rows: np.ndarray, noise_std: float, rng) -> np.ndarray:
     """Noisy positions of the given target rows, shape (len(rows), 2).
 
     Noise is zero-mean Gaussian with the given standard deviation applied
-    independently per coordinate.
+    independently per coordinate, drawn row by row, x before y.
     """
     return positions[rows] + noise_std * rng.standard_normal((len(rows), 2))

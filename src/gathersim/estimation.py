@@ -21,7 +21,9 @@ class EstimatorState:
     """Per-target fused value, fusion count and epoch bookkeeping.
 
     Targets never seen are scored against `default_point` (normally the
-    environment centroid) so the metric is defined from time zero.
+    environment centroid) so the metric is defined from time zero. The
+    bookkeeping lives in Python lists, and `absorb` keeps an (n, 2) array of
+    the current estimates up to date for `mean_squared_error`.
     """
 
     def __init__(self, target_ids, default_point: Point):
@@ -29,42 +31,48 @@ class EstimatorState:
         self._row = {tid: i for i, tid in enumerate(self.target_ids)}
         n = len(self.target_ids)
         self.default_point = (float(default_point[0]), float(default_point[1]))
-        self._sums = np.zeros((n, 2))
-        self._counts = np.zeros(n, dtype=np.int64)
-        self._epochs = np.full(n, -1, dtype=np.int64)
-        self._valid = np.zeros(n, dtype=bool)
+        self._sums = [[0.0, 0.0] for _ in range(n)]
+        self._counts = [0] * n
+        self._epochs = [-1] * n
+        self._valid = [False] * n
+        self._estimates = np.full((n, 2), self.default_point)
 
     def estimate(self, target_id: int) -> Point | None:
         row = self._row[target_id]
         if not self._valid[row]:
             return None
+        sx, sy = self._sums[row]
         c = self._counts[row]
-        return (self._sums[row, 0] / c, self._sums[row, 1] / c)
+        return (sx / c, sy / c)
 
     def fusion_count(self, target_id: int) -> int:
-        return int(self._counts[self._row[target_id]])
+        return self._counts[self._row[target_id]]
 
     def absorb(self, target_id: int, value: Point, step: int) -> None:
         """Fold one measurement into the estimate under the epoch rules; a
         measurement older than the current estimate is stale and dropped."""
         row = self._row[target_id]
+        sums = self._sums[row]
         if self._valid[row] and self._epochs[row] == step:
-            self._sums[row, 0] += value[0]
-            self._sums[row, 1] += value[1]
+            sums[0] += value[0]
+            sums[1] += value[1]
             self._counts[row] += 1
         elif not self._valid[row] or step > self._epochs[row]:
-            self._sums[row, 0] = value[0]
-            self._sums[row, 1] = value[1]
+            sums[0] = value[0]
+            sums[1] = value[1]
             self._counts[row] = 1
             self._epochs[row] = step
             self._valid[row] = True
+        else:
+            return
+        c = self._counts[row]
+        self._estimates[row] = (sums[0] / c, sums[1] / c)
 
     def mean_squared_error(self, positions: np.ndarray) -> float:
-        c = np.maximum(self._counts, 1)
-        est = self._sums / c[:, None]
-        est = np.where(self._valid[:, None], est, np.array(self.default_point))
-        diff = est - positions
-        return float(np.mean(diff[:, 0] ** 2 + diff[:, 1] ** 2))
+        diff = self._estimates - positions
+        sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
+        # np.mean's own sum and division (nan for no targets), without its overhead
+        return float(np.add.reduce(sq) / len(sq))
 
 
 def fuse(state: EstimatorState, packet) -> EstimatorState:

@@ -47,8 +47,7 @@ def write_csv(path, kind: str, header: str, lines: Iterable[str]) -> None:
         fh.writelines(lines)
 
 
-@dataclass(frozen=True, slots=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     time: float
     kind: str
     step: int
@@ -64,8 +63,11 @@ class EventLog:
     protocol: ProtocolParams
     records: list[EventRecord] = field(default_factory=list)
 
-    def append(self, **kw) -> None:
-        self.records.append(EventRecord(**kw))
+    def append(
+        self, time: float, kind: str, step: int, sensor: int,
+        targets: tuple[int, ...], size: int, value: Optional[float] = None,
+    ) -> None:
+        self.records.append(EventRecord(time, kind, step, sensor, targets, size, value))
 
     def of_kind(self, kind: str) -> list[EventRecord]:
         return [r for r in self.records if r.kind == kind]
@@ -88,14 +90,14 @@ class EventLog:
         ))
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
     """One uplink transmission: all components a sensor sends for a step."""
 
     sensor_id: int
     step: int
     components: tuple[tuple[int, tuple[float, float]], ...]
-    collaborative: frozenset[int]  # target ids observed by >= 2 sensors this step
+    # ids of the components observed by >= 2 sensors this step, in component order
+    collaborative: tuple[int, ...]
     duration: float
 
 
@@ -140,14 +142,6 @@ class PowerLedger:
             for step, per_sensor in enumerate(self.counts.tolist())
             for sensor, (up, down) in enumerate(per_sensor)
         ))
-
-
-def power_at_step(ledger: PowerLedger, step: int):
-    """Total power charged to the given sampling step, both directions."""
-    n_steps = ledger.counts.shape[0]
-    if step < 0 or step >= n_steps:
-        raise IndexError(f"step {step} outside 0..{n_steps - 1}")
-    return ledger.charge(*ledger.counts[step].sum(axis=0).tolist())
 
 
 def trace_to_csv(trace: EstimatorTrace, path) -> None:
@@ -201,10 +195,15 @@ def run_trial(
     horizon = proto.horizon
 
     base = np.random.SeedSequence(scenario.seed & 0xFFFFFFFFFFFFFFFF)
-    motion_rng, noise_rng, backoff_rng = (np.random.default_rng(s) for s in base.spawn(3))
+    # the generators np.random.default_rng builds, without its call overhead
+    motion_rng, noise_rng, backoff_rng = (
+        np.random.Generator(np.random.PCG64(s)) for s in base.spawn(3)
+    )
 
     world = initial_world(scenario)
     tids = world.target_ids
+    centers = np.array([s.spec.center for s in sensors], dtype=float)
+    radii = np.array([s.spec.radius for s in sensors], dtype=float)
     estimator = EstimatorState(tids, scenario.environment.centroid)
     trace = EstimatorTrace()
 
@@ -248,60 +247,46 @@ def run_trial(
         for s in sensors:
             if s.pending:
                 dropped = tuple(sorted(s.pending))
-                log.append(
-                    time=t, kind="DROP", step=s.pending_step, sensor=s.id,
-                    targets=dropped, size=len(dropped),
-                )
+                log.append(t, "DROP", s.pending_step, s.id, dropped, len(dropped))
                 s.pending.clear()
                 s.start_time = None
 
     def handle_sample(t: float, step: int) -> None:
         nonlocal collab
         drop_pending(t)  # stale unstarted transmissions are superseded by this step
-        observed = [observed_rows(world.positions, s.spec) for s in sensors]
-        counts = np.zeros(len(tids), dtype=np.int64)
-        for rows in observed:
-            counts[rows] += 1
-        collab = frozenset(tids[i] for i in np.nonzero(counts >= 2)[0])
-        n_observed = int(np.count_nonzero(counts))
-        log.append(
-            time=t, kind="SAMPLE", step=step, sensor=CENTRAL,
-            targets=tuple(sorted(collab)), size=n_observed,
-        )
+        owners, rows = observed_rows(world.positions, centers, radii)
+        counts = np.bincount(rows, minlength=len(tids)).tolist()
+        collab_ids = tuple(tid for tid, c in zip(tids, counts) if c >= 2)  # ascending, as tids
+        collab = frozenset(collab_ids)
+        log.append(t, "SAMPLE", step, CENTRAL, collab_ids, len(counts) - counts.count(0))
 
-        draws = backoff_rng.random(n_sensors)
-        for idx, s in enumerate(sensors):
-            rows = observed[idx]
-            values = measure(world.positions, rows, proto.noise_std, noise_rng)
-            scheduled: dict[int, tuple[float, float]] = {}
-            for row, (vx, vy) in zip(rows.tolist(), values.tolist()):
-                tid = tids[row]
-                ack = s.acknowledged.get(tid)
-                if ack is None or math.hypot(vx - ack[0], vy - ack[1]) > eps:
-                    scheduled[tid] = (vx, vy)
-            if not scheduled:
+        draws = backoff_rng.random(n_sensors).tolist()
+        # one noise draw for every observation, in sensor-major row order
+        values = measure(world.positions, rows, proto.noise_std, noise_rng)
+        scheduled: list[dict[int, tuple[float, float]]] = [{} for _ in sensors]
+        for idx, row, (vx, vy) in zip(owners.tolist(), rows.tolist(), values.tolist()):
+            tid = tids[row]
+            ack = sensors[idx].acknowledged.get(tid)
+            if ack is None or math.hypot(vx - ack[0], vy - ack[1]) > eps:
+                scheduled[idx][tid] = (vx, vy)
+        for s, pending, draw in zip(sensors, scheduled, draws):
+            if not pending:
                 continue
             b = None
             if backoff_schedule is not None:
                 b = backoff_schedule(step, s.id)
             if b is None:
-                b = float(draws[idx]) * proto.backoff_interval
+                b = draw * proto.backoff_interval
             elif not (0.0 <= b <= proto.backoff_interval):
                 raise ValueError(
                     f"forced backoff {b} for sensor {s.id} outside [0, {proto.backoff_interval}]"
                 )
-            s.pending = scheduled
+            s.pending = pending
             s.pending_step = step
             s.start_time = t + b
-            sched_ids = tuple(sorted(scheduled))
-            log.append(
-                time=t, kind="TRIGGER", step=step, sensor=s.id,
-                targets=sched_ids, size=len(sched_ids),
-            )
-            log.append(
-                time=t, kind="BACKOFF_SET", step=step, sensor=s.id,
-                targets=sched_ids, size=len(sched_ids), value=float(b),
-            )
+            sched_ids = tuple(sorted(pending))
+            log.append(t, "TRIGGER", step, s.id, sched_ids, len(sched_ids))
+            log.append(t, "BACKOFF_SET", step, s.id, sched_ids, len(sched_ids), float(b))
             push(t + b, _TX_START, s.id, "TX_START", step)
 
     def handle_tx_start(t: float, sensor: SensorRuntime, step: int) -> None:
@@ -311,39 +296,27 @@ def run_trial(
             return  # dropped or fully cancelled in the meantime
         comps = tuple(sorted(sensor.pending.items()))
         n = len(comps)
+        tgt = tuple(tid for tid, _ in comps)
         packet = Packet(
-            sensor_id=sensor.id, step=step, components=comps,
-            collaborative=frozenset(tid for tid, _ in comps if tid in collab),
-            duration=n * proto.uplink_delay,
+            sensor.id, step, comps, tuple(tid for tid in tgt if tid in collab),
+            n * proto.uplink_delay,
         )
         sensor.pending.clear()
         sensor.start_time = None
         ledger.add_uplink(step, sensor.id, n)
-        tgt = tuple(tid for tid, _ in comps)
-        log.append(time=t, kind="TX_START", step=step, sensor=sensor.id, targets=tgt, size=n)
+        log.append(t, "TX_START", step, sensor.id, tgt, n)
         push(t + packet.duration, _TX_END, sensor.id, "TX_END", packet)
 
     def handle_tx_end(t: float, sensor: SensorRuntime, packet: Packet) -> None:
         tgt = tuple(tid for tid, _ in packet.components)
-        log.append(
-            time=t, kind="TX_END", step=packet.step, sensor=sensor.id,
-            targets=tgt, size=len(packet.components),
-        )
+        log.append(t, "TX_END", packet.step, sensor.id, tgt, len(tgt))
         fuse(estimator, packet)
-        for tid, value in packet.components:
-            sensor.acknowledged[tid] = value
+        sensor.acknowledged.update(packet.components)
         if fb and packet.collaborative:
-            echo = tuple(
-                (tid, estimator.estimate(tid))
-                for tid, _ in packet.components
-                if tid in packet.collaborative
-            )
+            echo = tuple((tid, estimator.estimate(tid)) for tid in packet.collaborative)
             m_count = len(echo)
             ledger.add_downlink(packet.step, sensor.id, m_count)
-            log.append(
-                time=t, kind="FEEDBACK_START", step=packet.step, sensor=sensor.id,
-                targets=tuple(tid for tid, _ in echo), size=m_count,
-            )
+            log.append(t, "FEEDBACK_START", packet.step, sensor.id, packet.collaborative, m_count)
             push(
                 t + m_count * proto.downlink_delay, _FEEDBACK_END, sensor.id,
                 "FEEDBACK_END", (packet.step, sensor.id, echo),
@@ -351,10 +324,7 @@ def run_trial(
 
     def handle_feedback_end(t: float, payload) -> None:
         step, elicitor, echo = payload
-        log.append(
-            time=t, kind="FEEDBACK_END", step=step, sensor=elicitor,
-            targets=tuple(tid for tid, _ in echo), size=len(echo),
-        )
+        log.append(t, "FEEDBACK_END", step, elicitor, tuple(tid for tid, _ in echo), len(echo))
         # only sensors with a scheduled-but-unstarted transmission react; a
         # transmission starting exactly now counts as started (no cancel)
         for s in sensors:
@@ -367,10 +337,7 @@ def run_trial(
                 if math.hypot(own[0] - value[0], own[1] - value[1]) <= eps:
                     del s.pending[tid]
                     s.acknowledged[tid] = value
-                    log.append(
-                        time=t, kind="CANCEL", step=s.pending_step, sensor=s.id,
-                        targets=(tid,), size=1,
-                    )
+                    log.append(t, "CANCEL", s.pending_step, s.id, (tid,), 1)
 
     # the error changes only when a fusion (TX_END) or a move does
     inst = estimator.mean_squared_error(world.positions)

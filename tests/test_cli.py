@@ -108,6 +108,12 @@ BAD_INPUTS = {
     "sweep_unknown_key": (SPEC.replace("trials: 1", "trails: 500"), ["sweep", "INPUT"]),
     "sweep_zero_uplink_power": (SPEC.replace("powers: [1]", "powers: [0]"), ["sweep", "INPUT"]),
     "analyze_zero_numin": (None, ["analyze", "--scenario", "SETTING1", "--numin", 0]),
+    **{
+        f"analyze_scenario_with_{flag}": (None, ["analyze", "--scenario", "SETTING1", f"--{flag}", value])
+        for flag, value in (
+            ("setsize", 3), ("x", 0.2), ("y", 2), ("ts", 150), ("dtu", 2), ("eps", 5), ("sigma", 0.1),
+        )
+    },
     "analyze_x_without_y": (None, ["analyze", "--setsize", 3, "--x", 0.2]),
     "analyze_y_without_x": (None, ["analyze", "--setsize", 3, "--y", 2]),
     "analyze_nan_cost_ratio": (None, ["analyze", "--setsize", 3, "--x", 0.2, "--y", "nan"]),

@@ -87,10 +87,16 @@ def test_confined_targets_stay_inside_and_move_full_step():
         w = out
 
 
+def rows_of(positions, sensor):
+    owners, rows = observed_rows(positions, np.array([sensor.center]), np.array([sensor.radius]))
+    assert not owners.any()
+    return rows
+
+
 def test_measure_noiseless_is_exact():
     w = world([(10.0, 10.0), (40.0, 40.0)])
     sensor = SensorSpec(0, (10.0, 10.0), 5.0)
-    rows = observed_rows(w.positions, sensor)
+    rows = rows_of(w.positions, sensor)
     out = measure(w.positions, rows, 0.0, np.random.default_rng(0))
     assert rows.tolist() == [0]
     assert out.tolist() == [[10.0, 10.0]]
@@ -102,7 +108,7 @@ def test_measure_count_equals_targets_in_region():
     w = world([tuple(p) for p in positions])
     sensor = SensorSpec(0, (25.0, 25.0), 12.0)
     inside = sum(1 for p in positions if math.hypot(p[0] - 25.0, p[1] - 25.0) <= 12.0)
-    rows = observed_rows(w.positions, sensor)
+    rows = rows_of(w.positions, sensor)
     assert len(measure(w.positions, rows, 0.1, rng)) == inside
 
 
@@ -110,7 +116,7 @@ def test_noise_standard_deviation():
     w = world([(25.0, 25.0)])
     sensor = SensorSpec(0, (25.0, 25.0), 5.0)
     rng = np.random.default_rng(5)
-    rows = observed_rows(w.positions, sensor)
+    rows = rows_of(w.positions, sensor)
     draws = np.array([measure(w.positions, rows, 0.1, rng)[0] for _ in range(50_000)])
     stds = (draws - 25.0).std(axis=0, ddof=1)
     assert 0.099 <= stds[0] <= 0.101

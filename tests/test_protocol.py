@@ -17,7 +17,7 @@ from scripted_cases import (
 from gathersim import geometry
 from gathersim.analytics import power_diff
 from gathersim.experiments import assumption1_scenario
-from gathersim.protocol import classify_step, power_at_step, run_trial
+from gathersim.protocol import classify_step, run_trial
 from gathersim.scenario import (
     Architecture,
     CostParams,
@@ -113,12 +113,18 @@ def test_classify_step_out_of_range():
         classify_step(fb.events, [frozenset({0, 1})], 99)
 
 
+def step_power(ledger, step):
+    """Power charged to one sampling step, both directions, from the ledger's counts."""
+    up, down = ledger.counts[step].sum(axis=0).tolist()
+    return ledger.charge(up, down)
+
+
 def test_power_single_sensor_four_components():
     res = run_trial(single_sensor_scenario(n_targets=4, uplink_power=2.0))
-    assert power_at_step(res.power, 0) == 8.0
-    assert power_at_step(res.power, 1) == 0.0
+    assert step_power(res.power, 0) == 8.0
+    assert step_power(res.power, 1) == 0.0
     with pytest.raises(IndexError):
-        power_at_step(res.power, 99)
+        step_power(res.power, 99)
 
 
 def test_power_fb_vs_nf_worked_example():
@@ -128,9 +134,9 @@ def test_power_fb_vs_nf_worked_example():
     lead, informed = informed_from_table(table, 6.0)
     assert lead == 0 and informed == frozenset({1, 2})
     fb, nf = run_scripted_pair(scn, table)
-    assert power_at_step(fb.power, 0) == 6.0   # 2 components * 1 sender * (2+1)
-    assert power_at_step(nf.power, 0) == 12.0  # 2 components * 3 senders * 2
-    diff = power_at_step(nf.power, 0) - power_at_step(fb.power, 0)
+    assert step_power(fb.power, 0) == 6.0   # 2 components * 1 sender * (2+1)
+    assert step_power(nf.power, 0) == 12.0  # 2 components * 3 senders * 2
+    diff = step_power(nf.power, 0) - step_power(fb.power, 0)
     assert diff == power_diff([2], [2], [3], UPLINK_POWER, DOWNLINK_POWER) == 6
 
 
