@@ -27,11 +27,11 @@ CASES = {
         "simulate", SCENARIOS / "setting1.yaml", "--seed", 1,
         "--dump-trajectory", "--dump-structure",
     ],
-    # backoffs past the 150 s sampling period: DROP rows and carried-over
-    # TX_END events in a full event log
-    "simulate_setting1_backoff200_seed3": [
+    # backoffs past the 150 s sampling period: DROP rows, and a TX_END and
+    # FEEDBACK_END of step 0 that land after the step-1 sample
+    "simulate_setting1_backoff200_seed2": [
         "simulate", SCENARIOS / "setting1.yaml", "--override", "protocol.backoff_interval=200",
-        "--seed", 3,
+        "--seed", 2,
     ],
     **{
         f"sweep_jobs{jobs}": [

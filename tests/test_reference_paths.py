@@ -1,6 +1,6 @@
-"""The engine's fast paths against the straightforward code they replaced.
+"""The engine's fast paths against straightforward reference implementations.
 
-Each reference below is the former implementation, kept verbatim in spirit:
+Each reference below does the same arithmetic the simple way:
 numpy arrays and `np.mean` for the estimator, one distance test and one
 noise draw per sensor for the sampling step, and a per-target numpy-scalar
 loop for target motion. The fast paths must give exactly the same floats
@@ -26,7 +26,7 @@ COORD = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 class ReferenceEstimator:
-    """The former EstimatorState: numpy arrays, scored with np.mean."""
+    """EstimatorState on numpy arrays, scored with np.mean."""
 
     def __init__(self, n, default_point):
         self.default_point = default_point
@@ -91,8 +91,8 @@ def test_estimator_matches_reference(n, seed, ops):
 
 
 def reference_measurements(positions, sensors, noise_std, rng):
-    """The former sampling step: per sensor in id order, a distance test and
-    a noise draw for the rows it observes."""
+    """The sampling step per sensor, in id order: a distance test and a noise
+    draw for the rows it observes."""
     out = []
     for spec in sensors:
         d2 = (positions[:, 0] - spec.center[0]) ** 2 + (positions[:, 1] - spec.center[1]) ** 2
@@ -137,7 +137,7 @@ def test_sampling_step_matches_per_sensor_loop(n, seed, sensors, noise_std):
 
 
 def reference_step_targets(state, params, rng):
-    """The former motion step: numpy-scalar arithmetic and dataclasses.replace."""
+    """The motion step on numpy scalars, returning through dataclasses.replace."""
     pos = state.positions.copy()
     env = state.environment
     for i in range(pos.shape[0]):
