@@ -14,7 +14,7 @@ def packet(sensor, step, comps):
         sensor_id=sensor,
         step=step,
         components=tuple(comps),
-        collaborative=frozenset(),
+        collaborative=(),
         duration=1.0,
     )
 
