@@ -10,7 +10,6 @@ from .analytics import (
     feasibility,
     mse_advantage,
     mse_bounds,
-    oracle_informed,
     power_diff,
     raster_region,
 )

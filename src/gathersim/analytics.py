@@ -121,27 +121,6 @@ def expected_informed(x: float, set_size: int) -> float:
     return x**set_size - set_size * x + (set_size - 1)
 
 
-def oracle_informed(x: float, set_size: int, samples: int, rng) -> tuple[float, float]:
-    """Monte Carlo estimate of the expected informed count, with standard error.
-
-    Draws unit-uniform backoffs, takes the lowest-index minimum as lead, and
-    counts sensors whose backoff exceeds the lead's by more than x. This is
-    the independent check for `expected_informed`.
-    """
-    if set_size < 2:
-        raise ValueError(f"set size must be >= 2 (got {set_size})")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    b = rng.random((samples, set_size))
-    lead_vals = b.min(axis=1)
-    informed = (b > (lead_vals + x)[:, None]).sum(axis=1)
-    mean = float(informed.mean())
-    if samples == 1:
-        return mean, 0.0
-    se = float(informed.std(ddof=1) / math.sqrt(samples))
-    return mean, se
-
-
 def feasibility(set_size: int) -> float:
     """Cost-ratio threshold above which feedback can be cheaper at all."""
     if set_size < 2:

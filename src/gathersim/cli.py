@@ -10,6 +10,7 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import analytics, experiments, geometry, svgplot
@@ -27,6 +28,7 @@ from .scenario import (
 from .scenario import scenario_from_dict, validate as validate_scenario  # noqa: F401
 
 SWEEP_KEYS = ("scenario", "backoff_intervals", "uplink_powers", "trials")
+JOBS_HELP = "worker processes (>= 1; capped at the task and CPU counts)"
 
 
 def _out_dir(args) -> Path:
@@ -80,12 +82,13 @@ def cmd_simulate(args) -> int:
         lines += [f"unique,{sensor},{structure.unique_counts[sensor]}\n"
                   for sensor in sorted(structure.unique_counts)]
         write_csv(out / "structure.csv", "structure", "kind,members,count", lines)
+    kinds = Counter(r.kind for r in result.events.records)
     print(
         f"architecture={scenario.architecture.value} "
         f"total_power_norm={result.power.normalized_total_power()!r} "
         f"time_avg_mse={result.trace.time_average(scenario.protocol.horizon)!r} "
-        f"cancels={result.events.count('CANCEL')} "
-        f"drops={result.events.count('DROP')} "
+        f"cancels={kinds['CANCEL']} "
+        f"drops={kinds['DROP']} "
         f"events={len(result.events.records)}"
     )
     return 0
@@ -108,6 +111,8 @@ def _load_sweep_spec(path: str, trials, seed) -> experiments.SweepSpec:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ScenarioError("--jobs must be >= 1")
     spec = _load_sweep_spec(args.spec, args.trials, args.seed)
     result = experiments.run_sweep(spec, jobs=args.jobs)  # checks the spec first
     out = _out_dir(args)
@@ -138,6 +143,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_region(args) -> int:
+    if args.jobs < 1:
+        raise ScenarioError("--jobs must be >= 1")
     if args.setsize < 2:
         raise ScenarioError("--setsize must be >= 2")
     try:
@@ -285,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a backoff/cost sweep from a sweep spec file")
     p.add_argument("spec")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--trials", type=int, default=None, help="override the spec's trial count")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--plot", action="store_true", help="emit one SVG per cost ratio")
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-grid", default="0.05:0.95:10", help="lo:hi:count or comma list")
     p.add_argument("--y-grid", default="0.25:10:10")
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--theory-only", action="store_true")

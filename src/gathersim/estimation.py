@@ -23,23 +23,21 @@ class EstimatorState:
     Targets never seen are scored against `default_point` (normally the
     environment centroid) so the metric is defined from time zero. The
     bookkeeping lives in Python lists, and `absorb` keeps an (n, 2) array of
-    the current estimates up to date for `mean_squared_error`.
+    the current estimates up to date for `mean_squared_error`. Steps are
+    >= 0, so an epoch of -1 marks a target with no estimate yet.
     """
 
     def __init__(self, target_ids, default_point: Point):
-        self.target_ids = tuple(target_ids)
-        self._row = {tid: i for i, tid in enumerate(self.target_ids)}
-        n = len(self.target_ids)
-        self.default_point = (float(default_point[0]), float(default_point[1]))
+        self._row = {tid: i for i, tid in enumerate(target_ids)}
+        n = len(target_ids)
         self._sums = [[0.0, 0.0] for _ in range(n)]
         self._counts = [0] * n
         self._epochs = [-1] * n
-        self._valid = [False] * n
-        self._estimates = np.full((n, 2), self.default_point)
+        self._estimates = np.full((n, 2), default_point, dtype=float)
 
     def estimate(self, target_id: int) -> Point | None:
         row = self._row[target_id]
-        if not self._valid[row]:
+        if self._epochs[row] < 0:
             return None
         sx, sy = self._sums[row]
         c = self._counts[row]
@@ -53,16 +51,15 @@ class EstimatorState:
         measurement older than the current estimate is stale and dropped."""
         row = self._row[target_id]
         sums = self._sums[row]
-        if self._valid[row] and self._epochs[row] == step:
+        if step == self._epochs[row]:
             sums[0] += value[0]
             sums[1] += value[1]
             self._counts[row] += 1
-        elif not self._valid[row] or step > self._epochs[row]:
+        elif step > self._epochs[row]:
             sums[0] = value[0]
             sums[1] = value[1]
             self._counts[row] = 1
             self._epochs[row] = step
-            self._valid[row] = True
         else:
             return
         c = self._counts[row]
@@ -75,11 +72,10 @@ class EstimatorState:
         return float(np.add.reduce(sq) / len(sq))
 
 
-def fuse(state: EstimatorState, packet) -> EstimatorState:
+def fuse(state: EstimatorState, packet) -> None:
     """Fuse a fully received uplink packet into the central estimate."""
     for tid, value in packet.components:
         state.absorb(tid, value, packet.step)
-    return state
 
 
 @dataclass
@@ -94,7 +90,7 @@ class EstimatorTrace:
         return self.integral / horizon
 
 
-def accumulate_mse(trace: EstimatorTrace, inst: float, dt: float) -> EstimatorTrace:
+def accumulate_mse(trace: EstimatorTrace, inst: float, dt: float) -> None:
     """Extend the error integral by dt at the instantaneous error `inst`.
 
     The engine recomputes `inst` with `EstimatorState.mean_squared_error` only
@@ -108,4 +104,3 @@ def accumulate_mse(trace: EstimatorTrace, inst: float, dt: float) -> EstimatorTr
         trace.integral += dt * inst
         trace.rows.append((now, inst, trace.integral))
     trace.last_time = now
-    return trace

@@ -167,10 +167,12 @@ def default_jobs() -> int:
 
 def _run_tasks(tasks, worker, jobs: int):
     """`worker` over `tasks`, results in task order for any worker count."""
-    if jobs <= 1:
+    # the pool forks all max_workers at the first submit, so cap them here
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(t) for t in tasks]
-    chunk = max(1, len(tasks) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(tasks) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
@@ -241,8 +243,6 @@ def assumption1_scenario(
     horizon: float = 900.0,
     noise_std: float = 0.1,
     move_probability: float = 1.0,
-    uplink_power: float = 1.0,
-    downlink_power: float = 1.0,
     seed: int = 0,
 ) -> Scenario:
     """Symmetric FB layout where every set member schedules identical packets.
@@ -253,8 +253,9 @@ def assumption1_scenario(
     structure persists while they move, every sensor always observes
     collaborative_targets + unique_targets components, and every sensor's
     propagation delay is UPLINK_DELAY per component plus DOWNLINK_DELAY per
-    collaborative component. Geometrically infeasible requests (pockets that
-    cannot fit or hold a moving target) are rejected.
+    collaborative component. Both component costs are 1; other costs apply
+    through `PairedOutcome.power_difference`. Geometrically infeasible
+    requests (pockets that cannot fit or hold a moving target) are rejected.
     """
     if set_size < 2:
         raise ValueError(f"set size must be >= 2 (got {set_size})")
@@ -344,7 +345,7 @@ def assumption1_scenario(
         dynamics=DynamicsParams(
             move_step=MOVE_STEP, move_period=sampling_period, move_probability=move_probability
         ),
-        costs=CostParams(uplink_power=uplink_power, downlink_power=downlink_power),
+        costs=CostParams(uplink_power=1.0, downlink_power=1.0),
         architecture=Architecture.FB,
         seed=seed,
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import observed_rows
 from .scenario import Scenario
 
 MembershipMap = dict[int, frozenset[int]]
@@ -37,23 +38,19 @@ class CollaborativeStructure:
     sets: tuple[CollaborativeSet, ...]
     unique_counts: dict[int, int]  # sensor id -> uniquely observed targets
 
-    def total_components(self) -> int:
-        return sum(self.unique_counts.values()) + sum(s.collaborative_count for s in self.sets)
-
 
 def membership(scenario: Scenario, positions) -> MembershipMap:
-    """Map each target id to the set of sensor ids currently observing it."""
-    pos = np.asarray(positions, dtype=float)
+    """Map each target id to the set of sensor ids observing it, where row i
+    of `positions` belongs to `scenario.targets[i]`."""
     tids = [t.id for t in scenario.targets]
-    out: MembershipMap = {}
+    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
+    centers = np.array([s.center for s in scenario.sensors], dtype=float)
+    radii = np.array([s.radius for s in scenario.sensors], dtype=float)
     obs: dict[int, set[int]] = {tid: set() for tid in tids}
-    for s in scenario.sensors:
-        d2 = (pos[:, 0] - s.center[0]) ** 2 + (pos[:, 1] - s.center[1]) ** 2
-        for row in np.nonzero(d2 <= s.radius * s.radius)[0]:
-            obs[tids[row]].add(s.id)
-    for tid in tids:
-        out[tid] = frozenset(obs[tid])
-    return out
+    owners, rows = observed_rows(pos, centers, radii)
+    for idx, row in zip(owners.tolist(), rows.tolist()):
+        obs[tids[row]].add(scenario.sensors[idx].id)
+    return {tid: frozenset(obs[tid]) for tid in tids}
 
 
 def _set_key(members: frozenset[int]) -> tuple:

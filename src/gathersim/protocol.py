@@ -34,7 +34,7 @@ from .scenario import Architecture, CostParams, ProtocolParams, Scenario, Scenar
 
 CENTRAL = -1  # sensor id used for central-unit rows in logs
 
-# queue ordering for simultaneous events
+# event codes in heap entries; their order breaks ties at equal times
 _MOVE, _TX_END, _FEEDBACK_END, _SAMPLE, _TX_START = range(5)
 
 BackoffSchedule = Callable[[int, int], Optional[float]]
@@ -68,19 +68,6 @@ class EventLog:
         targets: tuple[int, ...], size: int, value: Optional[float] = None,
     ) -> None:
         self.records.append(EventRecord(time, kind, step, sensor, targets, size, value))
-
-    def of_kind(self, kind: str) -> list[EventRecord]:
-        return [r for r in self.records if r.kind == kind]
-
-    def at_step(self, step: int, kind: Optional[str] = None) -> list[EventRecord]:
-        return [
-            r
-            for r in self.records
-            if r.step == step and (kind is None or r.kind == kind)
-        ]
-
-    def count(self, kind: str) -> int:
-        return sum(1 for r in self.records if r.kind == kind)
 
     def to_csv(self, path) -> None:
         write_csv(path, "events", "time,kind,step,sensor,targets,size,value", (
@@ -153,11 +140,10 @@ def trace_to_csv(trace: EstimatorTrace, path) -> None:
 class SensorRuntime:
     """Mutable per-sensor protocol state for one trial."""
 
-    __slots__ = ("id", "spec", "acknowledged", "pending", "pending_step", "start_time")
+    __slots__ = ("id", "acknowledged", "pending", "pending_step", "start_time")
 
-    def __init__(self, spec):
-        self.id = spec.id
-        self.spec = spec
+    def __init__(self, sensor_id: int):
+        self.id = sensor_id
         self.acknowledged: dict[int, tuple[float, float]] = {}
         self.pending: dict[int, tuple[float, float]] = {}
         self.pending_step: int = -1
@@ -189,7 +175,8 @@ def run_trial(
     proto = scenario.protocol
     fb = scenario.architecture == Architecture.FB
     # validated ids are 0..n-1, so sensors[i] has id i
-    sensors = [SensorRuntime(s) for s in sorted(scenario.sensors, key=lambda s: s.id)]
+    specs = sorted(scenario.sensors, key=lambda s: s.id)
+    sensors = [SensorRuntime(s.id) for s in specs]
     n_sensors = len(sensors)
     eps = proto.trigger_threshold
     horizon = proto.horizon
@@ -202,8 +189,8 @@ def run_trial(
 
     world = initial_world(scenario)
     tids = world.target_ids
-    centers = np.array([s.spec.center for s in sensors], dtype=float)
-    radii = np.array([s.spec.radius for s in sensors], dtype=float)
+    centers = np.array([s.center for s in specs], dtype=float)
+    radii = np.array([s.radius for s in specs], dtype=float)
     estimator = EstimatorState(tids, scenario.environment.centroid)
     trace = EstimatorTrace()
 
@@ -231,15 +218,15 @@ def run_trial(
     heap: list[tuple] = []
     seq = 0
 
-    def push(time: float, order: int, key: int, kind: str, payload) -> None:
+    def push(time: float, order: int, key: int, payload) -> None:
         nonlocal seq
-        heapq.heappush(heap, (time, order, key, seq, kind, payload))
+        heapq.heappush(heap, (time, order, key, seq, payload))
         seq += 1
 
     for step, t in enumerate(sample_times):
-        push(t, _SAMPLE, 0, "SAMPLE", step)
+        push(t, _SAMPLE, 0, step)
     for i, t in enumerate(move_times):
-        push(t, _MOVE, 0, "MOVE", i)
+        push(t, _MOVE, 0, i)
 
     collab: frozenset[int] = frozenset()  # collaborative targets of the current step
 
@@ -287,7 +274,7 @@ def run_trial(
             sched_ids = tuple(sorted(pending))
             log.append(t, "TRIGGER", step, s.id, sched_ids, len(sched_ids))
             log.append(t, "BACKOFF_SET", step, s.id, sched_ids, len(sched_ids), float(b))
-            push(t + b, _TX_START, s.id, "TX_START", step)
+            push(t + b, _TX_START, s.id, step)
 
     def handle_tx_start(t: float, sensor: SensorRuntime, step: int) -> None:
         # a pending transmission always belongs to the current step: every
@@ -305,7 +292,7 @@ def run_trial(
         sensor.start_time = None
         ledger.add_uplink(step, sensor.id, n)
         log.append(t, "TX_START", step, sensor.id, tgt, n)
-        push(t + packet.duration, _TX_END, sensor.id, "TX_END", packet)
+        push(t + packet.duration, _TX_END, sensor.id, packet)
 
     def handle_tx_end(t: float, sensor: SensorRuntime, packet: Packet) -> None:
         tgt = tuple(tid for tid, _ in packet.components)
@@ -319,7 +306,7 @@ def run_trial(
             log.append(t, "FEEDBACK_START", packet.step, sensor.id, packet.collaborative, m_count)
             push(
                 t + m_count * proto.downlink_delay, _FEEDBACK_END, sensor.id,
-                "FEEDBACK_END", (packet.step, sensor.id, echo),
+                (packet.step, sensor.id, echo),
             )
 
     def handle_feedback_end(t: float, payload) -> None:
@@ -342,20 +329,20 @@ def run_trial(
     # the error changes only when a fusion (TX_END) or a move does
     inst = estimator.mean_squared_error(world.positions)
     while heap:
-        t, order, key, _, kind, payload = heapq.heappop(heap)
+        t, order, key, _, payload = heapq.heappop(heap)
         if t > horizon:
             break
         accumulate_mse(trace, inst, t - trace.last_time)
-        if kind == "SAMPLE":
+        if order == _SAMPLE:
             handle_sample(t, payload)
-        elif kind == "TX_START":
+        elif order == _TX_START:
             handle_tx_start(t, sensors[key], payload)
-        elif kind == "TX_END":
+        elif order == _TX_END:
             handle_tx_end(t, sensors[key], payload)
             inst = estimator.mean_squared_error(world.positions)
-        elif kind == "FEEDBACK_END":
+        elif order == _FEEDBACK_END:
             handle_feedback_end(t, payload)
-        elif kind == "MOVE":
+        else:  # _MOVE
             world = step_targets(world, scenario.dynamics, motion_rng)
             record_positions(t)
             inst = estimator.mean_squared_error(world.positions)
@@ -387,14 +374,17 @@ def classify_step(log: EventLog, sets: list[frozenset[int]], step: int) -> list[
     """
     if log.architecture != Architecture.FB:
         raise ValueError("classification is defined for feedback-architecture logs only")
-    samples = log.at_step(step, "SAMPLE")
-    if not samples:
+    by_kind: dict[str, dict[int, EventRecord]] = {}  # kind -> sensor -> last record
+    for r in log.records:
+        if r.step == step:
+            by_kind.setdefault(r.kind, {})[r.sensor] = r
+    if "SAMPLE" not in by_kind:
         raise IndexError(f"no sampling step {step} in this log")
-    collab = frozenset(samples[-1].targets)
+    collab = frozenset(by_kind["SAMPLE"][CENTRAL].targets)
     proto = log.protocol
-    backoffs = {r.sensor: r for r in log.at_step(step, "BACKOFF_SET")}
-    tx_sizes = {r.sensor: r.size for r in log.at_step(step, "TX_START")}
-    fb_sizes = {r.sensor: r.size for r in log.at_step(step, "FEEDBACK_START")}
+    backoffs = by_kind.get("BACKOFF_SET", {})
+    tx_starts = by_kind.get("TX_START", {})
+    fb_starts = by_kind.get("FEEDBACK_START", {})
 
     out: list[SetClassification] = []
     for members in sorted(sets, key=lambda fs: (len(fs), tuple(sorted(fs)))):
@@ -408,11 +398,9 @@ def classify_step(log: EventLog, sets: list[frozenset[int]], step: int) -> list[
             return rec.size * proto.uplink_delay + m * proto.downlink_delay
 
         lead = min(triggered, key=lambda j: (backoffs[j].value + scheduled_delay(j), j))
-        if lead in tx_sizes:
-            lead_delay = (
-                tx_sizes[lead] * proto.uplink_delay
-                + fb_sizes.get(lead, 0) * proto.downlink_delay
-            )
+        if lead in tx_starts:
+            fb_size = fb_starts[lead].size if lead in fb_starts else 0
+            lead_delay = tx_starts[lead].size * proto.uplink_delay + fb_size * proto.downlink_delay
         else:
             lead_delay = scheduled_delay(lead)
         cutoff = backoffs[lead].value + lead_delay

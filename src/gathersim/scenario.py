@@ -209,10 +209,13 @@ def validate(scenario: Scenario) -> list[str]:
 
 
 def _float(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where}: must be a number (got {value!r})") from None
+    # numeric strings pass (YAML reads `1e3` as a string); booleans do not
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ScenarioError(f"{where}: must be a number (got {value!r})")
 
 
 def _point(raw, where: str) -> Point:

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from gathersim.experiments import assumption1_scenario
 from gathersim.protocol import run_trial
-from gathersim.scenario import Architecture
+from gathersim.scenario import Architecture, CostParams
 
 UPLINK_POWER = 2
 DOWNLINK_POWER = 1
@@ -19,7 +19,7 @@ DOWNLINK_POWER = 1
 def scripted_scenario(set_size, collab, unique=0, seed=77):
     """Propagation delay (collab + unique) * 2 + collab * 1: uplink and
     downlink delays are 2 and 1 per component."""
-    return assumption1_scenario(
+    scenario = assumption1_scenario(
         set_size,
         collab,
         unique,
@@ -28,10 +28,9 @@ def scripted_scenario(set_size, collab, unique=0, seed=77):
         horizon=100.0,
         noise_std=1e-9,
         move_probability=0.0,
-        uplink_power=UPLINK_POWER,
-        downlink_power=DOWNLINK_POWER,
         seed=seed,
     )
+    return replace(scenario, costs=CostParams(UPLINK_POWER, DOWNLINK_POWER))
 
 
 def backoff_tables(set_size, tau):

@@ -55,6 +55,22 @@ def test_trial_events_carry_kind_and_size(minimal_path):
         assert isinstance(r.kind, str) and isinstance(r.size, int)
 
 
+def test_region_trials_all_log_events(monkeypatch):
+    # model_counts in benchmark/run.py wraps experiments.run_trial, reads the
+    # event records of every trial and divides by the number of calls
+    logged = []
+
+    def counting(*args, **kwargs):
+        result = run_trial(*args, **kwargs)
+        logged.append(len(result.events.records))
+        return result
+
+    monkeypatch.setattr(gathersim.experiments, "run_trial", counting)
+    gathersim.experiments.region_experiment(2, [0.3, 0.7], [1.0], trials=3)
+    assert len(logged) == 2 * 3 * 2  # cells x trials x architectures
+    assert all(logged)
+
+
 def test_checks_imports_resolve():
     tree = ast.parse((BENCHMARK / "checks.py").read_text(encoding="utf-8"))
     imported = {

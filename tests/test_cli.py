@@ -107,6 +107,11 @@ BAD_INPUTS = {
     "sweep_non_integer_trials": (SPEC.replace("trials: 1", "trials: abc"), ["sweep", "INPUT"]),
     "sweep_unknown_key": (SPEC.replace("trials: 1", "trails: 500"), ["sweep", "INPUT"]),
     "sweep_zero_uplink_power": (SPEC.replace("powers: [1]", "powers: [0]"), ["sweep", "INPUT"]),
+    "sweep_bool_backoff": (SPEC.replace("[20]", "[true]"), ["sweep", "INPUT"]),
+    "sweep_zero_jobs": (SPEC, ["sweep", "INPUT", "--jobs", 0]),
+    "simulate_bool_override": (
+        None, ["simulate", "SETTING1", "--override", "protocol.sampling_period=true"],
+    ),
     "analyze_zero_numin": (None, ["analyze", "--scenario", "SETTING1", "--numin", 0]),
     **{
         f"analyze_scenario_with_{flag}": (None, ["analyze", "--scenario", "SETTING1", f"--{flag}", value])
@@ -125,6 +130,12 @@ BAD_INPUTS = {
         MINIMAL.replace("costs:\n", "costs:\n  idle_power: 3.0\n"), ["validate", "INPUT"],
     ),
     "validate_unknown_top_level_key": (MINIMAL + "trials: 500\n", ["validate", "INPUT"]),
+    "validate_bool_sensor_center": (
+        MINIMAL.replace("center: [5.0, 5.0]", "center: [true, 5]"), ["validate", "INPUT"],
+    ),
+    "region_negative_jobs": (
+        None, ["region", "--setsize", 3, "--jobs", -1, "--trials", 1, "--x-grid", "0.5", "--y-grid", "1"],
+    ),
     "region_zero_delay_ratio": (None, ["region", "--setsize", 3, "--x-grid", "0,0.5"]),
     "region_empty_grid": (None, ["region", "--setsize", 3, "--x-grid", ","]),
     "region_theory_negative_ratio": (

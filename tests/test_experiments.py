@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gathersim import geometry
+from gathersim import experiments, geometry
 from gathersim.experiments import (
     RunningStats,
     SweepSpec,
@@ -37,7 +37,7 @@ def test_assumption1_layout_delays():
 def test_assumption1_two_sensors_two_components_each():
     scn = assumption1_scenario(2, 1, 1, noise_std=1e-9, move_probability=0.0)
     res = run_trial(scn, backoff_schedule=lambda k, s: float(s))
-    sizes = [r.size for r in res.events.at_step(0, "TX_START")]
+    sizes = [r.size for r in res.events.records if r.kind == "TX_START" and r.step == 0]
     assert sizes == [2, 2]
 
 
@@ -57,7 +57,9 @@ def test_paired_seed_coupling_log_equality():
     fb = run_trial(replace(scn, architecture=Architecture.FB, seed=seed))
     nf = run_trial(replace(scn, architecture=Architecture.NF, seed=seed))
     for kind in ("SAMPLE", "BACKOFF_SET"):
-        assert fb.events.of_kind(kind) == nf.events.of_kind(kind)
+        assert [r for r in fb.events.records if r.kind == kind] == [
+            r for r in nf.events.records if r.kind == kind
+        ]
 
 
 def test_paired_trajectories_identical():
@@ -157,3 +159,34 @@ def test_sweep_spec_validation(setting1_path):
     with pytest.raises(ValueError):
         SweepSpec(scn, (1.0,), (1.0,), 0).check()
 
+
+@pytest.mark.parametrize("jobs, tasks, cpus, started", [
+    (64, 3, 8, 3),  # capped at the task count
+    (64, 100, 2, 2),  # capped at the CPU count
+    (2, 100, 8, 2),
+    (4, 1, 8, None),  # a single task runs in this process
+    (8, 100, None, None),  # so does everything when the CPU count is unknown
+    (0, 5, 8, None),
+])
+def test_run_tasks_caps_worker_processes(monkeypatch, jobs, tasks, cpus, started):
+    pools = []
+
+    class RecordingPool:
+        """Records max_workers and maps in this process; starts nothing."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    assert experiments._run_tasks(list(range(tasks)), str, jobs) == [str(i) for i in range(tasks)]
+    assert pools == ([] if started is None else [started])

@@ -50,10 +50,10 @@ def single_sensor_scenario(n_targets=1, architecture=Architecture.NF, uplink_pow
 
 def test_static_target_triggers_only_once():
     res = run_trial(single_sensor_scenario())
-    triggers = res.events.of_kind("TRIGGER")
-    assert [r.step for r in triggers] == [0]
-    assert res.events.count("TX_START") == 1
-    assert len(res.events.at_step(1, "SAMPLE")) == 1
+    records = res.events.records
+    assert [r.step for r in records if r.kind == "TRIGGER"] == [0]
+    assert sum(r.kind == "TX_START" for r in records) == 1
+    assert sum(r.kind == "SAMPLE" and r.step == 1 for r in records) == 1
 
 
 def test_scripted_classification_matches_hand_evaluation():
@@ -67,7 +67,7 @@ def test_scripted_classification_matches_hand_evaluation():
     assert c.uninformed == frozenset({1})
     assert c.lead_delay == 9.0
     # the informed sensor cancelled every collaborative component
-    cancels = fb.events.of_kind("CANCEL")
+    cancels = [r for r in fb.events.records if r.kind == "CANCEL"]
     assert {r.sensor for r in cancels} == {2}
     assert len(cancels) == 3
 
@@ -75,9 +75,10 @@ def test_scripted_classification_matches_hand_evaluation():
 def test_scripted_nf_everyone_transmits():
     scn = scripted_scenario(3, 3)
     _, nf = run_scripted_pair(scn, (1.0, 5.0, 40.0))
-    assert nf.events.count("TX_START") == 3
-    assert nf.events.count("CANCEL") == 0
-    assert nf.events.count("FEEDBACK_START") == 0
+    kinds = Counter(r.kind for r in nf.events.records)
+    assert kinds["TX_START"] == 3
+    assert kinds["CANCEL"] == 0
+    assert kinds["FEEDBACK_START"] == 0
     assert nf.power.downlink_components() == 0
 
 
@@ -167,7 +168,7 @@ def test_unique_components_cost_identically():
     diff = nf.power.total_power() - fb.power.total_power()
     assert diff == power_diff([2], [1], [2], UPLINK_POWER, DOWNLINK_POWER)
     # the informed sensor still uplinks its unique component
-    tx_sizes = sorted(r.size for r in fb.events.of_kind("TX_START"))
+    tx_sizes = sorted(r.size for r in fb.events.records if r.kind == "TX_START")
     assert tx_sizes == [1, 3]
 
 
@@ -179,8 +180,9 @@ def test_cancel_events_imply_informed_membership():
     for trial in range(10):
         res = run_trial(replace(scn, seed=scn.seed ^ trial))
         by_step = {}
-        for rec in res.events.of_kind("CANCEL"):
-            by_step.setdefault(rec.step, set()).add(rec.sensor)
+        for rec in res.events.records:
+            if rec.kind == "CANCEL":
+                by_step.setdefault(rec.step, set()).add(rec.sensor)
         for step, cancellers in by_step.items():
             cls = classify_step(res.events, [full], step)
             assert cls, f"cancel at step {step} without classification"
@@ -196,8 +198,8 @@ def test_no_overlapping_uplinks_and_monotone_times():
         last = max(last, rec.time)
     for sensor in range(3):
         intervals = []
-        starts = [r for r in res.events.of_kind("TX_START") if r.sensor == sensor]
-        ends = [r for r in res.events.of_kind("TX_END") if r.sensor == sensor]
+        starts = [r for r in res.events.records if r.kind == "TX_START" and r.sensor == sensor]
+        ends = [r for r in res.events.records if r.kind == "TX_END" and r.sensor == sensor]
         assert len(starts) == len(ends)
         for s, e in zip(starts, ends):
             intervals.append((s.time, e.time))
@@ -232,7 +234,7 @@ def test_every_triggered_component_ends_once(setting1_path, seed):
             ends.update(components)
     assert set(ends) == triggered
     assert set(ends.values()) == {1}
-    assert any(r.time == scn.protocol.horizon for r in res.events.of_kind("DROP"))
+    assert any(r.kind == "DROP" and r.time == scn.protocol.horizon for r in res.events.records)
 
 
 @st.composite
@@ -275,7 +277,7 @@ def small_scenarios(draw):
 def test_components_and_power_are_conserved(scn):
     for arch in Architecture:
         res = run_trial(replace(scn, architecture=arch))
-        collaborative = {r.step: set(r.targets) for r in res.events.of_kind("SAMPLE")}
+        collaborative = {r.step: set(r.targets) for r in res.events.records if r.kind == "SAMPLE"}
         triggered = Counter()
         ended = Counter()
         uplink = downlink = collaborative_uplink = 0
@@ -306,11 +308,11 @@ def test_drop_when_backoff_crosses_next_sample():
     )
     schedule = lambda step, sid: 200.0 if step == 0 else 10.0
     res = run_trial(replace(scn, architecture=Architecture.NF), backoff_schedule=schedule)
-    step0_drops = res.events.at_step(0, "DROP")
-    assert {r.sensor for r in step0_drops} == {0, 1}
-    assert not res.events.at_step(0, "TX_START")
+    step0 = [r for r in res.events.records if r.step == 0]
+    assert {r.sensor for r in step0 if r.kind == "DROP"} == {0, 1}
+    assert not [r for r in step0 if r.kind == "TX_START"]
     # the superseding step transmits normally
-    assert res.events.at_step(1, "TX_START")
+    assert any(r.kind == "TX_START" and r.step == 1 for r in res.events.records)
 
 
 def test_invalid_scenario_rejected():
@@ -330,7 +332,8 @@ def test_feedback_arriving_exactly_at_tx_start_does_not_cancel():
     # cutoff edge: second sensor starts exactly when feedback lands
     scn = scripted_scenario(2, 1)  # delay = 3
     fb, _ = run_scripted_pair(scn, (1.0, 4.0))
-    assert fb.events.count("CANCEL") == 0
-    assert fb.events.count("TX_START") == 2
+    kinds = Counter(r.kind for r in fb.events.records)
+    assert kinds["CANCEL"] == 0
+    assert kinds["TX_START"] == 2
     cls = classify_step(fb.events, [frozenset({0, 1})], 0)
     assert cls[0].informed == frozenset()

@@ -2,11 +2,11 @@
 
 Each reference below does the same arithmetic the simple way:
 numpy arrays and `np.mean` for the estimator, one distance test and one
-noise draw per sensor for the sampling step, and a per-target numpy-scalar
-loop for target motion. The fast paths must give exactly the same floats
-(compared with `==`, not a tolerance) and leave every random generator in
-the same state, since the golden CSVs and the paired-trial streams rest on
-that.
+noise draw per sensor for the sampling step, one distance test per sensor
+for membership, and a per-target numpy-scalar loop for target motion. The
+fast paths must give exactly the same floats (compared with `==`, not a
+tolerance) and leave every random generator in the same state, since the
+golden CSVs and the paired-trial streams rest on that.
 """
 
 import math
@@ -18,7 +18,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from gathersim.dynamics import WorldState, _confined_jump, measure, observed_rows, reflect, step_targets
 from gathersim.estimation import EstimatorState
-from gathersim.scenario import DynamicsParams, Environment, SensorSpec
+from gathersim.geometry import membership
+from gathersim.scenario import (
+    Architecture,
+    CostParams,
+    DynamicsParams,
+    Environment,
+    ProtocolParams,
+    Scenario,
+    SensorSpec,
+    TargetSpec,
+)
 
 # up to 40 targets, plus one size past numpy's 8- and 128-element pairwise-sum blocks
 TARGET_COUNTS = st.one_of(st.integers(0, 40), st.just(1000))
@@ -134,6 +144,60 @@ def test_sampling_step_matches_per_sensor_loop(n, seed, sensors, noise_std):
         assert np.array_equal(values[mine], ref_values)
     assert len(rows) == sum(len(r) for r, _ in expected)
     assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+
+def reference_membership(scenario, positions):
+    """Membership by one distance test per sensor, in scenario order; with
+    no targets every set is empty."""
+    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
+    tids = [t.id for t in scenario.targets]
+    obs = {tid: set() for tid in tids}
+    for s in scenario.sensors:
+        d2 = (pos[:, 0] - s.center[0]) ** 2 + (pos[:, 1] - s.center[1]) ** 2
+        for row in np.nonzero(d2 <= s.radius * s.radius)[0]:
+            obs[tids[row]].add(s.id)
+    return {tid: frozenset(obs[tid]) for tid in tids}
+
+
+def layout(sensors, positions, target_ids):
+    return Scenario(
+        environment=Environment(50.0, 50.0),
+        sensors=tuple(sensors),
+        targets=tuple(TargetSpec(tid, p) for tid, p in zip(target_ids, positions)),
+        protocol=ProtocolParams(10.0, 5.0, 1.0, 0.5, 1.0, 0.1, 100.0),
+        dynamics=DynamicsParams(1.0, 10.0, 0.5),
+        costs=CostParams(1.0, 1.0),
+        architecture=Architecture.FB,
+        seed=0,
+    )
+
+
+@st.composite
+def layouts(draw):
+    """Sensors listed out of id order, and 0-12 targets, each either anywhere
+    or on the rightmost or lowest point of some sensor's disk."""
+    disks = draw(st.lists(SENSOR, min_size=1, max_size=6))
+    sensor_ids = draw(st.permutations(range(len(disks))))
+    sensors = [SensorSpec(j, (cx, cy), r) for j, (cx, cy, r) in zip(sensor_ids, disks)]
+    positions = []
+    for _ in range(draw(st.integers(0, 12))):
+        cx, cy, r = draw(st.sampled_from(disks))
+        on_edge = st.sampled_from([(cx + r, cy), (cx, cy - r)])
+        anywhere = st.tuples(st.floats(-10.0, 60.0), st.floats(-10.0, 60.0))
+        positions.append(draw(on_edge | anywhere))
+    return layout(sensors, positions, draw(st.permutations(range(len(positions)))))
+
+
+# (13, 14) and (15, 10) lie exactly on the first disk, (19, 10) on the second
+@example(scenario=layout(
+    [SensorSpec(1, (10.0, 10.0), 5.0), SensorSpec(0, (16.0, 10.0), 3.0)],
+    [(13.0, 14.0), (15.0, 10.0), (19.0, 10.0), (30.0, 30.0)], [2, 0, 3, 1],
+))
+@given(scenario=layouts())
+@settings(max_examples=200)
+def test_membership_matches_per_sensor_loop(scenario):
+    positions = [t.position for t in scenario.targets]
+    assert membership(scenario, positions) == reference_membership(scenario, positions)
 
 
 def reference_step_targets(state, params, rng):
