@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import geometry
 from .analytics import AdvantagePoint, raster_region
-from .protocol import run_trial, write_csv
+from .protocol import TrialInputs, draw_inputs, input_key, run_trial, write_csv
 from .scenario import (
     Architecture,
     CostParams,
@@ -88,11 +88,17 @@ class PairedOutcome:
         ) * uplink_power - self.fb_downlink * downlink_power
 
 
-def run_paired_trial(scenario: Scenario, trial_index: int) -> PairedOutcome:
-    seed = trial_seed(scenario.seed, trial_index)
+def run_paired_trial(
+    scenario: Scenario, trial_index: int, inputs: TrialInputs | None = None
+) -> PairedOutcome:
+    """FB and NF replaying one draw of the trial's inputs: those of `scenario`
+    at the trial seed, drawn here when `inputs` is None."""
+    trial = replace(scenario, seed=trial_seed(scenario.seed, trial_index))
+    if inputs is None:
+        inputs = draw_inputs(trial)
     horizon = scenario.protocol.horizon
-    fb = run_trial(replace(scenario, architecture=Architecture.FB, seed=seed))
-    nf = run_trial(replace(scenario, architecture=Architecture.NF, seed=seed))
+    fb = run_trial(replace(trial, architecture=Architecture.FB), inputs=inputs)
+    nf = run_trial(replace(trial, architecture=Architecture.NF), inputs=inputs)
     return PairedOutcome(
         fb_uplink=fb.power.uplink_components(),
         fb_downlink=fb.power.downlink_components(),
@@ -176,22 +182,31 @@ def _run_tasks(tasks, worker, jobs: int):
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
-def _paired_task(scenarios: Sequence[Scenario], task: tuple[int, int]) -> PairedOutcome:
-    cell, i = task
-    return run_paired_trial(scenarios[cell], i)
+def _grid_trial(scenarios: Sequence[Scenario], i: int) -> list[PairedOutcome]:
+    """Trial i of every cell; cells with equal `input_key` replay one draw."""
+    drawn: dict[tuple, TrialInputs] = {}
+    out = []
+    for s in scenarios:
+        key = input_key(s)
+        if key not in drawn:
+            drawn[key] = draw_inputs(replace(s, seed=trial_seed(s.seed, i)), checked=True)
+        out.append(run_paired_trial(s, i, drawn[key]))
+    return out
 
 
 def paired_grid(scenarios: Sequence[Scenario], trials: int, jobs: int) -> list[list[PairedOutcome]]:
     """Paired trials 0..trials-1 of every scenario (one grid cell each).
 
     Returns one list per scenario, in trial order. Trial i of a cell is seeded
-    from the cell's seed and i, so cells sharing a seed see common random
-    numbers, and the outcomes do not depend on the worker count. Tasks carry
-    only (cell index, trial index); the scenarios travel with the worker.
+    from the cell's seed and i, so cells with equal `input_key` replay the
+    same draws (common random numbers), and the outcomes do not depend on the
+    worker count. A task is one trial index; the scenarios travel with the worker.
     """
-    tasks = [(cell, i) for cell in range(len(scenarios)) for i in range(trials)]
-    outcomes = _run_tasks(tasks, partial(_paired_task, scenarios), jobs)
-    return [outcomes[k * trials:(k + 1) * trials] for k in range(len(scenarios))]
+    violations = dict.fromkeys(v for s in scenarios for v in validate(s))
+    if violations:
+        raise ScenarioError("; ".join(violations))
+    per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, scenarios), jobs)
+    return [[outs[cell] for outs in per_trial] for cell in range(len(scenarios))]
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:

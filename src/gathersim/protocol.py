@@ -21,7 +21,9 @@ component ends in exactly one TX_START, CANCEL or DROP.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -156,64 +158,113 @@ class TrialResult(NamedTuple):
     trace: EstimatorTrace
 
 
-def run_trial(
-    scenario: Scenario,
-    backoff_schedule: Optional[BackoffSchedule] = None,
-    trajectory_out: Optional[list] = None,
-) -> TrialResult:
-    """Simulate one trial over [0, horizon] and return log, ledger and trace.
+class TrialInputs(NamedTuple):
+    """One trial's random inputs, drawn by `draw_inputs` and replayed by `run_trial`.
 
-    `backoff_schedule(step, sensor_id)` may force backoff values for scripted
-    runs; returning None falls back to the uniform draw. Randomness comes from
-    three seeded streams (motion, measurement noise, backoff) so paired runs
-    of both architectures see identical trajectories and identical draws.
-    """
-    violations = validate(scenario)
+    `steps[k]` is sampling step k's (observations, collaborative ids,
+    observed-target count, backoff uniforms by sensor id before scaling by
+    the interval); the observations are the columns (sensor index, target id,
+    measured x, measured y), in noise-draw order."""
+
+    key: tuple  # input_key of the scenario they were drawn for
+    target_ids: tuple[int, ...]
+    sample_times: tuple[float, ...]
+    move_times: tuple[float, ...]
+    positions: tuple[np.ndarray, ...]  # before any move, then after each move
+    steps: tuple[tuple, ...]
+
+
+def input_key(scenario: Scenario) -> tuple:
+    """Every field the draws depend on, so scenarios with equal keys draw equal
+    inputs; backoff interval, delays, threshold, costs and architecture do not."""
+    p = scenario.protocol
+    return (scenario.environment, scenario.sensors, scenario.targets, scenario.dynamics,
+            p.sampling_period, p.horizon, p.noise_std, scenario.seed)
+
+
+def _times(period: float, first: int, horizon: float) -> tuple[float, ...]:
+    """first*period, (first+1)*period, ... while short of the horizon."""
+    multiples = (k * period for k in itertools.count(first))
+    return tuple(itertools.takewhile(lambda t: t < horizon - 1e-12, multiples))
+
+
+def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
+    """Draw target motion, observations, noise and backoff uniforms from three
+    seeded streams, each consumed in the order the README states. Raises
+    ScenarioError for an invalid scenario unless the caller has `checked` it."""
+    violations = [] if checked else validate(scenario)
     if violations:
         raise ScenarioError("; ".join(violations))
-
     proto = scenario.protocol
-    fb = scenario.architecture == Architecture.FB
-    # validated ids are 0..n-1, so sensors[i] has id i
-    specs = sorted(scenario.sensors, key=lambda s: s.id)
-    sensors = [SensorRuntime(s.id) for s in specs]
-    n_sensors = len(sensors)
-    eps = proto.trigger_threshold
-    horizon = proto.horizon
-
     base = np.random.SeedSequence(scenario.seed & 0xFFFFFFFFFFFFFFFF)
     # the generators np.random.default_rng builds, without its call overhead
     motion_rng, noise_rng, backoff_rng = (
         np.random.Generator(np.random.PCG64(s)) for s in base.spawn(3)
     )
-
+    sample_times = _times(proto.sampling_period, 0, proto.horizon)
+    move_times = _times(scenario.dynamics.move_period, 1, proto.horizon)
     world = initial_world(scenario)
-    tids = world.target_ids
+    positions = [world.positions]
+    for _ in move_times:
+        world = step_targets(world, scenario.dynamics, motion_rng)
+        positions.append(world.positions)
+    # validated ids are 0..n-1, so row i holds sensor i
+    specs = sorted(scenario.sensors, key=lambda s: s.id)
     centers = np.array([s.center for s in specs], dtype=float)
     radii = np.array([s.radius for s in specs], dtype=float)
+    tids = world.target_ids
+    steps = []
+    for t in sample_times:
+        pos = positions[bisect.bisect_right(move_times, t)]  # a move at t comes first
+        owners, rows = observed_rows(pos, centers, radii)
+        counts = np.bincount(rows, minlength=len(tids)).tolist()
+        values = measure(pos, rows, proto.noise_std, noise_rng)
+        # columns, not one tuple per observation: fewer objects for the cyclic GC to track
+        observations = (owners.tolist(), [tids[r] for r in rows.tolist()],
+                        values[:, 0].tolist(), values[:, 1].tolist())
+        steps.append((
+            tuple(map(tuple, observations)),
+            tuple(tid for tid, c in zip(tids, counts) if c >= 2),
+            len(counts) - counts.count(0),
+            tuple(backoff_rng.random(len(specs)).tolist()),
+        ))
+    return TrialInputs(
+        input_key(scenario), tids, sample_times, move_times, tuple(positions), tuple(steps)
+    )
+
+
+def run_trial(
+    scenario: Scenario,
+    backoff_schedule: Optional[BackoffSchedule] = None,
+    trajectory_out: Optional[list] = None,
+    inputs: Optional[TrialInputs] = None,
+) -> TrialResult:
+    """Simulate one trial over [0, horizon] and return log, ledger and trace.
+
+    `backoff_schedule(step, sensor_id)` may force backoff values for scripted
+    runs; returning None falls back to the uniform draw. `inputs` (drawn here
+    when None) may come from any scenario with the same `input_key`, so both
+    architectures and every backoff interval can replay one draw.
+    """
+    if inputs is None:
+        inputs = draw_inputs(scenario)
+    elif inputs.key != input_key(scenario):
+        raise ValueError("inputs were drawn for a scenario with different draws")
+
+    proto = scenario.protocol
+    fb = scenario.architecture == Architecture.FB
+    sensors = [SensorRuntime(i) for i in range(len(scenario.sensors))]
+    eps = proto.trigger_threshold
+    horizon = proto.horizon
+    tids = inputs.target_ids
+    positions = inputs.positions[0]
     estimator = EstimatorState(tids, scenario.environment.centroid)
     trace = EstimatorTrace()
-
-    sample_times = []
-    k = 0
-    while k * proto.sampling_period < horizon - 1e-12:
-        sample_times.append(k * proto.sampling_period)
-        k += 1
-    move_times = []
-    m = 1
-    while m * scenario.dynamics.move_period < horizon - 1e-12:
-        move_times.append(m * scenario.dynamics.move_period)
-        m += 1
-
     log = EventLog(architecture=scenario.architecture, protocol=proto)
-    ledger = PowerLedger(costs=scenario.costs, n_sensors=n_sensors, n_steps=len(sample_times))
-
-    def record_positions(t: float) -> None:
-        if trajectory_out is not None:
-            for tid, (x, y) in zip(tids, world.positions.tolist()):
-                trajectory_out.append((t, tid, x, y))
-
-    record_positions(0.0)
+    ledger = PowerLedger(scenario.costs, len(sensors), len(inputs.sample_times))
+    if trajectory_out is not None:  # every move lies before the horizon
+        for t, pos in zip((0.0, *inputs.move_times), inputs.positions):
+            trajectory_out.extend((t, tid, x, y) for tid, (x, y) in zip(tids, pos.tolist()))
 
     heap: list[tuple] = []
     seq = 0
@@ -223,9 +274,9 @@ def run_trial(
         heapq.heappush(heap, (time, order, key, seq, payload))
         seq += 1
 
-    for step, t in enumerate(sample_times):
+    for step, t in enumerate(inputs.sample_times):
         push(t, _SAMPLE, 0, step)
-    for i, t in enumerate(move_times):
+    for i, t in enumerate(inputs.move_times):
         push(t, _MOVE, 0, i)
 
     collab: frozenset[int] = frozenset()  # collaborative targets of the current step
@@ -241,22 +292,16 @@ def run_trial(
     def handle_sample(t: float, step: int) -> None:
         nonlocal collab
         drop_pending(t)  # stale unstarted transmissions are superseded by this step
-        owners, rows = observed_rows(world.positions, centers, radii)
-        counts = np.bincount(rows, minlength=len(tids)).tolist()
-        collab_ids = tuple(tid for tid, c in zip(tids, counts) if c >= 2)  # ascending, as tids
+        observations, collab_ids, observed, uniforms = inputs.steps[step]
         collab = frozenset(collab_ids)
-        log.append(t, "SAMPLE", step, CENTRAL, collab_ids, len(counts) - counts.count(0))
+        log.append(t, "SAMPLE", step, CENTRAL, collab_ids, observed)
 
-        draws = backoff_rng.random(n_sensors).tolist()
-        # one noise draw for every observation, in sensor-major row order
-        values = measure(world.positions, rows, proto.noise_std, noise_rng)
         scheduled: list[dict[int, tuple[float, float]]] = [{} for _ in sensors]
-        for idx, row, (vx, vy) in zip(owners.tolist(), rows.tolist(), values.tolist()):
-            tid = tids[row]
+        for idx, tid, vx, vy in zip(*observations):
             ack = sensors[idx].acknowledged.get(tid)
             if ack is None or math.hypot(vx - ack[0], vy - ack[1]) > eps:
                 scheduled[idx][tid] = (vx, vy)
-        for s, pending, draw in zip(sensors, scheduled, draws):
+        for s, pending, draw in zip(sensors, scheduled, uniforms):
             if not pending:
                 continue
             b = None
@@ -327,7 +372,7 @@ def run_trial(
                     log.append(t, "CANCEL", s.pending_step, s.id, (tid,), 1)
 
     # the error changes only when a fusion (TX_END) or a move does
-    inst = estimator.mean_squared_error(world.positions)
+    inst = estimator.mean_squared_error(positions)
     while heap:
         t, order, key, _, payload = heapq.heappop(heap)
         if t > horizon:
@@ -339,13 +384,12 @@ def run_trial(
             handle_tx_start(t, sensors[key], payload)
         elif order == _TX_END:
             handle_tx_end(t, sensors[key], payload)
-            inst = estimator.mean_squared_error(world.positions)
+            inst = estimator.mean_squared_error(positions)
         elif order == _FEEDBACK_END:
             handle_feedback_end(t, payload)
         else:  # _MOVE
-            world = step_targets(world, scenario.dynamics, motion_rng)
-            record_positions(t)
-            inst = estimator.mean_squared_error(world.positions)
+            positions = inputs.positions[payload + 1]
+            inst = estimator.mean_squared_error(positions)
     accumulate_mse(trace, inst, horizon - trace.last_time)
     # components still scheduled at the horizon would start after it
     drop_pending(horizon)

@@ -16,7 +16,7 @@ from gathersim.experiments import (
     trial_seed,
 )
 from gathersim.protocol import run_trial
-from gathersim.scenario import Architecture
+from gathersim.scenario import Architecture, ScenarioError
 
 
 def test_assumption1_layout_delays():
@@ -190,3 +190,47 @@ def test_run_tasks_caps_worker_processes(monkeypatch, jobs, tasks, cpus, started
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     assert experiments._run_tasks(list(range(tasks)), str, jobs) == [str(i) for i in range(tasks)]
     assert pools == ([] if started is None else [started])
+
+
+def reference_paired_grid(scenarios, trials):
+    """The grid as one task per (cell, trial), each paired trial drawing its
+    own inputs."""
+    return [[experiments.run_paired_trial(s, i) for i in range(trials)] for s in scenarios]
+
+
+def mixed_cells():
+    """Three cells that differ only in backoff (one above the sampling period),
+    then one each with another noise, sampling period and layout."""
+    base = assumption1_scenario(2, 2, 0, sampling_period=40.0, horizon=160.0, seed=21)
+    cells = [replace(base, protocol=replace(base.protocol, backoff_interval=b))
+             for b in (4.0, 25.0, 55.0)]
+    cells.append(replace(base, protocol=replace(base.protocol, noise_std=1.5)))
+    cells.append(replace(base, protocol=replace(base.protocol, sampling_period=35.0)))
+    cells.append(assumption1_scenario(3, 2, 0, sampling_period=40.0, horizon=160.0, seed=21))
+    return cells
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_paired_grid_matches_per_cell_trials(jobs):
+    cells = mixed_cells()
+    assert experiments.paired_grid(cells, 5, jobs) == reference_paired_grid(cells, 5)
+
+
+def test_paired_grid_draws_once_per_group_and_validates_each_cell_once(monkeypatch):
+    draws, checks = [], []
+    draw = experiments.draw_inputs
+    validate = experiments.validate
+    monkeypatch.setattr(experiments, "draw_inputs",
+                        lambda s, **kw: draws.append(s) or draw(s, **kw))
+    monkeypatch.setattr(experiments, "validate", lambda s: checks.append(s) or validate(s))
+    cells = mixed_cells()
+    experiments.paired_grid(cells, 3, 1)
+    assert len(draws) == 4 * 3  # four groups of cells with equal draws, three trials
+    assert checks == cells
+
+
+def test_paired_grid_rejects_an_invalid_cell():
+    cells = mixed_cells()
+    cells[2] = replace(cells[2], costs=replace(cells[2].costs, uplink_power=-1.0))
+    with pytest.raises(ScenarioError):
+        experiments.paired_grid(cells, 1, 1)

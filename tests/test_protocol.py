@@ -17,7 +17,7 @@ from scripted_cases import (
 from gathersim import geometry
 from gathersim.analytics import power_diff
 from gathersim.experiments import assumption1_scenario
-from gathersim.protocol import classify_step, run_trial
+from gathersim.protocol import classify_step, draw_inputs, run_trial
 from gathersim.scenario import (
     Architecture,
     CostParams,
@@ -320,6 +320,17 @@ def test_invalid_scenario_rejected():
     bad = replace(scn, protocol=replace(scn.protocol, sampling_period=-1.0))
     with pytest.raises(ScenarioError):
         run_trial(bad)
+
+
+def test_inputs_of_other_draws_rejected():
+    scn = single_sensor_scenario()
+    other = replace(scn, protocol=replace(scn.protocol, noise_std=0.5))
+    with pytest.raises(ValueError, match="different draws"):
+        run_trial(scn, inputs=draw_inputs(other))
+    # the backoff interval and the architecture do not change the draws
+    shared = replace(scn, architecture=Architecture.FB,
+                     protocol=replace(scn.protocol, backoff_interval=9.0))
+    assert run_trial(shared, inputs=draw_inputs(scn)).events.records
 
 
 def test_forced_backoff_outside_interval_rejected():

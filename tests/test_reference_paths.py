@@ -3,10 +3,12 @@
 Each reference below does the same arithmetic the simple way:
 numpy arrays and `np.mean` for the estimator, one distance test and one
 noise draw per sensor for the sampling step, one distance test per sensor
-for membership, and a per-target numpy-scalar loop for target motion. The
-fast paths must give exactly the same floats (compared with `==`, not a
-tolerance) and leave every random generator in the same state, since the
-golden CSVs and the paired-trial streams rest on that.
+for membership, a per-target numpy-scalar loop for target motion, draws
+made in event-time order as the engine once made them inside its loop, and
+a trial that draws its own inputs for replayed ones. The fast paths must
+give exactly the same floats (compared with `==`, not a tolerance) and leave
+every random generator in the same state, since the golden CSVs and the
+paired-trial streams rest on that.
 """
 
 import math
@@ -16,9 +18,19 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from gathersim.dynamics import WorldState, _confined_jump, measure, observed_rows, reflect, step_targets
+from gathersim.dynamics import (
+    WorldState,
+    _confined_jump,
+    initial_world,
+    measure,
+    observed_rows,
+    reflect,
+    step_targets,
+)
 from gathersim.estimation import EstimatorState
+from gathersim.experiments import assumption1_scenario
 from gathersim.geometry import membership
+from gathersim.protocol import draw_inputs, run_trial
 from gathersim.scenario import (
     Architecture,
     CostParams,
@@ -244,3 +256,137 @@ def test_step_targets_matches_reference(n, seed, move_step, move_probability, co
         assert np.array_equal(fast.positions, ref.positions)
         assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
         state = fast
+
+
+@st.composite
+def replay_scenarios(draw):
+    """Assumption-1 layouts (every target confined) whose move period is
+    shorter than, equal to or longer than the sampling period."""
+    sampling = draw(st.sampled_from([20.0, 45.0]))
+    scn = assumption1_scenario(
+        draw(st.integers(2, 3)),
+        draw(st.integers(1, 3)),
+        draw(st.integers(0, 1)),
+        sampling_period=sampling,
+        horizon=draw(st.sampled_from([3.0, 4.5])) * sampling,
+        noise_std=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        move_probability=draw(st.sampled_from([0.5, 1.0])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    move_period = sampling * draw(st.sampled_from([0.4, 1.0, 1.5]))
+    return replace(scn, dynamics=replace(scn.dynamics, move_period=move_period))
+
+
+def reference_draws(scenario):
+    """The draws in event-time order, a move before a sample at the same
+    instant, as the engine made them inside its event loop: a list of
+    ("move", positions) and ("sample", (sensor ids, target ids, measured x,
+    measured y), collaborative ids, observed count, backoff uniforms)
+    entries."""
+    base = np.random.SeedSequence(scenario.seed & 0xFFFFFFFFFFFFFFFF)
+    motion_rng, noise_rng, backoff_rng = (np.random.default_rng(s) for s in base.spawn(3))
+    proto = scenario.protocol
+    events = []
+    k = 0
+    while k * proto.sampling_period < proto.horizon - 1e-12:
+        events.append((k * proto.sampling_period, 1))
+        k += 1
+    m = 1
+    while m * scenario.dynamics.move_period < proto.horizon - 1e-12:
+        events.append((m * scenario.dynamics.move_period, 0))
+        m += 1
+    world = initial_world(scenario)
+    specs = sorted(scenario.sensors, key=lambda s: s.id)
+    out = []
+    for _, is_sample in sorted(events):
+        if not is_sample:
+            world = step_targets(world, scenario.dynamics, motion_rng)
+            out.append(("move", world.positions))
+            continue
+        observations, seen = [], {}
+        for spec in specs:
+            for row in range(len(world.target_ids)):
+                dx, dy = world.positions[row] - spec.center
+                if dx * dx + dy * dy <= spec.radius * spec.radius:
+                    observations.append((spec.id, world.target_ids[row]))
+                    seen[world.target_ids[row]] = seen.get(world.target_ids[row], 0) + 1
+        rows = [world.target_ids.index(tid) for _, tid in observations]
+        noise = noise_rng.standard_normal((len(rows), 2))
+        values = [world.positions[r] + proto.noise_std * n for r, n in zip(rows, noise)]
+        out.append((
+            "sample",
+            (tuple(i for i, _ in observations), tuple(tid for _, tid in observations),
+             tuple(x for x, _ in values), tuple(y for _, y in values)),
+            tuple(sorted(tid for tid, c in seen.items() if c >= 2)),
+            len(seen),
+            tuple(backoff_rng.random(len(specs))),
+        ))
+    return out
+
+
+@given(scenario=replay_scenarios())
+@settings(max_examples=60)
+def test_draw_inputs_matches_in_loop_order(scenario):
+    inputs = draw_inputs(scenario)
+    moves = iter(inputs.positions[1:])
+    steps = iter(inputs.steps)
+    for kind, *drawn in reference_draws(scenario):
+        if kind == "move":
+            assert np.array_equal(next(moves), drawn[0])
+        else:
+            assert next(steps) == tuple(drawn)
+    assert next(moves, None) is None and next(steps, None) is None
+
+
+def run_observed(scenario, **kwargs):
+    trajectory = []
+    result = run_trial(scenario, trajectory_out=trajectory, **kwargs)
+    return result.events.records, result.power.counts, result.trace.rows, trajectory
+
+
+@given(
+    scenario=replay_scenarios(),
+    # 1.3 of the sampling period starts some packets after the next sample
+    # (DROP rows) and ends others after it (carry-over)
+    backoff_fractions=st.lists(
+        st.sampled_from([0.05, 0.4, 0.9, 1.3]), min_size=2, max_size=3, unique=True
+    ),
+    forced=st.booleans(),
+)
+@settings(max_examples=60)
+def test_replayed_inputs_match_drawing_run(scenario, backoff_fractions, forced):
+    shared = draw_inputs(scenario)
+    for fraction in backoff_fractions:
+        interval = fraction * scenario.protocol.sampling_period
+
+        def schedule(step, sensor):
+            # forces every other sensor-step, falls back to the draw otherwise
+            return None if (step + sensor) % 2 else interval * ((3 * step + sensor) % 5) / 4
+
+        for arch in (Architecture.FB, Architecture.NF):
+            cell = replace(
+                scenario, architecture=arch,
+                protocol=replace(scenario.protocol, backoff_interval=interval),
+            )
+            kwargs = {"backoff_schedule": schedule} if forced else {}
+            replayed = run_observed(cell, inputs=shared, **kwargs)
+            drawn = run_observed(cell, **kwargs)
+            assert replayed[0] == drawn[0]
+            assert np.array_equal(replayed[1], drawn[1])
+            assert replayed[2:] == drawn[2:]
+
+
+def test_replay_cases_reach_drop_and_carry_over():
+    # the backoff fractions above the sampling period do reach both paths
+    scn = assumption1_scenario(3, 3, 0, sampling_period=20.0, horizon=90.0, seed=4)
+    shared = draw_inputs(scn)
+    cell = replace(scn, protocol=replace(scn.protocol, backoff_interval=26.0))
+    records = run_trial(cell, inputs=shared).events.records
+    sample_times = {r.step: r.time for r in records if r.kind == "SAMPLE"}
+    assert any(r.kind == "DROP" for r in records)
+    assert any(
+        r.kind in ("TX_END", "FEEDBACK_END") and r.step + 1 in sample_times
+        and r.time > sample_times[r.step + 1]
+        for r in records
+    )
+    assert records == run_trial(cell).events.records
