@@ -16,14 +16,19 @@ import numpy as np
 
 from .scenario import Point
 
+# fields with fewer targets are scored in plain Python: from 8 elements up,
+# np.add.reduce sums pairwise and its result can differ in the last bit
+SMALL_FIELD = 8
+
 
 class EstimatorState:
     """Per-target fused value, fusion count and epoch bookkeeping.
 
     Targets never seen are scored against `default_point` (normally the
     environment centroid) so the metric is defined from time zero. The
-    bookkeeping lives in Python lists, and `absorb` keeps an (n, 2) array of
-    the current estimates up to date for `mean_squared_error`. Steps are
+    bookkeeping lives in Python lists, and `absorb` keeps the current
+    estimates up to date for `mean_squared_error`: a list of (x, y) tuples
+    below `SMALL_FIELD` targets, an (n, 2) array from there up. Steps are
     >= 0, so an epoch of -1 marks a target with no estimate yet.
     """
 
@@ -33,7 +38,10 @@ class EstimatorState:
         self._sums = [[0.0, 0.0] for _ in range(n)]
         self._counts = [0] * n
         self._epochs = [-1] * n
-        self._estimates = np.full((n, 2), default_point, dtype=float)
+        if 0 < n < SMALL_FIELD:  # an empty field keeps numpy's nan score
+            self._estimates = [(float(default_point[0]), float(default_point[1]))] * n
+        else:
+            self._estimates = np.full((n, 2), default_point, dtype=float)
 
     def estimate(self, target_id: int) -> Point | None:
         row = self._row[target_id]
@@ -66,7 +74,17 @@ class EstimatorState:
         self._estimates[row] = (sums[0] / c, sums[1] / c)
 
     def mean_squared_error(self, positions: np.ndarray) -> float:
-        diff = self._estimates - positions
+        estimates = self._estimates
+        if type(estimates) is list:
+            # below SMALL_FIELD elements np.add.reduce adds left to right, so
+            # this sum is bit-identical to the array expression below
+            total = 0.0
+            for (ex, ey), (px, py) in zip(estimates, positions.tolist()):
+                dx = ex - px
+                dy = ey - py
+                total += dx * dx + dy * dy
+            return total / len(estimates)
+        diff = estimates - positions
         sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
         # np.mean's own sum and division (nan for no targets), without its overhead
         return float(np.add.reduce(sq) / len(sq))
@@ -90,17 +108,29 @@ class EstimatorTrace:
         return self.integral / horizon
 
 
-def accumulate_mse(trace: EstimatorTrace, inst: float, dt: float) -> None:
-    """Extend the error integral by dt at the instantaneous error `inst`.
+def accumulate_mse(trace: EstimatorTrace, times, errors) -> None:
+    """Extend the error integral to each of `times` in turn, holding the
+    matching entry of `errors` over the interval that ends there.
 
-    The engine recomputes `inst` with `EstimatorState.mean_squared_error` only
-    when the estimate (fusion) or the truth (a move) changes, and integrates
-    the cached value at every other event.
+    The engine passes one trial's series in a single call: the time of every
+    event it handles and then the horizon, each paired with the error in force
+    just before it. It recomputes the error with
+    `EstimatorState.mean_squared_error` only when the estimate (fusion) or the
+    truth (a move) changes.
     """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    now = trace.last_time + dt
-    if dt > 0:
-        trace.integral += dt * inst
-        trace.rows.append((now, inst, trace.integral))
-    trace.last_time = now
+    integral = trace.integral
+    last = trace.last_time
+    rows = trace.rows
+    try:
+        for t, inst in zip(times, errors):
+            dt = t - last
+            if dt < 0:
+                raise ValueError("dt must be nonnegative")
+            now = last + dt
+            if dt > 0:
+                integral += dt * inst
+                rows.append((now, inst, integral))
+            last = now
+    finally:
+        trace.integral = integral
+        trace.last_time = last

@@ -12,7 +12,8 @@ per component: uplink to the transmitter, feedback to the sensor whose packet
 elicited it (everyone else overhears for free).
 
 Event ordering at equal timestamps: target moves, then transmission ends, then
-feedback arrivals, then sampling, then transmission starts. A transmission
+feedback arrivals, then sampling, then transmission starts; within one kind,
+the lower sensor id first, then the event scheduled first. A transmission
 scheduled exactly at a feedback arrival is therefore not cancelled, and one
 scheduled exactly at the next sampling instant is dropped. Components still
 scheduled when the run ends are dropped at the horizon, so every triggered
@@ -65,12 +66,6 @@ class EventLog:
     protocol: ProtocolParams
     records: list[EventRecord] = field(default_factory=list)
 
-    def append(
-        self, time: float, kind: str, step: int, sensor: int,
-        targets: tuple[int, ...], size: int, value: Optional[float] = None,
-    ) -> None:
-        self.records.append(EventRecord(time, kind, step, sensor, targets, size, value))
-
     def to_csv(self, path) -> None:
         write_csv(path, "events", "time,kind,step,sensor,targets,size,value", (
             f"{r.time!r},{r.kind},{r.step},{r.sensor},{';'.join(map(str, r.targets))},"
@@ -98,15 +93,9 @@ class PowerLedger:
     ints, so they are exact whenever the costs are integers.
     """
 
-    def __init__(self, costs: CostParams, n_sensors: int, n_steps: int):
+    def __init__(self, costs: CostParams, counts: np.ndarray):
         self.costs = costs
-        self.counts = np.zeros((n_steps, n_sensors, 2), dtype=np.int64)
-
-    def add_uplink(self, step: int, sensor: int, components: int) -> None:
-        self.counts[step, sensor, 0] += components
-
-    def add_downlink(self, step: int, sensor: int, components: int) -> None:
-        self.counts[step, sensor, 1] += components
+        self.counts = counts  # int64, shape (steps, sensors, 2)
 
     def uplink_components(self) -> int:
         return int(self.counts[:, :, 0].sum())
@@ -137,19 +126,6 @@ def trace_to_csv(trace: EstimatorTrace, path) -> None:
     write_csv(path, "mse", "time,mse_instant,mse_integral", (
         f"{t!r},{inst!r},{integral!r}\n" for t, inst, integral in trace.rows
     ))
-
-
-class SensorRuntime:
-    """Mutable per-sensor protocol state for one trial."""
-
-    __slots__ = ("id", "acknowledged", "pending", "pending_step", "start_time")
-
-    def __init__(self, sensor_id: int):
-        self.id = sensor_id
-        self.acknowledged: dict[int, tuple[float, float]] = {}
-        self.pending: dict[int, tuple[float, float]] = {}
-        self.pending_step: int = -1
-        self.start_time: Optional[float] = None
 
 
 class TrialResult(NamedTuple):
@@ -253,148 +229,156 @@ def run_trial(
 
     proto = scenario.protocol
     fb = scenario.architecture == Architecture.FB
-    sensors = [SensorRuntime(i) for i in range(len(scenario.sensors))]
+    n_sensors = len(scenario.sensors)
+    sensor_ids = range(n_sensors)
     eps = proto.trigger_threshold
     horizon = proto.horizon
+    interval = proto.backoff_interval
+    uplink_delay, downlink_delay = proto.uplink_delay, proto.downlink_delay
     tids = inputs.target_ids
+    steps = inputs.steps
     positions = inputs.positions[0]
     estimator = EstimatorState(tids, scenario.environment.centroid)
-    trace = EstimatorTrace()
+    score, estimate = estimator.mean_squared_error, estimator.estimate
     log = EventLog(architecture=scenario.architecture, protocol=proto)
-    ledger = PowerLedger(scenario.costs, len(sensors), len(inputs.sample_times))
+    # records skip the NamedTuple constructor: tuple.__new__ costs half as much
+    new, record = tuple.__new__, log.records.append
     if trajectory_out is not None:  # every move lies before the horizon
         for t, pos in zip((0.0, *inputs.move_times), inputs.positions):
             trajectory_out.extend((t, tid, x, y) for tid, (x, y) in zip(tids, pos.tolist()))
 
-    heap: list[tuple] = []
-    seq = 0
+    # per-sensor protocol state, indexed by sensor id: the last value each
+    # sensor knows the central unit holds per target, and its scheduled but
+    # unstarted components with their step and start time
+    acknowledged: list[dict[int, tuple[float, float]]] = [{} for _ in sensor_ids]
+    pending: list[dict[int, tuple[float, float]]] = [{} for _ in sensor_ids]
+    pending_step = [-1] * n_sensors
+    start_time: list[Optional[float]] = [None] * n_sensors
+    n_steps = len(inputs.sample_times)
+    # (uplink, downlink) component counts at [2 * (step * n_sensors + sensor)]
+    power = [0] * (2 * n_steps * n_sensors)
 
-    def push(time: float, order: int, key: int, payload) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (time, order, key, seq, payload))
-        seq += 1
-
-    for step, t in enumerate(inputs.sample_times):
-        push(t, _SAMPLE, 0, step)
-    for i, t in enumerate(inputs.move_times):
-        push(t, _MOVE, 0, i)
-
-    collab: frozenset[int] = frozenset()  # collaborative targets of the current step
+    # entries (time, order code, sensor id, seq, payload): seq is unique, so
+    # the first four fields decide the pop order and payloads never compare
+    heap: list[tuple] = [(t, _SAMPLE, 0, k, k) for k, t in enumerate(inputs.sample_times)]
+    heap += [(t, _MOVE, 0, n_steps + i, i) for i, t in enumerate(inputs.move_times)]
+    heapq.heapify(heap)
+    seq = len(heap)
+    push, pop = heapq.heappush, heapq.heappop
 
     def drop_pending(t: float) -> None:
-        for s in sensors:
-            if s.pending:
-                dropped = tuple(sorted(s.pending))
-                log.append(t, "DROP", s.pending_step, s.id, dropped, len(dropped))
-                s.pending.clear()
-                s.start_time = None
+        for i in sensor_ids:
+            if pending[i]:
+                dropped = tuple(sorted(pending[i]))
+                record(new(EventRecord, (t, "DROP", pending_step[i], i, dropped, len(dropped), None)))
+                pending[i] = {}
+                start_time[i] = None
 
-    def handle_sample(t: float, step: int) -> None:
-        nonlocal collab
-        drop_pending(t)  # stale unstarted transmissions are superseded by this step
-        observations, collab_ids, observed, uniforms = inputs.steps[step]
-        collab = frozenset(collab_ids)
-        log.append(t, "SAMPLE", step, CENTRAL, collab_ids, observed)
-
-        scheduled: list[dict[int, tuple[float, float]]] = [{} for _ in sensors]
-        for idx, tid, vx, vy in zip(*observations):
-            ack = sensors[idx].acknowledged.get(tid)
-            if ack is None or math.hypot(vx - ack[0], vy - ack[1]) > eps:
-                scheduled[idx][tid] = (vx, vy)
-        for s, pending, draw in zip(sensors, scheduled, uniforms):
-            if not pending:
-                continue
-            b = None
-            if backoff_schedule is not None:
-                b = backoff_schedule(step, s.id)
-            if b is None:
-                b = draw * proto.backoff_interval
-            elif not (0.0 <= b <= proto.backoff_interval):
-                raise ValueError(
-                    f"forced backoff {b} for sensor {s.id} outside [0, {proto.backoff_interval}]"
-                )
-            s.pending = pending
-            s.pending_step = step
-            s.start_time = t + b
-            sched_ids = tuple(sorted(pending))
-            log.append(t, "TRIGGER", step, s.id, sched_ids, len(sched_ids))
-            log.append(t, "BACKOFF_SET", step, s.id, sched_ids, len(sched_ids), float(b))
-            push(t + b, _TX_START, s.id, step)
-
-    def handle_tx_start(t: float, sensor: SensorRuntime, step: int) -> None:
-        # a pending transmission always belongs to the current step: every
-        # SAMPLE drops what the previous step left unstarted
-        if sensor.pending_step != step or not sensor.pending:
-            return  # dropped or fully cancelled in the meantime
-        comps = tuple(sorted(sensor.pending.items()))
-        n = len(comps)
-        tgt = tuple(tid for tid, _ in comps)
-        packet = Packet(
-            sensor.id, step, comps, tuple(tid for tid in tgt if tid in collab),
-            n * proto.uplink_delay,
-        )
-        sensor.pending.clear()
-        sensor.start_time = None
-        ledger.add_uplink(step, sensor.id, n)
-        log.append(t, "TX_START", step, sensor.id, tgt, n)
-        push(t + packet.duration, _TX_END, sensor.id, packet)
-
-    def handle_tx_end(t: float, sensor: SensorRuntime, packet: Packet) -> None:
-        tgt = tuple(tid for tid, _ in packet.components)
-        log.append(t, "TX_END", packet.step, sensor.id, tgt, len(tgt))
-        fuse(estimator, packet)
-        sensor.acknowledged.update(packet.components)
-        if fb and packet.collaborative:
-            echo = tuple((tid, estimator.estimate(tid)) for tid in packet.collaborative)
-            m_count = len(echo)
-            ledger.add_downlink(packet.step, sensor.id, m_count)
-            log.append(t, "FEEDBACK_START", packet.step, sensor.id, packet.collaborative, m_count)
-            push(
-                t + m_count * proto.downlink_delay, _FEEDBACK_END, sensor.id,
-                (packet.step, sensor.id, echo),
-            )
-
-    def handle_feedback_end(t: float, payload) -> None:
-        step, elicitor, echo = payload
-        log.append(t, "FEEDBACK_END", step, elicitor, tuple(tid for tid, _ in echo), len(echo))
-        # only sensors with a scheduled-but-unstarted transmission react; a
-        # transmission starting exactly now counts as started (no cancel)
-        for s in sensors:
-            if not s.pending or s.start_time is None or s.start_time <= t:
-                continue
-            for tid, value in echo:
-                own = s.pending.get(tid)
-                if own is None:
-                    continue
-                if math.hypot(own[0] - value[0], own[1] - value[1]) <= eps:
-                    del s.pending[tid]
-                    s.acknowledged[tid] = value
-                    log.append(t, "CANCEL", s.pending_step, s.id, (tid,), 1)
-
-    # the error changes only when a fusion (TX_END) or a move does
-    inst = estimator.mean_squared_error(positions)
+    collab: frozenset[int] = frozenset()  # collaborative targets of the current step
+    # the error in force before each handled event, integrated in one call at
+    # the end; it changes only when a fusion (TX_END) or a move does
+    times: list[float] = []
+    errors: list[float] = []
+    add_time, add_error = times.append, errors.append
+    inst = score(positions)
     while heap:
-        t, order, key, _, payload = heapq.heappop(heap)
+        t, order, sid, _, payload = pop(heap)
         if t > horizon:
             break
-        accumulate_mse(trace, inst, t - trace.last_time)
+        add_time(t)
+        add_error(inst)
         if order == _SAMPLE:
-            handle_sample(t, payload)
+            step = payload
+            drop_pending(t)  # stale unstarted transmissions are superseded by this step
+            observations, collab_ids, observed, uniforms = steps[step]
+            collab = frozenset(collab_ids)
+            record(new(EventRecord, (t, "SAMPLE", step, CENTRAL, collab_ids, observed, None)))
+            scheduled: list[dict[int, tuple[float, float]]] = [{} for _ in sensor_ids]
+            for idx, tid, vx, vy in zip(*observations):
+                ack = acknowledged[idx].get(tid)
+                if ack is None or math.hypot(vx - ack[0], vy - ack[1]) > eps:
+                    scheduled[idx][tid] = (vx, vy)
+            for i, comps in enumerate(scheduled):
+                if not comps:
+                    continue
+                b = None
+                if backoff_schedule is not None:
+                    b = backoff_schedule(step, i)
+                if b is None:
+                    b = uniforms[i] * interval
+                elif not (0.0 <= b <= interval):
+                    raise ValueError(f"forced backoff {b} for sensor {i} outside [0, {interval}]")
+                pending[i] = comps
+                pending_step[i] = step
+                start_time[i] = t + b
+                ids = tuple(sorted(comps))
+                record(new(EventRecord, (t, "TRIGGER", step, i, ids, len(ids), None)))
+                record(new(EventRecord, (t, "BACKOFF_SET", step, i, ids, len(ids), float(b))))
+                push(heap, (t + b, _TX_START, i, seq, step))
+                seq += 1
         elif order == _TX_START:
-            handle_tx_start(t, sensors[key], payload)
+            # a pending transmission always belongs to the current step: every
+            # SAMPLE drops what the previous step left unstarted
+            step, comps = payload, pending[sid]
+            if pending_step[sid] != step or not comps:
+                continue  # dropped or fully cancelled in the meantime
+            tgt = tuple(sorted(comps))
+            n = len(tgt)
+            packet = new(Packet, (
+                sid, step, tuple(sorted(comps.items())),
+                tuple(filter(collab.__contains__, tgt)), n * uplink_delay,
+            ))
+            pending[sid] = {}
+            start_time[sid] = None
+            power[2 * (step * n_sensors + sid)] += n
+            record(new(EventRecord, (t, "TX_START", step, sid, tgt, n, None)))
+            push(heap, (t + packet.duration, _TX_END, sid, seq, (packet, tgt)))
+            seq += 1
         elif order == _TX_END:
-            handle_tx_end(t, sensors[key], payload)
-            inst = estimator.mean_squared_error(positions)
+            packet, tgt = payload
+            step = packet.step
+            record(new(EventRecord, (t, "TX_END", step, sid, tgt, len(tgt), None)))
+            fuse(estimator, packet)
+            acknowledged[sid].update(packet.components)
+            echo_ids = packet.collaborative
+            if fb and echo_ids:
+                echo = tuple(zip(echo_ids, map(estimate, echo_ids)))
+                m = len(echo)
+                power[2 * (step * n_sensors + sid) + 1] += m
+                record(new(EventRecord, (t, "FEEDBACK_START", step, sid, echo_ids, m, None)))
+                arrival = t + m * downlink_delay
+                push(heap, (arrival, _FEEDBACK_END, sid, seq, (step, echo_ids, echo)))
+                seq += 1
+            inst = score(positions)
         elif order == _FEEDBACK_END:
-            handle_feedback_end(t, payload)
+            step, echo_ids, echo = payload
+            record(new(EventRecord, (t, "FEEDBACK_END", step, sid, echo_ids, len(echo), None)))
+            # only sensors with a scheduled-but-unstarted transmission react; a
+            # transmission starting exactly now counts as started (no cancel)
+            for i in sensor_ids:
+                comps = pending[i]
+                if not comps or start_time[i] is None or start_time[i] <= t:
+                    continue
+                for tid, value in echo:
+                    own = comps.get(tid)
+                    if own is None:
+                        continue
+                    if math.hypot(own[0] - value[0], own[1] - value[1]) <= eps:
+                        del comps[tid]
+                        acknowledged[i][tid] = value
+                        record(new(EventRecord, (t, "CANCEL", pending_step[i], i, (tid,), 1, None)))
         else:  # _MOVE
             positions = inputs.positions[payload + 1]
-            inst = estimator.mean_squared_error(positions)
-    accumulate_mse(trace, inst, horizon - trace.last_time)
+            inst = score(positions)
+    add_time(horizon)
+    add_error(inst)
+    trace = EstimatorTrace()
+    accumulate_mse(trace, times, errors)
     # components still scheduled at the horizon would start after it
     drop_pending(horizon)
 
-    return TrialResult(events=log, power=ledger, trace=trace)
+    counts = np.array(power, dtype=np.int64).reshape(n_steps, n_sensors, 2)
+    return TrialResult(events=log, power=PowerLedger(scenario.costs, counts), trace=trace)
 
 
 @dataclass(frozen=True)

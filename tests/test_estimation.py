@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gathersim.estimation import EstimatorState, EstimatorTrace, accumulate_mse, fuse
+from gathersim.estimation import SMALL_FIELD, EstimatorState, EstimatorTrace, accumulate_mse, fuse
 from gathersim.protocol import Packet
 
 
@@ -91,11 +91,55 @@ def test_order_independence_within_epoch(values, seed):
     assert math.isclose(ay, by, rel_tol=0, abs_tol=1e-12 * max(1.0, abs(ay)))
 
 
+def left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+# squared errors from 1e-12 to 1e12, so small terms can vanish in a large sum
+SQUARE = st.builds(lambda m, e: m * 10.0**e, st.floats(0.0, 10.0), st.integers(-12, 12))
+
+
+@given(st.lists(SQUARE, min_size=1, max_size=SMALL_FIELD - 1))
+@settings(max_examples=300)
+def test_left_to_right_mean_is_numpy_mean_below_cutoff(sq):
+    # the identity the small-field path of mean_squared_error rests on
+    mine = left_to_right(sq) / len(sq)
+    numpy = float(np.add.reduce(np.array(sq)) / len(sq))
+    assert mine.hex() == numpy.hex()
+
+
+def test_numpy_sums_pairwise_from_cutoff():
+    # why SMALL_FIELD cannot be raised: from 8 elements numpy's sum is pairwise
+    sq = [0.1] * SMALL_FIELD
+    assert SMALL_FIELD == 8
+    assert float(np.add.reduce(np.array(sq))) == 0.8
+    assert left_to_right(sq) == 0.7999999999999999
+
+
+COORD = st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-6, 6))
+
+
+@given(st.lists(st.tuples(COORD, COORD, COORD, COORD), min_size=1, max_size=SMALL_FIELD + 2))
+@settings(max_examples=100)
+def test_mean_squared_error_is_numpy_expression_bitwise(rows):
+    # estimates and truth of mixed magnitude, below and from the cutoff
+    state = EstimatorState(range(len(rows)), (0.0, 0.0))
+    for tid, (ex, ey, _, _) in enumerate(rows):
+        state.absorb(tid, (ex, ey), 0)
+    positions = np.array([(px, py) for _, _, px, py in rows])
+    diff = np.array([(ex, ey) for ex, ey, _, _ in rows]) - positions
+    sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
+    assert state.mean_squared_error(positions).hex() == float(np.add.reduce(sq) / len(sq)).hex()
+
+
 def test_integral_zero_for_perfect_estimate():
     state = EstimatorState([0], (0.0, 0.0))
     fuse(state, packet(0, 0, [(0, (7.0, 8.0))]))
     trace = EstimatorTrace()
-    accumulate_mse(trace, mse(state, [(7.0, 8.0)]), 5.0)
+    accumulate_mse(trace, [5.0], [mse(state, [(7.0, 8.0)])])
     assert trace.integral == 0.0
 
 
@@ -103,14 +147,14 @@ def test_integral_known_increment():
     state = EstimatorState([0], (0.0, 0.0))
     fuse(state, packet(0, 0, [(0, (3.0, 4.0))]))
     trace = EstimatorTrace()
-    accumulate_mse(trace, mse(state, [(0.0, 0.0)]), 2.0)
+    accumulate_mse(trace, [2.0], [mse(state, [(0.0, 0.0)])])
     assert trace.integral == 50.0  # error vector (3,4): 25 per unit time
 
 
 def test_unseen_target_scored_against_default_point():
     state = EstimatorState([0], (10.0, 10.0))
     trace = EstimatorTrace()
-    accumulate_mse(trace, mse(state, [(13.0, 14.0)]), 1.0)
+    accumulate_mse(trace, [1.0], [mse(state, [(13.0, 14.0)])])
     assert trace.integral == 25.0
 
 
@@ -119,10 +163,10 @@ def test_integral_additivity():
     fuse(state, packet(0, 0, [(0, (3.0, 4.0))]))
     inst = mse(state, [(0.0, 0.0)])
     one = EstimatorTrace()
-    accumulate_mse(one, inst, 8.0)
+    accumulate_mse(one, [8.0], [inst])
     split = EstimatorTrace()
-    accumulate_mse(split, inst, 3.0)
-    accumulate_mse(split, inst, 5.0)
+    accumulate_mse(split, [3.0], [inst])
+    accumulate_mse(split, [8.0], [inst])
     assert abs(one.integral - split.integral) < 1e-12
     assert one.last_time == split.last_time
 
@@ -130,7 +174,7 @@ def test_integral_additivity():
 def test_negative_dt_rejected():
     state = EstimatorState([0], (0.0, 0.0))
     with pytest.raises(ValueError):
-        accumulate_mse(EstimatorTrace(), mse(state, [(0.0, 0.0)]), -1.0)
+        accumulate_mse(EstimatorTrace(), [-1.0], [mse(state, [(0.0, 0.0)])])
 
 
 def test_feedback_wins_mse_in_paired_trials():

@@ -1,0 +1,321 @@
+"""The event engine against a reference engine, record for record.
+
+`reference_trial` below is the engine as it was written before its loop was
+flattened: one closure per event kind, a `SensorRuntime` object per sensor,
+`EventRecord(...)` for every record, an int64 numpy ledger incremented per
+packet, `fuse` once per received packet, the error integrated at every event,
+and the error scored with numpy's pairwise sum whatever the field size.
+`run_trial` must give the same records, power counts, trace and trajectory,
+compared with `==`, on every input the strategies below reach: both
+architectures, forced backoffs, packets dropped at the next sample, packets
+that end after it, and fields below and from `SMALL_FIELD` targets up.
+"""
+
+import heapq
+import math
+from dataclasses import replace
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from gathersim.estimation import SMALL_FIELD, EstimatorState, EstimatorTrace, fuse
+from gathersim.experiments import assumption1_scenario
+from gathersim.protocol import CENTRAL, EventRecord, Packet, draw_inputs, run_trial
+from gathersim.scenario import Architecture, load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+_MOVE, _TX_END, _FEEDBACK_END, _SAMPLE, _TX_START = range(5)
+
+
+class SensorRuntime:
+    """Mutable per-sensor protocol state for one trial."""
+
+    def __init__(self, sensor_id):
+        self.id = sensor_id
+        self.acknowledged = {}
+        self.pending = {}
+        self.pending_step = -1
+        self.start_time = None
+
+
+class ReferenceResult(NamedTuple):
+    records: list
+    counts: np.ndarray
+    trace: EstimatorTrace
+    trajectory: list
+
+
+def numpy_mse(estimator, target_ids, default_point, positions):
+    """The error as the engine once scored it for every field: numpy's sum."""
+    estimates = np.array(
+        [estimator.estimate(tid) or default_point for tid in target_ids], dtype=float
+    )
+    diff = estimates - positions
+    sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
+    return float(np.add.reduce(sq) / len(sq))
+
+
+def integrate(trace, inst, dt):
+    """One event's step of the error integral."""
+    if dt < 0:
+        raise ValueError("dt must be nonnegative")
+    now = trace.last_time + dt
+    if dt > 0:
+        trace.integral += dt * inst
+        trace.rows.append((now, inst, trace.integral))
+    trace.last_time = now
+
+
+def reference_trial(scenario, inputs, backoff_schedule=None) -> ReferenceResult:
+    proto = scenario.protocol
+    fb = scenario.architecture == Architecture.FB
+    sensors = [SensorRuntime(i) for i in range(len(scenario.sensors))]
+    eps = proto.trigger_threshold
+    horizon = proto.horizon
+    tids = inputs.target_ids
+    positions = inputs.positions[0]
+    default_point = scenario.environment.centroid
+    estimator = EstimatorState(tids, default_point)
+    trace = EstimatorTrace()
+    records = []
+    counts = np.zeros((len(inputs.sample_times), len(sensors), 2), dtype=np.int64)
+    trajectory = []
+    for t, pos in zip((0.0, *inputs.move_times), inputs.positions):
+        trajectory.extend((t, tid, x, y) for tid, (x, y) in zip(tids, pos.tolist()))
+
+    def log(*fields):
+        records.append(EventRecord(*fields))
+
+    heap = []
+    seq = 0
+
+    def push(time, order, key, payload):
+        nonlocal seq
+        heapq.heappush(heap, (time, order, key, seq, payload))
+        seq += 1
+
+    for step, t in enumerate(inputs.sample_times):
+        push(t, _SAMPLE, 0, step)
+    for i, t in enumerate(inputs.move_times):
+        push(t, _MOVE, 0, i)
+
+    collab = frozenset()
+
+    def drop_pending(t):
+        for s in sensors:
+            if s.pending:
+                dropped = tuple(sorted(s.pending))
+                log(t, "DROP", s.pending_step, s.id, dropped, len(dropped))
+                s.pending.clear()
+                s.start_time = None
+
+    def handle_sample(t, step):
+        nonlocal collab
+        drop_pending(t)
+        observations, collab_ids, observed, uniforms = inputs.steps[step]
+        collab = frozenset(collab_ids)
+        log(t, "SAMPLE", step, CENTRAL, collab_ids, observed)
+        scheduled = [{} for _ in sensors]
+        for idx, tid, vx, vy in zip(*observations):
+            ack = sensors[idx].acknowledged.get(tid)
+            if ack is None or math.hypot(vx - ack[0], vy - ack[1]) > eps:
+                scheduled[idx][tid] = (vx, vy)
+        for s, pending, draw in zip(sensors, scheduled, uniforms):
+            if not pending:
+                continue
+            b = None
+            if backoff_schedule is not None:
+                b = backoff_schedule(step, s.id)
+            if b is None:
+                b = draw * proto.backoff_interval
+            s.pending = pending
+            s.pending_step = step
+            s.start_time = t + b
+            sched_ids = tuple(sorted(pending))
+            log(t, "TRIGGER", step, s.id, sched_ids, len(sched_ids))
+            log(t, "BACKOFF_SET", step, s.id, sched_ids, len(sched_ids), float(b))
+            push(t + b, _TX_START, s.id, step)
+
+    def handle_tx_start(t, sensor, step):
+        if sensor.pending_step != step or not sensor.pending:
+            return
+        comps = tuple(sorted(sensor.pending.items()))
+        n = len(comps)
+        tgt = tuple(tid for tid, _ in comps)
+        packet = Packet(
+            sensor.id, step, comps, tuple(tid for tid in tgt if tid in collab),
+            n * proto.uplink_delay,
+        )
+        sensor.pending.clear()
+        sensor.start_time = None
+        counts[step, sensor.id, 0] += n
+        log(t, "TX_START", step, sensor.id, tgt, n)
+        push(t + packet.duration, _TX_END, sensor.id, packet)
+
+    def handle_tx_end(t, sensor, packet):
+        tgt = tuple(tid for tid, _ in packet.components)
+        log(t, "TX_END", packet.step, sensor.id, tgt, len(tgt))
+        fuse(estimator, packet)
+        sensor.acknowledged.update(packet.components)
+        if fb and packet.collaborative:
+            echo = tuple((tid, estimator.estimate(tid)) for tid in packet.collaborative)
+            m_count = len(echo)
+            counts[packet.step, sensor.id, 1] += m_count
+            log(t, "FEEDBACK_START", packet.step, sensor.id, packet.collaborative, m_count)
+            push(
+                t + m_count * proto.downlink_delay, _FEEDBACK_END, sensor.id,
+                (packet.step, sensor.id, echo),
+            )
+
+    def handle_feedback_end(t, payload):
+        step, elicitor, echo = payload
+        log(t, "FEEDBACK_END", step, elicitor, tuple(tid for tid, _ in echo), len(echo))
+        for s in sensors:
+            if not s.pending or s.start_time is None or s.start_time <= t:
+                continue
+            for tid, value in echo:
+                own = s.pending.get(tid)
+                if own is None:
+                    continue
+                if math.hypot(own[0] - value[0], own[1] - value[1]) <= eps:
+                    del s.pending[tid]
+                    s.acknowledged[tid] = value
+                    log(t, "CANCEL", s.pending_step, s.id, (tid,), 1)
+
+    inst = numpy_mse(estimator, tids, default_point, positions)
+    while heap:
+        t, order, key, _, payload = heapq.heappop(heap)
+        if t > horizon:
+            break
+        integrate(trace, inst, t - trace.last_time)
+        if order == _SAMPLE:
+            handle_sample(t, payload)
+        elif order == _TX_START:
+            handle_tx_start(t, sensors[key], payload)
+        elif order == _TX_END:
+            handle_tx_end(t, sensors[key], payload)
+            inst = numpy_mse(estimator, tids, default_point, positions)
+        elif order == _FEEDBACK_END:
+            handle_feedback_end(t, payload)
+        else:
+            positions = inputs.positions[payload + 1]
+            inst = numpy_mse(estimator, tids, default_point, positions)
+    integrate(trace, inst, horizon - trace.last_time)
+    drop_pending(horizon)
+    return ReferenceResult(records, counts, trace, trajectory)
+
+
+def assert_engine_matches_reference(scenario, inputs, backoff_schedule=None):
+    trajectory = []
+    got = run_trial(scenario, backoff_schedule, trajectory, inputs)
+    want = reference_trial(scenario, inputs, backoff_schedule)
+    assert got.events.records == want.records
+    # same field types too (an int size printed as 3.0 would change the CSV)
+    assert list(map(repr, got.events.records)) == list(map(repr, want.records))
+    assert got.power.counts.dtype == want.counts.dtype
+    assert np.array_equal(got.power.counts, want.counts)
+    assert got.trace.rows == want.trace.rows
+    assert got.trace.integral == want.trace.integral
+    assert got.trace.last_time == want.trace.last_time
+    assert trajectory == want.trajectory
+    return want
+
+
+# (set size, collaborative targets, unique targets per sensor) of every
+# feasible assumption-1 layout with up to 3 of each, by field size
+LAYOUTS = [(m, c, u) for m in (2, 3) for c in (1, 2, 3) for u in (0, 1, 2, 3)]
+SMALL = [lay for lay in LAYOUTS if lay[1] + lay[0] * lay[2] < SMALL_FIELD]
+LARGE = [lay for lay in LAYOUTS if lay[1] + lay[0] * lay[2] >= SMALL_FIELD]
+
+
+@st.composite
+def fields(draw, layouts):
+    """Assumption-1 fields (every target confined) whose move period is
+    shorter than, equal to or longer than the sampling period."""
+    set_size, collab, unique = draw(st.sampled_from(layouts))
+    sampling = draw(st.sampled_from([20.0, 45.0]))
+    scn = assumption1_scenario(
+        set_size, collab, unique,
+        sampling_period=sampling,
+        horizon=draw(st.sampled_from([3.0, 4.5])) * sampling,
+        noise_std=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        move_probability=draw(st.sampled_from([0.5, 1.0])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    move_period = sampling * draw(st.sampled_from([0.4, 1.0, 1.5]))
+    return replace(scn, dynamics=replace(scn.dynamics, move_period=move_period))
+
+
+def forced_schedule(interval):
+    """Forces every other sensor-step and falls back to the draw otherwise."""
+    return lambda step, sensor: (
+        None if (step + sensor) % 2 else interval * ((3 * step + sensor) % 5) / 4
+    )
+
+
+def check_cells(scenario, backoff_fractions, forced):
+    """Both architectures at each backoff interval, replaying one draw."""
+    inputs = draw_inputs(scenario)
+    for fraction in backoff_fractions:
+        interval = fraction * scenario.protocol.sampling_period
+        for arch in (Architecture.FB, Architecture.NF):
+            cell = replace(
+                scenario, architecture=arch,
+                protocol=replace(scenario.protocol, backoff_interval=interval),
+            )
+            assert_engine_matches_reference(cell, inputs, forced_schedule(interval) if forced else None)
+
+
+# 1.3 of the sampling period starts some packets after the next sample (DROP
+# rows) and ends others after it (carry-over)
+BACKOFF_FRACTIONS = st.lists(
+    st.sampled_from([0.05, 0.4, 0.9, 1.3]), min_size=2, max_size=3, unique=True
+)
+
+
+@given(scenario=fields(SMALL), backoff_fractions=BACKOFF_FRACTIONS, forced=st.booleans())
+@settings(max_examples=60)
+def test_engine_matches_reference_on_small_fields(scenario, backoff_fractions, forced):
+    check_cells(scenario, backoff_fractions, forced)
+
+
+@given(scenario=fields(LARGE), backoff_fractions=BACKOFF_FRACTIONS, forced=st.booleans())
+@settings(max_examples=30)
+def test_engine_matches_reference_on_large_fields(scenario, backoff_fractions, forced):
+    check_cells(scenario, backoff_fractions, forced)
+
+
+@given(
+    name=st.sampled_from(["minimal.yaml", "setting1.yaml"]),
+    seed=st.integers(0, 2**63 - 1),
+    backoff_fractions=BACKOFF_FRACTIONS,
+    forced=st.booleans(),
+)
+@example(name="setting1.yaml", seed=2, backoff_fractions=[200.0 / 150.0, 40.0 / 150.0], forced=False)
+@settings(max_examples=20)
+def test_engine_matches_reference_on_scenario_files(name, seed, backoff_fractions, forced):
+    # minimal: one sensor, one target; setting1: overlapping sets of four
+    # sensors with unique components, 15 targets
+    check_cells(load_scenario(SCENARIOS / name, seed=seed), backoff_fractions, forced)
+
+
+def test_reference_cases_reach_drop_carry_over_and_cancel():
+    # the strategies' parameters do reach the paths the engine must get right
+    scn = assumption1_scenario(3, 3, 0, sampling_period=20.0, horizon=90.0, seed=4)
+    inputs = draw_inputs(scn)
+    kinds = set()
+    for fraction in (0.4, 1.3):
+        cell = replace(scn, protocol=replace(scn.protocol, backoff_interval=fraction * 20.0))
+        records = assert_engine_matches_reference(cell, inputs).records
+        kinds |= {r.kind for r in records}
+        sample_times = {r.step: r.time for r in records if r.kind == "SAMPLE"}
+        if fraction > 1:
+            assert any(
+                r.kind in ("TX_END", "FEEDBACK_END") and r.step + 1 in sample_times
+                and r.time > sample_times[r.step + 1]
+                for r in records
+            )
+    assert {"DROP", "CANCEL", "FEEDBACK_END"} <= kinds
