@@ -10,7 +10,6 @@ comparison is qualitative; symmetric layouts agree more closely.
 """
 
 import argparse
-from dataclasses import replace
 from pathlib import Path
 
 from gathersim import analytics, experiments
@@ -68,7 +67,7 @@ LAYOUTS = {
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=200)
-    parser.add_argument("--jobs", type=int, default=experiments.default_jobs())
+    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default="out/general")
     args = parser.parse_args()
 
@@ -80,10 +79,7 @@ def main() -> int:
         estimates = analytics.approx_params(base)
         mean_delay = sum(e.delay_estimate for e in estimates) / len(estimates)
         backoffs = [mean_delay / x for x in xs]
-        scenarios = [
-            replace(base, protocol=replace(base.protocol, backoff_interval=b)) for b in backoffs
-        ]
-        grid = experiments.paired_grid(scenarios, args.trials, args.jobs)
+        grid = experiments.paired_grid(base, backoffs, args.trials, args.jobs)
         rows = []
         agree = 0
         for x, backoff, outcomes in zip(xs, backoffs, grid):

@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import analytics, experiments, geometry, svgplot
-from .protocol import run_trial, trace_to_csv, write_csv
+from .protocol import draw_inputs, run_trial, trace_to_csv, write_csv
 from .scenario import (
     ScenarioError,
     check_keys,
@@ -65,14 +65,17 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario, args.override, args.seed)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    trajectory = [] if args.dump_trajectory else None
-    result = run_trial(scenario, trajectory_out=trajectory)
+    inputs = draw_inputs(scenario)
+    result = run_trial(scenario, inputs=inputs)
     result.events.to_csv(out / "events.csv")
     result.power.to_csv(out / "power.csv")
     trace_to_csv(result.trace, out / "mse.csv")
-    if trajectory is not None:
-        write_csv(out / "trajectory.csv", "trajectory", "time,target_id,x,y",
-                  (f"{t!r},{tid},{x!r},{y!r}\n" for t, tid, x, y in trajectory))
+    if args.dump_trajectory:  # every move lies before the horizon
+        write_csv(out / "trajectory.csv", "trajectory", "time,target_id,x,y", (
+            f"{t!r},{tid},{x!r},{y!r}\n"
+            for t, pos in zip((0.0, *inputs.move_times), inputs.positions)
+            for tid, (x, y) in zip(inputs.target_ids, pos.tolist())
+        ))
     if args.dump_structure:
         structure = geometry.initial_structure(scenario)
         lines = [
@@ -202,7 +205,6 @@ def cmd_analyze(args) -> int:
         raise ScenarioError(f"{', '.join(closed_form)} cannot be combined with --scenario")
     if (args.x is None) != (args.y is None):
         raise ScenarioError("--x and --y must be given together")
-    printed = False
     if args.scenario:
         scenario = load_scenario(args.scenario)
         estimates = analytics.approx_params(scenario)
@@ -231,12 +233,18 @@ def cmd_analyze(args) -> int:
         )
         return 0
 
+    if args.x is not None and args.setsize is None:
+        raise ScenarioError("--x and --y need --setsize")
+    missing = [n for n in ("ts", "dtu", "numin", "eps", "sigma") if getattr(args, n) is None]
+    if 0 < len(missing) < 5:
+        raise ScenarioError(f"--{missing[0]} is required for the accuracy condition")
+    if args.setsize is None and missing:
+        raise ScenarioError("analyze needs --setsize, accuracy parameters, or --scenario")
     if args.setsize is not None:
         if args.setsize < 2:
             raise ScenarioError("--setsize must be >= 2")
         thr = analytics.feasibility(args.setsize)
         print(f"feasibility_threshold(set_size={args.setsize}) = {thr:.6g}")
-        printed = True
         if args.x is not None:
             if not (0.0 <= args.x <= 1.0):
                 raise ScenarioError("--x must be within [0, 1]")
@@ -248,10 +256,7 @@ def cmd_analyze(args) -> int:
             print(f"g(x={args.x:.6g}, y={args.y:.6g}, set_size={args.setsize}) = {g:.6g}")
             print(f"verdict: {'advantageous' if g > 0 else 'not advantageous'}")
 
-    if args.eps is not None or args.sigma is not None:
-        for name in ("ts", "dtu", "numin", "eps", "sigma"):
-            if getattr(args, name) is None:
-                raise ScenarioError(f"--{name} is required for the accuracy condition")
+    if not missing:
         _print_accuracy(
             analytics.MseAdvantageParams(
                 trigger_threshold=args.eps,
@@ -261,10 +266,6 @@ def cmd_analyze(args) -> int:
                 min_unique=args.numin,
             )
         )
-        printed = True
-
-    if not printed:
-        raise ScenarioError("analyze needs --setsize, accuracy parameters, or --scenario")
     return 0
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import geometry
 from .analytics import AdvantagePoint, raster_region
-from .protocol import TrialInputs, draw_inputs, input_key, run_trial, write_csv
+from .protocol import TrialInputs, draw_inputs, run_trial, write_csv
 from .scenario import (
     Architecture,
     CostParams,
@@ -117,13 +117,6 @@ class SweepSpec:
     uplink_powers: tuple[float, ...]
     trials: int
 
-    def cells(self) -> list[Scenario]:
-        """The base scenario at each backoff interval, in grid order."""
-        return [
-            replace(self.base, protocol=replace(self.base.protocol, backoff_interval=float(tb)))
-            for tb in self.backoff_intervals
-        ]
-
     def check(self) -> None:
         """Raise ScenarioError unless every (backoff, uplink cost) point is valid."""
         if self.trials < 1:
@@ -133,7 +126,7 @@ class SweepSpec:
         if not self.uplink_powers:
             raise ScenarioError("uplink_powers must be nonempty")
         violations = dict.fromkeys(
-            v for cell in self.cells() for up in self.uplink_powers
+            v for cell in _cells(self.base, self.backoff_intervals) for up in self.uplink_powers
             for v in validate(replace(cell, costs=replace(cell.costs, uplink_power=up)))
         )
         if violations:
@@ -167,10 +160,6 @@ class SweepResult:
         ))
 
 
-def default_jobs() -> int:
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 def _run_tasks(tasks, worker, jobs: int):
     """`worker` over `tasks`, results in task order for any worker count."""
     # the pool forks all max_workers at the first submit, so cap them here
@@ -182,31 +171,34 @@ def _run_tasks(tasks, worker, jobs: int):
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
-def _grid_trial(scenarios: Sequence[Scenario], i: int) -> list[PairedOutcome]:
-    """Trial i of every cell; cells with equal `input_key` replay one draw."""
-    drawn: dict[tuple, TrialInputs] = {}
-    out = []
-    for s in scenarios:
-        key = input_key(s)
-        if key not in drawn:
-            drawn[key] = draw_inputs(replace(s, seed=trial_seed(s.seed, i)), checked=True)
-        out.append(run_paired_trial(s, i, drawn[key]))
-    return out
+def _cells(base: Scenario, backoff_intervals: Sequence[float]) -> list[Scenario]:
+    """The base scenario at each backoff interval, in grid order."""
+    return [replace(base, protocol=replace(base.protocol, backoff_interval=float(tb)))
+            for tb in backoff_intervals]
 
 
-def paired_grid(scenarios: Sequence[Scenario], trials: int, jobs: int) -> list[list[PairedOutcome]]:
-    """Paired trials 0..trials-1 of every scenario (one grid cell each).
+def _grid_trial(base: Scenario, cells: Sequence[Scenario], i: int) -> list[PairedOutcome]:
+    """Trial i of every cell, each replaying the trial's one draw."""
+    inputs = draw_inputs(replace(base, seed=trial_seed(base.seed, i)), checked=True)
+    return [run_paired_trial(cell, i, inputs) for cell in cells]
 
-    Returns one list per scenario, in trial order. Trial i of a cell is seeded
-    from the cell's seed and i, so cells with equal `input_key` replay the
-    same draws (common random numbers), and the outcomes do not depend on the
-    worker count. A task is one trial index; the scenarios travel with the worker.
+
+def paired_grid(
+    base: Scenario, backoff_intervals: Sequence[float], trials: int, jobs: int
+) -> list[list[PairedOutcome]]:
+    """Paired trials 0..trials-1 of `base` at every backoff interval (one grid cell each).
+
+    Returns one list per interval, in trial order. Trial i is drawn once, from
+    the base seed and i, and every cell replays that draw (common random
+    numbers), so the outcomes do not depend on the worker count. A task is one
+    trial index; the cells travel with the worker.
     """
-    violations = dict.fromkeys(v for s in scenarios for v in validate(s))
+    cells = _cells(base, backoff_intervals)
+    violations = dict.fromkeys(v for cell in cells for v in validate(cell))
     if violations:
         raise ScenarioError("; ".join(violations))
-    per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, scenarios), jobs)
-    return [[outs[cell] for outs in per_trial] for cell in range(len(scenarios))]
+    per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, base, cells), jobs)
+    return [[outs[k] for outs in per_trial] for k in range(len(cells))]
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
@@ -216,7 +208,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     (backoff, trial) order, so they are independent of worker count.
     """
     spec.check()
-    grid = paired_grid(spec.cells(), spec.trials, jobs)
+    grid = paired_grid(spec.base, spec.backoff_intervals, spec.trials, jobs)
 
     down = spec.base.costs.downlink_power
     result = SweepResult()
@@ -407,19 +399,10 @@ def region_experiment(
     collaborative = 3
     lead_delay = collaborative * UPLINK_DELAY + collaborative * DOWNLINK_DELAY
     sampling = max(200.0, lead_delay / min(xs) + lead_delay + 10.0)
-    scenarios = [
-        assumption1_scenario(
-            set_size,
-            collaborative,
-            0,
-            backoff_interval=lead_delay / x,
-            sampling_period=sampling,
-            horizon=5.0 * sampling,
-            seed=seed,
-        )
-        for x in xs
-    ]
-    grid = paired_grid(scenarios, trials, jobs)
+    base = assumption1_scenario(
+        set_size, collaborative, 0, sampling_period=sampling, horizon=5.0 * sampling, seed=seed
+    )
+    grid = paired_grid(base, [lead_delay / x for x in xs], trials, jobs)
 
     points = raster_region(set_size, xs, ys)  # x-major, like the grid
     for k, cell in enumerate(points):

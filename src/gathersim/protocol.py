@@ -27,7 +27,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,8 +39,6 @@ CENTRAL = -1  # sensor id used for central-unit rows in logs
 
 # event codes in heap entries; their order breaks ties at equal times
 _MOVE, _TX_END, _FEEDBACK_END, _SAMPLE, _TX_START = range(5)
-
-BackoffSchedule = Callable[[int, int], Optional[float]]
 
 
 def write_csv(path, kind: str, header: str, lines: Iterable[str]) -> None:
@@ -209,18 +207,12 @@ def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
     )
 
 
-def run_trial(
-    scenario: Scenario,
-    backoff_schedule: Optional[BackoffSchedule] = None,
-    trajectory_out: Optional[list] = None,
-    inputs: Optional[TrialInputs] = None,
-) -> TrialResult:
+def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> TrialResult:
     """Simulate one trial over [0, horizon] and return log, ledger and trace.
 
-    `backoff_schedule(step, sensor_id)` may force backoff values for scripted
-    runs; returning None falls back to the uniform draw. `inputs` (drawn here
-    when None) may come from any scenario with the same `input_key`, so both
-    architectures and every backoff interval can replay one draw.
+    `inputs` (drawn here when None) may come from any scenario with the same
+    `input_key`, so both architectures and every backoff interval can replay
+    one draw.
     """
     if inputs is None:
         inputs = draw_inputs(scenario)
@@ -243,9 +235,6 @@ def run_trial(
     log = EventLog(architecture=scenario.architecture, protocol=proto)
     # records skip the NamedTuple constructor: tuple.__new__ costs half as much
     new, record = tuple.__new__, log.records.append
-    if trajectory_out is not None:  # every move lies before the horizon
-        for t, pos in zip((0.0, *inputs.move_times), inputs.positions):
-            trajectory_out.extend((t, tid, x, y) for tid, (x, y) in zip(tids, pos.tolist()))
 
     # per-sensor protocol state, indexed by sensor id: the last value each
     # sensor knows the central unit holds per target, and its scheduled but
@@ -301,13 +290,7 @@ def run_trial(
             for i, comps in enumerate(scheduled):
                 if not comps:
                     continue
-                b = None
-                if backoff_schedule is not None:
-                    b = backoff_schedule(step, i)
-                if b is None:
-                    b = uniforms[i] * interval
-                elif not (0.0 <= b <= interval):
-                    raise ValueError(f"forced backoff {b} for sensor {i} outside [0, {interval}]")
+                b = uniforms[i] * interval
                 pending[i] = comps
                 pending_step[i] = step
                 start_time[i] = t + b

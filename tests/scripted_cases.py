@@ -1,15 +1,16 @@
 """Shared scripted-backoff machinery for exact power-difference checks.
 
 Builds symmetric scenarios where every sensor schedules identical packets at
-step 0, forces the backoff draws, and evaluates both architectures with the
-same script. The informed set is computed independently from the forced
-values and the known propagation delay, never from the simulator.
+step 0, forces the backoffs in the trial's drawn inputs, and evaluates both
+architectures on those inputs. The informed set is computed independently
+from the forced values and the known propagation delay, never from the
+simulator.
 """
 
 from dataclasses import replace
 
 from gathersim.experiments import assumption1_scenario
-from gathersim.protocol import run_trial
+from gathersim.protocol import draw_inputs, run_trial
 from gathersim.scenario import Architecture, CostParams
 
 UPLINK_POWER = 2
@@ -18,12 +19,14 @@ DOWNLINK_POWER = 1
 
 def scripted_scenario(set_size, collab, unique=0, seed=77):
     """Propagation delay (collab + unique) * 2 + collab * 1: uplink and
-    downlink delays are 2 and 1 per component."""
+    downlink delays are 2 and 1 per component. The backoff interval is a
+    power of two, so every forced backoff survives the round trip through
+    its uniform exactly."""
     scenario = assumption1_scenario(
         set_size,
         collab,
         unique,
-        backoff_interval=50.0,
+        backoff_interval=64.0,
         sampling_period=100.0,
         horizon=100.0,
         noise_std=1e-9,
@@ -67,8 +70,26 @@ def informed_from_table(table, tau):
     return lead, informed
 
 
+def forced_inputs(scenario, backoffs):
+    """`draw_inputs(scenario)` with the backoffs of step k forced to
+    `backoffs[k]`, one value per sensor id; other steps keep their draws.
+
+    The engine scales each uniform by the backoff interval, so a forced
+    backoff b becomes the uniform b / interval, which must give b back.
+    """
+    interval = scenario.protocol.backoff_interval
+    inputs = draw_inputs(scenario)
+    steps = list(inputs.steps)
+    for k, table in backoffs.items():
+        uniforms = tuple(b / interval for b in table)
+        assert len(uniforms) == len(steps[k][3]), "one backoff per sensor"
+        assert [u * interval for u in uniforms] == list(table), (table, interval)
+        steps[k] = (*steps[k][:3], uniforms)
+    return inputs._replace(steps=tuple(steps))
+
+
 def run_scripted_pair(scenario, table):
-    schedule = lambda step, sid: table[sid] if step == 0 else None
-    fb = run_trial(replace(scenario, architecture=Architecture.FB), backoff_schedule=schedule)
-    nf = run_trial(replace(scenario, architecture=Architecture.NF), backoff_schedule=schedule)
+    inputs = forced_inputs(scenario, {0: table})
+    fb = run_trial(replace(scenario, architecture=Architecture.FB), inputs=inputs)
+    nf = run_trial(replace(scenario, architecture=Architecture.NF), inputs=inputs)
     return fb, nf

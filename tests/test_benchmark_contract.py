@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import gathersim.cli
 import gathersim.experiments
 from gathersim.cli import main
 from gathersim.protocol import EventLog, PowerLedger, run_trial
@@ -69,6 +70,25 @@ def test_region_trials_all_log_events(monkeypatch):
     gathersim.experiments.region_experiment(2, [0.3, 0.7], [1.0], trials=3)
     assert len(logged) == 2 * 3 * 2  # cells x trials x architectures
     assert all(logged)
+
+
+def test_simulate_runs_one_logged_trial(monkeypatch, setting1_path, tmp_path):
+    # on the scale workload model_counts wraps cli.run_trial and divides the
+    # event count by the number of calls, dumps included
+    logged = []
+
+    def counting(*args, **kwargs):
+        result = run_trial(*args, **kwargs)
+        logged.append(len(result.events.records))
+        return result
+
+    monkeypatch.setattr(gathersim.cli, "run_trial", counting)
+    assert main([
+        "simulate", str(setting1_path), "--out", str(tmp_path),
+        "--dump-trajectory", "--dump-structure",
+    ]) == 0
+    assert len(logged) == 1 and logged[0] > 0
+    assert (tmp_path / "trajectory.csv").exists()
 
 
 def test_checks_imports_resolve():

@@ -122,6 +122,7 @@ BAD_INPUTS = {
     "analyze_x_without_y": (None, ["analyze", "--setsize", 3, "--x", 0.2]),
     "analyze_y_without_x": (None, ["analyze", "--setsize", 3, "--y", 2]),
     "analyze_nan_cost_ratio": (None, ["analyze", "--setsize", 3, "--x", 0.2, "--y", "nan"]),
+    "analyze_numin_alone": (None, ["analyze", "--numin", 2]),
     "validate_misspelt_confine": (
         MINIMAL.replace("[5.0, 5.0]}", "[5.0, 5.0], confined: {center: [5.0, 5.0], radius: 2.0}}"),
         ["validate", "INPUT"],
@@ -269,6 +270,19 @@ def test_thin_lens_pair_is_a_collaborative_set(setting1_path, tmp_path, capsys):
 
 def test_analyze_requires_arguments():
     assert run(["analyze"]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--x", 0.3, "--y", 2, "--ts", 150, "--dtu", 2, "--numin", 1, "--eps", 2, "--sigma", 0.1],
+     "--x and --y need --setsize"),
+    (["--setsize", 3, "--ts", 150], "--dtu is required for the accuracy condition"),
+    (["--setsize", 3, "--eps", 2, "--sigma", 0.1], "--ts is required for the accuracy condition"),
+])
+def test_analyze_rejects_flags_it_would_ignore(capsys, argv, message):
+    assert run(["analyze", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing half printed before the error
+    assert message in captured.err
 
 
 def test_analyze_bad_parameters():

@@ -2,8 +2,10 @@ import math
 import statistics
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scripted_cases import forced_inputs
 
 from gathersim import experiments, geometry
 from gathersim.experiments import (
@@ -15,7 +17,7 @@ from gathersim.experiments import (
     run_sweep,
     trial_seed,
 )
-from gathersim.protocol import run_trial
+from gathersim.protocol import draw_inputs, run_trial
 from gathersim.scenario import Architecture, ScenarioError
 
 
@@ -36,7 +38,7 @@ def test_assumption1_layout_delays():
 
 def test_assumption1_two_sensors_two_components_each():
     scn = assumption1_scenario(2, 1, 1, noise_std=1e-9, move_probability=0.0)
-    res = run_trial(scn, backoff_schedule=lambda k, s: float(s))
+    res = run_trial(scn, inputs=forced_inputs(scn, {0: (0.0, 1.0)}))
     sizes = [r.size for r in res.events.records if r.kind == "TX_START" and r.step == 0]
     assert sizes == [2, 2]
 
@@ -64,11 +66,11 @@ def test_paired_seed_coupling_log_equality():
 
 def test_paired_trajectories_identical():
     scn = assumption1_scenario(3, 3, 0, backoff_interval=30.0, seed=3)
-    traj_fb: list = []
-    traj_nf: list = []
-    run_trial(replace(scn, architecture=Architecture.FB), trajectory_out=traj_fb)
-    run_trial(replace(scn, architecture=Architecture.NF), trajectory_out=traj_nf)
-    assert traj_fb == traj_nf
+    fb = draw_inputs(replace(scn, architecture=Architecture.FB))
+    nf = draw_inputs(replace(scn, architecture=Architecture.NF))
+    assert fb.move_times == nf.move_times
+    assert len(fb.positions) == len(nf.positions) > 1
+    assert all(map(np.array_equal, fb.positions, nf.positions))
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60))
@@ -192,45 +194,36 @@ def test_run_tasks_caps_worker_processes(monkeypatch, jobs, tasks, cpus, started
     assert pools == ([] if started is None else [started])
 
 
-def reference_paired_grid(scenarios, trials):
+def reference_paired_grid(base, backoff_intervals, trials):
     """The grid as one task per (cell, trial), each paired trial drawing its
     own inputs."""
-    return [[experiments.run_paired_trial(s, i) for i in range(trials)] for s in scenarios]
-
-
-def mixed_cells():
-    """Three cells that differ only in backoff (one above the sampling period),
-    then one each with another noise, sampling period and layout."""
-    base = assumption1_scenario(2, 2, 0, sampling_period=40.0, horizon=160.0, seed=21)
     cells = [replace(base, protocol=replace(base.protocol, backoff_interval=b))
-             for b in (4.0, 25.0, 55.0)]
-    cells.append(replace(base, protocol=replace(base.protocol, noise_std=1.5)))
-    cells.append(replace(base, protocol=replace(base.protocol, sampling_period=35.0)))
-    cells.append(assumption1_scenario(3, 2, 0, sampling_period=40.0, horizon=160.0, seed=21))
-    return cells
+             for b in backoff_intervals]
+    return [[experiments.run_paired_trial(s, i) for i in range(trials)] for s in cells]
+
+
+GRID_BASE = assumption1_scenario(2, 2, 0, sampling_period=40.0, horizon=160.0, seed=21)
+GRID_BACKOFFS = (4.0, 25.0, 55.0)  # the last is above the sampling period
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_paired_grid_matches_per_cell_trials(jobs):
-    cells = mixed_cells()
-    assert experiments.paired_grid(cells, 5, jobs) == reference_paired_grid(cells, 5)
+    assert (experiments.paired_grid(GRID_BASE, GRID_BACKOFFS, 5, jobs)
+            == reference_paired_grid(GRID_BASE, GRID_BACKOFFS, 5))
 
 
-def test_paired_grid_draws_once_per_group_and_validates_each_cell_once(monkeypatch):
+def test_paired_grid_draws_once_per_trial_and_validates_each_cell_once(monkeypatch):
     draws, checks = [], []
     draw = experiments.draw_inputs
     validate = experiments.validate
     monkeypatch.setattr(experiments, "draw_inputs",
                         lambda s, **kw: draws.append(s) or draw(s, **kw))
     monkeypatch.setattr(experiments, "validate", lambda s: checks.append(s) or validate(s))
-    cells = mixed_cells()
-    experiments.paired_grid(cells, 3, 1)
-    assert len(draws) == 4 * 3  # four groups of cells with equal draws, three trials
-    assert checks == cells
+    experiments.paired_grid(GRID_BASE, GRID_BACKOFFS, 3, 1)
+    assert [s.seed for s in draws] == [trial_seed(GRID_BASE.seed, i) for i in range(3)]
+    assert [s.protocol.backoff_interval for s in checks] == list(GRID_BACKOFFS)
 
 
 def test_paired_grid_rejects_an_invalid_cell():
-    cells = mixed_cells()
-    cells[2] = replace(cells[2], costs=replace(cells[2].costs, uplink_power=-1.0))
     with pytest.raises(ScenarioError):
-        experiments.paired_grid(cells, 1, 1)
+        experiments.paired_grid(GRID_BASE, (4.0, -1.0, 55.0), 1, 1)

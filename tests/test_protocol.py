@@ -9,6 +9,7 @@ from scripted_cases import (
     DOWNLINK_POWER,
     UPLINK_POWER,
     backoff_tables,
+    forced_inputs,
     informed_from_table,
     run_scripted_pair,
     scripted_scenario,
@@ -94,9 +95,9 @@ def test_idle_step_classifies_empty():
     fb, _ = run_scripted_pair(scn, (1.0, 5.0))
     # static targets: nothing triggers at later steps; classify a fresh run
     # with a longer horizon instead
-    scn2 = replace(scn, protocol=replace(scn.protocol, horizon=200.0))
-    fb2 = run_trial(replace(scn2, architecture=Architecture.FB),
-                    backoff_schedule=lambda k, s: (1.0, 5.0)[s] if k == 0 else None)
+    scn2 = replace(scn, architecture=Architecture.FB,
+                   protocol=replace(scn.protocol, horizon=200.0))
+    fb2 = run_trial(scn2, inputs=forced_inputs(scn2, {0: (1.0, 5.0)}))
     assert classify_step(fb2.events, [frozenset({0, 1})], 1) == []
 
 
@@ -304,10 +305,11 @@ def test_drop_when_backoff_crosses_next_sample():
     scn = scripted_scenario(2, 1)
     scn = replace(
         scn,
-        protocol=replace(scn.protocol, backoff_interval=400.0, horizon=300.0),
+        architecture=Architecture.NF,
+        protocol=replace(scn.protocol, backoff_interval=256.0, horizon=300.0),
     )
-    schedule = lambda step, sid: 200.0 if step == 0 else 10.0
-    res = run_trial(replace(scn, architecture=Architecture.NF), backoff_schedule=schedule)
+    backoffs = {0: (200.0, 200.0), 1: (10.0, 10.0), 2: (10.0, 10.0)}
+    res = run_trial(scn, inputs=forced_inputs(scn, backoffs))
     step0 = [r for r in res.events.records if r.step == 0]
     assert {r.sensor for r in step0 if r.kind == "DROP"} == {0, 1}
     assert not [r for r in step0 if r.kind == "TX_START"]
@@ -331,12 +333,6 @@ def test_inputs_of_other_draws_rejected():
     shared = replace(scn, architecture=Architecture.FB,
                      protocol=replace(scn.protocol, backoff_interval=9.0))
     assert run_trial(shared, inputs=draw_inputs(scn)).events.records
-
-
-def test_forced_backoff_outside_interval_rejected():
-    scn = scripted_scenario(2, 1)
-    with pytest.raises(ValueError):
-        run_trial(scn, backoff_schedule=lambda k, s: 500.0)
 
 
 def test_feedback_arriving_exactly_at_tx_start_does_not_cancel():

@@ -5,10 +5,10 @@ flattened: one closure per event kind, a `SensorRuntime` object per sensor,
 `EventRecord(...)` for every record, an int64 numpy ledger incremented per
 packet, `fuse` once per received packet, the error integrated at every event,
 and the error scored with numpy's pairwise sum whatever the field size.
-`run_trial` must give the same records, power counts, trace and trajectory,
-compared with `==`, on every input the strategies below reach: both
-architectures, forced backoffs, packets dropped at the next sample, packets
-that end after it, and fields below and from `SMALL_FIELD` targets up.
+`run_trial` must give the same records, power counts and trace, compared
+with `==`, on every input the strategies below reach: both architectures,
+backoffs forced in the drawn inputs, packets dropped at the next sample,
+packets that end after it, and fields below and from `SMALL_FIELD` targets up.
 """
 
 import heapq
@@ -45,7 +45,6 @@ class ReferenceResult(NamedTuple):
     records: list
     counts: np.ndarray
     trace: EstimatorTrace
-    trajectory: list
 
 
 def numpy_mse(estimator, target_ids, default_point, positions):
@@ -69,7 +68,7 @@ def integrate(trace, inst, dt):
     trace.last_time = now
 
 
-def reference_trial(scenario, inputs, backoff_schedule=None) -> ReferenceResult:
+def reference_trial(scenario, inputs) -> ReferenceResult:
     proto = scenario.protocol
     fb = scenario.architecture == Architecture.FB
     sensors = [SensorRuntime(i) for i in range(len(scenario.sensors))]
@@ -82,9 +81,6 @@ def reference_trial(scenario, inputs, backoff_schedule=None) -> ReferenceResult:
     trace = EstimatorTrace()
     records = []
     counts = np.zeros((len(inputs.sample_times), len(sensors), 2), dtype=np.int64)
-    trajectory = []
-    for t, pos in zip((0.0, *inputs.move_times), inputs.positions):
-        trajectory.extend((t, tid, x, y) for tid, (x, y) in zip(tids, pos.tolist()))
 
     def log(*fields):
         records.append(EventRecord(*fields))
@@ -126,11 +122,7 @@ def reference_trial(scenario, inputs, backoff_schedule=None) -> ReferenceResult:
         for s, pending, draw in zip(sensors, scheduled, uniforms):
             if not pending:
                 continue
-            b = None
-            if backoff_schedule is not None:
-                b = backoff_schedule(step, s.id)
-            if b is None:
-                b = draw * proto.backoff_interval
+            b = draw * proto.backoff_interval
             s.pending = pending
             s.pending_step = step
             s.start_time = t + b
@@ -205,13 +197,12 @@ def reference_trial(scenario, inputs, backoff_schedule=None) -> ReferenceResult:
             inst = numpy_mse(estimator, tids, default_point, positions)
     integrate(trace, inst, horizon - trace.last_time)
     drop_pending(horizon)
-    return ReferenceResult(records, counts, trace, trajectory)
+    return ReferenceResult(records, counts, trace)
 
 
-def assert_engine_matches_reference(scenario, inputs, backoff_schedule=None):
-    trajectory = []
-    got = run_trial(scenario, backoff_schedule, trajectory, inputs)
-    want = reference_trial(scenario, inputs, backoff_schedule)
+def assert_engine_matches_reference(scenario, inputs):
+    got = run_trial(scenario, inputs=inputs)
+    want = reference_trial(scenario, inputs)
     assert got.events.records == want.records
     # same field types too (an int size printed as 3.0 would change the CSV)
     assert list(map(repr, got.events.records)) == list(map(repr, want.records))
@@ -220,7 +211,6 @@ def assert_engine_matches_reference(scenario, inputs, backoff_schedule=None):
     assert got.trace.rows == want.trace.rows
     assert got.trace.integral == want.trace.integral
     assert got.trace.last_time == want.trace.last_time
-    assert trajectory == want.trajectory
     return want
 
 
@@ -249,16 +239,24 @@ def fields(draw, layouts):
     return replace(scn, dynamics=replace(scn.dynamics, move_period=move_period))
 
 
-def forced_schedule(interval):
-    """Forces every other sensor-step and falls back to the draw otherwise."""
-    return lambda step, sensor: (
-        None if (step + sensor) % 2 else interval * ((3 * step + sensor) % 5) / 4
+def with_forced_backoffs(inputs):
+    """`inputs` with every other sensor-step's backoff uniform forced to a
+    multiple of 1/4, so zero, full-interval and tied backoffs occur; the
+    other sensor-steps keep their draws."""
+    steps = tuple(
+        (*step[:3], tuple(
+            u if (k + i) % 2 else ((3 * k + i) % 5) / 4 for i, u in enumerate(step[3])
+        ))
+        for k, step in enumerate(inputs.steps)
     )
+    return inputs._replace(steps=steps)
 
 
 def check_cells(scenario, backoff_fractions, forced):
     """Both architectures at each backoff interval, replaying one draw."""
     inputs = draw_inputs(scenario)
+    if forced:
+        inputs = with_forced_backoffs(inputs)
     for fraction in backoff_fractions:
         interval = fraction * scenario.protocol.sampling_period
         for arch in (Architecture.FB, Architecture.NF):
@@ -266,7 +264,7 @@ def check_cells(scenario, backoff_fractions, forced):
                 scenario, architecture=arch,
                 protocol=replace(scenario.protocol, backoff_interval=interval),
             )
-            assert_engine_matches_reference(cell, inputs, forced_schedule(interval) if forced else None)
+            assert_engine_matches_reference(cell, inputs)
 
 
 # 1.3 of the sampling period starts some packets after the next sample (DROP

@@ -338,10 +338,9 @@ def test_draw_inputs_matches_in_loop_order(scenario):
     assert next(moves, None) is None and next(steps, None) is None
 
 
-def run_observed(scenario, **kwargs):
-    trajectory = []
-    result = run_trial(scenario, trajectory_out=trajectory, **kwargs)
-    return result.events.records, result.power.counts, result.trace.rows, trajectory
+def run_observed(scenario, inputs=None):
+    result = run_trial(scenario, inputs=inputs)
+    return result.events.records, result.power.counts, result.trace.rows
 
 
 @given(
@@ -351,29 +350,22 @@ def run_observed(scenario, **kwargs):
     backoff_fractions=st.lists(
         st.sampled_from([0.05, 0.4, 0.9, 1.3]), min_size=2, max_size=3, unique=True
     ),
-    forced=st.booleans(),
 )
 @settings(max_examples=60)
-def test_replayed_inputs_match_drawing_run(scenario, backoff_fractions, forced):
+def test_replayed_inputs_match_drawing_run(scenario, backoff_fractions):
     shared = draw_inputs(scenario)
     for fraction in backoff_fractions:
         interval = fraction * scenario.protocol.sampling_period
-
-        def schedule(step, sensor):
-            # forces every other sensor-step, falls back to the draw otherwise
-            return None if (step + sensor) % 2 else interval * ((3 * step + sensor) % 5) / 4
-
         for arch in (Architecture.FB, Architecture.NF):
             cell = replace(
                 scenario, architecture=arch,
                 protocol=replace(scenario.protocol, backoff_interval=interval),
             )
-            kwargs = {"backoff_schedule": schedule} if forced else {}
-            replayed = run_observed(cell, inputs=shared, **kwargs)
-            drawn = run_observed(cell, **kwargs)
+            replayed = run_observed(cell, shared)
+            drawn = run_observed(cell)
             assert replayed[0] == drawn[0]
             assert np.array_equal(replayed[1], drawn[1])
-            assert replayed[2:] == drawn[2:]
+            assert replayed[2] == drawn[2]
 
 
 def test_replay_cases_reach_drop_and_carry_over():
