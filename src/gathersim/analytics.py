@@ -154,6 +154,9 @@ def mse_advantage(params: MseAdvantageParams) -> tuple[float, bool]:
     With noise_std = 0 the ratio is infinite and the condition always holds,
     since the threshold is finite.
     """
+    for name in ("trigger_threshold", "noise_std", "sampling_period", "uplink_delay"):
+        if not math.isfinite(getattr(params, name)):
+            raise ValueError(f"{name} must be finite")
     for name in ("trigger_threshold", "sampling_period", "uplink_delay"):
         if getattr(params, name) <= 0:
             raise ValueError(f"{name} must be > 0")

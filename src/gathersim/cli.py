@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import analytics, experiments, geometry, svgplot
-from .protocol import draw_inputs, run_trial, trace_to_csv, write_csv
+from .protocol import PowerLedger, draw_inputs, run_trial, trace_to_csv, write_csv
 from .scenario import (
     ScenarioError,
     check_keys,
@@ -65,10 +65,11 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario, args.override, args.seed)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    inputs = draw_inputs(scenario)
+    inputs = draw_inputs(scenario, checked=True)  # load_scenario has validated it
     result = run_trial(scenario, inputs=inputs)
+    costs = scenario.costs
     result.events.to_csv(out / "events.csv")
-    result.power.to_csv(out / "power.csv")
+    PowerLedger(result.events, costs, len(scenario.sensors)).to_csv(out / "power.csv")
     trace_to_csv(result.trace, out / "mse.csv")
     if args.dump_trajectory:  # every move lies before the horizon
         write_csv(out / "trajectory.csv", "trajectory", "time,target_id,x,y", (
@@ -86,9 +87,10 @@ def cmd_simulate(args) -> int:
                   for sensor in sorted(structure.unique_counts)]
         write_csv(out / "structure.csv", "structure", "kind,members,count", lines)
     kinds = Counter(r.kind for r in result.events.records)
+    total_power = result.uplink * costs.uplink_power + result.downlink * costs.downlink_power
     print(
         f"architecture={scenario.architecture.value} "
-        f"total_power_norm={result.power.normalized_total_power()!r} "
+        f"total_power_norm={total_power / costs.uplink_power!r} "
         f"time_avg_mse={result.trace.time_average(scenario.protocol.horizon)!r} "
         f"cancels={kinds['CANCEL']} "
         f"drops={kinds['DROP']} "
@@ -187,15 +189,66 @@ def cmd_region(args) -> int:
     return 0
 
 
-def _print_accuracy(params: analytics.MseAdvantageParams) -> None:
+def _accuracy_line(*params) -> str:
+    """The accuracy condition for MseAdvantageParams(*params), as one line."""
+    params = analytics.MseAdvantageParams(*params)
     try:
         threshold, ok = analytics.mse_advantage(params)
     except ValueError as e:
         raise ScenarioError(str(e)) from e
-    print(
+    return (
         f"mse_ratio_threshold = {threshold:.6g} "
         f"(threshold/noise = {params.noise_ratio:.6g}: {'satisfied' if ok else 'not satisfied'})"
     )
+
+
+def _scenario_lines(args) -> list[str]:
+    scenario = load_scenario(args.scenario)
+    estimates = analytics.approx_params(scenario)
+    if not estimates:
+        raise ScenarioError("no sensor belongs to any collaborative set")
+    y = scenario.costs.cost_ratio
+    lines = [f"cost ratio y = {y:.6g} (uplink/downlink)",
+             "sensor  delay_est  delay_ratio  set_size_est  g  advantage"]
+    for est in estimates:
+        g = analytics.sensor_advantage(est, y, 1.0)
+        lines.append(
+            f"{est.sensor_id}  {est.delay_estimate:.6g}  {est.delay_ratio:.6g}  "
+            f"{est.set_size_estimate:.6g}  {g:.6g}  {'yes' if g > 0 else 'no'}"
+        )
+    frac, verdict = analytics.approx_network_advantage(estimates, y)
+    lines.append(f"network advantage vote: {frac:.6g} -> {'advantageous' if verdict else 'not-advantageous'}")
+    p = scenario.protocol
+    numin = 1 if args.numin is None else args.numin
+    lines.append(_accuracy_line(p.trigger_threshold, p.noise_std, p.sampling_period, p.uplink_delay, numin))
+    return lines
+
+
+def _closed_form_lines(args) -> list[str]:
+    if args.x is not None and args.setsize is None:
+        raise ScenarioError("--x and --y need --setsize")
+    missing = [n for n in ("ts", "dtu", "numin", "eps", "sigma") if getattr(args, n) is None]
+    if 0 < len(missing) < 5:
+        raise ScenarioError(f"--{missing[0]} is required for the accuracy condition")
+    if args.setsize is None and missing:
+        raise ScenarioError("analyze needs --setsize, accuracy parameters, or --scenario")
+    lines = []
+    if args.setsize is not None:
+        if args.setsize < 2:
+            raise ScenarioError("--setsize must be >= 2")
+        thr = analytics.feasibility(args.setsize)
+        lines.append(f"feasibility_threshold(set_size={args.setsize}) = {thr:.6g}")
+        if args.x is not None:
+            if not (0.0 <= args.x <= 1.0):
+                raise ScenarioError("--x must be within [0, 1]")
+            if not args.y > 0:
+                raise ScenarioError("--y must be > 0")
+            g = analytics.advantage_poly(analytics.AdvantageParams(args.x, args.y, args.setsize))
+            lines.append(f"g(x={args.x:.6g}, y={args.y:.6g}, set_size={args.setsize}) = {g:.6g}")
+            lines.append(f"verdict: {'advantageous' if g > 0 else 'not advantageous'}")
+    if not missing:
+        lines.append(_accuracy_line(args.eps, args.sigma, args.ts, args.dtu, args.numin))
+    return lines
 
 
 def cmd_analyze(args) -> int:
@@ -205,67 +258,11 @@ def cmd_analyze(args) -> int:
         raise ScenarioError(f"{', '.join(closed_form)} cannot be combined with --scenario")
     if (args.x is None) != (args.y is None):
         raise ScenarioError("--x and --y must be given together")
-    if args.scenario:
-        scenario = load_scenario(args.scenario)
-        estimates = analytics.approx_params(scenario)
-        if not estimates:
-            raise ScenarioError("no sensor belongs to any collaborative set")
-        y = scenario.costs.cost_ratio
-        print(f"cost ratio y = {y:.6g} (uplink/downlink)")
-        print("sensor  delay_est  delay_ratio  set_size_est  g  advantage")
-        for est in estimates:
-            g = analytics.sensor_advantage(est, y, 1.0)
-            print(
-                f"{est.sensor_id}  {est.delay_estimate:.6g}  {est.delay_ratio:.6g}  "
-                f"{est.set_size_estimate:.6g}  {g:.6g}  {'yes' if g > 0 else 'no'}"
-            )
-        frac, verdict = analytics.approx_network_advantage(estimates, y)
-        print(f"network advantage vote: {frac:.6g} -> {'advantageous' if verdict else 'not-advantageous'}")
-        proto = scenario.protocol
-        _print_accuracy(
-            analytics.MseAdvantageParams(
-                trigger_threshold=proto.trigger_threshold,
-                noise_std=proto.noise_std,
-                sampling_period=proto.sampling_period,
-                uplink_delay=proto.uplink_delay,
-                min_unique=1 if args.numin is None else args.numin,
-            )
-        )
-        return 0
-
-    if args.x is not None and args.setsize is None:
-        raise ScenarioError("--x and --y need --setsize")
-    missing = [n for n in ("ts", "dtu", "numin", "eps", "sigma") if getattr(args, n) is None]
-    if 0 < len(missing) < 5:
-        raise ScenarioError(f"--{missing[0]} is required for the accuracy condition")
-    if args.setsize is None and missing:
-        raise ScenarioError("analyze needs --setsize, accuracy parameters, or --scenario")
-    if args.setsize is not None:
-        if args.setsize < 2:
-            raise ScenarioError("--setsize must be >= 2")
-        thr = analytics.feasibility(args.setsize)
-        print(f"feasibility_threshold(set_size={args.setsize}) = {thr:.6g}")
-        if args.x is not None:
-            if not (0.0 <= args.x <= 1.0):
-                raise ScenarioError("--x must be within [0, 1]")
-            if not args.y > 0:
-                raise ScenarioError("--y must be > 0")
-            g = analytics.advantage_poly(
-                analytics.AdvantageParams(x=args.x, y=args.y, set_size=args.setsize)
-            )
-            print(f"g(x={args.x:.6g}, y={args.y:.6g}, set_size={args.setsize}) = {g:.6g}")
-            print(f"verdict: {'advantageous' if g > 0 else 'not advantageous'}")
-
-    if not missing:
-        _print_accuracy(
-            analytics.MseAdvantageParams(
-                trigger_threshold=args.eps,
-                noise_std=args.sigma,
-                sampling_period=args.ts,
-                uplink_delay=args.dtu,
-                min_unique=args.numin,
-            )
-        )
+    for name in ("x", "y", "ts", "dtu", "eps", "sigma"):
+        if not math.isfinite(getattr(args, name) or 0):  # None stands for an absent flag
+            raise ScenarioError(f"--{name} must be finite")
+    # every line is computed before the first is printed, so an error prints nothing
+    print("\n".join(_scenario_lines(args) if args.scenario else _closed_form_lines(args)))
     return 0
 
 

@@ -10,7 +10,7 @@ constantly between events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,41 +96,34 @@ def fuse(state: EstimatorState, packet) -> None:
         state.absorb(tid, value, packet.step)
 
 
-@dataclass
-class EstimatorTrace:
+class EstimatorTrace(NamedTuple):
     """Time series of instantaneous MSE and its running integral."""
 
-    rows: list[tuple[float, float, float]] = field(default_factory=list)
-    integral: float = 0.0
-    last_time: float = 0.0
+    rows: list[tuple[float, float, float]]
+    integral: float
 
     def time_average(self, horizon: float) -> float:
         return self.integral / horizon
 
 
-def accumulate_mse(trace: EstimatorTrace, times, errors) -> None:
-    """Extend the error integral to each of `times` in turn, holding the
-    matching entry of `errors` over the interval that ends there.
+def accumulate_mse(times, errors) -> EstimatorTrace:
+    """Integrate the error from time zero to each of `times` in turn, holding
+    the matching entry of `errors` over the interval that ends there.
 
-    The engine passes one trial's series in a single call: the time of every
-    event it handles and then the horizon, each paired with the error in force
-    just before it. It recomputes the error with
-    `EstimatorState.mean_squared_error` only when the estimate (fusion) or the
-    truth (a move) changes.
+    The engine passes one trial's series: the time of every event it handles
+    and then the horizon, each paired with the error in force just before it.
+    It recomputes the error with `EstimatorState.mean_squared_error` only when
+    the estimate (fusion) or the truth (a move) changes.
     """
-    integral = trace.integral
-    last = trace.last_time
-    rows = trace.rows
-    try:
-        for t, inst in zip(times, errors):
-            dt = t - last
-            if dt < 0:
-                raise ValueError("dt must be nonnegative")
-            now = last + dt
-            if dt > 0:
-                integral += dt * inst
-                rows.append((now, inst, integral))
-            last = now
-    finally:
-        trace.integral = integral
-        trace.last_time = last
+    integral = last = 0.0
+    rows = []
+    for t, inst in zip(times, errors):
+        dt = t - last
+        if dt < 0:
+            raise ValueError("dt must be nonnegative")
+        now = last + dt
+        if dt > 0:
+            integral += dt * inst
+            rows.append((now, inst, integral))
+        last = now
+    return EstimatorTrace(rows, integral)

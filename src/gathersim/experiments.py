@@ -100,10 +100,10 @@ def run_paired_trial(
     fb = run_trial(replace(trial, architecture=Architecture.FB), inputs=inputs)
     nf = run_trial(replace(trial, architecture=Architecture.NF), inputs=inputs)
     return PairedOutcome(
-        fb_uplink=fb.power.uplink_components(),
-        fb_downlink=fb.power.downlink_components(),
+        fb_uplink=fb.uplink,
+        fb_downlink=fb.downlink,
         fb_mse=fb.trace.time_average(horizon),
-        nf_uplink=nf.power.uplink_components(),
+        nf_uplink=nf.uplink,
         nf_mse=nf.trace.time_average(horizon),
     )
 

@@ -83,40 +83,28 @@ class Packet(NamedTuple):
     duration: float
 
 
-class PowerLedger:
-    """Per-step, per-sensor uplink/downlink component counts and charges.
+class PowerLedger(NamedTuple):
+    """A trial's power charges per (step, sensor), read off its event log:
+    each TX_START size at the uplink cost to its sender, each FEEDBACK_START
+    size at the downlink cost to the sensor whose packet elicited it."""
 
-    `counts[step, sensor]` holds the (uplink, downlink) component counts.
-    Charges are counts times the per-component costs, computed on Python
-    ints, so they are exact whenever the costs are integers.
-    """
-
-    def __init__(self, costs: CostParams, counts: np.ndarray):
-        self.costs = costs
-        self.counts = counts  # int64, shape (steps, sensors, 2)
-
-    def uplink_components(self) -> int:
-        return int(self.counts[:, :, 0].sum())
-
-    def downlink_components(self) -> int:
-        return int(self.counts[:, :, 1].sum())
-
-    def charge(self, up: int, down: int):
-        return up * self.costs.uplink_power + down * self.costs.downlink_power
-
-    def total_power(self):
-        return self.charge(self.uplink_components(), self.downlink_components())
-
-    def normalized_total_power(self) -> float:
-        """Total power divided by the per-component uplink cost."""
-        return self.total_power() / self.costs.uplink_power
+    events: EventLog
+    costs: CostParams
+    n_sensors: int
 
     def to_csv(self, path) -> None:
+        records, n = self.events.records, self.n_sensors
+        n_steps = sum(r.kind == "SAMPLE" for r in records)
+        counts = [[0, 0] for _ in range(n_steps * n)]  # (uplink, downlink) at step * n + sensor
+        for r in records:
+            if r.kind == "TX_START":
+                counts[r.step * n + r.sensor][0] += r.size
+            elif r.kind == "FEEDBACK_START":
+                counts[r.step * n + r.sensor][1] += r.size
         up_cost, down_cost = self.costs.uplink_power, self.costs.downlink_power
         write_csv(path, "power", "step,sensor,uplink,downlink", (
-            f"{step},{sensor},{up * up_cost!r},{down * down_cost!r}\n"
-            for step, per_sensor in enumerate(self.counts.tolist())
-            for sensor, (up, down) in enumerate(per_sensor)
+            f"{k // n},{k % n},{up * up_cost!r},{down * down_cost!r}\n"
+            for k, (up, down) in enumerate(counts)
         ))
 
 
@@ -127,8 +115,11 @@ def trace_to_csv(trace: EstimatorTrace, path) -> None:
 
 
 class TrialResult(NamedTuple):
+    """A trial's event log, its uplink and downlink component totals, and its error trace."""
+
     events: EventLog
-    power: PowerLedger
+    uplink: int
+    downlink: int
     trace: EstimatorTrace
 
 
@@ -208,7 +199,7 @@ def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
 
 
 def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> TrialResult:
-    """Simulate one trial over [0, horizon] and return log, ledger and trace.
+    """Simulate one trial over [0, horizon] and return its log, power totals and trace.
 
     `inputs` (drawn here when None) may come from any scenario with the same
     `input_key`, so both architectures and every backoff interval can replay
@@ -244,8 +235,7 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
     pending_step = [-1] * n_sensors
     start_time: list[Optional[float]] = [None] * n_sensors
     n_steps = len(inputs.sample_times)
-    # (uplink, downlink) component counts at [2 * (step * n_sensors + sensor)]
-    power = [0] * (2 * n_steps * n_sensors)
+    uplink = downlink = 0  # components sent and fed back
 
     # entries (time, order code, sensor id, seq, payload): seq is unique, so
     # the first four fields decide the pop order and payloads never compare
@@ -313,7 +303,7 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
             ))
             pending[sid] = {}
             start_time[sid] = None
-            power[2 * (step * n_sensors + sid)] += n
+            uplink += n
             record(new(EventRecord, (t, "TX_START", step, sid, tgt, n, None)))
             push(heap, (t + packet.duration, _TX_END, sid, seq, (packet, tgt)))
             seq += 1
@@ -327,7 +317,7 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
             if fb and echo_ids:
                 echo = tuple(zip(echo_ids, map(estimate, echo_ids)))
                 m = len(echo)
-                power[2 * (step * n_sensors + sid) + 1] += m
+                downlink += m
                 record(new(EventRecord, (t, "FEEDBACK_START", step, sid, echo_ids, m, None)))
                 arrival = t + m * downlink_delay
                 push(heap, (arrival, _FEEDBACK_END, sid, seq, (step, echo_ids, echo)))
@@ -355,13 +345,10 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
             inst = score(positions)
     add_time(horizon)
     add_error(inst)
-    trace = EstimatorTrace()
-    accumulate_mse(trace, times, errors)
+    trace = accumulate_mse(times, errors)
     # components still scheduled at the horizon would start after it
     drop_pending(horizon)
-
-    counts = np.array(power, dtype=np.int64).reshape(n_steps, n_sensors, 2)
-    return TrialResult(events=log, power=PowerLedger(scenario.costs, counts), trace=trace)
+    return TrialResult(log, uplink, downlink, trace)
 
 
 @dataclass(frozen=True)

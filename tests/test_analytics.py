@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +228,15 @@ def test_mse_advantage_rejects_nonpositive():
         mse_advantage(MseAdvantageParams(0.0, 0.1, 150.0, 2.0, 1))
     with pytest.raises(ValueError):
         mse_advantage(MseAdvantageParams(2.0, 0.1, 150.0, 2.0, 0))
+
+
+@pytest.mark.parametrize("field", ["trigger_threshold", "noise_std", "sampling_period", "uplink_delay"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_mse_advantage_rejects_non_finite(field, value):
+    # a NaN passes every `<= 0` check, so finiteness is checked on its own
+    params = replace(MseAdvantageParams(2.0, 0.1, 150.0, 2.0, 1), **{field: value})
+    with pytest.raises(ValueError, match="finite"):
+        mse_advantage(params)
 
 
 def test_mse_bounds_worked_example():

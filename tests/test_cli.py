@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from gathersim import scenario
+from gathersim import protocol, scenario
 from gathersim.cli import main
 
 
@@ -76,6 +76,22 @@ def test_simulate_optional_dumps(setting1_path, tmp_path):
     ]) == 0
     assert (out / "trajectory.csv").exists()
     assert (out / "structure.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--override", "architecture=NF", "--dump-trajectory"]])
+def test_simulate_validates_once(setting1_path, tmp_path, monkeypatch, extra):
+    # load_scenario validates the scenario, so the draw must not validate it again
+    calls = []
+    original = scenario.validate
+
+    def counting(s):
+        calls.append(s)
+        return original(s)
+
+    monkeypatch.setattr(scenario, "validate", counting)
+    monkeypatch.setattr(protocol, "validate", counting)
+    assert run(["simulate", setting1_path, "--out", tmp_path, *extra]) == 0
+    assert len(calls) == 1
 
 
 def test_simulate_bad_override_path(setting1_path, tmp_path):
@@ -283,6 +299,23 @@ def test_analyze_rejects_flags_it_would_ignore(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""  # nothing half printed before the error
     assert message in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--setsize", 3, "--x", 2, "--y", 1],
+    ["--setsize", 3, "--ts", 150, "--dtu", 0, "--numin", 1, "--eps", 2, "--sigma", 0.1],
+    ["--ts", 150, "--dtu", "nan", "--numin", 1, "--eps", 2, "--sigma", 0.1],
+    ["--ts", 150, "--dtu", 2, "--numin", 1, "--eps", 2, "--sigma", "nan"],
+    ["--ts", "inf", "--dtu", 2, "--numin", 1, "--eps", 2, "--sigma", 0.1],
+    ["--ts", 150, "--dtu", 2, "--numin", 1, "--eps", "inf", "--sigma", 0.1],
+    ["--setsize", 3, "--x", 0.3, "--y", "inf"],
+    ["--setsize", 3, "--x", "nan", "--y", 1],
+])
+def test_analyze_bad_values_print_nothing(capsys, argv):
+    assert run(["analyze", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no line computed before the error is printed
+    assert captured.err.startswith("error: ")
 
 
 def test_analyze_bad_parameters():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gathersim.estimation import SMALL_FIELD, EstimatorState, EstimatorTrace, accumulate_mse, fuse
+from gathersim.estimation import SMALL_FIELD, EstimatorState, accumulate_mse, fuse
 from gathersim.protocol import Packet
 
 
@@ -138,23 +138,20 @@ def test_mean_squared_error_is_numpy_expression_bitwise(rows):
 def test_integral_zero_for_perfect_estimate():
     state = EstimatorState([0], (0.0, 0.0))
     fuse(state, packet(0, 0, [(0, (7.0, 8.0))]))
-    trace = EstimatorTrace()
-    accumulate_mse(trace, [5.0], [mse(state, [(7.0, 8.0)])])
+    trace = accumulate_mse([5.0], [mse(state, [(7.0, 8.0)])])
     assert trace.integral == 0.0
 
 
 def test_integral_known_increment():
     state = EstimatorState([0], (0.0, 0.0))
     fuse(state, packet(0, 0, [(0, (3.0, 4.0))]))
-    trace = EstimatorTrace()
-    accumulate_mse(trace, [2.0], [mse(state, [(0.0, 0.0)])])
+    trace = accumulate_mse([2.0], [mse(state, [(0.0, 0.0)])])
     assert trace.integral == 50.0  # error vector (3,4): 25 per unit time
 
 
 def test_unseen_target_scored_against_default_point():
     state = EstimatorState([0], (10.0, 10.0))
-    trace = EstimatorTrace()
-    accumulate_mse(trace, [1.0], [mse(state, [(13.0, 14.0)])])
+    trace = accumulate_mse([1.0], [mse(state, [(13.0, 14.0)])])
     assert trace.integral == 25.0
 
 
@@ -162,19 +159,16 @@ def test_integral_additivity():
     state = EstimatorState([0], (0.0, 0.0))
     fuse(state, packet(0, 0, [(0, (3.0, 4.0))]))
     inst = mse(state, [(0.0, 0.0)])
-    one = EstimatorTrace()
-    accumulate_mse(one, [8.0], [inst])
-    split = EstimatorTrace()
-    accumulate_mse(split, [3.0], [inst])
-    accumulate_mse(split, [8.0], [inst])
+    one = accumulate_mse([8.0], [inst])
+    split = accumulate_mse([3.0, 8.0], [inst, inst])
     assert abs(one.integral - split.integral) < 1e-12
-    assert one.last_time == split.last_time
+    assert one.rows[-1][0] == split.rows[-1][0]  # both end at the same time
 
 
 def test_negative_dt_rejected():
     state = EstimatorState([0], (0.0, 0.0))
     with pytest.raises(ValueError):
-        accumulate_mse(EstimatorTrace(), [-1.0], [mse(state, [(0.0, 0.0)])])
+        accumulate_mse([-1.0], [mse(state, [(0.0, 0.0)])])
 
 
 def test_feedback_wins_mse_in_paired_trials():

@@ -2,7 +2,6 @@ import math
 from collections import Counter
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scripted_cases import (
@@ -18,7 +17,7 @@ from scripted_cases import (
 from gathersim import geometry
 from gathersim.analytics import power_diff
 from gathersim.experiments import assumption1_scenario
-from gathersim.protocol import classify_step, draw_inputs, run_trial
+from gathersim.protocol import PowerLedger, classify_step, draw_inputs, run_trial
 from gathersim.scenario import (
     Architecture,
     CostParams,
@@ -80,7 +79,7 @@ def test_scripted_nf_everyone_transmits():
     assert kinds["TX_START"] == 3
     assert kinds["CANCEL"] == 0
     assert kinds["FEEDBACK_START"] == 0
-    assert nf.power.downlink_components() == 0
+    assert nf.downlink == 0
 
 
 def test_lead_tie_breaks_to_lowest_id():
@@ -115,30 +114,42 @@ def test_classify_step_out_of_range():
         classify_step(fb.events, [frozenset({0, 1})], 99)
 
 
-def step_power(ledger, step):
-    """Power charged to one sampling step, both directions, from the ledger's counts."""
-    up, down = ledger.counts[step].sum(axis=0).tolist()
-    return ledger.charge(up, down)
+def step_powers(result, scenario, path):
+    """Power charged per sampling step, both directions, from the power.csv
+    that `PowerLedger` writes for `result`."""
+    PowerLedger(result.events, scenario.costs, len(scenario.sensors)).to_csv(path)
+    totals = {}
+    for line in path.read_text().splitlines()[2:]:
+        step, _, up, down = line.split(",")
+        totals[int(step)] = totals.get(int(step), 0.0) + float(up) + float(down)
+    return [totals[k] for k in range(len(totals))]
 
 
-def test_power_single_sensor_four_components():
-    res = run_trial(single_sensor_scenario(n_targets=4, uplink_power=2.0))
-    assert step_power(res.power, 0) == 8.0
-    assert step_power(res.power, 1) == 0.0
+def total_power(result, costs):
+    return result.uplink * costs.uplink_power + result.downlink * costs.downlink_power
+
+
+def test_power_single_sensor_four_components(tmp_path):
+    scn = single_sensor_scenario(n_targets=4, uplink_power=2.0)
+    powers = step_powers(run_trial(scn), scn, tmp_path / "power.csv")
+    assert powers[0] == 8.0
+    assert powers[1] == 0.0
     with pytest.raises(IndexError):
-        step_power(res.power, 99)
+        powers[99]
 
 
-def test_power_fb_vs_nf_worked_example():
+def test_power_fb_vs_nf_worked_example(tmp_path):
     # two of three sensors informed, two collaborative components
     scn = scripted_scenario(3, 2)  # delay = 6
     table = (1.0, 20.0, 40.0)
     lead, informed = informed_from_table(table, 6.0)
     assert lead == 0 and informed == frozenset({1, 2})
     fb, nf = run_scripted_pair(scn, table)
-    assert step_power(fb.power, 0) == 6.0   # 2 components * 1 sender * (2+1)
-    assert step_power(nf.power, 0) == 12.0  # 2 components * 3 senders * 2
-    diff = step_power(nf.power, 0) - step_power(fb.power, 0)
+    fb_power = step_powers(fb, scn, tmp_path / "fb.csv")[0]
+    nf_power = step_powers(nf, scn, tmp_path / "nf.csv")[0]
+    assert fb_power == 6.0   # 2 components * 1 sender * (2+1)
+    assert nf_power == 12.0  # 2 components * 3 senders * 2
+    diff = nf_power - fb_power
     assert diff == power_diff([2], [2], [3], UPLINK_POWER, DOWNLINK_POWER) == 6
 
 
@@ -150,12 +161,12 @@ def test_power_difference_exact_over_scripts(set_size, collab):
     for table in backoff_tables(set_size, tau):
         lead, informed = informed_from_table(table, tau)
         fb, nf = run_scripted_pair(scn, table)
-        simulated = nf.power.total_power() - fb.power.total_power()
+        simulated = total_power(nf, scn.costs) - total_power(fb, scn.costs)
         expected = power_diff([collab], [len(informed)], [set_size], UPLINK_POWER, DOWNLINK_POWER)
         assert simulated == expected
         # feedback is charged per fed-back component to each actual sender
         senders = set_size - len(informed)
-        assert fb.power.downlink_components() == senders * collab
+        assert fb.downlink == senders * collab
 
 
 def test_unique_components_cost_identically():
@@ -166,7 +177,7 @@ def test_unique_components_cost_identically():
     lead, informed = informed_from_table(table, tau)
     assert informed == frozenset({1})
     fb, nf = run_scripted_pair(scn, table)
-    diff = nf.power.total_power() - fb.power.total_power()
+    diff = total_power(nf, scn.costs) - total_power(fb, scn.costs)
     assert diff == power_diff([2], [1], [2], UPLINK_POWER, DOWNLINK_POWER)
     # the informed sensor still uplinks its unique component
     tx_sizes = sorted(r.size for r in fb.events.records if r.kind == "TX_START")
@@ -214,7 +225,7 @@ def test_trial_determinism():
     a = run_trial(scn)
     b = run_trial(scn)
     assert a.events.records == b.events.records
-    assert np.array_equal(a.power.counts, b.power.counts)
+    assert (a.uplink, a.downlink) == (b.uplink, b.downlink)
     assert a.trace.rows == b.trace.rows
 
 
@@ -295,8 +306,8 @@ def test_components_and_power_are_conserved(scn):
                 downlink += r.size
         assert set(triggered.values()) <= {1}
         assert ended == triggered
-        assert res.power.uplink_components() == uplink
-        assert res.power.downlink_components() == downlink <= collaborative_uplink
+        assert res.uplink == uplink
+        assert res.downlink == downlink <= collaborative_uplink
         if arch is Architecture.NF:
             assert downlink == 0
 

@@ -5,14 +5,17 @@ flattened: one closure per event kind, a `SensorRuntime` object per sensor,
 `EventRecord(...)` for every record, an int64 numpy ledger incremented per
 packet, `fuse` once per received packet, the error integrated at every event,
 and the error scored with numpy's pairwise sum whatever the field size.
-`run_trial` must give the same records, power counts and trace, compared
+`run_trial` must give the same records, power totals and trace, compared
 with `==`, on every input the strategies below reach: both architectures,
 backoffs forced in the drawn inputs, packets dropped at the next sample,
 packets that end after it, and fields below and from `SMALL_FIELD` targets up.
+On the forced cases, the power.csv that `PowerLedger` reads off the records
+must hold the reference ledger's charges cell by cell.
 """
 
 import heapq
 import math
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -20,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from gathersim.estimation import SMALL_FIELD, EstimatorState, EstimatorTrace, fuse
+from gathersim.estimation import SMALL_FIELD, EstimatorState, fuse
 from gathersim.experiments import assumption1_scenario
-from gathersim.protocol import CENTRAL, EventRecord, Packet, draw_inputs, run_trial
+from gathersim.protocol import CENTRAL, EventRecord, Packet, PowerLedger, draw_inputs, run_trial
 from gathersim.scenario import Architecture, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -41,10 +44,19 @@ class SensorRuntime:
         self.start_time = None
 
 
+class ReferenceTrace:
+    """The error trace as the engine once kept it, extended event by event."""
+
+    def __init__(self):
+        self.rows = []
+        self.integral = 0.0
+        self.last_time = 0.0
+
+
 class ReferenceResult(NamedTuple):
     records: list
-    counts: np.ndarray
-    trace: EstimatorTrace
+    counts: np.ndarray  # int64, (uplink, downlink) components at [step, sensor]
+    trace: ReferenceTrace
 
 
 def numpy_mse(estimator, target_ids, default_point, positions):
@@ -78,7 +90,7 @@ def reference_trial(scenario, inputs) -> ReferenceResult:
     positions = inputs.positions[0]
     default_point = scenario.environment.centroid
     estimator = EstimatorState(tids, default_point)
-    trace = EstimatorTrace()
+    trace = ReferenceTrace()
     records = []
     counts = np.zeros((len(inputs.sample_times), len(sensors), 2), dtype=np.int64)
 
@@ -200,17 +212,38 @@ def reference_trial(scenario, inputs) -> ReferenceResult:
     return ReferenceResult(records, counts, trace)
 
 
-def assert_engine_matches_reference(scenario, inputs):
+def assert_power_csv_matches(scenario, result, counts):
+    """power.csv, read off `result`'s records, holds the charges of the
+    reference ledger `counts` in every (step, sensor) cell, in row order."""
+    up_cost, down_cost = scenario.costs.uplink_power, scenario.costs.downlink_power
+    want = [
+        f"{step},{sensor},{up * up_cost!r},{down * down_cost!r}"
+        for step, per_sensor in enumerate(counts.tolist())
+        for sensor, (up, down) in enumerate(per_sensor)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "power.csv"
+        PowerLedger(result.events, scenario.costs, len(scenario.sensors)).to_csv(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[:2] == ["# gathersim-csv v1 power", "step,sensor,uplink,downlink"]
+    assert lines[2:] == want
+
+
+def assert_engine_matches_reference(scenario, inputs, power_csv=False):
     got = run_trial(scenario, inputs=inputs)
     want = reference_trial(scenario, inputs)
     assert got.events.records == want.records
     # same field types too (an int size printed as 3.0 would change the CSV)
     assert list(map(repr, got.events.records)) == list(map(repr, want.records))
-    assert got.power.counts.dtype == want.counts.dtype
-    assert np.array_equal(got.power.counts, want.counts)
+    assert type(got.uplink) is int and type(got.downlink) is int
+    assert got.uplink == int(want.counts[:, :, 0].sum())
+    assert got.downlink == int(want.counts[:, :, 1].sum())
+    if power_csv:
+        assert_power_csv_matches(scenario, got, want.counts)
     assert got.trace.rows == want.trace.rows
     assert got.trace.integral == want.trace.integral
-    assert got.trace.last_time == want.trace.last_time
+    # a row is added whenever the clock moves, so the last one ends where the reference's clock stopped
+    assert (got.trace.rows[-1][0] if got.trace.rows else 0.0) == want.trace.last_time
     return want
 
 
@@ -264,7 +297,7 @@ def check_cells(scenario, backoff_fractions, forced):
                 scenario, architecture=arch,
                 protocol=replace(scenario.protocol, backoff_interval=interval),
             )
-            assert_engine_matches_reference(cell, inputs)
+            assert_engine_matches_reference(cell, inputs, power_csv=forced)
 
 
 # 1.3 of the sampling period starts some packets after the next sample (DROP
