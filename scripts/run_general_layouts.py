@@ -86,9 +86,9 @@ def main() -> int:
             # estimates were taken at the base backoff; rescale to this cell's
             scale = base.protocol.backoff_interval / backoff
             for y in ys:
-                stats = experiments.RunningStats()
-                for o in outcomes:
-                    stats.add(o.power_difference(uplink_power=y, downlink_power=1.0))
+                stats = experiments.RunningStats(
+                    o.power_difference(uplink_power=y, downlink_power=1.0) for o in outcomes
+                )
                 frac, predicted = analytics.approx_network_advantage(estimates, y, delay_scale=scale)
                 empirical = stats.mean > 0
                 rows.append((x, y, frac, predicted, stats.mean, stats.stderr, empirical))

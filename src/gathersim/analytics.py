@@ -140,6 +140,8 @@ def advantage_poly(params: AdvantageParams) -> float:
     x = params.x
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"delay ratio must be within [0, 1] (got {x})")
+    if not (math.isfinite(params.y) and params.y > 0):
+        raise ValueError(f"cost ratio must be finite and > 0 (got {params.y})")
     xm = x**m
     base = xm - m * x
     return params.y * (base + m - 1) + base - 1

@@ -119,11 +119,11 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ScenarioError("--jobs must be >= 1")
     spec = _load_sweep_spec(args.spec, args.trials, args.seed)
-    result = experiments.run_sweep(spec, jobs=args.jobs)  # checks the spec first
+    rows = experiments.run_sweep(spec, jobs=args.jobs)  # checks the spec first
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    result.to_csv(out / "sweep.csv")
-    print(f"wrote {out / 'sweep.csv'} ({len(result.rows)} rows)")
+    experiments.sweep_to_csv(rows, out / "sweep.csv")
+    print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     if args.plot:
         down = spec.base.costs.downlink_power
         for dpu in spec.uplink_powers:
@@ -131,7 +131,7 @@ def cmd_sweep(args) -> int:
             for arch, color in (("FB", "#c0392b"), ("NF", "#7f8c8d")):
                 pts = [
                     (r.mean_power_norm, r.mean_mse)
-                    for r in result.rows
+                    for r in rows
                     if r.architecture == arch and r.uplink_power == dpu
                 ]
                 series.append((arch, color, pts))

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import geometry
 from .analytics import AdvantagePoint, raster_region
@@ -34,19 +34,17 @@ from .scenario import (
 
 
 class RunningStats:
-    """Mean/standard-error accumulator."""
+    """Mean and standard error of `values`, summed in one pass in their order."""
 
     __slots__ = ("n", "total", "total_sq")
 
-    def __init__(self):
-        self.n = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-
-    def add(self, value: float) -> None:
-        self.n += 1
-        self.total += value
-        self.total_sq += value * value
+    def __init__(self, values: Iterable[float]):
+        n, total, total_sq = 0, 0.0, 0.0
+        for v in values:
+            n += 1
+            total += v
+            total_sq += v * v
+        self.n, self.total, self.total_sq = n, total, total_sq
 
     @property
     def mean(self) -> float:
@@ -88,15 +86,10 @@ class PairedOutcome:
         ) * uplink_power - self.fb_downlink * downlink_power
 
 
-def run_paired_trial(
-    scenario: Scenario, trial_index: int, inputs: TrialInputs | None = None
-) -> PairedOutcome:
-    """FB and NF replaying one draw of the trial's inputs: those of `scenario`
-    at the trial seed, drawn here when `inputs` is None."""
-    trial = replace(scenario, seed=trial_seed(scenario.seed, trial_index))
-    if inputs is None:
-        inputs = draw_inputs(trial)
-    horizon = scenario.protocol.horizon
+def run_paired_trial(trial: Scenario, inputs: TrialInputs) -> PairedOutcome:
+    """FB and NF on `trial`, a scenario at its trial seed, both replaying
+    `inputs`, that trial's one draw."""
+    horizon = trial.protocol.horizon
     fb = run_trial(replace(trial, architecture=Architecture.FB), inputs=inputs)
     nf = run_trial(replace(trial, architecture=Architecture.NF), inputs=inputs)
     return PairedOutcome(
@@ -117,21 +110,6 @@ class SweepSpec:
     uplink_powers: tuple[float, ...]
     trials: int
 
-    def check(self) -> None:
-        """Raise ScenarioError unless every (backoff, uplink cost) point is valid."""
-        if self.trials < 1:
-            raise ScenarioError("trials must be >= 1")
-        if not self.backoff_intervals:
-            raise ScenarioError("backoff_intervals must be nonempty")
-        if not self.uplink_powers:
-            raise ScenarioError("uplink_powers must be nonempty")
-        violations = dict.fromkeys(
-            v for cell in _cells(self.base, self.backoff_intervals) for up in self.uplink_powers
-            for v in validate(replace(cell, costs=replace(cell.costs, uplink_power=up)))
-        )
-        if violations:
-            raise ScenarioError("; ".join(violations))
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -144,20 +122,6 @@ class SweepRow:
     mean_mse: float
     se_mse: float
     trials: int
-
-
-@dataclass
-class SweepResult:
-    rows: list[SweepRow] = field(default_factory=list)
-
-    def to_csv(self, path) -> None:
-        header = "T_b,dp_u,dp_d,arch,mean_power_norm,se_power,mean_mse,se_mse,trials"
-        write_csv(path, "sweep", header, (
-            f"{r.backoff_interval!r},{r.uplink_power!r},{r.downlink_power!r},"
-            f"{r.architecture},{r.mean_power_norm!r},{r.se_power!r},"
-            f"{r.mean_mse!r},{r.se_mse!r},{r.trials}\n"
-            for r in self.rows
-        ))
 
 
 def _run_tasks(tasks, worker, jobs: int):
@@ -177,10 +141,18 @@ def _cells(base: Scenario, backoff_intervals: Sequence[float]) -> list[Scenario]
             for tb in backoff_intervals]
 
 
+def _check(scenarios: Iterable[Scenario]) -> None:
+    """Raise ScenarioError with every distinct violation of `scenarios`, in order."""
+    violations = dict.fromkeys(v for s in scenarios for v in validate(s))
+    if violations:
+        raise ScenarioError("; ".join(violations))
+
+
 def _grid_trial(base: Scenario, cells: Sequence[Scenario], i: int) -> list[PairedOutcome]:
     """Trial i of every cell, each replaying the trial's one draw."""
-    inputs = draw_inputs(replace(base, seed=trial_seed(base.seed, i)), checked=True)
-    return [run_paired_trial(cell, i, inputs) for cell in cells]
+    seed = trial_seed(base.seed, i)
+    inputs = draw_inputs(replace(base, seed=seed), checked=True)
+    return [run_paired_trial(replace(cell, seed=seed), inputs) for cell in cells]
 
 
 def paired_grid(
@@ -194,50 +166,42 @@ def paired_grid(
     trial index; the cells travel with the worker.
     """
     cells = _cells(base, backoff_intervals)
-    violations = dict.fromkeys(v for cell in cells for v in validate(cell))
-    if violations:
-        raise ScenarioError("; ".join(violations))
+    _check(cells)
     per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, base, cells), jobs)
     return [[outs[k] for outs in per_trial] for k in range(len(cells))]
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
+def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
     """Run paired trials over the grid and aggregate power and error.
 
-    Power is reported normalized by the uplink cost. Results are aggregated in
-    (backoff, trial) order, so they are independent of worker count.
+    Each uplink cost is validated once here and each backoff interval once by
+    `paired_grid`. Power is reported normalized by the uplink cost. Results
+    are aggregated in (backoff, trial) order, so they are independent of
+    worker count.
     """
-    spec.check()
-    grid = paired_grid(spec.base, spec.backoff_intervals, spec.trials, jobs)
+    if spec.trials < 1:
+        raise ScenarioError("trials must be >= 1")
+    if not spec.backoff_intervals:
+        raise ScenarioError("backoff_intervals must be nonempty")
+    if not spec.uplink_powers:
+        raise ScenarioError("uplink_powers must be nonempty")
+    base = spec.base
+    _check(replace(base, costs=replace(base.costs, uplink_power=up)) for up in spec.uplink_powers)
+    grid = paired_grid(base, spec.backoff_intervals, spec.trials, jobs)
 
-    down = spec.base.costs.downlink_power
-    result = SweepResult()
+    down = base.costs.downlink_power
+    rows = []
     for tb, outs in zip(spec.backoff_intervals, grid):
-        for up_power in spec.uplink_powers:
-            for arch in ("FB", "NF"):
-                power = RunningStats()
-                mse = RunningStats()
-                for o in outs:
-                    if arch == "FB":
-                        power.add(o.fb_uplink + o.fb_downlink * down / up_power)
-                        mse.add(o.fb_mse)
-                    else:
-                        power.add(float(o.nf_uplink))
-                        mse.add(o.nf_mse)
-                result.rows.append(
-                    SweepRow(
-                        backoff_interval=float(tb),
-                        uplink_power=float(up_power),
-                        downlink_power=float(down),
-                        architecture=arch,
-                        mean_power_norm=power.mean,
-                        se_power=power.stderr,
-                        mean_mse=mse.mean,
-                        se_mse=mse.stderr,
-                        trials=power.n,
-                    )
-                )
-    return result
+        nf = (RunningStats(float(o.nf_uplink) for o in outs), RunningStats(o.nf_mse for o in outs))
+        fb_mse = RunningStats(o.fb_mse for o in outs)
+        for up in spec.uplink_powers:
+            fb = (RunningStats(o.fb_uplink + o.fb_downlink * down / up for o in outs), fb_mse)
+            for arch, (power, mse) in (("FB", fb), ("NF", nf)):
+                rows.append(SweepRow(
+                    float(tb), float(up), float(down), arch,
+                    power.mean, power.stderr, mse.mean, mse.stderr, power.n,
+                ))
+    return rows
 
 
 def assumption1_scenario(
@@ -370,6 +334,29 @@ def assumption1_scenario(
     return scenario
 
 
+def region_cells(
+    set_size: int, x_values: Sequence[float], seed: int
+) -> tuple[Scenario, list[float]]:
+    """The region map's base scenario and one backoff interval per delay ratio.
+
+    The base is the assumption-1 layout with three collaborative targets and
+    no unique ones, so every sensor's propagation delay is the lead delay
+    3 * UPLINK_DELAY + 3 * DOWNLINK_DELAY, and delay ratio x pins the backoff
+    interval to lead delay / x. The sampling period fits the longest backoff
+    plus the lead delay, and the horizon is five sampling periods.
+    """
+    xs = [float(x) for x in x_values]
+    if min(xs) <= 0:
+        raise ValueError("delay ratio grid must be strictly positive (backoff would be infinite)")
+    collaborative = 3
+    lead_delay = collaborative * UPLINK_DELAY + collaborative * DOWNLINK_DELAY
+    sampling = max(200.0, lead_delay / min(xs) + lead_delay + 10.0)
+    base = assumption1_scenario(
+        set_size, collaborative, 0, sampling_period=sampling, horizon=5.0 * sampling, seed=seed
+    )
+    return base, [lead_delay / x for x in xs]
+
+
 def region_experiment(
     set_size: int,
     x_values: Sequence[float],
@@ -381,35 +368,19 @@ def region_experiment(
 ) -> list[AdvantagePoint]:
     """Empirical advantage map over (delay ratio, cost ratio) grid cells.
 
-    Cells use the assumption-1 layout with three collaborative targets and no
-    unique ones, so every sensor's propagation delay is
-    3 * UPLINK_DELAY + 3 * DOWNLINK_DELAY. Each x value pins the backoff
-    interval to that delay / x; each cell's power difference is recomputed
-    from the same trials' component counts with uplink power y and downlink
-    power 1. Cells whose mean difference is within two standard errors of zero
-    should be treated as boundary cells.
+    The trials of each x run on `region_cells`; each cell's power difference
+    is recomputed from the same trials' component counts with uplink power y
+    and downlink power 1. Cells whose mean difference is within two standard
+    errors of zero should be treated as boundary cells.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    xs = [float(x) for x in x_values]
-    ys = [float(y) for y in y_values]
-    for x in xs:
-        if x <= 0:
-            raise ValueError("delay ratio grid must be strictly positive (backoff would be infinite)")
-    collaborative = 3
-    lead_delay = collaborative * UPLINK_DELAY + collaborative * DOWNLINK_DELAY
-    sampling = max(200.0, lead_delay / min(xs) + lead_delay + 10.0)
-    base = assumption1_scenario(
-        set_size, collaborative, 0, sampling_period=sampling, horizon=5.0 * sampling, seed=seed
-    )
-    grid = paired_grid(base, [lead_delay / x for x in xs], trials, jobs)
-
-    points = raster_region(set_size, xs, ys)  # x-major, like the grid
-    for k, cell in enumerate(points):
-        stats = RunningStats()
-        for o in grid[k // len(ys)]:
-            stats.add(o.power_difference(uplink_power=cell.y, downlink_power=1.0))
-        points[k] = replace(cell, empirical_mean=stats.mean, empirical_se=stats.stderr)
+    base, backoffs = region_cells(set_size, x_values, seed)
+    grid = paired_grid(base, backoffs, trials, jobs)
+    points = raster_region(set_size, x_values, y_values)  # x-major, like the grid
+    for k, p in enumerate(points):
+        stats = RunningStats(o.power_difference(p.y, 1.0) for o in grid[k // len(y_values)])
+        points[k] = replace(p, empirical_mean=stats.mean, empirical_se=stats.stderr)
     return points
 
 
@@ -425,6 +396,16 @@ def region_agreement(points: Sequence[AdvantagePoint]) -> tuple[float, int, int]
             agree += 1
     frac = agree / considered if considered else float("nan")
     return frac, agree, considered
+
+
+def sweep_to_csv(rows: Sequence[SweepRow], path) -> None:
+    header = "T_b,dp_u,dp_d,arch,mean_power_norm,se_power,mean_mse,se_mse,trials"
+    write_csv(path, "sweep", header, (
+        f"{r.backoff_interval!r},{r.uplink_power!r},{r.downlink_power!r},"
+        f"{r.architecture},{r.mean_power_norm!r},{r.se_power!r},"
+        f"{r.mean_mse!r},{r.se_mse!r},{r.trials}\n"
+        for r in rows
+    ))
 
 
 def region_to_csv(points: Sequence[AdvantagePoint], path) -> None:

@@ -13,23 +13,27 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+TICKS = 5  # per axis
+MARGIN = 55  # around the plot rectangle
+
+
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / (TICKS - 1)
+    return [lo + i * step for i in range(TICKS)]
 
 
 class SvgCanvas:
-    def __init__(self, width: int = 640, height: int = 480):
+    def __init__(self, width: int, height: int):
         self.width = width
         self.height = height
         self.parts: list[str] = []
 
-    def rect(self, x, y, w, h, fill="none", stroke="none", opacity=1.0):
+    def rect(self, x, y, w, h, fill="none", opacity=1.0):
         self.parts.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'fill="{fill}" stroke="{stroke}" fill-opacity="{opacity}"/>'
+            f'fill="{fill}" stroke="none" fill-opacity="{opacity}"/>'
         )
 
     def line(self, x1, y1, x2, y2, stroke="black", width=1.0):
@@ -43,11 +47,10 @@ class SvgCanvas:
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{fill}" stroke="{stroke}"/>'
         )
 
-    def polyline(self, pts, stroke="black", width=1.5, dashed=False):
+    def polyline(self, pts, stroke="black"):
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-        dash = ' stroke-dasharray="6,4"' if dashed else ""
         self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="{width}"{dash}/>'
+            f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="1.5"/>'
         )
 
     def text(self, x, y, s, size=12, anchor="start", rotate: Optional[float] = None):
@@ -72,9 +75,9 @@ class SvgCanvas:
 class _Frame:
     """Maps data coordinates onto a plot rectangle with margins."""
 
-    def __init__(self, canvas: SvgCanvas, x_range, y_range, margin=55):
+    def __init__(self, canvas: SvgCanvas, x_range, y_range):
         self.canvas = canvas
-        self.m = margin
+        self.m = MARGIN
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
         if self.x1 <= self.x0:
@@ -112,15 +115,14 @@ def line_chart(
     xlabel: str,
     ylabel: str,
     title: str,
-    width: int = 640,
-    height: int = 480,
 ) -> str:
-    """Render labelled (name, color, points) polylines with shared axes."""
+    """Render labelled (name, color, points) polylines with shared axes on a
+    640 x 480 canvas."""
     xs = [p[0] for _, _, pts in series for p in pts]
     ys = [p[1] for _, _, pts in series for p in pts]
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
-    canvas = SvgCanvas(width, height)
+    canvas = SvgCanvas(640, 480)
     frame = _Frame(canvas, (min(xs), max(xs)), (min(ys), max(ys)))
     frame.axes(xlabel, ylabel, title)
     for idx, (name, color, pts) in enumerate(series):
@@ -128,27 +130,22 @@ def line_chart(
             canvas.polyline([(frame.px(x), frame.py(y)) for x, y in pts], stroke=color)
         for x, y in pts:
             canvas.circle(frame.px(x), frame.py(y), 2.5, fill=color)
-        canvas.text(width - 150, 30 + 16 * idx, name, size=11)
-        canvas.line(width - 170, 26 + 16 * idx, width - 155, 26 + 16 * idx, stroke=color, width=3)
+        canvas.text(canvas.width - 150, 30 + 16 * idx, name, size=11)
+        canvas.line(canvas.width - 170, 26 + 16 * idx, canvas.width - 155, 26 + 16 * idx,
+                    stroke=color, width=3)
     return canvas.render()
 
 
-def region_map(
-    points,
-    xlabel: str = "delay ratio x",
-    ylabel: str = "cost ratio y",
-    title: str = "advantage region",
-    width: int = 560,
-    height: int = 520,
-) -> str:
-    """Shade theory-advantageous cells; draw empirical verdicts as dots.
+def region_map(points, title: str) -> str:
+    """Shade theory-advantageous cells; draw empirical verdicts as dots, on a
+    560 x 520 canvas with x and y axes.
 
     Filled dot: empirically advantageous; open dot: not; gray dot: boundary
     cell (mean within two standard errors of zero).
     """
     xs = sorted({p.x for p in points})
     ys = sorted({p.y for p in points})
-    canvas = SvgCanvas(width, height)
+    canvas = SvgCanvas(560, 520)
     frame = _Frame(canvas, (min(xs), max(xs)), (min(ys), max(ys)))
     dx = (xs[1] - xs[0]) if len(xs) > 1 else 1.0
     dy = (ys[1] - ys[0]) if len(ys) > 1 else 1.0
@@ -159,7 +156,7 @@ def region_map(
             y0 = frame.py(p.y + dy / 2)
             y1 = frame.py(p.y - dy / 2)
             canvas.rect(x0, y0, x1 - x0, y1 - y0, fill="#7fb3d5", opacity=0.6)
-    frame.axes(xlabel, ylabel, title)
+    frame.axes("delay ratio x", "cost ratio y", title)
     for p in points:
         if p.empirical_mean is None:
             continue

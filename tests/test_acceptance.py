@@ -20,18 +20,16 @@ import pytest
 
 from gathersim.analytics import expected_informed
 from gathersim.experiments import (
-    DOWNLINK_DELAY,
-    UPLINK_DELAY,
     RunningStats,
-    assumption1_scenario,
     region_agreement,
+    region_cells,
     region_experiment,
     trial_seed,
 )
 from gathersim.protocol import classify_step, run_trial
 
-STEPS = 5  # region_experiment runs each trial for five sampling periods
-COLLABORATIVE = 3  # collaborative targets in every region_experiment cell
+STEPS = 5  # region_cells sets the horizon to five sampling periods
+COLLABORATIVE = 3  # collaborative targets in the region_cells layout
 TRIALS = 150
 X_VALUES = [0.05, 0.5, 0.9]
 
@@ -52,19 +50,18 @@ def test_power_gap_matches_closed_form(set_size):
 @pytest.mark.parametrize("set_size", [2, 3])
 def test_informed_count_matches_closed_form(set_size):
     # the cells region_experiment(set_size, X_VALUES, ...) runs, FB trials only
-    lead_delay = COLLABORATIVE * (UPLINK_DELAY + DOWNLINK_DELAY)
-    sampling = max(200.0, lead_delay / min(X_VALUES) + lead_delay + 10.0)
-    base = assumption1_scenario(
-        set_size, COLLABORATIVE, 0, sampling_period=sampling, horizon=STEPS * sampling, seed=0
-    )
+    base, backoffs = region_cells(set_size, X_VALUES, seed=0)
     full = [frozenset(range(set_size))]
-    for x in X_VALUES:
-        cell = replace(base, protocol=replace(base.protocol, backoff_interval=lead_delay / x))
-        stats = RunningStats()
-        for i in range(TRIALS):
-            log = run_trial(replace(cell, seed=trial_seed(cell.seed, i))).events
-            informed = sum(len(c.informed) for k in range(STEPS) for c in classify_step(log, full, k))
-            stats.add(informed / STEPS)
+
+    def informed_per_step(trial):
+        log = run_trial(trial).events
+        return sum(len(c.informed) for k in range(STEPS) for c in classify_step(log, full, k)) / STEPS
+
+    for x, backoff in zip(X_VALUES, backoffs):
+        cell = replace(base, protocol=replace(base.protocol, backoff_interval=backoff))
+        stats = RunningStats(
+            informed_per_step(replace(cell, seed=trial_seed(cell.seed, i))) for i in range(TRIALS)
+        )
         expected = expected_informed(x, set_size)
         assert abs(stats.mean - expected) <= 3.0 * stats.stderr, (
             f"M={set_size} x={x}: mean {stats.mean:.3f} +- {stats.stderr:.3f}, "

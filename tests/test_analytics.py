@@ -167,6 +167,9 @@ def test_advantage_poly_domain():
         advantage_poly(AdvantageParams(1.2, 1.0, 3))
     with pytest.raises(ValueError):
         advantage_poly(AdvantageParams(0.5, 1.0, 1))
+    for y in (math.nan, 0.0, -5.0, math.inf):
+        with pytest.raises(ValueError, match="cost ratio"):
+            advantage_poly(AdvantageParams(0.3, y, 3))
 
 
 @given(

@@ -173,13 +173,10 @@ def test_negative_dt_rejected():
 
 def test_feedback_wins_mse_in_paired_trials():
     # accuracy-advantage regime: threshold/noise = 20, unique components exist
-    from gathersim.experiments import assumption1_scenario, run_paired_trial
+    from gathersim.experiments import assumption1_scenario, paired_grid
 
     scn = assumption1_scenario(3, 2, 2, backoff_interval=30.0, seed=909)
-    wins = 0
     trials = 500
-    for i in range(trials):
-        out = run_paired_trial(scn, i)
-        if out.fb_mse <= out.nf_mse + 1e-12:
-            wins += 1
+    outs = paired_grid(scn, [scn.protocol.backoff_interval], trials, 1)[0]
+    wins = sum(out.fb_mse <= out.nf_mse + 1e-12 for out in outs)
     assert wins / trials >= 0.95

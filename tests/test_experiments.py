@@ -76,9 +76,7 @@ def test_paired_trajectories_identical():
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60))
 @settings(max_examples=100)
 def test_running_stats_matches_direct_formulas(values):
-    stats = RunningStats()
-    for v in values:
-        stats.add(v)
+    stats = RunningStats(iter(values))
     assert stats.n == len(values)
     assert math.isclose(stats.mean, statistics.fmean(values), rel_tol=1e-9, abs_tol=1e-6)
     se = statistics.stdev(values) / math.sqrt(len(values))
@@ -129,9 +127,9 @@ def test_run_sweep_row_count_and_normalization(setting1_path):
     from gathersim.scenario import load_scenario
 
     scn = load_scenario(setting1_path)
-    result = run_sweep(sweep_spec(scn), jobs=1)
-    assert len(result.rows) == 2 * 2 * 2
-    nf_rows = [r for r in result.rows if r.architecture == "NF"]
+    rows = run_sweep(sweep_spec(scn), jobs=1)
+    assert len(rows) == 2 * 2 * 2
+    nf_rows = [r for r in rows if r.architecture == "NF"]
     # no-feedback power is downlink-free, so normalization leaves it equal
     # across uplink costs
     by_tb = {}
@@ -147,8 +145,8 @@ def test_run_sweep_parallel_matches_serial(setting1_path):
     scn = load_scenario(setting1_path)
     serial = run_sweep(sweep_spec(scn, trials=4), jobs=1)
     parallel = run_sweep(sweep_spec(scn, trials=4), jobs=4)
-    assert len(serial.rows) == len(parallel.rows)
-    for a, b in zip(serial.rows, parallel.rows):
+    assert len(serial) == len(parallel)
+    for a, b in zip(serial, parallel):
         assert a == b
 
 
@@ -157,9 +155,33 @@ def test_sweep_spec_validation(setting1_path):
 
     scn = load_scenario(setting1_path)
     with pytest.raises(ValueError):
-        SweepSpec(scn, (), (1.0,), 1).check()
+        run_sweep(SweepSpec(scn, (), (1.0,), 1))
     with pytest.raises(ValueError):
-        SweepSpec(scn, (1.0,), (1.0,), 0).check()
+        run_sweep(SweepSpec(scn, (1.0,), (), 1))
+    with pytest.raises(ValueError):
+        run_sweep(SweepSpec(scn, (1.0,), (1.0,), 0))
+
+
+def test_run_sweep_validates_each_backoff_and_each_cost_once(monkeypatch):
+    checks = []
+    validate = experiments.validate
+    monkeypatch.setattr(experiments, "validate", lambda s: checks.append(s) or validate(s))
+    backoffs = tuple(float(b) for b in range(5, 60, 5))  # 11, some above the sampling period
+    costs = (1.0, 2.0, 3.0, 4.0)
+    rows = run_sweep(SweepSpec(GRID_BASE, backoffs, costs, 1))
+    assert len(checks) == len(backoffs) + len(costs) == 15
+    assert len(rows) == 2 * len(backoffs) * len(costs)
+    assert {s.costs.uplink_power for s in checks} == set(costs)
+    assert {s.protocol.backoff_interval for s in checks} == set(backoffs)  # base's 30.0 among them
+
+
+def test_run_sweep_rejects_an_invalid_cost_and_backoff():
+    with pytest.raises(ScenarioError) as bad_cost:
+        run_sweep(SweepSpec(GRID_BASE, (4.0,), (1.0, 0.0), 1))
+    assert str(bad_cost.value) == "CostParams.uplink_power: must be > 0 (got 0.0)"
+    with pytest.raises(ScenarioError) as bad_backoff:
+        run_sweep(SweepSpec(GRID_BASE, (4.0, -1.0), (1.0,), 1))
+    assert str(bad_backoff.value) == "ProtocolParams.backoff_interval: must be > 0 (got -1.0)"
 
 
 @pytest.mark.parametrize("jobs, tasks, cpus, started", [
@@ -199,7 +221,8 @@ def reference_paired_grid(base, backoff_intervals, trials):
     own inputs."""
     cells = [replace(base, protocol=replace(base.protocol, backoff_interval=b))
              for b in backoff_intervals]
-    return [[experiments.run_paired_trial(s, i) for i in range(trials)] for s in cells]
+    trials_of = [[replace(s, seed=trial_seed(s.seed, i)) for i in range(trials)] for s in cells]
+    return [[experiments.run_paired_trial(t, draw_inputs(t)) for t in ts] for ts in trials_of]
 
 
 GRID_BASE = assumption1_scenario(2, 2, 0, sampling_period=40.0, horizon=160.0, seed=21)

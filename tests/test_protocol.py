@@ -16,7 +16,7 @@ from scripted_cases import (
 
 from gathersim import geometry
 from gathersim.analytics import power_diff
-from gathersim.experiments import assumption1_scenario
+from gathersim.experiments import assumption1_scenario, trial_seed
 from gathersim.protocol import PowerLedger, classify_step, draw_inputs, run_trial
 from gathersim.scenario import (
     Architecture,
@@ -190,7 +190,7 @@ def test_cancel_events_imply_informed_membership():
     scn = assumption1_scenario(3, 3, 0, backoff_interval=30.0, seed=31)
     full = frozenset({0, 1, 2})
     for trial in range(10):
-        res = run_trial(replace(scn, seed=scn.seed ^ trial))
+        res = run_trial(replace(scn, seed=trial_seed(scn.seed, trial)))
         by_step = {}
         for rec in res.events.records:
             if rec.kind == "CANCEL":
