@@ -13,7 +13,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import analytics, experiments, geometry, svgplot
+import numpy as np
+
+from . import analytics, experiments, geometry
 from .protocol import PowerLedger, draw_inputs, run_trial, trace_to_csv, write_csv
 from .scenario import (
     ScenarioError,
@@ -61,6 +63,24 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _trajectory_lines(inputs):
+    """`time,target_id,x,y` lines of every target before any move and after each.
+
+    A target's `,id,x,y` tail is formatted once and again only at a move that
+    changed its row. Rows are compared by their bits, so an unchanged tail is
+    still the row's repr (0.0 and -0.0 are equal floats with different reprs).
+    """
+    tids, positions = inputs.target_ids, inputs.positions
+    tails = [f",{tid},{x!r},{y!r}\n" for tid, (x, y) in zip(tids, positions[0].tolist())]
+    yield from ("0.0" + tail for tail in tails)
+    for t, prev, pos in zip(inputs.move_times, positions, positions[1:]):
+        moved = np.flatnonzero((pos.view(np.int64) != prev.view(np.int64)).any(axis=1))
+        for i, (x, y) in zip(moved.tolist(), pos[moved].tolist()):
+            tails[i] = f",{tids[i]},{x!r},{y!r}\n"
+        stamp = repr(t)
+        yield from (stamp + tail for tail in tails)
+
+
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario, args.override, args.seed)
     out = _out_dir(args)
@@ -72,11 +92,8 @@ def cmd_simulate(args) -> int:
     PowerLedger(result.events, costs, len(scenario.sensors)).to_csv(out / "power.csv")
     trace_to_csv(result.trace, out / "mse.csv")
     if args.dump_trajectory:  # every move lies before the horizon
-        write_csv(out / "trajectory.csv", "trajectory", "time,target_id,x,y", (
-            f"{t!r},{tid},{x!r},{y!r}\n"
-            for t, pos in zip((0.0, *inputs.move_times), inputs.positions)
-            for tid, (x, y) in zip(inputs.target_ids, pos.tolist())
-        ))
+        write_csv(out / "trajectory.csv", "trajectory", "time,target_id,x,y",
+                  _trajectory_lines(inputs))
     if args.dump_structure:
         structure = geometry.initial_structure(scenario)
         lines = [
@@ -125,6 +142,8 @@ def cmd_sweep(args) -> int:
     experiments.sweep_to_csv(rows, out / "sweep.csv")
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     if args.plot:
+        from . import svgplot
+
         down = spec.base.costs.downlink_power
         for dpu in spec.uplink_powers:
             series = []
@@ -180,6 +199,8 @@ def cmd_region(args) -> int:
             f"({agree}/{considered} non-boundary cells)"
         )
     if args.plot:
+        from . import svgplot
+
         path = out / "region.svg"
         path.write_text(
             svgplot.region_map(points, title=f"advantage region, set size {args.setsize}"),

@@ -103,9 +103,13 @@ def observed_rows(
 
     `centers` has shape (n_sensors, 2) and `radii` shape (n_sensors,).
     """
-    d = positions - centers[:, None, :]
-    d *= d
-    return np.nonzero(d[..., 0] + d[..., 1] <= (radii * radii)[:, None])
+    # x and y as separate contiguous (sensor, row) planes: unit-stride passes
+    dx = positions[:, 0] - centers[:, 0, None]
+    dy = positions[:, 1] - centers[:, 1, None]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.nonzero(dx <= (radii * radii)[:, None])
 
 
 def measure(positions: np.ndarray, rows: np.ndarray, noise_std: float, rng) -> np.ndarray:

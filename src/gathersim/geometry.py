@@ -75,7 +75,8 @@ def collaborative_sets(scenario: Scenario) -> list[frozenset[int]]:
     farther apart than the sum of the radii is rejected, and a pair is
     accepted when the cell center nearest the middle of its lens lies in both
     disks. Larger groups are scanned. Size-k candidates extend each nonempty
-    (k-1)-group with a larger id, and only when every (k-1)-subset is nonempty.
+    (k-1)-group with a larger id whose disk can reach its last member's, and
+    only when every (k-1)-subset is nonempty.
     """
     env = scenario.environment
     by_id = {s.id: s for s in scenario.sensors}
@@ -125,6 +126,15 @@ def collaborative_sets(scenario: Scenario) -> list[frozenset[int]]:
         gx, gy = np.meshgrid(_cells(i0, i1), _cells(k0, k1), indexing="ij")
         return bool(inside_all(disks, gx, gy).any())
 
+    # A group is extended only by larger ids within reach of its last member.
+    # The reach bound is looser than nonempty's own rejection of a pair, so
+    # every pair nonempty accepts is in reach, and nonempty still decides.
+    centers = np.array([by_id[j].center for j in ids], dtype=float).reshape(-1, 2)
+    radii = np.array([by_id[j].radius for j in ids], dtype=float)
+    d = centers[:, None] - centers
+    near = np.triu((d * d).sum(-1) <= ((radii[:, None] + radii) * (1 + 1e-6)) ** 2, 1)
+    reach = {a: [ids[b] for b in np.flatnonzero(row).tolist()] for a, row in zip(ids, near)}
+
     # Groups are sorted tuples and each layer is in lexicographic order, so
     # the result comes out ordered by size then members.
     layer = [(j,) for j in ids]
@@ -134,9 +144,8 @@ def collaborative_sets(scenario: Scenario) -> list[frozenset[int]]:
         layer = [
             group + (j,)
             for group in layer
-            for j in ids
-            if j > group[-1]
-            and all(group[:n] + group[n + 1:] + (j,) in alive for n in range(len(group)))
+            for j in reach[group[-1]]
+            if all(group[:n] + group[n + 1:] + (j,) in alive for n in range(len(group)))
             and nonempty(group + (j,))
         ]
         result += map(frozenset, layer)

@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import gathersim
 from gathersim import protocol, scenario
 from gathersim.cli import main
 
@@ -15,6 +18,19 @@ def run(args):
 def read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def test_cli_import_leaves_out_pool_and_plotting():
+    # the process pool and the SVG writer load only when a run needs them
+    code = (
+        "import sys, gathersim.cli; "
+        "print(*sorted({'multiprocessing', 'concurrent.futures.process', 'gathersim.svgplot'} "
+        "& set(sys.modules)))"
+    )
+    src = str(Path(gathersim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == ""
 
 
 def test_validate_ok(setting1_path, capsys):

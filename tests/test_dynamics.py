@@ -93,6 +93,48 @@ def rows_of(positions, sensor):
     return rows
 
 
+def oracle_rows(positions, centers, radii):
+    """Per-pair Python test, in (sensor, row) order."""
+    return [
+        (k, i)
+        for k, ((cx, cy), r) in enumerate(zip(centers.tolist(), radii.tolist()))
+        for i, (px, py) in enumerate(positions.tolist())
+        if (px - cx) ** 2 + (py - cy) ** 2 <= r * r
+    ]
+
+
+def observed_pairs(positions, centers, radii):
+    owners, rows = observed_rows(positions, centers, radii)
+    return list(zip(owners.tolist(), rows.tolist()))
+
+
+# whole numbers put targets exactly on disk edges (3-4-5 triangles) often
+coord = st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 100.0))
+
+
+@given(
+    sensors=st.lists(st.tuples(coord, coord, st.one_of(st.integers(0, 10).map(float), st.floats(0.0, 40.0))), min_size=1, max_size=70),
+    targets=st.lists(st.tuples(coord, coord), max_size=200),
+)
+@settings(max_examples=100)
+def test_observed_rows_matches_per_pair_oracle(sensors, targets):
+    centers = np.array([s[:2] for s in sensors], dtype=float)
+    radii = np.array([s[2] for s in sensors], dtype=float)
+    positions = np.array(targets, dtype=float).reshape(-1, 2)
+    assert observed_pairs(positions, centers, radii) == oracle_rows(positions, centers, radii)
+
+
+def test_observed_rows_edge_and_blind_sensor():
+    # (6, 8) lies exactly on the edge of the disk at (3, 4) with radius 5:
+    # d^2 == r^2 == 25. The disk at (50, 50) sees nothing.
+    centers = np.array([(3.0, 4.0), (50.0, 50.0), (6.0, 8.0)])
+    radii = np.array([5.0, 1.0, 0.5])
+    positions = np.array([(6.0, 8.0), (3.0, 9.0000001), (3.0, 4.0)])
+    expected = [(0, 0), (0, 2), (2, 0)]
+    assert oracle_rows(positions, centers, radii) == expected
+    assert observed_pairs(positions, centers, radii) == expected
+
+
 def test_measure_noiseless_is_exact():
     w = world([(10.0, 10.0), (40.0, 40.0)])
     sensor = SensorSpec(0, (10.0, 10.0), 5.0)

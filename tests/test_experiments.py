@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import statistics
 from dataclasses import replace
@@ -210,7 +211,8 @@ def test_run_tasks_caps_worker_processes(monkeypatch, jobs, tasks, cpus, started
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    # _run_tasks imports the pool class when it starts workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     assert experiments._run_tasks(list(range(tasks)), str, jobs) == [str(i) for i in range(tasks)]
     assert pools == ([] if started is None else [started])

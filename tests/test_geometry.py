@@ -92,6 +92,18 @@ def test_collaborative_sets_thin_lens_held_by_a_target():
     assert geometry.collaborative_sets(make_scenario(sensors, [(5.0, 5.0)], size=50.0)) == []
 
 
+def test_collaborative_sets_at_the_reach_boundary():
+    # the disks touch at the single point (3, 5), which no grid cell center
+    # hits, so they form a set exactly when a target sits there
+    touching = [((2.0, 5.0), 1.0), ((5.0, 5.0), 2.0)]
+    assert geometry.collaborative_sets(make_scenario(touching, [(3.0, 5.0)])) == [frozenset({0, 1})]
+    assert geometry.collaborative_sets(make_scenario(touching, [(3.0, 6.0)])) == []
+    # 1e-6 apart: inside the reach bound, but past nonempty's own rejection
+    apart = [((2.0, 5.0), 1.0), ((5.000001, 5.0), 2.0)]
+    for target in [(3.0, 5.0), (3.0000005, 5.0), (3.000001, 5.0), (4.0, 5.0)]:
+        assert geometry.collaborative_sets(make_scenario(apart, [target])) == []
+
+
 def test_collaborative_sets_square_lattice():
     # spacing 20 and radius 14: row and column neighbours overlap, diagonal
     # neighbours (28.28 apart) do not, and no three disks share a point
