@@ -14,7 +14,6 @@ from .analytics import (
     raster_region,
 )
 from .experiments import (
-    SweepSpec,
     assumption1_scenario,
     region_experiment,
     run_paired_trial,

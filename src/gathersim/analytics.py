@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import geometry
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,25 @@ class AdvantagePoint:
         return abs(self.empirical_mean) < 2.0 * self.empirical_se
 
 
+def _per_set(collaborative_counts: Sequence, informed_counts: Sequence, set_sizes: Sequence):
+    """(collaborative, informed, set size) per set, after checking every set."""
+    if not (len(collaborative_counts) == len(informed_counts) == len(set_sizes)):
+        raise ScenarioError("per-set sequences must have equal length")
+    sets = list(zip(collaborative_counts, informed_counts, set_sizes))
+    for c, i, m in sets:
+        _check_set_size(m)
+        if i >= m:
+            raise ScenarioError(f"informed count {i} must be below set size {m}")
+        if i < 0 or c < 0:
+            raise ScenarioError("counts must be nonnegative")
+    return sets
+
+
+def _check_set_size(m) -> None:
+    if m < 2:
+        raise ScenarioError(f"set size must be >= 2 (got {m})")
+
+
 def power_diff(
     collaborative_counts: Sequence,
     informed_counts: Sequence,
@@ -92,16 +111,8 @@ def power_diff(
     For each set: c * (i*(up + down) - M*down). Exact for integer inputs
     (plain Python arithmetic, no float conversion).
     """
-    if not (len(collaborative_counts) == len(informed_counts) == len(set_sizes)):
-        raise ValueError("per-set sequences must have equal length")
     total = 0
-    for c, i, m in zip(collaborative_counts, informed_counts, set_sizes):
-        if m < 2:
-            raise ValueError(f"set size must be >= 2 (got {m})")
-        if i >= m:
-            raise ValueError(f"informed count {i} must be below set size {m}")
-        if i < 0 or c < 0:
-            raise ValueError("counts must be nonnegative")
+    for c, i, m in _per_set(collaborative_counts, informed_counts, set_sizes):
         total += c * (i * (uplink_power + downlink_power) - m * downlink_power)
     return total
 
@@ -112,10 +123,9 @@ def expected_informed(x: float, set_size: int) -> float:
     Equals set_size - 1 at x = 0 (everyone but the lead hears the feedback in
     time) and falls to 0 at x = 1; ratios above 1 clamp to 0.
     """
-    if set_size < 2:
-        raise ValueError(f"set size must be >= 2 (got {set_size})")
+    _check_set_size(set_size)
     if x < 0:
-        raise ValueError(f"delay ratio must be >= 0 (got {x})")
+        raise ScenarioError(f"delay ratio must be >= 0 (got {x})")
     if x > 1.0:
         return 0.0
     return x**set_size - set_size * x + (set_size - 1)
@@ -123,8 +133,7 @@ def expected_informed(x: float, set_size: int) -> float:
 
 def feasibility(set_size: int) -> float:
     """Cost-ratio threshold above which feedback can be cheaper at all."""
-    if set_size < 2:
-        raise ValueError(f"set size must be >= 2 (got {set_size})")
+    _check_set_size(set_size)
     return 1.0 / (set_size - 1)
 
 
@@ -135,13 +144,12 @@ def advantage_poly(params: AdvantageParams) -> float:
     exactly -M at x = 1 for every y.
     """
     m = params.set_size
-    if m < 2:
-        raise ValueError(f"set size must be >= 2 (got {m})")
+    _check_set_size(m)
     x = params.x
     if not (0.0 <= x <= 1.0):
-        raise ValueError(f"delay ratio must be within [0, 1] (got {x})")
+        raise ScenarioError(f"delay ratio must be within [0, 1] (got {x})")
     if not (math.isfinite(params.y) and params.y > 0):
-        raise ValueError(f"cost ratio must be finite and > 0 (got {params.y})")
+        raise ScenarioError(f"cost ratio must be finite and > 0 (got {params.y})")
     xm = x**m
     base = xm - m * x
     return params.y * (base + m - 1) + base - 1
@@ -158,14 +166,14 @@ def mse_advantage(params: MseAdvantageParams) -> tuple[float, bool]:
     """
     for name in ("trigger_threshold", "noise_std", "sampling_period", "uplink_delay"):
         if not math.isfinite(getattr(params, name)):
-            raise ValueError(f"{name} must be finite")
+            raise ScenarioError(f"{name} must be finite")
     for name in ("trigger_threshold", "sampling_period", "uplink_delay"):
         if getattr(params, name) <= 0:
-            raise ValueError(f"{name} must be > 0")
+            raise ScenarioError(f"{name} must be > 0")
     if params.noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
+        raise ScenarioError("noise_std must be >= 0")
     if params.min_unique < 1:
-        raise ValueError("min_unique must be >= 1")
+        raise ScenarioError("min_unique must be >= 1")
     ratio = 2.0 * params.sampling_period / (params.uplink_delay * params.min_unique)
     threshold = math.sqrt(max(0.0, ratio - 1.0))
     return threshold, params.noise_ratio > threshold
@@ -188,16 +196,10 @@ def mse_bounds(
     Loss: fewer redundant fusions, at most
     2*sampling_period * sigma^2 * sum_i (1/(M-i) - 1/M) * collab.
     """
-    if not (len(collaborative_counts) == len(informed_counts) == len(set_sizes)):
-        raise ValueError("per-set sequences must have equal length")
     eps2 = trigger_threshold**2 + noise_std**2
     cancelled = 0.0
     variance_term = 0.0
-    for c, i, m in zip(collaborative_counts, informed_counts, set_sizes):
-        if m < 2:
-            raise ValueError(f"set size must be >= 2 (got {m})")
-        if i >= m:
-            raise ValueError(f"informed count {i} must be below set size {m}")
+    for c, i, m in _per_set(collaborative_counts, informed_counts, set_sizes):
         cancelled += i * c
         variance_term += (1.0 / (m - i) - 1.0 / m) * c
     gain_lower = eps2 * min_unique * uplink_delay * cancelled
@@ -284,7 +286,7 @@ def approx_network_advantage(
     majority verdict (fraction >= 0.5). `delay_scale` rescales every sensor's
     delay ratio, which maps a common-axis x value onto per-sensor ratios."""
     if not estimates:
-        raise ValueError("no sensors with collaborative membership")
+        raise ScenarioError("no sensor belongs to any collaborative set")
     votes = sum(1 for est in estimates if sensor_advantage(est, y, delay_scale) > 0)
     frac = votes / len(estimates)
     return frac, frac >= 0.5

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate, simulate, sweep, region, analyze. Exit codes: 0 on
-success, 1 for validation or parameter errors, 2 for I/O failures.
+success, 1 for validation or parameter errors, 2 for I/O failures. The front
+end turns flags into library calls and checks only which flags go together;
+the library checks every value and raises a ScenarioError naming it.
 """
 
 from __future__ import annotations
@@ -17,19 +19,10 @@ import numpy as np
 
 from . import analytics, experiments, geometry
 from .protocol import PowerLedger, draw_inputs, run_trial, trace_to_csv, write_csv
-from .scenario import (
-    ScenarioError,
-    check_keys,
-    checked_scenario,
-    int_field,
-    load_scenario,
-    num_list,
-    read_mapping,
-)
+from .scenario import ScenarioError, load_scenario, load_sweep_spec
 # not called here, but benchmark/spans.py wraps these names on this module
 from .scenario import scenario_from_dict, validate as validate_scenario  # noqa: F401
 
-SWEEP_KEYS = ("scenario", "backoff_intervals", "uplink_powers", "trials")
 JOBS_HELP = "worker processes (>= 1; capped at the task and CPU counts)"
 
 
@@ -116,27 +109,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_sweep_spec(path: str, trials, seed) -> experiments.SweepSpec:
-    data = read_mapping(path)
-    check_keys(data, SWEEP_KEYS, "sweep spec")
-    base = data.get("scenario")
-    if isinstance(base, str):
-        base = read_mapping(Path(path).parent / base)
-    elif not isinstance(base, dict):
-        raise ScenarioError("sweep spec needs 'scenario': a path or an inline mapping")
-    return experiments.SweepSpec(
-        base=checked_scenario(base, (), seed),
-        backoff_intervals=num_list(data, "backoff_intervals", "sweep spec"),
-        uplink_powers=num_list(data, "uplink_powers", "sweep spec"),
-        trials=int_field(data, "trials", 1, "sweep spec") if trials is None else trials,
-    )
-
-
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ScenarioError("--jobs must be >= 1")
-    spec = _load_sweep_spec(args.spec, args.trials, args.seed)
-    rows = experiments.run_sweep(spec, jobs=args.jobs)  # checks the spec first
+    base, backoffs, uplink_powers, trials = load_sweep_spec(args.spec, args.trials, args.seed)
+    rows = experiments.run_sweep(base, backoffs, uplink_powers, trials, jobs=args.jobs)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     experiments.sweep_to_csv(rows, out / "sweep.csv")
@@ -144,8 +119,8 @@ def cmd_sweep(args) -> int:
     if args.plot:
         from . import svgplot
 
-        down = spec.base.costs.downlink_power
-        for dpu in spec.uplink_powers:
+        down = base.costs.downlink_power
+        for dpu in uplink_powers:
             series = []
             for arch, color in (("FB", "#c0392b"), ("NF", "#7f8c8d")):
                 pts = [
@@ -167,29 +142,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_region(args) -> int:
-    if args.jobs < 1:
-        raise ScenarioError("--jobs must be >= 1")
-    if args.setsize < 2:
-        raise ScenarioError("--setsize must be >= 2")
     try:
         xs = _parse_grid(args.x_grid, "--x-grid")
         ys = _parse_grid(args.y_grid, "--y-grid")
     except ValueError as e:
         raise ScenarioError(str(e)) from e
-    if min(xs) < 0 or (min(xs) == 0 and not args.theory_only):
-        raise ScenarioError("--x-grid: delay ratios must be > 0 (>= 0 with --theory-only)")
-    if min(ys) <= 0:
-        raise ScenarioError("--y-grid: cost ratios must be > 0")
-    if not args.theory_only and args.trials < 1:
-        raise ScenarioError("--trials must be >= 1")
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
+    # the library checks every value before anything is written
     if args.theory_only:
         points = analytics.raster_region(args.setsize, xs, ys)
     else:
         points = experiments.region_experiment(
             args.setsize, xs, ys, args.trials, jobs=args.jobs, seed=args.seed or 0
         )
+    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     experiments.region_to_csv(points, out / "region.csv")
     print(f"wrote {out / 'region.csv'} ({len(points)} cells)")
     if not args.theory_only:
@@ -213,10 +179,7 @@ def cmd_region(args) -> int:
 def _accuracy_line(*params) -> str:
     """The accuracy condition for MseAdvantageParams(*params), as one line."""
     params = analytics.MseAdvantageParams(*params)
-    try:
-        threshold, ok = analytics.mse_advantage(params)
-    except ValueError as e:
-        raise ScenarioError(str(e)) from e
+    threshold, ok = analytics.mse_advantage(params)
     return (
         f"mse_ratio_threshold = {threshold:.6g} "
         f"(threshold/noise = {params.noise_ratio:.6g}: {'satisfied' if ok else 'not satisfied'})"
@@ -226,8 +189,6 @@ def _accuracy_line(*params) -> str:
 def _scenario_lines(args) -> list[str]:
     scenario = load_scenario(args.scenario)
     estimates = analytics.approx_params(scenario)
-    if not estimates:
-        raise ScenarioError("no sensor belongs to any collaborative set")
     y = scenario.costs.cost_ratio
     lines = [f"cost ratio y = {y:.6g} (uplink/downlink)",
              "sensor  delay_est  delay_ratio  set_size_est  g  advantage"]
@@ -255,15 +216,9 @@ def _closed_form_lines(args) -> list[str]:
         raise ScenarioError("analyze needs --setsize, accuracy parameters, or --scenario")
     lines = []
     if args.setsize is not None:
-        if args.setsize < 2:
-            raise ScenarioError("--setsize must be >= 2")
         thr = analytics.feasibility(args.setsize)
         lines.append(f"feasibility_threshold(set_size={args.setsize}) = {thr:.6g}")
         if args.x is not None:
-            if not (0.0 <= args.x <= 1.0):
-                raise ScenarioError("--x must be within [0, 1]")
-            if not args.y > 0:
-                raise ScenarioError("--y must be > 0")
             g = analytics.advantage_poly(analytics.AdvantageParams(args.x, args.y, args.setsize))
             lines.append(f"g(x={args.x:.6g}, y={args.y:.6g}, set_size={args.setsize}) = {g:.6g}")
             lines.append(f"verdict: {'advantageous' if g > 0 else 'not advantageous'}")
@@ -279,10 +234,8 @@ def cmd_analyze(args) -> int:
         raise ScenarioError(f"{', '.join(closed_form)} cannot be combined with --scenario")
     if (args.x is None) != (args.y is None):
         raise ScenarioError("--x and --y must be given together")
-    for name in ("x", "y", "ts", "dtu", "eps", "sigma"):
-        if not math.isfinite(getattr(args, name) or 0):  # None stands for an absent flag
-            raise ScenarioError(f"--{name} must be finite")
-    # every line is computed before the first is printed, so an error prints nothing
+    # the library checks every value, and every line is computed before the
+    # first is printed, so an error prints nothing
     print("\n".join(_scenario_lines(args) if args.scenario else _closed_form_lines(args)))
     return 0
 

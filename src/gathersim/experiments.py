@@ -101,16 +101,6 @@ def run_paired_trial(trial: Scenario, inputs: TrialInputs) -> PairedOutcome:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """Grid of backoff intervals and uplink costs over one base scenario."""
-
-    base: Scenario
-    backoff_intervals: tuple[float, ...]
-    uplink_powers: tuple[float, ...]
-    trials: int
-
-
-@dataclass(frozen=True)
 class SweepRow:
     backoff_interval: float
     uplink_power: float
@@ -164,38 +154,42 @@ def paired_grid(
     Returns one list per interval, in trial order. Trial i is drawn once, from
     the base seed and i, and every cell replays that draw (common random
     numbers), so the outcomes do not depend on the worker count. A task is one
-    trial index; the cells travel with the worker.
+    trial index; the cells travel with the worker. Every cell, the trial count
+    and the worker count are checked before any trial runs.
     """
+    if not backoff_intervals:
+        raise ScenarioError("backoff_intervals must be nonempty")
+    if trials < 1:
+        raise ScenarioError(f"trials must be >= 1 (got {trials})")
+    if jobs < 1:
+        raise ScenarioError(f"jobs must be >= 1 (got {jobs})")
     cells = _cells(base, backoff_intervals)
     _check(cells)
     per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, base, cells), jobs)
     return [[outs[k] for outs in per_trial] for k in range(len(cells))]
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
-    """Run paired trials over the grid and aggregate power and error.
+def run_sweep(base: Scenario, backoff_intervals: Sequence[float], uplink_powers: Sequence[float],
+              trials: int, jobs: int = 1) -> list[SweepRow]:
+    """Run paired trials of `base` over every (backoff interval, uplink cost)
+    and aggregate power and error.
 
-    Each uplink cost is validated once here and each backoff interval once by
-    `paired_grid`. Power is reported normalized by the uplink cost. Results
-    are aggregated in (backoff, trial) order, so they are independent of
-    worker count.
+    Each uplink cost is validated once here, and `paired_grid` checks the
+    rest. Power is reported normalized by the uplink cost. Results are
+    aggregated in (backoff, trial) order, so they are independent of worker
+    count.
     """
-    if spec.trials < 1:
-        raise ScenarioError("trials must be >= 1")
-    if not spec.backoff_intervals:
-        raise ScenarioError("backoff_intervals must be nonempty")
-    if not spec.uplink_powers:
+    if not uplink_powers:
         raise ScenarioError("uplink_powers must be nonempty")
-    base = spec.base
-    _check(replace(base, costs=replace(base.costs, uplink_power=up)) for up in spec.uplink_powers)
-    grid = paired_grid(base, spec.backoff_intervals, spec.trials, jobs)
+    _check(replace(base, costs=replace(base.costs, uplink_power=up)) for up in uplink_powers)
+    grid = paired_grid(base, backoff_intervals, trials, jobs)
 
     down = base.costs.downlink_power
     rows = []
-    for tb, outs in zip(spec.backoff_intervals, grid):
+    for tb, outs in zip(backoff_intervals, grid):
         nf = (RunningStats(float(o.nf_uplink) for o in outs), RunningStats(o.nf_mse for o in outs))
         fb_mse = RunningStats(o.fb_mse for o in outs)
-        for up in spec.uplink_powers:
+        for up in uplink_powers:
             fb = (RunningStats(o.fb_uplink + o.fb_downlink * down / up for o in outs), fb_mse)
             for arch, (power, mse) in (("FB", fb), ("NF", nf)):
                 rows.append(SweepRow(
@@ -230,11 +224,11 @@ def assumption1_scenario(
     requests (pockets that cannot fit or hold a moving target) are rejected.
     """
     if set_size < 2:
-        raise ValueError(f"set size must be >= 2 (got {set_size})")
+        raise ScenarioError(f"set size must be >= 2 (got {set_size})")
     if collaborative_targets < 1:
-        raise ValueError("at least one collaborative target is required")
+        raise ScenarioError("at least one collaborative target is required")
     if unique_targets < 0:
-        raise ValueError("unique_targets must be >= 0")
+        raise ScenarioError("unique_targets must be >= 0")
 
     center = (25.0, 25.0)
     env = Environment(50.0, 50.0)
@@ -253,7 +247,7 @@ def assumption1_scenario(
 
     overlap_radius = disk_radius - ring_radius - 1.0
     if move_probability > 0 and overlap_radius < MOVE_STEP + 0.2:
-        raise ValueError("shared overlap too small for the requested move step")
+        raise ScenarioError("shared overlap too small for the requested move step")
 
     targets: list[TargetSpec] = []
     spread = min(1.5, overlap_radius / 3.0)
@@ -284,7 +278,7 @@ def assumption1_scenario(
             pocket_radius = min(own_margin, other_margin) - 0.5
             needed = MOVE_STEP + 0.2 if move_probability > 0 else 0.3
             if pocket_radius < needed:
-                raise ValueError(
+                raise ScenarioError(
                     f"exclusive pocket for sensor {j} infeasible "
                     f"(radius {pocket_radius:.2f}, need {needed:.2f})"
                 )
@@ -329,9 +323,9 @@ def assumption1_scenario(
         got = members[t.id]
         want_full = t.id < collaborative_targets
         if want_full and got != full:
-            raise ValueError(f"collaborative target {t.id} observed by {sorted(got)}")
+            raise ScenarioError(f"collaborative target {t.id} observed by {sorted(got)}")
         if not want_full and len(got) != 1:
-            raise ValueError(f"unique target {t.id} observed by {sorted(got)}")
+            raise ScenarioError(f"unique target {t.id} observed by {sorted(got)}")
     return scenario
 
 
@@ -347,8 +341,8 @@ def region_cells(
     plus the lead delay, and the horizon is five sampling periods.
     """
     xs = [float(x) for x in x_values]
-    if min(xs) <= 0:
-        raise ValueError("delay ratio grid must be strictly positive (backoff would be infinite)")
+    if min(xs, default=0.0) <= 0:
+        raise ScenarioError("delay ratios must be a nonempty list of values > 0")
     collaborative = 3
     lead_delay = collaborative * UPLINK_DELAY + collaborative * DOWNLINK_DELAY
     sampling = max(200.0, lead_delay / min(xs) + lead_delay + 10.0)
@@ -372,13 +366,12 @@ def region_experiment(
     The trials of each x run on `region_cells`; each cell's power difference
     is recomputed from the same trials' component counts with uplink power y
     and downlink power 1. Cells whose mean difference is within two standard
-    errors of zero should be treated as boundary cells.
+    errors of zero should be treated as boundary cells. The theory raster is
+    computed first, so a bad set size or cost ratio fails before any trial.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    points = raster_region(set_size, x_values, y_values)  # x-major, like the grid
     base, backoffs = region_cells(set_size, x_values, seed)
     grid = paired_grid(base, backoffs, trials, jobs)
-    points = raster_region(set_size, x_values, y_values)  # x-major, like the grid
     for k, p in enumerate(points):
         stats = RunningStats(o.power_difference(p.y, 1.0) for o in grid[k // len(y_values)])
         points[k] = replace(p, empirical_mean=stats.mean, empirical_se=stats.stderr)

@@ -1,9 +1,10 @@
 """Scenario configuration: typed parameters, validation, and YAML load/save.
 
 A Scenario is one concrete simulation point (one backoff interval, one cost
-pair, one architecture). Parameter sweeps live in `experiments`, never here.
-All values use abstract time/length/power units. All YAML input is parsed
-here, and every parse or shape error is raised as a ScenarioError.
+pair, one architecture). Sweep spec files are parsed here too, and the sweeps
+themselves run in `experiments`. All values use abstract time/length/power
+units. All YAML input is parsed here, and every parse or shape error is raised
+as a ScenarioError.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import functools
 import math
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
+from pathlib import Path
 from typing import Optional
 
 import yaml
@@ -24,7 +26,8 @@ MAX_STEPS = 100_000
 
 
 class ScenarioError(ValueError):
-    """Raised for unparseable or invalid scenario files."""
+    """Raised for unparseable or invalid scenario files and sweep specs, and
+    for out-of-range run parameters anywhere in the library."""
 
 
 class Architecture(str, Enum):
@@ -143,13 +146,21 @@ def _rules(cls) -> tuple:
     return tuple((f.name, *_BOUNDS.get(f.name, _POSITIVE)) for f in fields(cls))
 
 
+def _broken(value, rule: str, ok) -> Optional[str]:
+    """The rule `value` breaks ("finite" before `rule`), or None."""
+    if not _is_finite_number(value):
+        return "finite"
+    return None if ok(value) else rule
+
+
 def _bad_params(part) -> list[str]:
     """Violations of one parameter section's fields, in field order."""
     out = []
     for name, rule, ok in _rules(type(part)):
         value = getattr(part, name)
-        if not (_is_finite_number(value) and ok(value)):
-            out.append(f"{type(part).__name__}.{name}: must be {rule} (got {value!r})")
+        broken = _broken(value, rule, ok)
+        if broken:
+            out.append(f"{type(part).__name__}.{name}: must be {broken} (got {value!r})")
     return out
 
 
@@ -169,8 +180,9 @@ def validate(scenario: Scenario) -> list[str]:
     env_ok = not out
 
     for i, s in enumerate(scenario.sensors):
-        if not (_is_finite_number(s.radius) and s.radius > 0):
-            out.append(f"SensorSpec[{i}].radius: must be > 0 (got {s.radius!r})")
+        broken = _broken(s.radius, *_POSITIVE)
+        if broken:
+            out.append(f"SensorSpec[{i}].radius: must be {broken} (got {s.radius!r})")
         if env_ok and not env.contains(s.center):
             out.append(f"SensorSpec[{i}].center: must lie inside the environment")
     ids = [s.id for s in scenario.sensors]
@@ -186,8 +198,9 @@ def validate(scenario: Scenario) -> list[str]:
         if t.confined:
             cx, cy = t.confine_center
             r = t.confine_radius
-            if not (_is_finite_number(r) and r > 0):
-                out.append(f"TargetSpec[{i}].confine_radius: must be > 0")
+            broken = _broken(r, *_POSITIVE)
+            if broken:
+                out.append(f"TargetSpec[{i}].confine_radius: must be {broken}")
             elif env_ok and not (env.contains((cx - r, cy - r)) and env.contains((cx + r, cy + r))):
                 out.append(f"TargetSpec[{i}].confine: disk must fit inside the environment")
 
@@ -414,6 +427,29 @@ def load_scenario(path, overrides=(), seed: Optional[int] = None) -> Scenario:
     """Load, parse and validate a scenario file, after applying `overrides`
     (`dotted.path=value` strings) and, when given, a replacement seed."""
     return checked_scenario(read_mapping(path), overrides, seed)
+
+
+SWEEP_KEYS = ("scenario", "backoff_intervals", "uplink_powers", "trials")
+
+
+def load_sweep_spec(
+    path, trials: Optional[int] = None, seed: Optional[int] = None
+) -> tuple[Scenario, tuple[float, ...], tuple[float, ...], int]:
+    """A sweep spec file as `experiments.run_sweep`'s (base, backoff intervals,
+    uplink powers, trials); `trials` and `seed`, when given, replace the spec's."""
+    data = read_mapping(path)
+    check_keys(data, SWEEP_KEYS, "sweep spec")
+    base = data.get("scenario")
+    if isinstance(base, str):
+        base = read_mapping(Path(path).parent / base)
+    elif not isinstance(base, dict):
+        raise ScenarioError("sweep spec needs 'scenario': a path or an inline mapping")
+    return (
+        checked_scenario(base, (), seed),
+        num_list(data, "backoff_intervals", "sweep spec"),
+        num_list(data, "uplink_powers", "sweep spec"),
+        int_field(data, "trials", 1, "sweep spec") if trials is None else trials,
+    )
 
 
 def save_scenario(scenario: Scenario, path) -> None:

@@ -18,6 +18,7 @@ from gathersim.analytics import (
     power_diff,
     raster_region,
 )
+from gathersim.scenario import ScenarioError
 
 
 # ---------------------------------------------------------------- power_diff
@@ -253,6 +254,30 @@ def test_mse_bounds_zero_informed():
     gain, loss = mse_bounds([3, 2], [0, 0], [3, 2], 2.0, 0.1, 2.0, 150.0, 1)
     assert gain == 0.0
     assert loss == 0.0
+
+
+def test_mse_bounds_rejects_a_negative_count():
+    # the same per-set check as power_diff
+    for counts in (([-1], [0], [2]), ([1], [-1], [2])):
+        with pytest.raises(ScenarioError, match="nonnegative"):
+            mse_bounds(*counts, 2.0, 0.1, 2.0, 150.0, 1)
+        with pytest.raises(ScenarioError, match="nonnegative"):
+            power_diff(*counts, 1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: expected_informed(0.5, 1),
+    lambda: expected_informed(-0.1, 3),
+    lambda: feasibility(1),
+    lambda: advantage_poly(AdvantageParams(0.3, math.inf, 3)),
+    lambda: mse_advantage(MseAdvantageParams(2.0, 0.1, 150.0, 2.0, 0)),
+    lambda: power_diff([1], [2], [2], 1, 1),
+    lambda: mse_bounds([1], [0, 0], [2], 2.0, 0.1, 2.0, 150.0, 1),
+    lambda: analytics.approx_network_advantage([], y=1.0),
+])
+def test_parameter_errors_are_scenario_errors(call):
+    with pytest.raises(ScenarioError):
+        call()
 
 
 def test_mse_bounds_rejects_full_informed():

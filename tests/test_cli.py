@@ -177,6 +177,12 @@ BAD_INPUTS = {
     "region_theory_nan_ratio": (None, ["region", "--setsize", 3, "--theory-only", "--x-grid", "nan"]),
     "region_nan_cost_ratio": (None, ["region", "--setsize", 3, "--theory-only", "--y-grid", "nan"]),
     "region_zero_cost_ratio": (None, ["region", "--setsize", 3, "--theory-only", "--y-grid", "0,1"]),
+    # the backoff lead delay / 1e-308 overflows to inf
+    "region_overflowing_backoff": (None, ["region", "--setsize", 3, "--x-grid", "1e-308", "--trials", 1]),
+    "region_set_size_1": (None, ["region", "--setsize", 1]),
+    "region_theory_set_size_1": (None, ["region", "--setsize", 1, "--theory-only"]),
+    "region_zero_trials": (None, ["region", "--setsize", 3, "--trials", 0]),
+    "sweep_zero_trials": (SPEC, ["sweep", "INPUT", "--trials", 0]),
 }
 
 

@@ -11,7 +11,6 @@ from scripted_cases import forced_inputs
 from gathersim import experiments, geometry
 from gathersim.experiments import (
     RunningStats,
-    SweepSpec,
     assumption1_scenario,
     region_agreement,
     region_experiment,
@@ -115,20 +114,16 @@ def test_region_agreement_ignores_boundary_cells():
     assert frac == 1.0
 
 
-def sweep_spec(scn, trials=3):
-    return SweepSpec(
-        base=scn,
-        backoff_intervals=(10.0, 30.0),
-        uplink_powers=(1.0, 2.0),
-        trials=trials,
-    )
+def sweep_grid(scn, trials=3):
+    """run_sweep's arguments for a 2 x 2 grid over `scn`."""
+    return scn, (10.0, 30.0), (1.0, 2.0), trials
 
 
 def test_run_sweep_row_count_and_normalization(setting1_path):
     from gathersim.scenario import load_scenario
 
     scn = load_scenario(setting1_path)
-    rows = run_sweep(sweep_spec(scn), jobs=1)
+    rows = run_sweep(*sweep_grid(scn), jobs=1)
     assert len(rows) == 2 * 2 * 2
     nf_rows = [r for r in rows if r.architecture == "NF"]
     # no-feedback power is downlink-free, so normalization leaves it equal
@@ -144,8 +139,8 @@ def test_run_sweep_parallel_matches_serial(setting1_path):
     from gathersim.scenario import load_scenario
 
     scn = load_scenario(setting1_path)
-    serial = run_sweep(sweep_spec(scn, trials=4), jobs=1)
-    parallel = run_sweep(sweep_spec(scn, trials=4), jobs=4)
+    serial = run_sweep(*sweep_grid(scn, trials=4), jobs=1)
+    parallel = run_sweep(*sweep_grid(scn, trials=4), jobs=4)
     assert len(serial) == len(parallel)
     for a, b in zip(serial, parallel):
         assert a == b
@@ -156,11 +151,11 @@ def test_sweep_spec_validation(setting1_path):
 
     scn = load_scenario(setting1_path)
     with pytest.raises(ValueError):
-        run_sweep(SweepSpec(scn, (), (1.0,), 1))
+        run_sweep(scn, (), (1.0,), 1)
     with pytest.raises(ValueError):
-        run_sweep(SweepSpec(scn, (1.0,), (), 1))
+        run_sweep(scn, (1.0,), (), 1)
     with pytest.raises(ValueError):
-        run_sweep(SweepSpec(scn, (1.0,), (1.0,), 0))
+        run_sweep(scn, (1.0,), (1.0,), 0)
 
 
 def test_run_sweep_validates_each_backoff_and_each_cost_once(monkeypatch):
@@ -169,7 +164,7 @@ def test_run_sweep_validates_each_backoff_and_each_cost_once(monkeypatch):
     monkeypatch.setattr(experiments, "validate", lambda s: checks.append(s) or validate(s))
     backoffs = tuple(float(b) for b in range(5, 60, 5))  # 11, some above the sampling period
     costs = (1.0, 2.0, 3.0, 4.0)
-    rows = run_sweep(SweepSpec(GRID_BASE, backoffs, costs, 1))
+    rows = run_sweep(GRID_BASE, backoffs, costs, 1)
     assert len(checks) == len(backoffs) + len(costs) == 15
     assert len(rows) == 2 * len(backoffs) * len(costs)
     assert {s.costs.uplink_power for s in checks} == set(costs)
@@ -178,10 +173,10 @@ def test_run_sweep_validates_each_backoff_and_each_cost_once(monkeypatch):
 
 def test_run_sweep_rejects_an_invalid_cost_and_backoff():
     with pytest.raises(ScenarioError) as bad_cost:
-        run_sweep(SweepSpec(GRID_BASE, (4.0,), (1.0, 0.0), 1))
+        run_sweep(GRID_BASE, (4.0,), (1.0, 0.0), 1)
     assert str(bad_cost.value) == "CostParams.uplink_power: must be > 0 (got 0.0)"
     with pytest.raises(ScenarioError) as bad_backoff:
-        run_sweep(SweepSpec(GRID_BASE, (4.0, -1.0), (1.0,), 1))
+        run_sweep(GRID_BASE, (4.0, -1.0), (1.0,), 1)
     assert str(bad_backoff.value) == "ProtocolParams.backoff_interval: must be > 0 (got -1.0)"
 
 
@@ -252,3 +247,23 @@ def test_paired_grid_draws_once_per_trial_and_validates_each_cell_once(monkeypat
 def test_paired_grid_rejects_an_invalid_cell():
     with pytest.raises(ScenarioError):
         experiments.paired_grid(GRID_BASE, (4.0, -1.0, 55.0), 1, 1)
+
+
+@pytest.mark.parametrize("backoffs, trials, jobs, message", [
+    ((), 1, 1, "backoff_intervals must be nonempty"),
+    (GRID_BACKOFFS, 0, 1, "trials must be >= 1"),
+    (GRID_BACKOFFS, 1, 0, "jobs must be >= 1"),
+])
+def test_paired_grid_rejects_a_bad_grid_before_any_trial(monkeypatch, backoffs, trials, jobs, message):
+    monkeypatch.setattr(experiments, "draw_inputs", None)  # a drawn trial would fail here
+    with pytest.raises(ScenarioError, match=message):
+        experiments.paired_grid(GRID_BASE, backoffs, trials, jobs)
+
+
+def test_assumption1_and_region_errors_are_scenario_errors():
+    with pytest.raises(ScenarioError):
+        assumption1_scenario(1, 3, 0)
+    with pytest.raises(ScenarioError):
+        experiments.region_cells(3, [0.0, 0.5], 0)
+    with pytest.raises(ScenarioError, match="set size"):
+        region_experiment(1, [0.5], [1.0], trials=1)

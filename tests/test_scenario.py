@@ -17,6 +17,7 @@ from gathersim.scenario import (
     SensorSpec,
     TargetSpec,
     load_scenario,
+    load_sweep_spec,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -232,6 +233,28 @@ def test_validate_bounds_the_step_count(setting1_path):
     ]
     (only,) = violations(150.0 * (MAX_STEPS + 1), sampling_period=300.0)
     assert "DynamicsParams.move_period must be <= 100000" in only
+
+
+def test_non_finite_values_are_named_as_such(setting1_path):
+    scn = load_scenario(setting1_path)
+    endless = dataclasses.replace(scn.protocol, horizon=float("inf"))
+    assert validate(dataclasses.replace(scn, protocol=endless)) == [
+        "ProtocolParams.horizon: must be finite (got inf)"
+    ]
+    sensors = (dataclasses.replace(scn.sensors[0], radius=float("nan")), *scn.sensors[1:])
+    assert validate(dataclasses.replace(scn, sensors=sensors)) == [
+        "SensorSpec[0].radius: must be finite (got nan)"
+    ]
+
+
+def test_load_sweep_spec(scenarios_dir, setting1_path):
+    spec = scenarios_dir / "setting1_sweep.yaml"
+    base, backoffs, uplink_powers, trials = load_sweep_spec(spec)
+    assert base == load_scenario(setting1_path)
+    assert len(backoffs) == 11 and len(uplink_powers) == 4
+    assert all(isinstance(v, float) for v in backoffs + uplink_powers)
+    base, *_, trials = load_sweep_spec(spec, trials=3, seed=9)
+    assert (base.seed, trials) == (9, 3)
 
 
 def test_overrides_and_seed(setting1_path):
