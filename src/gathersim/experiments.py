@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import geometry
 from .analytics import AdvantagePoint, raster_region
 from .protocol import TrialInputs, draw_inputs, run_trial, write_csv
@@ -65,7 +67,11 @@ MOVE_STEP = 3.0
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:
-    return base_seed ^ trial_index
+    """Seed of trial `trial_index` of a grid: one 64-bit word of
+    SeedSequence([base seed mod 2**64, trial index]), so the trials of
+    different base seeds share no seed."""
+    entropy = [base_seed & 0xFFFFFFFFFFFFFFFF, trial_index]
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,15 @@ def test_assumption1_rejects_bad_requests():
         assumption1_scenario(4, 2, 1)  # pockets cannot host moving targets
 
 
+def test_trial_seeds_of_different_bases_are_independent():
+    # under seed XOR i, bases 0-7 over 8 trials all had the seed set {0..7}
+    seeds = [[trial_seed(base, i) for i in range(500)] for base in range(8)]
+    assert len(set().union(*seeds)) == 8 * 500
+    first = {tuple(draw_inputs(replace(GRID_BASE, seed=s[0])).steps[0][3]) for s in seeds}
+    assert len(first) == 8  # trial 0's backoff uniforms differ between bases
+    assert trial_seed(-1, 0) == trial_seed(2**64 - 1, 0)  # negative bases wrap like draw_inputs
+
+
 def test_paired_seed_coupling_log_equality():
     # noiseless paired runs must agree on sampling and backoff events exactly
     scn = assumption1_scenario(3, 3, 0, backoff_interval=30.0, noise_std=0.0, seed=555)
