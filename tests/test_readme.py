@@ -1,5 +1,6 @@
 """The README's command examples stay in step with the command-line flags."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -32,7 +33,13 @@ def test_readme_shows_every_subcommand():
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_readme_command_parses(argv):
-    build_parser().parse_args(argv)
+    parser = build_parser()
+    parser.parse_args(argv)
+    # argparse also accepts a unique prefix of a flag, so a renamed flag could
+    # still parse: every flag shown must be spelt out in full
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    known = subcommands.choices[argv[0]]._option_string_actions
+    assert [w for w in argv if w.startswith("--") and w not in known] == []
 
 
 @pytest.mark.parametrize(
