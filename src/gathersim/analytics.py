@@ -26,20 +26,22 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import geometry
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario, ScenarioError, check
 
 
 @dataclass(frozen=True)
 class AdvantageParams:
     """One point of the (delay ratio, cost ratio, set size) space."""
 
-    x: float  # lead propagation delay / backoff interval, >= 0
-    y: float  # uplink power / downlink power, > 0
-    set_size: int  # sensors in the collaborative set, >= 2
+    x: float  # lead propagation delay / backoff interval
+    y: float  # uplink power / downlink power
+    set_size: int  # sensors in the collaborative set; the vote passes fractional sizes
 
 
 @dataclass(frozen=True)
 class MseAdvantageParams:
+    """The accuracy condition's inputs; the shared field names take `ProtocolParams`' rules."""
+
     trigger_threshold: float
     noise_std: float
     sampling_period: float
@@ -80,23 +82,18 @@ class AdvantagePoint:
         return abs(self.empirical_mean) < 2.0 * self.empirical_se
 
 
-def _per_set(collaborative_counts: Sequence, informed_counts: Sequence, set_sizes: Sequence):
-    """(collaborative, informed, set size) per set, after checking every set."""
+def _per_set(collaborative_counts: Sequence, informed_counts: Sequence, set_sizes: Sequence,
+             *records, **values):
+    """(collaborative, informed, set size) per set, checked with `records` and `values`."""
     if not (len(collaborative_counts) == len(informed_counts) == len(set_sizes)):
         raise ScenarioError("per-set sequences must have equal length")
+    check(*records, collaborative_counts=list(collaborative_counts),
+          informed_counts=list(informed_counts), set_sizes=list(set_sizes), **values)
     sets = list(zip(collaborative_counts, informed_counts, set_sizes))
     for c, i, m in sets:
-        _check_set_size(m)
         if i >= m:
             raise ScenarioError(f"informed count {i} must be below set size {m}")
-        if i < 0 or c < 0:
-            raise ScenarioError("counts must be nonnegative")
     return sets
-
-
-def _check_set_size(m) -> None:
-    if m < 2:
-        raise ScenarioError(f"set size must be >= 2 (got {m})")
 
 
 def power_diff(
@@ -112,7 +109,8 @@ def power_diff(
     (plain Python arithmetic, no float conversion).
     """
     total = 0
-    for c, i, m in _per_set(collaborative_counts, informed_counts, set_sizes):
+    for c, i, m in _per_set(collaborative_counts, informed_counts, set_sizes,
+                            uplink_power=uplink_power, downlink_power=downlink_power):
         total += c * (i * (uplink_power + downlink_power) - m * downlink_power)
     return total
 
@@ -123,9 +121,7 @@ def expected_informed(x: float, set_size: int) -> float:
     Equals set_size - 1 at x = 0 (everyone but the lead hears the feedback in
     time) and falls to 0 at x = 1; ratios above 1 clamp to 0.
     """
-    _check_set_size(set_size)
-    if x < 0:
-        raise ScenarioError(f"delay ratio must be >= 0 (got {x})")
+    check(x=x, set_size=set_size)
     if x > 1.0:
         return 0.0
     return x**set_size - set_size * x + (set_size - 1)
@@ -133,7 +129,7 @@ def expected_informed(x: float, set_size: int) -> float:
 
 def feasibility(set_size: int) -> float:
     """Cost-ratio threshold above which feedback can be cheaper at all."""
-    _check_set_size(set_size)
+    check(set_size=set_size)
     return 1.0 / (set_size - 1)
 
 
@@ -143,13 +139,8 @@ def advantage_poly(params: AdvantageParams) -> float:
     Grouped as g = y*(x**M - M*x + M - 1) + (x**M - M*x - 1) so the value is
     exactly -M at x = 1 for every y.
     """
-    m = params.set_size
-    _check_set_size(m)
-    x = params.x
-    if not (0.0 <= x <= 1.0):
-        raise ScenarioError(f"delay ratio must be within [0, 1] (got {x})")
-    if not (math.isfinite(params.y) and params.y > 0):
-        raise ScenarioError(f"cost ratio must be finite and > 0 (got {params.y})")
+    check(params)
+    x, m = params.x, params.set_size
     xm = x**m
     base = xm - m * x
     return params.y * (base + m - 1) + base - 1
@@ -164,16 +155,7 @@ def mse_advantage(params: MseAdvantageParams) -> tuple[float, bool]:
     With noise_std = 0 the ratio is infinite and the condition always holds,
     since the threshold is finite.
     """
-    for name in ("trigger_threshold", "noise_std", "sampling_period", "uplink_delay"):
-        if not math.isfinite(getattr(params, name)):
-            raise ScenarioError(f"{name} must be finite")
-    for name in ("trigger_threshold", "sampling_period", "uplink_delay"):
-        if getattr(params, name) <= 0:
-            raise ScenarioError(f"{name} must be > 0")
-    if params.noise_std < 0:
-        raise ScenarioError("noise_std must be >= 0")
-    if params.min_unique < 1:
-        raise ScenarioError("min_unique must be >= 1")
+    check(params)
     ratio = 2.0 * params.sampling_period / (params.uplink_delay * params.min_unique)
     threshold = math.sqrt(max(0.0, ratio - 1.0))
     return threshold, params.noise_ratio > threshold
@@ -183,11 +165,7 @@ def mse_bounds(
     collaborative_counts: Sequence,
     informed_counts: Sequence,
     set_sizes: Sequence,
-    trigger_threshold: float,
-    noise_std: float,
-    uplink_delay: float,
-    sampling_period: float,
-    min_unique: int,
+    params: MseAdvantageParams,
 ) -> tuple[float, float]:
     """Lower bound on the accuracy gain and upper bound on the accuracy loss.
 
@@ -196,14 +174,14 @@ def mse_bounds(
     Loss: fewer redundant fusions, at most
     2*sampling_period * sigma^2 * sum_i (1/(M-i) - 1/M) * collab.
     """
-    eps2 = trigger_threshold**2 + noise_std**2
+    eps2 = params.trigger_threshold**2 + params.noise_std**2
     cancelled = 0.0
     variance_term = 0.0
-    for c, i, m in _per_set(collaborative_counts, informed_counts, set_sizes):
+    for c, i, m in _per_set(collaborative_counts, informed_counts, set_sizes, params):
         cancelled += i * c
         variance_term += (1.0 / (m - i) - 1.0 / m) * c
-    gain_lower = eps2 * min_unique * uplink_delay * cancelled
-    loss_upper = 2.0 * sampling_period * variance_term * noise_std**2
+    gain_lower = eps2 * params.min_unique * params.uplink_delay * cancelled
+    loss_upper = 2.0 * params.sampling_period * variance_term * params.noise_std**2
     return gain_lower, loss_upper
 
 
@@ -212,6 +190,7 @@ def raster_region(set_size: int, x_values: Sequence[float], y_values: Sequence[f
     x = 1 value, which is never advantageous."""
     out = []
     for x in x_values:
+        check(x=x)
         gx = min(float(x), 1.0)
         for y in y_values:
             g = advantage_poly(AdvantageParams(x=gx, y=float(y), set_size=set_size))
@@ -287,6 +266,7 @@ def approx_network_advantage(
     delay ratio, which maps a common-axis x value onto per-sensor ratios."""
     if not estimates:
         raise ScenarioError("no sensor belongs to any collaborative set")
+    check(y=y, delay_scale=delay_scale)
     votes = sum(1 for est in estimates if sensor_advantage(est, y, delay_scale) > 0)
     frac = votes / len(estimates)
     return frac, frac >= 0.5

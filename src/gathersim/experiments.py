@@ -30,6 +30,7 @@ from .scenario import (
     ScenarioError,
     SensorSpec,
     TargetSpec,
+    check,
     validate,
 )
 
@@ -138,7 +139,7 @@ def _cells(base: Scenario, backoff_intervals: Sequence[float]) -> list[Scenario]
             for tb in backoff_intervals]
 
 
-def _check(scenarios: Iterable[Scenario]) -> None:
+def _check_scenarios(scenarios: Iterable[Scenario]) -> None:
     """Raise ScenarioError with every distinct violation of `scenarios`, in order."""
     violations = dict.fromkeys(v for s in scenarios for v in validate(s))
     if violations:
@@ -165,12 +166,9 @@ def paired_grid(
     """
     if not backoff_intervals:
         raise ScenarioError("backoff_intervals must be nonempty")
-    if trials < 1:
-        raise ScenarioError(f"trials must be >= 1 (got {trials})")
-    if jobs < 1:
-        raise ScenarioError(f"jobs must be >= 1 (got {jobs})")
+    check(trials=trials, jobs=jobs)
     cells = _cells(base, backoff_intervals)
-    _check(cells)
+    _check_scenarios(cells)
     per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, base, cells), jobs)
     return [[outs[k] for outs in per_trial] for k in range(len(cells))]
 
@@ -187,7 +185,7 @@ def run_sweep(base: Scenario, backoff_intervals: Sequence[float], uplink_powers:
     """
     if not uplink_powers:
         raise ScenarioError("uplink_powers must be nonempty")
-    _check(replace(base, costs=replace(base.costs, uplink_power=up)) for up in uplink_powers)
+    _check_scenarios(replace(base, costs=replace(base.costs, uplink_power=up)) for up in uplink_powers)
     grid = paired_grid(base, backoff_intervals, trials, jobs)
 
     down = base.costs.downlink_power
@@ -229,12 +227,10 @@ def assumption1_scenario(
     through `PairedOutcome.power_difference`. Geometrically infeasible
     requests (pockets that cannot fit or hold a moving target) are rejected.
     """
-    if set_size < 2:
-        raise ScenarioError(f"set size must be >= 2 (got {set_size})")
-    if collaborative_targets < 1:
-        raise ScenarioError("at least one collaborative target is required")
-    if unique_targets < 0:
-        raise ScenarioError("unique_targets must be >= 0")
+    check(set_size=set_size, collaborative_targets=collaborative_targets,
+          unique_targets=unique_targets, backoff_interval=backoff_interval,
+          sampling_period=sampling_period, horizon=horizon, noise_std=noise_std,
+          move_probability=move_probability, seed=seed)
 
     center = (25.0, 25.0)
     env = Environment(50.0, 50.0)
@@ -347,8 +343,9 @@ def region_cells(
     plus the lead delay, and the horizon is five sampling periods.
     """
     xs = [float(x) for x in x_values]
-    if min(xs, default=0.0) <= 0:
-        raise ScenarioError("delay ratios must be a nonempty list of values > 0")
+    if not xs:
+        raise ScenarioError("x_values must be nonempty")
+    check(x_values=xs)
     collaborative = 3
     lead_delay = collaborative * UPLINK_DELAY + collaborative * DOWNLINK_DELAY
     sampling = max(200.0, lead_delay / min(xs) + lead_delay + 10.0)

@@ -11,16 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .dynamics import observed_rows
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 
 MembershipMap = dict[int, frozenset[int]]
 
 # Spacing of the grid whose cell centers decide whether sensor disks share a region.
 GRID_STEP = 0.05
+# Grid cells tested at once, so a group's scan holds a few arrays of this size.
+SCAN_CELLS = 2**16
+# Most collaborative sets allowed: with co-located sensors every group is one.
+MAX_SETS = 10_000
 
 
 class GeometryError(RuntimeError):
@@ -69,14 +74,16 @@ def collaborative_sets(scenario: Scenario) -> list[frozenset[int]]:
     over the group's bounding box, clipped to the environment, lies in every
     disk of the group, or when some target's initial position does (a region
     thinner than the grid can still hold a target). The result lists all such
-    groups (maximal or not), ordered by size then member ids.
+    groups (maximal or not), ordered by size then member ids. More than
+    MAX_SETS groups is a ScenarioError.
 
     Most pairs are decided without a grid scan: a pair whose centers are
     farther apart than the sum of the radii is rejected, and a pair is
     accepted when the cell center nearest the middle of its lens lies in both
-    disks. Larger groups are scanned. Size-k candidates extend each nonempty
-    (k-1)-group with a larger id whose disk can reach its last member's, and
-    only when every (k-1)-subset is nonempty.
+    disks. Larger groups are scanned, SCAN_CELLS cells at a time up to the
+    first hit. Size-k candidates extend each nonempty (k-1)-group with a
+    larger id whose disk can reach its last member's, and only when every
+    (k-1)-subset is nonempty.
     """
     env = scenario.environment
     by_id = {s.id: s for s in scenario.sensors}
@@ -84,9 +91,9 @@ def collaborative_sets(scenario: Scenario) -> list[frozenset[int]]:
     targets = np.array([t.position for t in scenario.targets], dtype=float).reshape(-1, 2)
 
     def inside_all(disks, x, y) -> np.ndarray:
-        mask = np.ones(np.shape(x), dtype=bool)
+        mask = True  # x and y may broadcast to a larger shape than either
         for s in disks:
-            mask &= (x - s.center[0]) ** 2 + (y - s.center[1]) ** 2 <= s.radius * s.radius
+            mask = mask & ((x - s.center[0]) ** 2 + (y - s.center[1]) ** 2 <= s.radius * s.radius)
         return mask
 
     def lens_middle(a, b) -> tuple[float, float]:
@@ -123,8 +130,10 @@ def collaborative_sets(scenario: Scenario) -> list[frozenset[int]]:
             return True
         if not has_cells:
             return False
-        gx, gy = np.meshgrid(_cells(i0, i1), _cells(k0, k1), indexing="ij")
-        return bool(inside_all(disks, gx, gy).any())
+        ys = _cells(k0, k1)
+        rows = max(1, SCAN_CELLS // len(ys))
+        return any(inside_all(disks, _cells(i, min(i + rows - 1, i1))[:, None], ys).any()
+                   for i in range(i0, i1 + 1, rows))
 
     # A group is extended only by larger ids within reach of its last member.
     # The reach bound is looser than nonempty's own rejection of a pair, so
@@ -141,14 +150,17 @@ def collaborative_sets(scenario: Scenario) -> list[frozenset[int]]:
     result: list[frozenset[int]] = []
     while layer:
         alive = set(layer)
-        layer = [
+        grown = (
             group + (j,)
             for group in layer
             for j in reach[group[-1]]
             if all(group[:n] + group[n + 1:] + (j,) in alive for n in range(len(group)))
             and nonempty(group + (j,))
-        ]
+        )
+        layer = list(islice(grown, MAX_SETS + 1 - len(result)))
         result += map(frozenset, layer)
+        if len(result) > MAX_SETS:
+            raise ScenarioError(f"more than MAX_SETS = {MAX_SETS} collaborative sets")
     return result
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -128,40 +129,70 @@ class Scenario:
 
 
 def _is_finite_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # float and int before the slower numbers.Real; ints past float range are finite
+    return (not isinstance(v, bool) and isinstance(v, (float, int, numbers.Real))
+            and (isinstance(v, int) or math.isfinite(v)))
 
 
-# Every numeric field of a parameter section must be finite and > 0, except
-# these: field name -> (rule as printed, test).
+def _at_least(lo, integer: bool = False) -> tuple:
+    kind = numbers.Integral if integer else object  # finiteness is checked first
+    return ("an integer " * integer + f">= {lo}", lambda v: isinstance(v, kind) and v >= lo)
+
+
+# The one table of legal values of scenario sections, closed-form records and
+# the harness's named arguments: each must be finite and > 0, except these: name
+# -> (rule as printed, test). A `Record.field` key overrides a field's name.
 _BOUNDS = {
-    # noiseless scenarios are legitimate test points
-    "noise_std": (">= 0", lambda v: v >= 0),
-    "move_probability": ("within [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "noise_std": _at_least(0),  # noiseless scenarios are legitimate test points
+    "move_probability": ("within [0, 1]", lambda v: 0 <= v <= 1),
+    "x": _at_least(0),  # a delay ratio above 1 informs no sensor
+    "AdvantageParams.x": ("within [0, 1]", lambda v: 0 <= v <= 1),
+    # set sizes count sensors, but the per-sensor vote's polynomial takes fractional ones
+    "set_size": _at_least(2, integer=True),
+    "set_sizes": _at_least(2, integer=True),
+    "AdvantageParams.set_size": _at_least(2),
+    "collaborative_counts": _at_least(0),
+    "informed_counts": _at_least(0),
+    "min_unique": _at_least(1),
+    "collaborative_targets": _at_least(1, integer=True),
+    "unique_targets": _at_least(0, integer=True),
+    "trials": _at_least(1, integer=True),
+    "jobs": _at_least(1, integer=True),
+    "seed": ("an integer", lambda v: isinstance(v, numbers.Integral)),
 }
 _POSITIVE = ("> 0", lambda v: v > 0)
 
 
+def _violation(label: str, value, rule: tuple) -> list[str]:
+    """`label`'s message when `value` breaks `rule` ("finite" first), else nothing."""
+    broken = "finite" if not _is_finite_number(value) else None if rule[1](value) else rule[0]
+    return [f"{label}: must be {broken} (got {value!r})"] if broken else []
+
+
 @functools.cache
 def _rules(cls) -> tuple:
-    return tuple((f.name, *_BOUNDS.get(f.name, _POSITIVE)) for f in fields(cls))
-
-
-def _broken(value, rule: str, ok) -> Optional[str]:
-    """The rule `value` breaks ("finite" before `rule`), or None."""
-    if not _is_finite_number(value):
-        return "finite"
-    return None if ok(value) else rule
+    labels = [(f.name, f"{cls.__name__}.{f.name}") for f in fields(cls)]
+    return tuple((name, label, _BOUNDS.get(label) or _BOUNDS.get(name, _POSITIVE))
+                 for name, label in labels)
 
 
 def _bad_params(part) -> list[str]:
-    """Violations of one parameter section's fields, in field order."""
-    out = []
-    for name, rule, ok in _rules(type(part)):
-        value = getattr(part, name)
-        broken = _broken(value, rule, ok)
-        if broken:
-            out.append(f"{type(part).__name__}.{name}: must be {broken} (got {value!r})")
-    return out
+    """Violations of one parameter record's fields, in field order."""
+    return [v for name, label, rule in _rules(type(part))
+            for v in _violation(label, getattr(part, name), rule)]
+
+
+def check(*records, **values) -> None:
+    """Raise a ScenarioError listing every `_BOUNDS` rule that the fields of the
+    parameter `records` or the named `values` (lists element by element) break."""
+    out = [v for part in records for v in _bad_params(part)]
+    for name, value in values.items():
+        rule = _BOUNDS.get(name, _POSITIVE)
+        for label, item in ([(f"{name}[{k}]", v) for k, v in enumerate(value)]
+                            if isinstance(value, (list, tuple)) else [(name, value)]):
+            out += _violation(label, item, rule)
+    if out:
+        raise ScenarioError("; ".join(out))
 
 
 def validate(scenario: Scenario) -> list[str]:
@@ -180,9 +211,7 @@ def validate(scenario: Scenario) -> list[str]:
     env_ok = not out
 
     for i, s in enumerate(scenario.sensors):
-        broken = _broken(s.radius, *_POSITIVE)
-        if broken:
-            out.append(f"SensorSpec[{i}].radius: must be {broken} (got {s.radius!r})")
+        out += _violation(f"SensorSpec[{i}].radius", s.radius, _POSITIVE)
         if env_ok and not env.contains(s.center):
             out.append(f"SensorSpec[{i}].center: must lie inside the environment")
     ids = [s.id for s in scenario.sensors]
@@ -198,10 +227,9 @@ def validate(scenario: Scenario) -> list[str]:
         if t.confined:
             cx, cy = t.confine_center
             r = t.confine_radius
-            broken = _broken(r, *_POSITIVE)
-            if broken:
-                out.append(f"TargetSpec[{i}].confine_radius: must be {broken}")
-            elif env_ok and not (env.contains((cx - r, cy - r)) and env.contains((cx + r, cy + r))):
+            bad = _violation(f"TargetSpec[{i}].confine_radius", r, _POSITIVE)
+            out += bad
+            if not bad and env_ok and not (env.contains((cx - r, cy - r)) and env.contains((cx + r, cy + r))):
                 out.append(f"TargetSpec[{i}].confine: disk must fit inside the environment")
 
     for part in (scenario.protocol, scenario.dynamics, scenario.costs):
@@ -215,10 +243,7 @@ def validate(scenario: Scenario) -> list[str]:
                 out.append(f"ProtocolParams.horizon: horizon / {name} must be <= {MAX_STEPS} "
                            f"(got {horizon / period:.6g})")
 
-    if not isinstance(scenario.seed, int) or isinstance(scenario.seed, bool):
-        out.append(f"Scenario.seed: must be an integer (got {scenario.seed!r})")
-
-    return out
+    return out + _violation("Scenario.seed", scenario.seed, _BOUNDS["seed"])
 
 
 def _float(value, where: str) -> float:

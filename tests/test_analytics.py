@@ -169,7 +169,7 @@ def test_advantage_poly_domain():
     with pytest.raises(ValueError):
         advantage_poly(AdvantageParams(0.5, 1.0, 1))
     for y in (math.nan, 0.0, -5.0, math.inf):
-        with pytest.raises(ValueError, match="cost ratio"):
+        with pytest.raises(ValueError, match="AdvantageParams.y: must be"):
             advantage_poly(AdvantageParams(0.3, y, 3))
 
 
@@ -244,14 +244,14 @@ def test_mse_advantage_rejects_non_finite(field, value):
 
 
 def test_mse_bounds_worked_example():
-    gain, loss = mse_bounds([1], [1], [2], 2.0, 0.1, 2.0, 150.0, 1)
+    gain, loss = mse_bounds([1], [1], [2], MseAdvantageParams(2.0, 0.1, 150.0, 2.0, 1))
     assert math.isclose(gain, 8.02)
     assert math.isclose(loss, 1.5)
     assert gain > loss
 
 
 def test_mse_bounds_zero_informed():
-    gain, loss = mse_bounds([3, 2], [0, 0], [3, 2], 2.0, 0.1, 2.0, 150.0, 1)
+    gain, loss = mse_bounds([3, 2], [0, 0], [3, 2], MseAdvantageParams(2.0, 0.1, 150.0, 2.0, 1))
     assert gain == 0.0
     assert loss == 0.0
 
@@ -259,9 +259,9 @@ def test_mse_bounds_zero_informed():
 def test_mse_bounds_rejects_a_negative_count():
     # the same per-set check as power_diff
     for counts in (([-1], [0], [2]), ([1], [-1], [2])):
-        with pytest.raises(ScenarioError, match="nonnegative"):
-            mse_bounds(*counts, 2.0, 0.1, 2.0, 150.0, 1)
-        with pytest.raises(ScenarioError, match="nonnegative"):
+        with pytest.raises(ScenarioError, match=r"counts\[0\]: must be >= 0"):
+            mse_bounds(*counts, MseAdvantageParams(2.0, 0.1, 150.0, 2.0, 1))
+        with pytest.raises(ScenarioError, match=r"counts\[0\]: must be >= 0"):
             power_diff(*counts, 1, 1)
 
 
@@ -272,7 +272,7 @@ def test_mse_bounds_rejects_a_negative_count():
     lambda: advantage_poly(AdvantageParams(0.3, math.inf, 3)),
     lambda: mse_advantage(MseAdvantageParams(2.0, 0.1, 150.0, 2.0, 0)),
     lambda: power_diff([1], [2], [2], 1, 1),
-    lambda: mse_bounds([1], [0, 0], [2], 2.0, 0.1, 2.0, 150.0, 1),
+    lambda: mse_bounds([1], [0, 0], [2], MseAdvantageParams(2.0, 0.1, 150.0, 2.0, 1)),
     lambda: analytics.approx_network_advantage([], y=1.0),
 ])
 def test_parameter_errors_are_scenario_errors(call):
@@ -282,7 +282,7 @@ def test_parameter_errors_are_scenario_errors(call):
 
 def test_mse_bounds_rejects_full_informed():
     with pytest.raises(ValueError):
-        mse_bounds([1], [2], [2], 2.0, 0.1, 2.0, 150.0, 1)
+        mse_bounds([1], [2], [2], MseAdvantageParams(2.0, 0.1, 150.0, 2.0, 1))
 
 
 def test_mse_bounds_tight_at_threshold():
@@ -292,7 +292,7 @@ def test_mse_bounds_tight_at_threshold():
     sigma = 0.1
     eps = sigma * math.sqrt(2 * sampling / (uplink * unique) - 1.0)
     collab, informed, size = [2], [1], [3]
-    gain, loss = mse_bounds(collab, informed, size, eps, sigma, uplink, sampling, unique)
+    gain, loss = mse_bounds(collab, informed, size, MseAdvantageParams(eps, sigma, sampling, uplink, unique))
     relaxed_loss = 2.0 * sampling * sigma**2 * sum(
         i * c for i, c in zip(informed, collab)
     )

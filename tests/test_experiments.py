@@ -260,8 +260,8 @@ def test_paired_grid_rejects_an_invalid_cell():
 
 @pytest.mark.parametrize("backoffs, trials, jobs, message", [
     ((), 1, 1, "backoff_intervals must be nonempty"),
-    (GRID_BACKOFFS, 0, 1, "trials must be >= 1"),
-    (GRID_BACKOFFS, 1, 0, "jobs must be >= 1"),
+    (GRID_BACKOFFS, 0, 1, "trials: must be an integer >= 1"),
+    (GRID_BACKOFFS, 1, 0, "jobs: must be an integer >= 1"),
 ])
 def test_paired_grid_rejects_a_bad_grid_before_any_trial(monkeypatch, backoffs, trials, jobs, message):
     monkeypatch.setattr(experiments, "draw_inputs", None)  # a drawn trial would fail here
@@ -274,5 +274,5 @@ def test_assumption1_and_region_errors_are_scenario_errors():
         assumption1_scenario(1, 3, 0)
     with pytest.raises(ScenarioError):
         experiments.region_cells(3, [0.0, 0.5], 0)
-    with pytest.raises(ScenarioError, match="set size"):
+    with pytest.raises(ScenarioError, match="set_size: must be >= 2"):
         region_experiment(1, [0.5], [1.0], trials=1)

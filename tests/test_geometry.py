@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gathersim.scenario import (
     Environment,
     ProtocolParams,
     Scenario,
+    ScenarioError,
     SensorSpec,
     TargetSpec,
 )
@@ -300,3 +302,44 @@ def layouts(draw):
 @settings(max_examples=150)
 def test_collaborative_sets_match_dense_grid_reference(scn):
     assert geometry.collaborative_sets(scn) == reference_sets(scn)
+
+
+def test_block_scan_matches_the_dense_grid_reference(monkeypatch):
+    # blocks of 16 cells split every group scan across many blocks
+    monkeypatch.setattr(geometry, "SCAN_CELLS", 16)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        size = float(rng.uniform(5.0, 12.0))
+        disks = rng.uniform([0.0, 0.0, 0.5], [size, size, size / 2], (5, 3)).tolist()
+        scn = make_scenario([((x, y), r) for x, y, r in disks], [(0.01, 0.01)], size=size)
+        assert geometry.collaborative_sets(scn) == reference_sets(scn)
+
+
+def test_group_scan_memory_is_bounded():
+    # three disks share a region that holds no target, so the triple is
+    # scanned; one grid over its 3600 x 3600-cell bounding box took 279 MB
+    w = 200.0
+    disks = [((0.45 * w, 0.5 * w), 0.45 * w), ((0.55 * w, 0.5 * w), 0.45 * w),
+             ((0.5 * w, 0.55 * w), 0.45 * w)]
+    scn = make_scenario(disks, [(1.0, 1.0)], size=w)
+    tracemalloc.start()
+    try:
+        sets = geometry.collaborative_sets(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sets == [frozenset(s) for s in ({0, 1}, {0, 2}, {1, 2}, {0, 1, 2})]
+    assert peak < 16 * 2**20
+
+
+def test_enumeration_stops_past_max_sets(monkeypatch):
+    # eight co-located sensors: every one of the 2**8 - 9 groups of two or more is a set
+    ring = [((6.0 + 0.1 * math.cos(a), 6.0 + 0.1 * math.sin(a)), 3.0)
+            for a in np.linspace(0.0, 2 * math.pi, 8, endpoint=False).tolist()]
+    scn = make_scenario(ring, [(6.0, 6.0)])
+    assert len(geometry.collaborative_sets(scn)) == 247
+    monkeypatch.setattr(geometry, "MAX_SETS", 247)
+    assert len(geometry.collaborative_sets(scn)) == 247
+    monkeypatch.setattr(geometry, "MAX_SETS", 246)
+    with pytest.raises(ScenarioError, match="MAX_SETS = 246"):
+        geometry.collaborative_sets(scn)
