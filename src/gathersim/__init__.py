@@ -19,7 +19,7 @@ from .experiments import (
     run_paired_trial,
     run_sweep,
 )
-from .protocol import classify_step, run_trial
+from .protocol import run_trial
 from .scenario import (
     Architecture,
     CostParams,
@@ -31,7 +31,6 @@ from .scenario import (
     SensorSpec,
     TargetSpec,
     load_scenario,
-    save_scenario,
     validate,
 )
 

@@ -174,12 +174,12 @@ def mse_bounds(
     Loss: fewer redundant fusions, at most
     2*sampling_period * sigma^2 * sum_i (1/(M-i) - 1/M) * collab.
     """
-    eps2 = params.trigger_threshold**2 + params.noise_std**2
     cancelled = 0.0
     variance_term = 0.0
     for c, i, m in _per_set(collaborative_counts, informed_counts, set_sizes, params):
         cancelled += i * c
         variance_term += (1.0 / (m - i) - 1.0 / m) * c
+    eps2 = params.trigger_threshold**2 + params.noise_std**2
     gain_lower = eps2 * params.min_unique * params.uplink_delay * cancelled
     loss_upper = 2.0 * params.sampling_period * variance_term * params.noise_std**2
     return gain_lower, loss_upper
@@ -188,9 +188,9 @@ def mse_bounds(
 def raster_region(set_size: int, x_values: Sequence[float], y_values: Sequence[float]) -> list[AdvantagePoint]:
     """Theoretical verdict over a grid. Delay ratios above 1 clamp to the
     x = 1 value, which is never advantageous."""
+    check(x=list(x_values), y=list(y_values))
     out = []
     for x in x_values:
-        check(x=x)
         gx = min(float(x), 1.0)
         for y in y_values:
             g = advantage_poly(AdvantageParams(x=gx, y=float(y), set_size=set_size))

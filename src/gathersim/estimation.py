@@ -51,9 +51,6 @@ class EstimatorState:
         c = self._counts[row]
         return (sx / c, sy / c)
 
-    def fusion_count(self, target_id: int) -> int:
-        return self._counts[self._row[target_id]]
-
     def absorb(self, target_id: int, value: Point, step: int) -> None:
         """Fold one measurement into the estimate under the epoch rules; a
         measurement older than the current estimate is stale and dropped."""

@@ -166,7 +166,7 @@ def paired_grid(
     """
     if not backoff_intervals:
         raise ScenarioError("backoff_intervals must be nonempty")
-    check(trials=trials, jobs=jobs)
+    check(backoff_intervals=list(backoff_intervals), trials=trials, jobs=jobs)
     cells = _cells(base, backoff_intervals)
     _check_scenarios(cells)
     per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, base, cells), jobs)
@@ -342,10 +342,11 @@ def region_cells(
     interval to lead delay / x. The sampling period fits the longest backoff
     plus the lead delay, and the horizon is five sampling periods.
     """
-    xs = [float(x) for x in x_values]
+    xs = list(x_values)
     if not xs:
         raise ScenarioError("x_values must be nonempty")
     check(x_values=xs)
+    xs = [float(x) for x in xs]
     collaborative = 3
     lead_delay = collaborative * UPLINK_DELAY + collaborative * DOWNLINK_DELAY
     sampling = max(200.0, lead_delay / min(xs) + lead_delay + 10.0)

@@ -1,4 +1,4 @@
-"""Scenario configuration: typed parameters, validation, and YAML load/save.
+"""Scenario configuration: typed parameters, validation, and YAML loading.
 
 A Scenario is one concrete simulation point (one backoff interval, one cost
 pair, one architecture). Sweep spec files are parsed here too, and the sweeps
@@ -128,20 +128,32 @@ class Scenario:
     seed: int
 
 
-def _is_finite_number(v) -> bool:
-    # float and int before the slower numbers.Real; ints past float range are finite
-    return (not isinstance(v, bool) and isinstance(v, (float, int, numbers.Real))
-            and (isinstance(v, int) or math.isfinite(v)))
+def _number_error(v) -> Optional[str]:
+    """None for a real, non-bool number whose float is finite; else what `v` must be."""
+    # float and int before the slower numbers.Real
+    if type(v) is not float and (isinstance(v, bool) or not isinstance(v, (int, numbers.Real))):
+        return "a number"
+    try:
+        return None if math.isfinite(v) else "finite"
+    except OverflowError:  # an integer past float range
+        return "finite"
+
+
+def _is_integer(v) -> bool:
+    return type(v) is int or isinstance(v, numbers.Integral)  # int before the slower ABC
 
 
 def _at_least(lo, integer: bool = False) -> tuple:
-    kind = numbers.Integral if integer else object  # finiteness is checked first
-    return ("an integer " * integer + f">= {lo}", lambda v: isinstance(v, kind) and v >= lo)
+    test = (lambda v: _is_integer(v) and v >= lo) if integer else (lambda v: v >= lo)
+    return ("an integer " * integer + f">= {lo}", test)  # numbers are checked first
 
+
+_INTEGER = ("an integer", _is_integer)
 
 # The one table of legal values of scenario sections, closed-form records and
-# the harness's named arguments: each must be finite and > 0, except these: name
-# -> (rule as printed, test). A `Record.field` key overrides a field's name.
+# the harness's named arguments: each must be a finite number (see `_number_error`)
+# and > 0, except these: name -> (rule as printed, test). A `Record.field` key
+# overrides a field's name.
 _BOUNDS = {
     "noise_std": _at_least(0),  # noiseless scenarios are legitimate test points
     "move_probability": ("within [0, 1]", lambda v: 0 <= v <= 1),
@@ -158,15 +170,33 @@ _BOUNDS = {
     "unique_targets": _at_least(0, integer=True),
     "trials": _at_least(1, integer=True),
     "jobs": _at_least(1, integer=True),
-    "seed": ("an integer", lambda v: isinstance(v, numbers.Integral)),
+    "seed": _INTEGER,
+    "SensorSpec.id": _at_least(0, integer=True),  # `validate` also wants them 0..n-1
+    "TargetSpec.id": _INTEGER,
+    "coordinate": ("any number", lambda v: True),  # `validate` places points
 }
 _POSITIVE = ("> 0", lambda v: v > 0)
 
 
+def _broken(value, rule: tuple) -> Optional[str]:
+    """What `value` must be to keep `rule` (a finite number first), or None when it does."""
+    return _number_error(value) or (None if rule[1](value) else rule[0])
+
+
 def _violation(label: str, value, rule: tuple) -> list[str]:
-    """`label`'s message when `value` breaks `rule` ("finite" first), else nothing."""
-    broken = "finite" if not _is_finite_number(value) else None if rule[1](value) else rule[0]
+    """`label`'s message when `value` breaks `rule`, else nothing."""
+    broken = _broken(value, rule)
     return [f"{label}: must be {broken} (got {value!r})"] if broken else []
+
+
+def _point_violations(label: str, point) -> list[str]:
+    """Violations of an [x, y] point: its shape, then each coordinate."""
+    if not isinstance(point, (list, tuple)) or len(point) != 2:
+        return [f"{label}: must be an [x, y] pair (got {point!r})"]
+    rule = _BOUNDS["coordinate"]
+    if not (_broken(point[0], rule) or _broken(point[1], rule)):
+        return []  # the common case, without formatting labels
+    return _violation(f"{label}[0]", point[0], rule) + _violation(f"{label}[1]", point[1], rule)
 
 
 @functools.cache
@@ -198,7 +228,8 @@ def check(*records, **values) -> None:
 def validate(scenario: Scenario) -> list[str]:
     """Return an order-stable list of violated invariants; empty when valid.
 
-    Pure: the same scenario always yields the identical list.
+    Pure: the same scenario always yields the identical list. A field value of
+    the wrong type is listed like any other violation, not raised.
     """
     env = scenario.environment
     out = _bad_params(env)
@@ -211,26 +242,38 @@ def validate(scenario: Scenario) -> list[str]:
     env_ok = not out
 
     for i, s in enumerate(scenario.sensors):
-        out += _violation(f"SensorSpec[{i}].radius", s.radius, _POSITIVE)
-        if env_ok and not env.contains(s.center):
+        bad = _point_violations(f"SensorSpec[{i}].center", s.center)
+        out += bad + _violation(f"SensorSpec[{i}].radius", s.radius, _POSITIVE)
+        if env_ok and not bad and not env.contains(s.center):
             out.append(f"SensorSpec[{i}].center: must lie inside the environment")
+    rule = _BOUNDS["SensorSpec.id"]
+    bad = [v for i, s in enumerate(scenario.sensors) if _broken(s.id, rule)
+           for v in _violation(f"SensorSpec[{i}].id", s.id, rule)]
+    out += bad
     ids = [s.id for s in scenario.sensors]
-    if sorted(ids) != list(range(len(ids))):
+    if not bad and sorted(ids) != list(range(len(ids))):
         out.append("SensorSpec.id: ids must be unique and 0-based contiguous")
 
+    rule = _BOUNDS["TargetSpec.id"]
+    bad = [v for i, t in enumerate(scenario.targets) if _broken(t.id, rule)
+           for v in _violation(f"TargetSpec[{i}].id", t.id, rule)]
+    out += bad
     tids = [t.id for t in scenario.targets]
-    if len(set(tids)) != len(tids):
+    if not bad and len(set(tids)) != len(tids):
         out.append("TargetSpec.id: ids must be unique")
     for i, t in enumerate(scenario.targets):
-        if env_ok and not env.contains(t.position):
+        bad = _point_violations(f"TargetSpec[{i}].position", t.position)
+        out += bad
+        if env_ok and not bad and not env.contains(t.position):
             out.append(f"TargetSpec[{i}].position: must lie inside the environment")
         if t.confined:
-            cx, cy = t.confine_center
-            r = t.confine_radius
-            bad = _violation(f"TargetSpec[{i}].confine_radius", r, _POSITIVE)
+            bad = (_point_violations(f"TargetSpec[{i}].confine_center", t.confine_center)
+                   + _violation(f"TargetSpec[{i}].confine_radius", t.confine_radius, _POSITIVE))
             out += bad
-            if not bad and env_ok and not (env.contains((cx - r, cy - r)) and env.contains((cx + r, cy + r))):
-                out.append(f"TargetSpec[{i}].confine: disk must fit inside the environment")
+            if not bad and env_ok:
+                (cx, cy), r = t.confine_center, t.confine_radius
+                if not (env.contains((cx - r, cy - r)) and env.contains((cx + r, cy + r))):
+                    out.append(f"TargetSpec[{i}].confine: disk must fit inside the environment")
 
     for part in (scenario.protocol, scenario.dynamics, scenario.costs):
         out += _bad_params(part)
@@ -238,7 +281,7 @@ def validate(scenario: Scenario) -> list[str]:
     horizon = scenario.protocol.horizon
     for name, period in (("ProtocolParams.sampling_period", scenario.protocol.sampling_period),
                          ("DynamicsParams.move_period", scenario.dynamics.move_period)):
-        if _is_finite_number(horizon) and _is_finite_number(period) and period > 0:
+        if not (_number_error(horizon) or _number_error(period)) and period > 0:
             if horizon / period > MAX_STEPS:
                 out.append(f"ProtocolParams.horizon: horizon / {name} must be <= {MAX_STEPS} "
                            f"(got {horizon / period:.6g})")
@@ -246,20 +289,21 @@ def validate(scenario: Scenario) -> list[str]:
     return out + _violation("Scenario.seed", scenario.seed, _BOUNDS["seed"])
 
 
-def _float(value, where: str) -> float:
-    # numeric strings pass (YAML reads `1e3` as a string); booleans do not
-    if not isinstance(value, bool):
+def _number(value):
+    """`value` as a float when it is a real non-bool number or a numeric string
+    (YAML reads `1e3` as a string); any other value as read, for `validate`."""
+    if not isinstance(value, bool) and isinstance(value, (float, int, str, numbers.Real)):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (ValueError, OverflowError):  # not numeric, or an integer past float range
             pass
-    raise ScenarioError(f"{where}: must be a number (got {value!r})")
+    return value
 
 
 def _point(raw, where: str) -> Point:
     if (not isinstance(raw, (list, tuple))) or len(raw) != 2:
         raise ScenarioError(f"{where}: expected a 2-element [x, y] list")
-    return (_float(raw[0], where), _float(raw[1], where))
+    return (_number(raw[0]), _number(raw[1]))
 
 
 def check_keys(mapping: dict, allowed, where: str) -> None:
@@ -276,14 +320,14 @@ def _entry(raw, allowed, where: str) -> dict:
     return raw
 
 
-def _num(section: dict, key: str, where: str) -> float:
+def _required(section: dict, key: str, where: str):
     if key not in section:
         raise ScenarioError(f"{where}.{key}: missing")
-    return _float(section[key], f"{where}.{key}")
+    return section[key]
 
 
 def _params(cls, data: dict, key: str):
-    """The parameter section `data[key]` as a `cls`: every field a required number."""
+    """The parameter section `data[key]` as a `cls`: every field a required scalar."""
     if key not in data:
         raise ScenarioError(f"missing section {key!r}")
     section = data[key]
@@ -291,23 +335,7 @@ def _params(cls, data: dict, key: str):
         raise ScenarioError(f"section {key!r} must be a mapping")
     names = [f.name for f in fields(cls)]
     check_keys(section, names, key)
-    return cls(*(_num(section, name, key) for name in names))
-
-
-def num_list(section: dict, key: str, where: str) -> tuple[float, ...]:
-    """`section[key]` as a nonempty tuple of floats."""
-    raw = section.get(key)
-    if not isinstance(raw, list) or not raw:
-        raise ScenarioError(f"{where}.{key}: must be a nonempty list of numbers")
-    return tuple(_float(v, f"{where}.{key}[{i}]") for i, v in enumerate(raw))
-
-
-def int_field(section: dict, key: str, default: int, where: str) -> int:
-    """`section[key]`, or `default` when absent; bools are not integers."""
-    value = section.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{where}.{key}: must be an integer (got {value!r})")
-    return value
+    return cls(*(_number(_required(section, name, key)) for name in names))
 
 
 def _mappings(data: dict, key: str, allowed) -> list[dict]:
@@ -319,19 +347,17 @@ def _mappings(data: dict, key: str, allowed) -> list[dict]:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a Scenario from a parsed config tree. Does not validate invariants."""
+    """Build a Scenario from a parsed config tree. Checks only its shape (mappings,
+    lists, [x, y] points, known and required keys); `validate` checks every value."""
     check_keys(data, [f.name for f in fields(Scenario)], "scenario")
     env = _params(Environment, data, "environment")
 
-    sensors = []
-    for i, s in enumerate(_mappings(data, "sensors", ("id", "center", "radius"))):
-        sensors.append(
-            SensorSpec(
-                id=int_field(s, "id", i, f"sensors[{i}]"),
-                center=_point(s.get("center"), f"sensors[{i}].center"),
-                radius=_num(s, "radius", f"sensors[{i}]"),
-            )
-        )
+    # entry ids default to the list index
+    sensors = [
+        SensorSpec(s.get("id", i), _point(s.get("center"), f"sensors[{i}].center"),
+                   _number(_required(s, "radius", f"sensors[{i}]")))
+        for i, s in enumerate(_mappings(data, "sensors", ("id", "center", "radius")))
+    ]
 
     targets = []
     for i, t in enumerate(_mappings(data, "targets", ("id", "position", "confine"))):
@@ -339,15 +365,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         if t.get("confine") is not None:
             confine = _entry(t["confine"], ("center", "radius"), f"targets[{i}].confine")
             cc = _point(confine.get("center"), f"targets[{i}].confine.center")
-            cr = _num(confine, "radius", f"targets[{i}].confine")
-        targets.append(
-            TargetSpec(
-                id=int_field(t, "id", i, f"targets[{i}]"),
-                position=_point(t.get("position"), f"targets[{i}].position"),
-                confine_center=cc,
-                confine_radius=cr,
-            )
-        )
+            cr = _number(_required(confine, "radius", f"targets[{i}].confine"))
+        position = _point(t.get("position"), f"targets[{i}].position")
+        targets.append(TargetSpec(t.get("id", i), position, cc, cr))
 
     protocol = _params(ProtocolParams, data, "protocol")
     dynamics = _params(DynamicsParams, data, "dynamics")
@@ -358,10 +378,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"architecture: must be 'FB' or 'NF' (got {arch_raw!r})")
     architecture = Architecture(arch_raw.upper())
 
-    seed = data.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioError(f"seed: must be an integer (got {seed!r})")
-
     return Scenario(
         environment=env,
         sensors=tuple(sensors),
@@ -370,7 +386,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         dynamics=dynamics,
         costs=costs,
         architecture=architecture,
-        seed=seed,
+        seed=data.get("seed"),
     )
 
 
@@ -457,11 +473,10 @@ def load_scenario(path, overrides=(), seed: Optional[int] = None) -> Scenario:
 SWEEP_KEYS = ("scenario", "backoff_intervals", "uplink_powers", "trials")
 
 
-def load_sweep_spec(
-    path, trials: Optional[int] = None, seed: Optional[int] = None
-) -> tuple[Scenario, tuple[float, ...], tuple[float, ...], int]:
+def load_sweep_spec(path, trials: Optional[int] = None, seed: Optional[int] = None) -> tuple:
     """A sweep spec file as `experiments.run_sweep`'s (base, backoff intervals,
-    uplink powers, trials); `trials` and `seed`, when given, replace the spec's."""
+    uplink powers, trials); `trials` and `seed`, when given, replace the spec's.
+    The base scenario is validated here, and `run_sweep` checks the grids and trials."""
     data = read_mapping(path)
     check_keys(data, SWEEP_KEYS, "sweep spec")
     base = data.get("scenario")
@@ -469,14 +484,10 @@ def load_sweep_spec(
         base = read_mapping(Path(path).parent / base)
     elif not isinstance(base, dict):
         raise ScenarioError("sweep spec needs 'scenario': a path or an inline mapping")
-    return (
-        checked_scenario(base, (), seed),
-        num_list(data, "backoff_intervals", "sweep spec"),
-        num_list(data, "uplink_powers", "sweep spec"),
-        int_field(data, "trials", 1, "sweep spec") if trials is None else trials,
-    )
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(scenario_to_dict(scenario), fh, sort_keys=False)
+    base = checked_scenario(base, (), seed)
+    grids = []
+    for key in ("backoff_intervals", "uplink_powers"):
+        if not isinstance(data.get(key), list):
+            raise ScenarioError(f"sweep spec.{key}: must be a list")
+        grids.append(tuple(map(_number, data[key])))
+    return (base, *grids, data.get("trials", 1) if trials is None else trials)

@@ -1,16 +1,19 @@
-"""Shared scripted-backoff machinery for exact power-difference checks.
+"""Shared test oracles and scripted-backoff machinery for exact power-difference checks.
 
 Builds symmetric scenarios where every sensor schedules identical packets at
 step 0, forces the backoffs in the trial's drawn inputs, and evaluates both
 architectures on those inputs. The informed set is computed independently
 from the forced values and the known propagation delay, never from the
-simulator.
+simulator. `classify_step` reads the lead, informed and uninformed sensors
+of each collaborative set back from an FB event log, and `fusion_count` reads
+an estimator's per-target fusion count.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
+from gathersim.estimation import EstimatorState
 from gathersim.experiments import assumption1_scenario
-from gathersim.protocol import draw_inputs, run_trial
+from gathersim.protocol import CENTRAL, EventLog, EventRecord, draw_inputs, run_trial
 from gathersim.scenario import Architecture, CostParams
 
 UPLINK_POWER = 2
@@ -93,3 +96,70 @@ def run_scripted_pair(scenario, table):
     fb = run_trial(replace(scenario, architecture=Architecture.FB), inputs=inputs)
     nf = run_trial(replace(scenario, architecture=Architecture.NF), inputs=inputs)
     return fb, nf
+
+
+@dataclass(frozen=True)
+class SetClassification:
+    """How one collaborative set behaved at one sampling step."""
+
+    members: frozenset[int]
+    lead: int
+    informed: frozenset[int]
+    uninformed: frozenset[int]
+    lead_delay: float
+
+
+def classify_step(log: EventLog, sets: list[frozenset[int]], step: int) -> list[SetClassification]:
+    """Partition each collaborative set at a step into lead/informed/uninformed.
+
+    The lead minimizes backoff plus propagation delay (lowest id on ties); a
+    sensor is informed when its backoff exceeds the lead's backoff plus the
+    lead's actual propagation delay. Only sensors triggered at the step take
+    part; sets with no triggered member yield no entry.
+    """
+    if log.architecture != Architecture.FB:
+        raise ValueError("classification is defined for feedback-architecture logs only")
+    by_kind: dict[str, dict[int, EventRecord]] = {}  # kind -> sensor -> last record
+    for r in log.records:
+        if r.step == step:
+            by_kind.setdefault(r.kind, {})[r.sensor] = r
+    if "SAMPLE" not in by_kind:
+        raise IndexError(f"no sampling step {step} in this log")
+    collab = frozenset(by_kind["SAMPLE"][CENTRAL].targets)
+    proto = log.protocol
+    backoffs = by_kind.get("BACKOFF_SET", {})
+    tx_starts = by_kind.get("TX_START", {})
+    fb_starts = by_kind.get("FEEDBACK_START", {})
+
+    out: list[SetClassification] = []
+    for members in sorted(sets, key=lambda fs: (len(fs), tuple(sorted(fs)))):
+        triggered = sorted(j for j in members if j in backoffs)
+        if not triggered:
+            continue
+
+        def scheduled_delay(j: int) -> float:
+            rec = backoffs[j]
+            m = sum(1 for tid in rec.targets if tid in collab)
+            return rec.size * proto.uplink_delay + m * proto.downlink_delay
+
+        lead = min(triggered, key=lambda j: (backoffs[j].value + scheduled_delay(j), j))
+        if lead in tx_starts:
+            fb_size = fb_starts[lead].size if lead in fb_starts else 0
+            lead_delay = tx_starts[lead].size * proto.uplink_delay + fb_size * proto.downlink_delay
+        else:
+            lead_delay = scheduled_delay(lead)
+        cutoff = backoffs[lead].value + lead_delay
+        informed = frozenset(j for j in triggered if j != lead and backoffs[j].value > cutoff)
+        uninformed = frozenset(j for j in triggered if j != lead and j not in informed)
+        out.append(
+            SetClassification(
+                members=members, lead=lead, informed=informed,
+                uninformed=uninformed, lead_delay=lead_delay,
+            )
+        )
+    return out
+
+
+def fusion_count(state: EstimatorState, target_id: int) -> int:
+    """How many measurements the current estimate of `target_id` averages."""
+    return state._counts[state._row[target_id]]

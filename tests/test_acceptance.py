@@ -17,6 +17,7 @@ default region grid.
 from dataclasses import replace
 
 import pytest
+from scripted_cases import classify_step
 
 from gathersim.analytics import expected_informed
 from gathersim.experiments import (
@@ -26,7 +27,7 @@ from gathersim.experiments import (
     region_experiment,
     trial_seed,
 )
-from gathersim.protocol import classify_step, run_trial
+from gathersim.protocol import run_trial
 
 STEPS = 5  # region_cells sets the horizon to five sampling periods
 COLLABORATIVE = 3  # collaborative targets in the region_cells layout

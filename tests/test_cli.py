@@ -44,13 +44,13 @@ def test_validate_bad_file(tmp_path):
     assert run(["validate", bad]) == 1
 
 
-@pytest.mark.parametrize("bad_id", ["a", "0.7", "true"])
+@pytest.mark.parametrize("bad_id, rule", [("a", "a number"), ("0.7", "an integer"), ("true", "a number")])
 @pytest.mark.parametrize("entry", ["{id: 0, center", "{id: 0, position"])
-def test_validate_rejects_non_integer_ids(minimal_path, tmp_path, capsys, entry, bad_id):
+def test_validate_rejects_non_integer_ids(minimal_path, tmp_path, capsys, entry, bad_id, rule):
     bad = tmp_path / "bad_id.yaml"
     bad.write_text(read(minimal_path).replace(entry, entry.replace("0", bad_id)))
     assert run(["validate", bad]) == 1
-    assert "id: must be an integer" in capsys.readouterr().err
+    assert f"[0].id: must be {rule}" in capsys.readouterr().err
 
 
 def test_validate_missing_file(tmp_path):
@@ -122,6 +122,7 @@ def test_simulate_io_failure(setting1_path, tmp_path):
     assert run(["simulate", setting1_path, "--out", blocker / "sub"]) == 2
 
 
+HUGE = 10**400
 SPEC = "scenario: setting1.yaml\nbackoff_intervals: [20]\nuplink_powers: [1]\ntrials: 1\n"
 MINIMAL = (Path(__file__).resolve().parent.parent / "scenarios" / "minimal.yaml").read_text()
 
@@ -183,6 +184,15 @@ BAD_INPUTS = {
     "region_theory_set_size_1": (None, ["region", "--setsize", 1, "--theory-only"]),
     "region_zero_trials": (None, ["region", "--setsize", 3, "--trials", 0]),
     "sweep_zero_trials": (SPEC, ["sweep", "INPUT", "--trials", 0]),
+    # integers past float range are not finite numbers
+    "simulate_overflowing_uplink_power": (
+        None, ["simulate", "SETTING1", "--override", f"costs.uplink_power={HUGE}"],
+    ),
+    "analyze_overflowing_set_size": (None, ["analyze", "--setsize", HUGE]),
+    "analyze_overflowing_numin": (
+        None, ["analyze", "--ts", 150, "--dtu", 2, "--numin", HUGE, "--eps", 2, "--sigma", 0.1],
+    ),
+    "region_theory_overflowing_set_size": (None, ["region", "--setsize", HUGE, "--theory-only"]),
 }
 
 

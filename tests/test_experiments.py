@@ -186,7 +186,7 @@ def test_run_sweep_rejects_an_invalid_cost_and_backoff():
     assert str(bad_cost.value) == "CostParams.uplink_power: must be > 0 (got 0.0)"
     with pytest.raises(ScenarioError) as bad_backoff:
         run_sweep(GRID_BASE, (4.0, -1.0), (1.0,), 1)
-    assert str(bad_backoff.value) == "ProtocolParams.backoff_interval: must be > 0 (got -1.0)"
+    assert str(bad_backoff.value) == "backoff_intervals[1]: must be > 0 (got -1.0)"
 
 
 @pytest.mark.parametrize("jobs, tasks, cpus, started", [

@@ -19,6 +19,7 @@ GRID_BASE = experiments.assumption1_scenario(2, 2, 0, sampling_period=40.0, hori
 ESTIMATES = analytics.approx_params(experiments.assumption1_scenario(3, 3, 0))
 PER_SET = dict(collaborative_counts=[1], informed_counts=[1], set_sizes=[2])
 PER_SET_OUT_OF_RANGE = dict(collaborative_counts=-1, informed_counts=-1, set_sizes=1)
+HUGE = 10**400  # an integer past float range
 
 # (entry point, valid keyword arguments, one out-of-range value per parameter)
 CALLS = [
@@ -37,6 +38,8 @@ CALLS = [
           sampling_period=0.0, horizon=0.0, noise_std=-0.1, move_probability=1.5, seed=2.5)),
     (experiments.region_cells, dict(set_size=2, x_values=[0.5], seed=0),
      dict(set_size=1, x_values=0.0, seed=2.5)),
+    (analytics.raster_region, dict(set_size=2, x_values=[0.5], y_values=[1.0]),
+     dict(set_size=1, x_values=-0.1, y_values=0.0)),
 ]
 
 # (entry point taking one record, a valid record, one out-of-range value per field)
@@ -46,10 +49,16 @@ RECORD_CALLS = [
     (lambda params: analytics.mse_bounds([1], [1], [2], params), MSE, MSE_OUT_OF_RANGE),
 ]
 
-# paired_grid's backoff intervals are checked as its cells' protocol field; its
-# base scenario, mse_bounds' record and the vote's estimates are covered elsewhere
-LABELS = {"backoff_intervals": "ProtocolParams.backoff_interval"}
+# raster_region checks its grids under the closed form's names and its set size
+# as the record field; paired_grid's base scenario, mse_bounds' record and the
+# vote's estimates are covered elsewhere
+LABELS = {(analytics.raster_region, "x_values"): "x", (analytics.raster_region, "y_values"): "y",
+          (analytics.raster_region, "set_size"): "AdvantageParams.set_size"}
 UNLISTED = {"base", "params", "estimates"}
+
+
+def case_id(*parts):
+    return "-".join("HUGE" if part is HUGE else str(part) for part in parts)
 
 
 def cases():
@@ -57,17 +66,17 @@ def cases():
         assert set(out_of_range) == set(inspect.signature(call).parameters) - UNLISTED
         for name, bad in out_of_range.items():
             listed = isinstance(valid.get(name), list)
-            label = LABELS.get(name, f"{name}[0]" if listed else name)
-            for value in (math.nan, math.inf, -math.inf, bad):
+            label = LABELS.get((call, name), name) + ("[0]" if listed else "")
+            for value in (math.nan, math.inf, -math.inf, bad, True, "a", HUGE):
                 kwargs = dict(valid, **{name: [value] if listed else value})
-                yield pytest.param(call, kwargs, label, id=f"{call.__name__}-{name}-{value}")
+                yield pytest.param(call, kwargs, label, id=case_id(call.__name__, name, value))
     for k, (call, record, out_of_range) in enumerate(RECORD_CALLS):
         assert set(out_of_range) == {f.name for f in fields(record)}
         for name, bad in out_of_range.items():
             label = f"{type(record).__name__}.{name}"
-            for value in (math.nan, math.inf, -math.inf, bad):
+            for value in (math.nan, math.inf, -math.inf, bad, True, "a", HUGE):
                 kwargs = dict(params=replace(record, **{name: value}))
-                yield pytest.param(call, kwargs, label, id=f"record{k}-{label}-{value}")
+                yield pytest.param(call, kwargs, label, id=case_id(f"record{k}", label, value))
 
 
 @pytest.mark.parametrize("call, kwargs, label", cases())

@@ -8,6 +8,7 @@ from scripted_cases import (
     DOWNLINK_POWER,
     UPLINK_POWER,
     backoff_tables,
+    classify_step,
     forced_inputs,
     informed_from_table,
     run_scripted_pair,
@@ -17,7 +18,7 @@ from scripted_cases import (
 from gathersim import geometry
 from gathersim.analytics import power_diff
 from gathersim.experiments import assumption1_scenario, trial_seed
-from gathersim.protocol import PowerLedger, classify_step, draw_inputs, run_trial
+from gathersim.protocol import PowerLedger, draw_inputs, run_trial
 from gathersim.scenario import (
     Architecture,
     CostParams,

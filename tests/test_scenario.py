@@ -18,7 +18,6 @@ from gathersim.scenario import (
     TargetSpec,
     load_scenario,
     load_sweep_spec,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate,
@@ -37,6 +36,10 @@ BAD_VALUES = {"noise_std": -0.1, "move_probability": 1.5}
 
 def setting1_data(setting1_path) -> dict:
     return yaml.safe_load(setting1_path.read_text())
+
+
+def save(scn, path):
+    path.write_text(yaml.safe_dump(scenario_to_dict(scn), sort_keys=False), encoding="utf-8")
 
 
 @pytest.mark.parametrize("section,name", PARAMETERS)
@@ -108,7 +111,7 @@ def test_zero_radius_names_the_field(tmp_path, minimal_path):
 def test_libyaml_and_python_loaders_agree(scenarios_dir, setting1_path, tmp_path):
     assert scenario._LOADER is yaml.CSafeLoader
     saved = tmp_path / "saved.yaml"
-    save_scenario(load_scenario(setting1_path), saved)
+    save(load_scenario(setting1_path), saved)
     paths = sorted(scenarios_dir.glob("*.yaml")) + [saved]
     assert "setting1_sweep.yaml" in [p.name for p in paths]
     for path in paths:
@@ -145,6 +148,41 @@ def test_validate_duplicate_sensor_ids(setting1_path):
     assert "unique" in violations[0]
 
 
+@pytest.mark.parametrize("part, index, change, violation", [
+    ("sensors", 0, dict(center=("a", 1.0)), "SensorSpec[0].center[0]: must be a number (got 'a')"),
+    ("sensors", 0, dict(center=5.0), "SensorSpec[0].center: must be an [x, y] pair (got 5.0)"),
+    ("sensors", 0, dict(id=0.0), "SensorSpec[0].id: must be an integer >= 0 (got 0.0)"),
+    ("sensors", 0, dict(id=False), "SensorSpec[0].id: must be a number (got False)"),
+    ("sensors", 1, dict(id=True), "SensorSpec[1].id: must be a number (got True)"),
+    ("sensors", 1, dict(id="a"), "SensorSpec[1].id: must be a number (got 'a')"),
+    ("targets", 1, dict(id=True), "TargetSpec[1].id: must be a number (got True)"),
+    ("targets", 1, dict(id=[1]), "TargetSpec[1].id: must be a number (got [1])"),
+    ("targets", 1, dict(position=(1.0, None)), "TargetSpec[1].position[1]: must be a number (got None)"),
+    ("targets", 1, dict(confine_center=("a", 5.0), confine_radius=2.0),
+     "TargetSpec[1].confine_center[0]: must be a number (got 'a')"),
+])
+def test_validate_lists_a_non_number_in_an_entry(setting1_path, part, index, change, violation):
+    # ids that compare equal to 0..n-1 (0.0, False, True) no longer pass the id checks
+    scn = load_scenario(setting1_path)
+    entries = list(getattr(scn, part))
+    entries[index] = dataclasses.replace(entries[index], **change)
+    assert validate(dataclasses.replace(scn, **{part: tuple(entries)})) == [violation]
+
+
+def test_seed_true_is_the_same_violation_from_yaml_override_and_api(setting1_path, tmp_path):
+    expected = "Scenario.seed: must be a number (got True)"
+    scn = load_scenario(setting1_path)
+    assert validate(dataclasses.replace(scn, seed=True)) == [expected]
+    data = setting1_data(setting1_path)
+    data["seed"] = True
+    path = tmp_path / "seed_true.yaml"
+    path.write_text(yaml.safe_dump(data))
+    for args in ((path,), (setting1_path, ["seed=true"])):
+        with pytest.raises(ScenarioError) as error:
+            load_scenario(*args)
+        assert str(error.value) == expected
+
+
 def test_validate_is_pure(setting1_path):
     scn = load_scenario(setting1_path)
     bad = dataclasses.replace(
@@ -157,7 +195,7 @@ def test_round_trip(tmp_path, setting1_path, minimal_path):
     for path in (setting1_path, minimal_path):
         scn = load_scenario(path)
         out = tmp_path / f"rt_{path.name}"
-        save_scenario(scn, out)
+        save(scn, out)
         assert load_scenario(out) == scn
 
 
@@ -166,7 +204,7 @@ def test_round_trip_with_confinement(tmp_path):
 
     scn = assumption1_scenario(3, 3, 0)
     out = tmp_path / "conf.yaml"
-    save_scenario(scn, out)
+    save(scn, out)
     assert load_scenario(out) == scn
 
 
@@ -262,6 +300,8 @@ def test_overrides_and_seed(setting1_path):
     assert scn.protocol.backoff_interval == 60.0
     assert scn.architecture is Architecture.NF
     assert scn.seed == 5
+    # YAML reads 1e3 as a string; a numeric string is a number
+    assert load_scenario(setting1_path, ["protocol.horizon=1e3"]).protocol.horizon == 1000.0
     with pytest.raises(ScenarioError, match="could not parse override"):
         load_scenario(setting1_path, ["protocol.horizon=["])
     with pytest.raises(ScenarioError, match="does not exist"):
