@@ -10,7 +10,8 @@ constantly between events.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ class EstimatorState:
 
     Targets never seen are scored against `default_point` (normally the
     environment centroid) so the metric is defined from time zero. The
-    bookkeeping lives in Python lists, and `absorb` keeps the current
+    bookkeeping lives in Python lists, and `fuse` keeps the current
     estimates up to date for `mean_squared_error`: a list of (x, y) tuples
     below `SMALL_FIELD` targets, an (n, 2) array from there up. Steps are
     >= 0, so an epoch of -1 marks a target with no estimate yet.
@@ -35,7 +36,7 @@ class EstimatorState:
     def __init__(self, target_ids, default_point: Point):
         self._row = {tid: i for i, tid in enumerate(target_ids)}
         n = len(target_ids)
-        self._sums = [[0.0, 0.0] for _ in range(n)]
+        self._sums = [(0.0, 0.0)] * n
         self._counts = [0] * n
         self._epochs = [-1] * n
         if 0 < n < SMALL_FIELD:  # an empty field keeps numpy's nan score
@@ -51,32 +52,16 @@ class EstimatorState:
         c = self._counts[row]
         return (sx / c, sy / c)
 
-    def absorb(self, target_id: int, value: Point, step: int) -> None:
-        """Fold one measurement into the estimate under the epoch rules; a
-        measurement older than the current estimate is stale and dropped."""
-        row = self._row[target_id]
-        sums = self._sums[row]
-        if step == self._epochs[row]:
-            sums[0] += value[0]
-            sums[1] += value[1]
-            self._counts[row] += 1
-        elif step > self._epochs[row]:
-            sums[0] = value[0]
-            sums[1] = value[1]
-            self._counts[row] = 1
-            self._epochs[row] = step
-        else:
-            return
-        c = self._counts[row]
-        self._estimates[row] = (sums[0] / c, sums[1] / c)
-
-    def mean_squared_error(self, positions: np.ndarray) -> float:
+    def mean_squared_error(self, positions) -> float:
+        """The error against the (n, 2) truth array, or a small field's `tolist()` of it."""
         estimates = self._estimates
         if type(estimates) is list:
+            if type(positions) is not list:
+                positions = positions.tolist()
             # below SMALL_FIELD elements np.add.reduce adds left to right, so
             # this sum is bit-identical to the array expression below
             total = 0.0
-            for (ex, ey), (px, py) in zip(estimates, positions.tolist()):
+            for (ex, ey), (px, py) in zip(estimates, positions):
                 dx = ex - px
                 dy = ey - py
                 total += dx * dx + dy * dy
@@ -87,17 +72,43 @@ class EstimatorState:
         return float(np.add.reduce(sq) / len(sq))
 
 
-def fuse(state: EstimatorState, packet) -> None:
-    """Fuse a fully received uplink packet into the central estimate."""
-    for tid, value in packet.components:
-        state.absorb(tid, value, packet.step)
+def fuse(state: EstimatorState, components, step: int) -> None:
+    """Fuse a fully received uplink packet, whose (target id, value)
+    `components` were all measured at `step`, into the central estimate.
+    A measurement older than a target's current estimate is stale and dropped."""
+    sums, counts, epochs, estimates = state._sums, state._counts, state._epochs, state._estimates
+    for tid, (vx, vy) in components:
+        row = state._row[tid]
+        if step == epochs[row]:
+            c = counts[row] = counts[row] + 1
+            sx, sy = sums[row] = (sums[row][0] + vx, sums[row][1] + vy)
+        elif step > epochs[row]:
+            c = counts[row] = 1
+            epochs[row] = step
+            sx, sy = sums[row] = (vx, vy)
+        else:
+            continue
+        estimates[row] = (sx / c, sy / c)
 
 
-class EstimatorTrace(NamedTuple):
-    """Time series of instantaneous MSE and its running integral."""
+class EstimatorTrace:
+    """Time series of instantaneous MSE and its running integral. Only the
+    integral is computed up front; the `rows` of (time, error, integral so
+    far) are built on first read, which only `trace_to_csv` and tests do."""
 
-    rows: list[tuple[float, float, float]]
-    integral: float
+    def __init__(self, times, errors, integral: float):
+        self.times, self.errors, self.integral = times, errors, integral
+
+    @cached_property
+    def rows(self) -> list[tuple[float, float, float]]:
+        rows, integral, last = [], 0.0, 0.0
+        for t, inst in zip(self.times, self.errors):
+            dt = t - last
+            if dt > 0:
+                last += dt
+                integral += dt * inst
+                rows.append((last, inst, integral))
+        return rows
 
     def time_average(self, horizon: float) -> float:
         return self.integral / horizon
@@ -110,17 +121,16 @@ def accumulate_mse(times, errors) -> EstimatorTrace:
     The engine passes one trial's series: the time of every event it handles
     and then the horizon, each paired with the error in force just before it.
     It recomputes the error with `EstimatorState.mean_squared_error` only when
-    the estimate (fusion) or the truth (a move) changes.
+    the estimate (fusion) or the truth (a move) changes. An interval ends at
+    `last + dt`, which rounding can put one ulp past `t`; a later time equal
+    to `t` then adds nothing. Times that go back further raise ValueError.
     """
     integral = last = 0.0
-    rows = []
     for t, inst in zip(times, errors):
         dt = t - last
-        if dt < 0:
-            raise ValueError("dt must be nonnegative")
-        now = last + dt
         if dt > 0:
             integral += dt * inst
-            rows.append((now, inst, integral))
-        last = now
-    return EstimatorTrace(rows, integral)
+            last += dt
+        elif dt < 0 and math.nextafter(t, math.inf) < last:
+            raise ValueError("times must be nondecreasing")
+    return EstimatorTrace(times, errors, integral)

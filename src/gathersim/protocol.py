@@ -27,12 +27,13 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .dynamics import initial_world, measure, observed_rows, step_targets
-from .estimation import EstimatorState, EstimatorTrace, accumulate_mse, fuse
+from .estimation import SMALL_FIELD, EstimatorState, EstimatorTrace, accumulate_mse, fuse
 from .scenario import Architecture, CostParams, ProtocolParams, Scenario, ScenarioError, validate
 
 CENTRAL = -1  # sensor id used for central-unit rows in logs
@@ -60,9 +61,19 @@ class EventRecord(NamedTuple):
 
 @dataclass
 class EventLog:
+    """A trial's events: `rows` of plain tuples in `EventRecord` field order,
+    which `records` names in place on first read; an unread log names none."""
+
     architecture: Architecture
     protocol: ProtocolParams
-    records: list[EventRecord] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list)
+
+    @cached_property
+    def records(self) -> list[EventRecord]:
+        rows, new = self.rows, tuple.__new__  # skips the NamedTuple constructor's argument handling
+        for k, r in enumerate(rows):  # one row at a time: never two copies of the log
+            rows[k] = new(EventRecord, r)
+        return rows
 
     def to_csv(self, path) -> None:
         write_csv(path, "events", "time,kind,step,sensor,targets,size,value", (
@@ -70,17 +81,6 @@ class EventLog:
             f"{r.size},{'' if r.value is None else repr(r.value)}\n"
             for r in self.records
         ))
-
-
-class Packet(NamedTuple):
-    """One uplink transmission: all components a sensor sends for a step."""
-
-    sensor_id: int
-    step: int
-    components: tuple[tuple[int, tuple[float, float]], ...]
-    # ids of the components observed by >= 2 sensors this step, in component order
-    collaborative: tuple[int, ...]
-    duration: float
 
 
 class PowerLedger(NamedTuple):
@@ -129,7 +129,8 @@ class TrialInputs(NamedTuple):
     `steps[k]` is sampling step k's (observations, collaborative ids,
     observed-target count, backoff uniforms by sensor id before scaling by
     the interval); the observations are the columns (sensor index, target id,
-    measured x, measured y), in noise-draw order."""
+    measured x, measured y), in noise-draw order: by sensor index, then by
+    ascending target id: `run_trial` logs its id tuples sorted without sorting them."""
 
     key: tuple  # input_key of the scenario they were drawn for
     target_ids: tuple[int, ...]
@@ -220,12 +221,13 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
     uplink_delay, downlink_delay = proto.uplink_delay, proto.downlink_delay
     tids = inputs.target_ids
     steps = inputs.steps
-    positions = inputs.positions[0]
+    # a small field is scored from lists, converted here once per move
+    truths = [p.tolist() for p in inputs.positions] if len(tids) < SMALL_FIELD else inputs.positions
+    positions = truths[0]
     estimator = EstimatorState(tids, scenario.environment.centroid)
     score, estimate = estimator.mean_squared_error, estimator.estimate
     log = EventLog(architecture=scenario.architecture, protocol=proto)
-    # records skip the NamedTuple constructor: tuple.__new__ costs half as much
-    new, record = tuple.__new__, log.records.append
+    record = log.rows.append
 
     # per-sensor protocol state, indexed by sensor id: the last value each
     # sensor knows the central unit holds per target, and its scheduled but
@@ -248,8 +250,8 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
     def drop_pending(t: float) -> None:
         for i in sensor_ids:
             if pending[i]:
-                dropped = tuple(sorted(pending[i]))
-                record(new(EventRecord, (t, "DROP", pending_step[i], i, dropped, len(dropped), None)))
+                dropped = tuple(pending[i])
+                record((t, "DROP", pending_step[i], i, dropped, len(dropped), None))
                 pending[i] = {}
                 start_time[i] = None
 
@@ -271,7 +273,7 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
             drop_pending(t)  # stale unstarted transmissions are superseded by this step
             observations, collab_ids, observed, uniforms = steps[step]
             collab = frozenset(collab_ids)
-            record(new(EventRecord, (t, "SAMPLE", step, CENTRAL, collab_ids, observed, None)))
+            record((t, "SAMPLE", step, CENTRAL, collab_ids, observed, None))
             scheduled: list[dict[int, tuple[float, float]]] = [{} for _ in sensor_ids]
             for idx, tid, vx, vy in zip(*observations):
                 ack = acknowledged[idx].get(tid)
@@ -284,9 +286,9 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
                 pending[i] = comps
                 pending_step[i] = step
                 start_time[i] = t + b
-                ids = tuple(sorted(comps))
-                record(new(EventRecord, (t, "TRIGGER", step, i, ids, len(ids), None)))
-                record(new(EventRecord, (t, "BACKOFF_SET", step, i, ids, len(ids), float(b))))
+                ids = tuple(comps)
+                record((t, "TRIGGER", step, i, ids, len(ids), None))
+                record((t, "BACKOFF_SET", step, i, ids, len(ids), float(b)))
                 push(heap, (t + b, _TX_START, i, seq, step))
                 seq += 1
         elif order == _TX_START:
@@ -295,37 +297,33 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
             step, comps = payload, pending[sid]
             if pending_step[sid] != step or not comps:
                 continue  # dropped or fully cancelled in the meantime
-            tgt = tuple(sorted(comps))
+            # `comps` leaves `pending` here, so no cancel or drop touches the packet
+            tgt = tuple(comps)
             n = len(tgt)
-            packet = new(Packet, (
-                sid, step, tuple(sorted(comps.items())),
-                tuple(filter(collab.__contains__, tgt)), n * uplink_delay,
-            ))
+            echo_ids = tuple(filter(collab.__contains__, tgt)) if fb else ()
             pending[sid] = {}
             start_time[sid] = None
             uplink += n
-            record(new(EventRecord, (t, "TX_START", step, sid, tgt, n, None)))
-            push(heap, (t + packet.duration, _TX_END, sid, seq, (packet, tgt)))
+            record((t, "TX_START", step, sid, tgt, n, None))
+            push(heap, (t + n * uplink_delay, _TX_END, sid, seq, (step, comps, tgt, echo_ids)))
             seq += 1
         elif order == _TX_END:
-            packet, tgt = payload
-            step = packet.step
-            record(new(EventRecord, (t, "TX_END", step, sid, tgt, len(tgt), None)))
-            fuse(estimator, packet)
-            acknowledged[sid].update(packet.components)
-            echo_ids = packet.collaborative
-            if fb and echo_ids:
+            step, comps, tgt, echo_ids = payload
+            record((t, "TX_END", step, sid, tgt, len(tgt), None))
+            fuse(estimator, comps.items(), step)
+            acknowledged[sid].update(comps)
+            if echo_ids:
                 echo = tuple(zip(echo_ids, map(estimate, echo_ids)))
                 m = len(echo)
                 downlink += m
-                record(new(EventRecord, (t, "FEEDBACK_START", step, sid, echo_ids, m, None)))
+                record((t, "FEEDBACK_START", step, sid, echo_ids, m, None))
                 arrival = t + m * downlink_delay
                 push(heap, (arrival, _FEEDBACK_END, sid, seq, (step, echo_ids, echo)))
                 seq += 1
             inst = score(positions)
         elif order == _FEEDBACK_END:
             step, echo_ids, echo = payload
-            record(new(EventRecord, (t, "FEEDBACK_END", step, sid, echo_ids, len(echo), None)))
+            record((t, "FEEDBACK_END", step, sid, echo_ids, len(echo), None))
             # only sensors with a scheduled-but-unstarted transmission react; a
             # transmission starting exactly now counts as started (no cancel)
             for i in sensor_ids:
@@ -339,9 +337,9 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
                     if math.hypot(own[0] - value[0], own[1] - value[1]) <= eps:
                         del comps[tid]
                         acknowledged[i][tid] = value
-                        record(new(EventRecord, (t, "CANCEL", pending_step[i], i, (tid,), 1, None)))
+                        record((t, "CANCEL", pending_step[i], i, (tid,), 1, None))
         else:  # _MOVE
-            positions = inputs.positions[payload + 1]
+            positions = truths[payload + 1]
             inst = score(positions)
     add_time(horizon)
     add_error(inst)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -183,16 +184,25 @@ def _broken(value, rule: tuple) -> Optional[str]:
     return _number_error(value) or (None if rule[1](value) else rule[0])
 
 
+def _shown(value) -> str:
+    """`value`'s repr cut to head...tail and length; an int too long for repr, its digit count."""
+    digits = int(value.bit_length() * 0.30103) + 1 if isinstance(value, int) else 0  # >= the true count
+    if 0 < sys.get_int_max_str_digits() < digits:
+        return f"an integer of about {digits} digits"
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:24]}...{text[-8:]} ({len(text)} chars)"
+
+
 def _violation(label: str, value, rule: tuple) -> list[str]:
     """`label`'s message when `value` breaks `rule`, else nothing."""
     broken = _broken(value, rule)
-    return [f"{label}: must be {broken} (got {value!r})"] if broken else []
+    return [f"{label}: must be {broken} (got {_shown(value)})"] if broken else []
 
 
 def _point_violations(label: str, point) -> list[str]:
     """Violations of an [x, y] point: its shape, then each coordinate."""
     if not isinstance(point, (list, tuple)) or len(point) != 2:
-        return [f"{label}: must be an [x, y] pair (got {point!r})"]
+        return [f"{label}: must be an [x, y] pair (got {_shown(point)})"]
     rule = _BOUNDS["coordinate"]
     if not (_broken(point[0], rule) or _broken(point[1], rule)):
         return []  # the common case, without formatting labels
@@ -375,7 +385,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     arch_raw = data.get("architecture")
     if not isinstance(arch_raw, str) or arch_raw.upper() not in ("FB", "NF"):
-        raise ScenarioError(f"architecture: must be 'FB' or 'NF' (got {arch_raw!r})")
+        raise ScenarioError(f"architecture: must be 'FB' or 'NF' (got {_shown(arch_raw)})")
     architecture = Architecture(arch_raw.upper())
 
     return Scenario(
@@ -421,7 +431,7 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def _parse_yaml(text: str, where: str):
     try:
         return yaml.load(text, Loader=_LOADER)
-    except yaml.YAMLError as e:
+    except (yaml.YAMLError, ValueError) as e:  # ValueError: an int past sys.get_int_max_str_digits()
         raise ScenarioError(f"could not parse {where}: {e}") from e
 
 
@@ -438,7 +448,7 @@ def _apply_overrides(data: dict, overrides) -> None:
     """Set each `dotted.path=value` in place; values are parsed as YAML."""
     for ov in overrides:
         if "=" not in ov:
-            raise ScenarioError(f"override {ov!r} is not of the form path=value")
+            raise ScenarioError(f"override {_shown(ov)} is not of the form path=value")
         path, raw_value = ov.split("=", 1)
         keys = path.split(".")
         node = data
@@ -448,7 +458,7 @@ def _apply_overrides(data: dict, overrides) -> None:
             node = node[key]
         if keys[-1] not in node:
             raise ScenarioError(f"override path {path!r} does not exist")
-        node[keys[-1]] = _parse_yaml(raw_value, f"override {ov!r}")
+        node[keys[-1]] = _parse_yaml(raw_value, f"override {_shown(ov)}")
 
 
 def checked_scenario(data: dict, overrides, seed: Optional[int]) -> Scenario:

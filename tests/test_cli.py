@@ -123,6 +123,7 @@ def test_simulate_io_failure(setting1_path, tmp_path):
 
 
 HUGE = 10**400
+OVERLONG = "1" + "0" * 5000  # past sys.get_int_max_str_digits(), so PyYAML cannot convert it
 SPEC = "scenario: setting1.yaml\nbackoff_intervals: [20]\nuplink_powers: [1]\ntrials: 1\n"
 MINIMAL = (Path(__file__).resolve().parent.parent / "scenarios" / "minimal.yaml").read_text()
 
@@ -193,6 +194,10 @@ BAD_INPUTS = {
         None, ["analyze", "--ts", 150, "--dtu", 2, "--numin", HUGE, "--eps", 2, "--sigma", 0.1],
     ),
     "region_theory_overflowing_set_size": (None, ["region", "--setsize", HUGE, "--theory-only"]),
+    "simulate_overlong_integer_override": (None, ["simulate", "SETTING1", "--override", f"seed={OVERLONG}"]),
+    "simulate_overlong_integer_literal": (
+        MINIMAL.replace("seed: ", f"seed: {OVERLONG}\n# "), ["simulate", "INPUT"],
+    ),
 }
 
 
@@ -217,7 +222,8 @@ def test_bad_input_exits_1_with_message(case, setting1_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "case", ["simulate_malformed_override", "simulate_malformed_yaml", "sweep_malformed_yaml"]
+    "case", ["simulate_malformed_override", "simulate_malformed_yaml", "sweep_malformed_yaml",
+             "simulate_overlong_integer_override", "simulate_overlong_integer_literal"]
 )
 def test_bad_yaml_exits_1_with_python_loader(case, setting1_path, tmp_path, capsys, monkeypatch):
     # the reader falls back to PyYAML's pure-Python loader without libyaml

@@ -7,17 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scripted_cases import fusion_count
 
 from gathersim.estimation import SMALL_FIELD, EstimatorState, accumulate_mse, fuse
-from gathersim.protocol import Packet
-
-
-def packet(sensor, step, comps):
-    return Packet(
-        sensor_id=sensor,
-        step=step,
-        components=tuple(comps),
-        collaborative=(),
-        duration=1.0,
-    )
 
 
 def mse(state, positions):
@@ -26,32 +15,32 @@ def mse(state, positions):
 
 def test_two_measurements_average():
     state = EstimatorState([0], (5.0, 5.0))
-    fuse(state, packet(0, 0, [(0, (1.0, 2.0))]))
-    fuse(state, packet(1, 0, [(0, (3.0, 6.0))]))
+    fuse(state, [(0, (1.0, 2.0))], 0)
+    fuse(state, [(0, (3.0, 6.0))], 0)
     assert state.estimate(0) == (2.0, 4.0)
     assert fusion_count(state, 0) == 2
 
 
 def test_first_measurement_exact():
     state = EstimatorState([0], (5.0, 5.0))
-    fuse(state, packet(0, 0, [(0, (1.25, -0.5))]))
+    fuse(state, [(0, (1.25, -0.5))], 0)
     assert state.estimate(0) == (1.25, -0.5)
     assert fusion_count(state, 0) == 1
 
 
 def test_epoch_replacement_and_reset():
     state = EstimatorState([0], (5.0, 5.0))
-    fuse(state, packet(0, 0, [(0, (1.0, 1.0))]))
-    fuse(state, packet(1, 0, [(0, (2.0, 2.0))]))
-    fuse(state, packet(0, 1, [(0, (10.0, 10.0))]))
+    fuse(state, [(0, (1.0, 1.0))], 0)
+    fuse(state, [(0, (2.0, 2.0))], 0)
+    fuse(state, [(0, (10.0, 10.0))], 1)
     assert state.estimate(0) == (10.0, 10.0)
     assert fusion_count(state, 0) == 1
 
 
 def test_stale_epoch_discarded():
     state = EstimatorState([0], (5.0, 5.0))
-    fuse(state, packet(0, 2, [(0, (10.0, 10.0))]))
-    fuse(state, packet(1, 1, [(0, (0.0, 0.0))]))
+    fuse(state, [(0, (10.0, 10.0))], 2)
+    fuse(state, [(0, (0.0, 0.0))], 1)
     assert state.estimate(0) == (10.0, 10.0)
     assert fusion_count(state, 0) == 1
 
@@ -65,7 +54,7 @@ def test_fused_variance_shrinks_like_sample_mean():
         state = EstimatorState([0], (0.0, 0.0))
         for j in range(m):
             v = (sigma * rng.standard_normal(), sigma * rng.standard_normal())
-            fuse(state, packet(j, 0, [(0, v)]))
+            fuse(state, [(0, v)], 0)
         values.append(state.estimate(0))
     arr = np.array(values)
     var = arr.var(axis=0, ddof=1)
@@ -80,12 +69,12 @@ def test_fused_variance_shrinks_like_sample_mean():
 def test_order_independence_within_epoch(values, seed):
     state_a = EstimatorState([0], (0.0, 0.0))
     for i, v in enumerate(values):
-        fuse(state_a, packet(i, 0, [(0, v)]))
+        fuse(state_a, [(0, v)], 0)
     shuffled = list(values)
     random.Random(seed).shuffle(shuffled)
     state_b = EstimatorState([0], (0.0, 0.0))
     for i, v in enumerate(shuffled):
-        fuse(state_b, packet(i, 0, [(0, v)]))
+        fuse(state_b, [(0, v)], 0)
     ax, ay = state_a.estimate(0)
     bx, by = state_b.estimate(0)
     assert math.isclose(ax, bx, rel_tol=0, abs_tol=1e-12 * max(1.0, abs(ax)))
@@ -129,7 +118,7 @@ def test_mean_squared_error_is_numpy_expression_bitwise(rows):
     # estimates and truth of mixed magnitude, below and from the cutoff
     state = EstimatorState(range(len(rows)), (0.0, 0.0))
     for tid, (ex, ey, _, _) in enumerate(rows):
-        state.absorb(tid, (ex, ey), 0)
+        fuse(state, [(tid, (ex, ey))], 0)
     positions = np.array([(px, py) for _, _, px, py in rows])
     diff = np.array([(ex, ey) for ex, ey, _, _ in rows]) - positions
     sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
@@ -138,14 +127,14 @@ def test_mean_squared_error_is_numpy_expression_bitwise(rows):
 
 def test_integral_zero_for_perfect_estimate():
     state = EstimatorState([0], (0.0, 0.0))
-    fuse(state, packet(0, 0, [(0, (7.0, 8.0))]))
+    fuse(state, [(0, (7.0, 8.0))], 0)
     trace = accumulate_mse([5.0], [mse(state, [(7.0, 8.0)])])
     assert trace.integral == 0.0
 
 
 def test_integral_known_increment():
     state = EstimatorState([0], (0.0, 0.0))
-    fuse(state, packet(0, 0, [(0, (3.0, 4.0))]))
+    fuse(state, [(0, (3.0, 4.0))], 0)
     trace = accumulate_mse([2.0], [mse(state, [(0.0, 0.0)])])
     assert trace.integral == 50.0  # error vector (3,4): 25 per unit time
 
@@ -158,7 +147,7 @@ def test_unseen_target_scored_against_default_point():
 
 def test_integral_additivity():
     state = EstimatorState([0], (0.0, 0.0))
-    fuse(state, packet(0, 0, [(0, (3.0, 4.0))]))
+    fuse(state, [(0, (3.0, 4.0))], 0)
     inst = mse(state, [(0.0, 0.0)])
     one = accumulate_mse([8.0], [inst])
     split = accumulate_mse([3.0, 8.0], [inst, inst])
@@ -170,6 +159,17 @@ def test_negative_dt_rejected():
     state = EstimatorState([0], (0.0, 0.0))
     with pytest.raises(ValueError):
         accumulate_mse([-1.0], [mse(state, [(0.0, 0.0)])])
+    with pytest.raises(ValueError):
+        accumulate_mse([5.0, 3.0], [1.0, 1.0])
+
+
+def test_time_repeated_after_a_rounded_interval_end_adds_nothing():
+    # the interval ending at t2 ends at t1 + (t2 - t1), one ulp past t2
+    t1, t2 = 11.237982727094128, 77.64878301769166
+    assert t1 + (t2 - t1) > t2
+    once = accumulate_mse([t1, t2, 90.0], [1.0, 2.0, 3.0])
+    twice = accumulate_mse([t1, t2, t2, 90.0], [1.0, 2.0, 5.0, 3.0])
+    assert twice.integral == once.integral and twice.rows == once.rows
 
 
 def test_feedback_wins_mse_in_paired_trials():

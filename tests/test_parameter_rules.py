@@ -10,7 +10,8 @@ import pytest
 
 from gathersim import analytics, experiments
 from gathersim.analytics import AdvantageParams, MseAdvantageParams
-from gathersim.scenario import ScenarioError
+from gathersim.cli import main
+from gathersim.scenario import ScenarioError, check
 
 MSE = MseAdvantageParams(2.0, 0.1, 150.0, 2.0, 1)
 MSE_OUT_OF_RANGE = dict(trigger_threshold=0.0, noise_std=-0.1, sampling_period=0.0,
@@ -83,3 +84,16 @@ def cases():
 def test_a_bad_parameter_is_a_scenario_error_naming_it(call, kwargs, label):
     with pytest.raises(ScenarioError, match=rf"(^|; ){re.escape(label)}: must be"):
         call(**kwargs)
+
+
+def test_an_integer_too_long_for_repr_is_quoted_by_its_digit_count():
+    # repr raises past sys.get_int_max_str_digits(), so the message never calls it
+    with pytest.raises(ScenarioError, match=r"^set_size: must be finite \(got an integer of about 5001 digits\)$"):
+        check(set_size=10**5000)
+
+
+def test_a_long_value_is_quoted_head_and_tail_with_its_length(capsys):
+    assert main(["analyze", "--setsize", str(HUGE)]) == 1
+    assert capsys.readouterr().err == (
+        "error: set_size: must be finite (got 100000000000000000000000...00000000 (401 chars))\n"
+    )

@@ -1,9 +1,12 @@
 import math
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import yaml
+from hypothesis import example, given, settings, strategies as st
 from scripted_cases import (
     DOWNLINK_POWER,
     UPLINK_POWER,
@@ -285,7 +288,24 @@ def small_scenarios(draw):
     )
 
 
+# a sample one ulp before the end of the interval the error integral reached
+# it by (11.237982727094128 + 66.41080029059754 rounds up), with a move at the
+# same time: the second of the two events once raised "dt must be nonnegative"
+OVERSHOT_SAMPLE = Scenario(
+    environment=Environment(50.0, 50.0),
+    sensors=(SensorSpec(0, (1.0, 1.0), 5.0), SensorSpec(1, (1.0, 1.0), 5.0)),
+    targets=(TargetSpec(0, (1.0, 1.0)),),
+    protocol=ProtocolParams(77.64878301769166, 106.76707664932603, 1.2989681097188788,
+                            1.0, 1.0, 0.0, 155.2975660353833),
+    dynamics=DynamicsParams(1.0, 77.64878301769166, 0.0),
+    costs=CostParams(2.0, 1.0),
+    architecture=Architecture.FB,
+    seed=0,
+)
+
+
 @given(scn=small_scenarios())
+@example(scn=OVERSHOT_SAMPLE)
 @settings(max_examples=300)
 def test_components_and_power_are_conserved(scn):
     for arch in Architecture:
@@ -356,3 +376,36 @@ def test_feedback_arriving_exactly_at_tx_start_does_not_cancel():
     assert kinds["TX_START"] == 2
     cls = classify_step(fb.events, [frozenset({0, 1})], 0)
     assert cls[0].informed == frozenset()
+
+
+@given(
+    order=st.permutations(range(15)),
+    ids=st.lists(st.integers(-50, 50), min_size=15, max_size=15, unique=True),
+    backoff=st.sampled_from([40.0, 200.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(order=list(range(14, -1, -1)), ids=list(range(15)), backoff=200.0, seed=2)
+@settings(max_examples=25)
+def test_components_come_in_ascending_target_id_order(setting1_path, order, ids, backoff, seed):
+    # the engine logs each sensor's components in the order draw_inputs
+    # observed them, unsorted, so that order must be ascending target id
+    # whatever order the YAML lists the targets in and whatever their ids
+    data = yaml.safe_load(setting1_path.read_text(encoding="utf-8"))
+    data["targets"] = [dict(data["targets"][k], id=ids[k]) for k in order]
+    data["protocol"]["backoff_interval"] = backoff  # 200 > the sampling period: DROP rows
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        scn = load_scenario(path, seed=seed)
+    inputs = draw_inputs(scn)
+    for (owners, tids, _, _), *_ in inputs.steps:
+        by_sensor = {}
+        for sensor, tid in zip(owners, tids):
+            by_sensor.setdefault(sensor, []).append(tid)
+        assert list(by_sensor) == sorted(by_sensor)
+        assert all(seen == sorted(seen) for seen in by_sensor.values())
+    for arch in Architecture:
+        res = run_trial(replace(scn, architecture=arch), inputs=inputs)
+        logged = [r for r in res.events.records if r.kind in ("TRIGGER", "BACKOFF_SET", "TX_START", "DROP")]
+        assert logged
+        assert all(list(r.targets) == sorted(r.targets) for r in logged)

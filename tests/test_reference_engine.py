@@ -2,8 +2,9 @@
 
 `reference_trial` below is the engine as it was written before its loop was
 flattened: one closure per event kind, a `SensorRuntime` object per sensor,
-`EventRecord(...)` for every record, an int64 numpy ledger incremented per
-packet, `fuse` once per received packet, the error integrated at every event,
+`EventRecord(...)` for every record, a `Packet` per transmission with its
+components sorted, an int64 numpy ledger incremented per packet, `fuse` once
+per received packet, the error integrated and a trace row added at every event,
 and the error scored with numpy's pairwise sum whatever the field size.
 `run_trial` must give the same records, power totals and trace, compared
 with `==`, on every input the strategies below reach: both architectures,
@@ -25,12 +26,23 @@ from hypothesis import example, given, settings, strategies as st
 
 from gathersim.estimation import SMALL_FIELD, EstimatorState, fuse
 from gathersim.experiments import assumption1_scenario
-from gathersim.protocol import CENTRAL, EventRecord, Packet, PowerLedger, draw_inputs, run_trial
+from gathersim.protocol import CENTRAL, EventRecord, PowerLedger, draw_inputs, run_trial
 from gathersim.scenario import Architecture, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 _MOVE, _TX_END, _FEEDBACK_END, _SAMPLE, _TX_START = range(5)
+
+
+class Packet(NamedTuple):
+    """One uplink transmission: all components a sensor sends for a step."""
+
+    sensor_id: int
+    step: int
+    components: tuple[tuple[int, tuple[float, float]], ...]
+    # ids of the components observed by >= 2 sensors this step, in component order
+    collaborative: tuple[int, ...]
+    duration: float
 
 
 class SensorRuntime:
@@ -70,14 +82,14 @@ def numpy_mse(estimator, target_ids, default_point, positions):
 
 
 def integrate(trace, inst, dt):
-    """One event's step of the error integral."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    now = trace.last_time + dt
+    """One event's step of the error integral. The reference's own heap
+    hands it nondecreasing times, so a negative dt is rounding: the previous
+    step's end, last_time + dt, landed one ulp past this event's time."""
     if dt > 0:
+        now = trace.last_time + dt
         trace.integral += dt * inst
         trace.rows.append((now, inst, trace.integral))
-    trace.last_time = now
+        trace.last_time = now
 
 
 def reference_trial(scenario, inputs) -> ReferenceResult:
@@ -162,7 +174,7 @@ def reference_trial(scenario, inputs) -> ReferenceResult:
     def handle_tx_end(t, sensor, packet):
         tgt = tuple(tid for tid, _ in packet.components)
         log(t, "TX_END", packet.step, sensor.id, tgt, len(tgt))
-        fuse(estimator, packet)
+        fuse(estimator, packet.components, packet.step)
         sensor.acknowledged.update(packet.components)
         if fb and packet.collaborative:
             echo = tuple((tid, estimator.estimate(tid)) for tid in packet.collaborative)
@@ -350,3 +362,21 @@ def test_reference_cases_reach_drop_carry_over_and_cancel():
                 for r in records
             )
     assert {"DROP", "CANCEL", "FEEDBACK_END"} <= kinds
+
+
+@given(name=st.sampled_from(["minimal.yaml", "setting1.yaml"]), seed=st.integers(0, 2**63 - 1),
+       arch=st.sampled_from(list(Architecture)))
+@settings(max_examples=10)
+def test_log_records_and_trace_rows_are_built_on_first_read(name, seed, arch):
+    # a trial whose caller reads only its totals and integral builds neither
+    scn = replace(load_scenario(SCENARIOS / name, seed=seed), architecture=arch)
+    inputs = draw_inputs(scn)
+    got = run_trial(scn, inputs=inputs)
+    assert "records" not in vars(got.events) and "rows" not in vars(got.trace)
+    assert got.events.rows and {type(r) for r in got.events.rows} == {tuple}
+    want = reference_trial(scn, inputs)
+    records, rows = got.events.records, got.trace.rows
+    assert {type(r) for r in records} == {EventRecord}
+    assert records == want.records and rows == want.trace.rows
+    assert got.events.records is records and got.trace.rows is rows
+    assert got.events.rows is records  # named in place: one copy of the log, not two

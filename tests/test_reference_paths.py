@@ -28,7 +28,7 @@ from gathersim.dynamics import (
     reflect,
     step_targets,
 )
-from gathersim.estimation import EstimatorState
+from gathersim.estimation import EstimatorState, fuse
 from gathersim.experiments import assumption1_scenario
 from gathersim.geometry import membership
 from gathersim.protocol import draw_inputs, run_trial
@@ -106,7 +106,7 @@ def test_estimator_matches_reference(n, seed, ops):
         assert same_float(fast.mean_squared_error(positions), ref.mean_squared_error(positions))
         for draw, value, step in ops if n else ():
             row = draw % n
-            fast.absorb(row, value, step)
+            fuse(fast, [(row, value)], step)
             ref.absorb(row, value, step)
             assert fast.estimate(row) == ref.estimate(row)
             assert fusion_count(fast, row) == ref.counts[row]
