@@ -82,16 +82,14 @@ def main() -> int:
         grid = experiments.paired_grid(base, backoffs, args.trials, args.jobs)
         rows = []
         agree = 0
-        for x, backoff, outcomes in zip(xs, backoffs, grid):
+        for x, backoff, cell in zip(xs, backoffs, grid):
             # estimates were taken at the base backoff; rescale to this cell's
             scale = base.protocol.backoff_interval / backoff
             for y in ys:
-                stats = experiments.RunningStats(
-                    o.power_difference(uplink_power=y, downlink_power=1.0) for o in outcomes
-                )
+                mean, se = experiments.mean_se(cell.power_difference(y, 1.0))
                 frac, predicted = analytics.approx_network_advantage(estimates, y, delay_scale=scale)
-                empirical = stats.mean > 0
-                rows.append((x, y, frac, predicted, stats.mean, stats.stderr, empirical))
+                empirical = mean > 0
+                rows.append((x, y, frac, predicted, mean, se, empirical))
                 if predicted == empirical:
                     agree += 1
         path = out / f"approx_{name}.csv"

@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,31 +35,6 @@ from .scenario import (
 )
 
 
-class RunningStats:
-    """Mean and standard error of `values`, summed in one pass in their order."""
-
-    __slots__ = ("n", "total", "total_sq")
-
-    def __init__(self, values: Iterable[float]):
-        n, total, total_sq = 0, 0.0, 0.0
-        for v in values:
-            n += 1
-            total += v
-            total_sq += v * v
-        self.n, self.total, self.total_sq = n, total, total_sq
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.n
-
-    @property
-    def stderr(self) -> float:
-        if self.n < 2:
-            return 0.0
-        var = (self.total_sq - self.total * self.total / self.n) / (self.n - 1)
-        return math.sqrt(max(0.0, var) / self.n)
-
-
 # Fixed protocol and motion parameters of the assumption-1 layouts.
 UPLINK_DELAY = 2.0  # per component
 DOWNLINK_DELAY = 1.0  # per component
@@ -75,21 +50,28 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class PairedOutcome:
-    """Component counts and time-averaged error from one paired trial."""
+class PairedOutcome(NamedTuple):
+    """Component counts and time-averaged error of one paired trial, or of a
+    grid cell's trials as float64 columns in trial order."""
 
-    fb_uplink: int
-    fb_downlink: int
+    fb_uplink: float
+    fb_downlink: float
     fb_mse: float
-    nf_uplink: int
+    nf_uplink: float
     nf_mse: float
 
-    def power_difference(self, uplink_power: float, downlink_power: float) -> float:
-        """No-feedback total power minus feedback total power."""
+    def power_difference(self, uplink_power: float, downlink_power: float):
+        """No-feedback total power minus feedback total power (per trial for columns)."""
         return (
             self.nf_uplink - self.fb_uplink
         ) * uplink_power - self.fb_downlink * downlink_power
+
+
+def mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean of `values` and its standard error: the sample SD (divisor n - 1),
+    taken in two passes (mean, then squared deviations), over sqrt(n); 0 for one value."""
+    se = values.std(ddof=1) / math.sqrt(len(values)) if len(values) > 1 else 0.0
+    return float(values.mean()), float(se)
 
 
 def run_paired_trial(trial: Scenario, inputs: TrialInputs) -> PairedOutcome:
@@ -155,10 +137,11 @@ def _grid_trial(base: Scenario, cells: Sequence[Scenario], i: int) -> list[Paire
 
 def paired_grid(
     base: Scenario, backoff_intervals: Sequence[float], trials: int, jobs: int
-) -> list[list[PairedOutcome]]:
+) -> list[PairedOutcome]:
     """Paired trials 0..trials-1 of `base` at every backoff interval (one grid cell each).
 
-    Returns one list per interval, in trial order. Trial i is drawn once, from
+    Returns one PairedOutcome of float64 columns per interval, in trial order
+    (component counts are exact as floats). Trial i is drawn once, from
     the base seed and i, and every cell replays that draw (common random
     numbers), so the outcomes do not depend on the worker count. A task is one
     trial index; the cells travel with the worker. Every cell, the trial count
@@ -170,7 +153,7 @@ def paired_grid(
     cells = _cells(base, backoff_intervals)
     _check_scenarios(cells)
     per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, base, cells), jobs)
-    return [[outs[k] for outs in per_trial] for k in range(len(cells))]
+    return [PairedOutcome(*np.array(rows, dtype=float).T) for rows in zip(*per_trial)]
 
 
 def run_sweep(base: Scenario, backoff_intervals: Sequence[float], uplink_powers: Sequence[float],
@@ -190,16 +173,13 @@ def run_sweep(base: Scenario, backoff_intervals: Sequence[float], uplink_powers:
 
     down = base.costs.downlink_power
     rows = []
-    for tb, outs in zip(backoff_intervals, grid):
-        nf = (RunningStats(float(o.nf_uplink) for o in outs), RunningStats(o.nf_mse for o in outs))
-        fb_mse = RunningStats(o.fb_mse for o in outs)
+    for tb, cell in zip(backoff_intervals, grid):
+        nf = mean_se(cell.nf_uplink) + mean_se(cell.nf_mse)
+        fb_mse = mean_se(cell.fb_mse)
         for up in uplink_powers:
-            fb = (RunningStats(o.fb_uplink + o.fb_downlink * down / up for o in outs), fb_mse)
-            for arch, (power, mse) in (("FB", fb), ("NF", nf)):
-                rows.append(SweepRow(
-                    float(tb), float(up), float(down), arch,
-                    power.mean, power.stderr, mse.mean, mse.stderr, power.n,
-                ))
+            fb = mean_se(cell.fb_uplink + cell.fb_downlink * down / up) + fb_mse
+            for arch, stats in (("FB", fb), ("NF", nf)):
+                rows.append(SweepRow(float(tb), float(up), float(down), arch, *stats, trials))
     return rows
 
 
@@ -224,8 +204,9 @@ def assumption1_scenario(
     collaborative_targets + unique_targets components, and every sensor's
     propagation delay is UPLINK_DELAY per component plus DOWNLINK_DELAY per
     collaborative component. Both component costs are 1; other costs apply
-    through `PairedOutcome.power_difference`. Geometrically infeasible
-    requests (pockets that cannot fit or hold a moving target) are rejected.
+    through `PairedOutcome.power_difference`, per trial or over a grid cell's
+    columns. Geometrically infeasible requests (pockets that cannot fit or
+    hold a moving target) are rejected.
     """
     check(set_size=set_size, collaborative_targets=collaborative_targets,
           unique_targets=unique_targets, backoff_interval=backoff_interval,
@@ -377,8 +358,8 @@ def region_experiment(
     base, backoffs = region_cells(set_size, x_values, seed)
     grid = paired_grid(base, backoffs, trials, jobs)
     for k, p in enumerate(points):
-        stats = RunningStats(o.power_difference(p.y, 1.0) for o in grid[k // len(y_values)])
-        points[k] = replace(p, empirical_mean=stats.mean, empirical_se=stats.stderr)
+        mean, se = mean_se(grid[k // len(y_values)].power_difference(p.y, 1.0))
+        points[k] = replace(p, empirical_mean=mean, empirical_se=se)
     return points
 
 

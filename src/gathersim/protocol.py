@@ -34,7 +34,7 @@ import numpy as np
 
 from .dynamics import initial_world, measure, observed_rows, step_targets
 from .estimation import SMALL_FIELD, EstimatorState, EstimatorTrace, accumulate_mse, fuse
-from .scenario import Architecture, CostParams, ProtocolParams, Scenario, ScenarioError, validate
+from .scenario import Architecture, CostParams, Scenario, ScenarioError, validate
 
 CENTRAL = -1  # sensor id used for central-unit rows in logs
 
@@ -64,8 +64,6 @@ class EventLog:
     """A trial's events: `rows` of plain tuples in `EventRecord` field order,
     which `records` names in place on first read; an unread log names none."""
 
-    architecture: Architecture
-    protocol: ProtocolParams
     rows: list[tuple] = field(default_factory=list)
 
     @cached_property
@@ -226,16 +224,18 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
     positions = truths[0]
     estimator = EstimatorState(tids, scenario.environment.centroid)
     score, estimate = estimator.mean_squared_error, estimator.estimate
-    log = EventLog(architecture=scenario.architecture, protocol=proto)
+    log = EventLog()
     record = log.rows.append
 
     # per-sensor protocol state, indexed by sensor id: the last value each
     # sensor knows the central unit holds per target, and its scheduled but
-    # unstarted components with their step and start time
+    # unstarted components with their start time (read only while some are
+    # pending). Every SAMPLE drops what the previous step left unstarted, so
+    # pending components always belong to the current step.
     acknowledged: list[dict[int, tuple[float, float]]] = [{} for _ in sensor_ids]
     pending: list[dict[int, tuple[float, float]]] = [{} for _ in sensor_ids]
-    pending_step = [-1] * n_sensors
-    start_time: list[Optional[float]] = [None] * n_sensors
+    start_time = [0.0] * n_sensors
+    step = -1  # the current sampling step
     n_steps = len(inputs.sample_times)
     uplink = downlink = 0  # components sent and fed back
 
@@ -247,13 +247,12 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
     seq = len(heap)
     push, pop = heapq.heappush, heapq.heappop
 
-    def drop_pending(t: float) -> None:
+    def drop_pending(t: float, step: int) -> None:
         for i in sensor_ids:
             if pending[i]:
                 dropped = tuple(pending[i])
-                record((t, "DROP", pending_step[i], i, dropped, len(dropped), None))
+                record((t, "DROP", step, i, dropped, len(dropped), None))
                 pending[i] = {}
-                start_time[i] = None
 
     collab: frozenset[int] = frozenset()  # collaborative targets of the current step
     # the error in force before each handled event, integrated in one call at
@@ -269,8 +268,8 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
         add_time(t)
         add_error(inst)
         if order == _SAMPLE:
+            drop_pending(t, step)  # stale unstarted transmissions are superseded by this step
             step = payload
-            drop_pending(t)  # stale unstarted transmissions are superseded by this step
             observations, collab_ids, observed, uniforms = steps[step]
             collab = frozenset(collab_ids)
             record((t, "SAMPLE", step, CENTRAL, collab_ids, observed, None))
@@ -284,7 +283,6 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
                     continue
                 b = uniforms[i] * interval
                 pending[i] = comps
-                pending_step[i] = step
                 start_time[i] = t + b
                 ids = tuple(comps)
                 record((t, "TRIGGER", step, i, ids, len(ids), None))
@@ -292,43 +290,40 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
                 push(heap, (t + b, _TX_START, i, seq, step))
                 seq += 1
         elif order == _TX_START:
-            # a pending transmission always belongs to the current step: every
-            # SAMPLE drops what the previous step left unstarted
-            step, comps = payload, pending[sid]
-            if pending_step[sid] != step or not comps:
+            comps = pending[sid]
+            if payload != step or not comps:
                 continue  # dropped or fully cancelled in the meantime
             # `comps` leaves `pending` here, so no cancel or drop touches the packet
             tgt = tuple(comps)
             n = len(tgt)
             echo_ids = tuple(filter(collab.__contains__, tgt)) if fb else ()
             pending[sid] = {}
-            start_time[sid] = None
             uplink += n
             record((t, "TX_START", step, sid, tgt, n, None))
             push(heap, (t + n * uplink_delay, _TX_END, sid, seq, (step, comps, tgt, echo_ids)))
             seq += 1
         elif order == _TX_END:
-            step, comps, tgt, echo_ids = payload
-            record((t, "TX_END", step, sid, tgt, len(tgt), None))
-            fuse(estimator, comps.items(), step)
+            sent, comps, tgt, echo_ids = payload  # the packet's step, maybe before the current one
+            record((t, "TX_END", sent, sid, tgt, len(tgt), None))
+            fuse(estimator, comps.items(), sent)
             acknowledged[sid].update(comps)
             if echo_ids:
                 echo = tuple(zip(echo_ids, map(estimate, echo_ids)))
                 m = len(echo)
                 downlink += m
-                record((t, "FEEDBACK_START", step, sid, echo_ids, m, None))
+                record((t, "FEEDBACK_START", sent, sid, echo_ids, m, None))
                 arrival = t + m * downlink_delay
-                push(heap, (arrival, _FEEDBACK_END, sid, seq, (step, echo_ids, echo)))
+                push(heap, (arrival, _FEEDBACK_END, sid, seq, (sent, echo_ids, echo)))
                 seq += 1
             inst = score(positions)
         elif order == _FEEDBACK_END:
-            step, echo_ids, echo = payload
-            record((t, "FEEDBACK_END", step, sid, echo_ids, len(echo), None))
+            sent, echo_ids, echo = payload
+            record((t, "FEEDBACK_END", sent, sid, echo_ids, len(echo), None))
             # only sensors with a scheduled-but-unstarted transmission react; a
             # transmission starting exactly now counts as started (no cancel)
             for i in sensor_ids:
                 comps = pending[i]
-                if not comps or start_time[i] is None or start_time[i] <= t:
+                if not comps or start_time[i] <= t:
                     continue
                 for tid, value in echo:
                     own = comps.get(tid)
@@ -337,7 +332,7 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
                     if math.hypot(own[0] - value[0], own[1] - value[1]) <= eps:
                         del comps[tid]
                         acknowledged[i][tid] = value
-                        record((t, "CANCEL", pending_step[i], i, (tid,), 1, None))
+                        record((t, "CANCEL", step, i, (tid,), 1, None))
         else:  # _MOVE
             positions = truths[payload + 1]
             inst = score(positions)
@@ -345,5 +340,5 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
     add_error(inst)
     trace = accumulate_mse(times, errors)
     # components still scheduled at the horizon would start after it
-    drop_pending(horizon)
+    drop_pending(horizon, step)
     return TrialResult(log, uplink, downlink, trace)

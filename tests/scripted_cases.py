@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from gathersim.estimation import EstimatorState
 from gathersim.experiments import assumption1_scenario
 from gathersim.protocol import CENTRAL, EventLog, EventRecord, draw_inputs, run_trial
-from gathersim.scenario import Architecture, CostParams
+from gathersim.scenario import Architecture, CostParams, Scenario
 
 UPLINK_POWER = 2
 DOWNLINK_POWER = 1
@@ -109,15 +109,18 @@ class SetClassification:
     lead_delay: float
 
 
-def classify_step(log: EventLog, sets: list[frozenset[int]], step: int) -> list[SetClassification]:
-    """Partition each collaborative set at a step into lead/informed/uninformed.
+def classify_step(
+    scenario: Scenario, log: EventLog, sets: list[frozenset[int]], step: int
+) -> list[SetClassification]:
+    """Partition each collaborative set at a step of `log`, a trial of
+    `scenario`, into lead/informed/uninformed.
 
     The lead minimizes backoff plus propagation delay (lowest id on ties); a
     sensor is informed when its backoff exceeds the lead's backoff plus the
     lead's actual propagation delay. Only sensors triggered at the step take
     part; sets with no triggered member yield no entry.
     """
-    if log.architecture != Architecture.FB:
+    if scenario.architecture != Architecture.FB:
         raise ValueError("classification is defined for feedback-architecture logs only")
     by_kind: dict[str, dict[int, EventRecord]] = {}  # kind -> sensor -> last record
     for r in log.records:
@@ -126,7 +129,7 @@ def classify_step(log: EventLog, sets: list[frozenset[int]], step: int) -> list[
     if "SAMPLE" not in by_kind:
         raise IndexError(f"no sampling step {step} in this log")
     collab = frozenset(by_kind["SAMPLE"][CENTRAL].targets)
-    proto = log.protocol
+    proto = scenario.protocol
     backoffs = by_kind.get("BACKOFF_SET", {})
     tx_starts = by_kind.get("TX_START", {})
     fb_starts = by_kind.get("FEEDBACK_START", {})

@@ -16,12 +16,13 @@ default region grid.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from scripted_cases import classify_step
 
 from gathersim.analytics import expected_informed
 from gathersim.experiments import (
-    RunningStats,
+    mean_se,
     region_agreement,
     region_cells,
     region_experiment,
@@ -56,17 +57,17 @@ def test_informed_count_matches_closed_form(set_size):
 
     def informed_per_step(trial):
         log = run_trial(trial).events
-        return sum(len(c.informed) for k in range(STEPS) for c in classify_step(log, full, k)) / STEPS
+        sets = (c for k in range(STEPS) for c in classify_step(trial, log, full, k))
+        return sum(len(c.informed) for c in sets) / STEPS
 
     for x, backoff in zip(X_VALUES, backoffs):
         cell = replace(base, protocol=replace(base.protocol, backoff_interval=backoff))
-        stats = RunningStats(
+        mean, se = mean_se(np.array([
             informed_per_step(replace(cell, seed=trial_seed(cell.seed, i))) for i in range(TRIALS)
-        )
+        ]))
         expected = expected_informed(x, set_size)
-        assert abs(stats.mean - expected) <= 3.0 * stats.stderr, (
-            f"M={set_size} x={x}: mean {stats.mean:.3f} +- {stats.stderr:.3f}, "
-            f"closed form {expected:.3f}"
+        assert abs(mean - expected) <= 3.0 * se, (
+            f"M={set_size} x={x}: mean {mean:.3f} +- {se:.3f}, closed form {expected:.3f}"
         )
 
 

@@ -178,6 +178,6 @@ def test_feedback_wins_mse_in_paired_trials():
 
     scn = assumption1_scenario(3, 2, 2, backoff_interval=30.0, seed=909)
     trials = 500
-    outs = paired_grid(scn, [scn.protocol.backoff_interval], trials, 1)[0]
-    wins = sum(out.fb_mse <= out.nf_mse + 1e-12 for out in outs)
+    (cell,) = paired_grid(scn, [scn.protocol.backoff_interval], trials, 1)
+    wins = np.count_nonzero(cell.fb_mse <= cell.nf_mse + 1e-12)
     assert wins / trials >= 0.95

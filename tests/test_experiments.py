@@ -1,17 +1,17 @@
 import concurrent.futures
 import math
-import statistics
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scripted_cases import forced_inputs
 
 from gathersim import experiments, geometry
 from gathersim.experiments import (
-    RunningStats,
     assumption1_scenario,
+    mean_se,
     region_agreement,
     region_experiment,
     run_sweep,
@@ -82,16 +82,30 @@ def test_paired_trajectories_identical():
     assert all(map(np.array_equal, fb.positions, nf.positions))
 
 
-@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60))
-@settings(max_examples=100)
-def test_running_stats_matches_direct_formulas(values):
-    stats = RunningStats(iter(values))
-    assert stats.n == len(values)
-    assert math.isclose(stats.mean, statistics.fmean(values), rel_tol=1e-9, abs_tol=1e-6)
-    se = statistics.stdev(values) / math.sqrt(len(values))
-    # the one-pass variance loses about eps * sum(v**2) to cancellation
-    cancellation = math.sqrt(1e-14 * sum(v * v for v in values) / len(values))
-    assert math.isclose(stats.stderr, se, rel_tol=1e-6, abs_tol=cancellation + 1e-12)
+def offset_values(offset, steps):
+    return [offset + 0.1 * k for k in steps]
+
+
+@given(st.builds(offset_values, st.floats(-1e6, 1e6),
+                 st.lists(st.integers(-1000, 1000), min_size=2, max_size=60)
+                 .filter(lambda ks: len(set(ks)) > 1)))
+@example(offset_values(1e6, range(10)))  # the one-pass SE read 0.095811, exact 0.095743
+@settings(max_examples=200)
+def test_mean_se_matches_exact_fractions(values):
+    # values that spread by at least 0.1 around a common offset of up to 1e6:
+    # a one-pass variance cancels there, a two-pass one does not
+    exact = [Fraction(v) for v in values]
+    n = len(exact)
+    mean = sum(exact) / n
+    se = math.sqrt(sum((v - mean) ** 2 for v in exact) / (n - 1) / n)
+    got_mean, got_se = mean_se(np.array(values))
+    # a sum's rounding error scales with the values' magnitude, not their mean's
+    assert math.isclose(got_mean, mean, rel_tol=1e-12, abs_tol=1e-12 * max(map(abs, values)))
+    assert math.isclose(got_se, se, rel_tol=1e-12)
+
+
+def test_mean_se_of_one_value_has_zero_se():
+    assert mean_se(np.array([2.5])) == (2.5, 0.0)
 
 
 def test_region_cell_spot_check():
@@ -144,12 +158,15 @@ def test_run_sweep_row_count_and_normalization(setting1_path):
         assert len(vals) == 1
 
 
-def test_run_sweep_parallel_matches_serial(setting1_path):
+# numpy sums 8 or more values pairwise rather than one by one, so 9 trials
+# reach the reduction the golden sweeps' 3 trials do not
+@pytest.mark.parametrize("trials, jobs", [(4, 4), (9, 2)])
+def test_run_sweep_parallel_matches_serial(setting1_path, trials, jobs):
     from gathersim.scenario import load_scenario
 
     scn = load_scenario(setting1_path)
-    serial = run_sweep(*sweep_grid(scn, trials=4), jobs=1)
-    parallel = run_sweep(*sweep_grid(scn, trials=4), jobs=4)
+    serial = run_sweep(*sweep_grid(scn, trials=trials), jobs=1)
+    parallel = run_sweep(*sweep_grid(scn, trials=trials), jobs=jobs)
     assert len(serial) == len(parallel)
     for a, b in zip(serial, parallel):
         assert a == b
@@ -237,8 +254,10 @@ GRID_BACKOFFS = (4.0, 25.0, 55.0)  # the last is above the sampling period
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_paired_grid_matches_per_cell_trials(jobs):
-    assert (experiments.paired_grid(GRID_BASE, GRID_BACKOFFS, 5, jobs)
-            == reference_paired_grid(GRID_BASE, GRID_BACKOFFS, 5))
+    grid = experiments.paired_grid(GRID_BASE, GRID_BACKOFFS, 5, jobs)
+    assert {column.dtype for cell in grid for column in cell} == {np.dtype(float)}
+    # each cell's columns, read back one trial at a time
+    assert [list(zip(*cell)) for cell in grid] == reference_paired_grid(GRID_BASE, GRID_BACKOFFS, 5)
 
 
 def test_paired_grid_draws_once_per_trial_and_validates_each_cell_once(monkeypatch):

@@ -63,7 +63,7 @@ def test_static_target_triggers_only_once():
 def test_scripted_classification_matches_hand_evaluation():
     scn = scripted_scenario(3, 3)  # delay 9 with per-component delays 2/1
     fb, _ = run_scripted_pair(scn, (1.0, 5.0, 40.0))
-    cls = classify_step(fb.events, [frozenset({0, 1, 2})], 0)
+    cls = classify_step(scn, fb.events, [frozenset({0, 1, 2})], 0)
     assert len(cls) == 1
     c = cls[0]
     assert c.lead == 0
@@ -89,7 +89,7 @@ def test_scripted_nf_everyone_transmits():
 def test_lead_tie_breaks_to_lowest_id():
     scn = scripted_scenario(3, 2)
     fb, _ = run_scripted_pair(scn, (5.0, 5.0, 20.0))
-    cls = classify_step(fb.events, [frozenset({0, 1, 2})], 0)
+    cls = classify_step(scn, fb.events, [frozenset({0, 1, 2})], 0)
     assert cls[0].lead == 0
 
 
@@ -101,21 +101,21 @@ def test_idle_step_classifies_empty():
     scn2 = replace(scn, architecture=Architecture.FB,
                    protocol=replace(scn.protocol, horizon=200.0))
     fb2 = run_trial(scn2, inputs=forced_inputs(scn2, {0: (1.0, 5.0)}))
-    assert classify_step(fb2.events, [frozenset({0, 1})], 1) == []
+    assert classify_step(scn2, fb2.events, [frozenset({0, 1})], 1) == []
 
 
 def test_classify_requires_feedback_log():
     scn = scripted_scenario(2, 1)
     _, nf = run_scripted_pair(scn, (1.0, 5.0))
     with pytest.raises(ValueError):
-        classify_step(nf.events, [frozenset({0, 1})], 0)
+        classify_step(replace(scn, architecture=Architecture.NF), nf.events, [frozenset({0, 1})], 0)
 
 
 def test_classify_step_out_of_range():
     scn = scripted_scenario(2, 1)
     fb, _ = run_scripted_pair(scn, (1.0, 5.0))
     with pytest.raises(IndexError):
-        classify_step(fb.events, [frozenset({0, 1})], 99)
+        classify_step(scn, fb.events, [frozenset({0, 1})], 99)
 
 
 def step_powers(result, scenario, path):
@@ -200,7 +200,7 @@ def test_cancel_events_imply_informed_membership():
             if rec.kind == "CANCEL":
                 by_step.setdefault(rec.step, set()).add(rec.sensor)
         for step, cancellers in by_step.items():
-            cls = classify_step(res.events, [full], step)
+            cls = classify_step(scn, res.events, [full], step)
             assert cls, f"cancel at step {step} without classification"
             assert cancellers <= set(cls[0].informed)
 
@@ -374,7 +374,7 @@ def test_feedback_arriving_exactly_at_tx_start_does_not_cancel():
     kinds = Counter(r.kind for r in fb.events.records)
     assert kinds["CANCEL"] == 0
     assert kinds["TX_START"] == 2
-    cls = classify_step(fb.events, [frozenset({0, 1})], 0)
+    cls = classify_step(scn, fb.events, [frozenset({0, 1})], 0)
     assert cls[0].informed == frozenset()
 
 

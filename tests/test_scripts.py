@@ -8,8 +8,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_run_general_layouts_writes_both_layouts(tmp_path, monkeypatch):
-    # the script drives experiments.paired_grid, RunningStats and
-    # PairedOutcome.power_difference, so an API change there must not break it
+    # the script drives experiments.paired_grid, mean_se and
+    # PairedOutcome.power_difference on a cell's columns, so an API change
+    # there must not break it
     script = SCRIPTS / "run_general_layouts.py"
     monkeypatch.setattr(sys, "argv", [str(script), "--trials", "2", "--out", str(tmp_path)])
     with pytest.raises(SystemExit) as exited:
