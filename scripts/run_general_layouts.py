@@ -79,7 +79,7 @@ def main() -> int:
         estimates = analytics.approx_params(base)
         mean_delay = sum(e.delay_estimate for e in estimates) / len(estimates)
         backoffs = [mean_delay / x for x in xs]
-        grid = experiments.paired_grid(base, backoffs, args.trials, args.jobs)
+        grid = experiments.paired_grid(base, backoffs, args.trials, args.jobs, score=False)
         rows = []
         agree = 0
         for x, backoff, cell in zip(xs, backoffs, grid):

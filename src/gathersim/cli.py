@@ -76,7 +76,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     inputs = draw_inputs(scenario, checked=True)  # load_scenario has validated it
-    result = run_trial(scenario, inputs=inputs)
+    result = run_trial(scenario, inputs=inputs, checked=True)
     costs = scenario.costs
     result.events.to_csv(out / "events.csv")
     PowerLedger(result.events, costs, len(scenario.sensors)).to_csv(out / "power.csv")

@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,13 +52,14 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
 
 class PairedOutcome(NamedTuple):
     """Component counts and time-averaged error of one paired trial, or of a
-    grid cell's trials as float64 columns in trial order."""
+    grid cell's trials as float64 columns in trial order. Unscored trials and
+    cells have None for both errors."""
 
     fb_uplink: float
     fb_downlink: float
-    fb_mse: float
+    fb_mse: Optional[float]
     nf_uplink: float
-    nf_mse: float
+    nf_mse: Optional[float]
 
     def power_difference(self, uplink_power: float, downlink_power: float):
         """No-feedback total power minus feedback total power (per trial for columns)."""
@@ -74,19 +75,18 @@ def mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(se)
 
 
-def run_paired_trial(trial: Scenario, inputs: TrialInputs) -> PairedOutcome:
-    """FB and NF on `trial`, a scenario at its trial seed, both replaying
-    `inputs`, that trial's one draw."""
-    horizon = trial.protocol.horizon
-    fb = run_trial(replace(trial, architecture=Architecture.FB), inputs=inputs)
-    nf = run_trial(replace(trial, architecture=Architecture.NF), inputs=inputs)
-    return PairedOutcome(
-        fb_uplink=fb.uplink,
-        fb_downlink=fb.downlink,
-        fb_mse=fb.trace.time_average(horizon),
-        nf_uplink=nf.uplink,
-        nf_mse=nf.trace.time_average(horizon),
-    )
+def run_paired_trial(fb: Scenario, nf: Scenario, inputs: TrialInputs, *,
+                     score: bool = True, checked: bool = False) -> PairedOutcome:
+    """One trial's FB scenario `fb` and NF scenario `nf`, equal but for the
+    architecture and at the trial's seed, both replaying `inputs`, that
+    trial's one draw. `checked` and `score` go to `run_trial`: an unscored
+    pair keeps no error account, and its outcome's errors are None."""
+    fb_run = run_trial(fb, inputs, checked=checked, score=score)
+    nf_run = run_trial(nf, inputs, checked=checked, score=score)
+    horizon = fb.protocol.horizon
+    fb_mse, nf_mse = ((fb_run.trace.time_average(horizon), nf_run.trace.time_average(horizon))
+                      if score else (None, None))
+    return PairedOutcome(fb_run.uplink, fb_run.downlink, fb_mse, nf_run.uplink, nf_mse)
 
 
 @dataclass(frozen=True)
@@ -128,15 +128,18 @@ def _check_scenarios(scenarios: Iterable[Scenario]) -> None:
         raise ScenarioError("; ".join(violations))
 
 
-def _grid_trial(base: Scenario, cells: Sequence[Scenario], i: int) -> list[PairedOutcome]:
-    """Trial i of every cell, each replaying the trial's one draw."""
+def _grid_trial(base: Scenario, makers, score: bool, i: int) -> list[PairedOutcome]:
+    """Trial i of every cell, each replaying the trial's one draw; `makers`
+    holds each cell's (FB, NF) scenario makers, which take the trial seed."""
     seed = trial_seed(base.seed, i)
     inputs = draw_inputs(replace(base, seed=seed), checked=True)
-    return [run_paired_trial(replace(cell, seed=seed), inputs) for cell in cells]
+    return [run_paired_trial(fb(seed=seed), nf(seed=seed), inputs, score=score, checked=True)
+            for fb, nf in makers]
 
 
 def paired_grid(
-    base: Scenario, backoff_intervals: Sequence[float], trials: int, jobs: int
+    base: Scenario, backoff_intervals: Sequence[float], trials: int, jobs: int, *,
+    score: bool = True,
 ) -> list[PairedOutcome]:
     """Paired trials 0..trials-1 of `base` at every backoff interval (one grid cell each).
 
@@ -145,15 +148,22 @@ def paired_grid(
     the base seed and i, and every cell replays that draw (common random
     numbers), so the outcomes do not depend on the worker count. A task is one
     trial index; the cells travel with the worker. Every cell, the trial count
-    and the worker count are checked before any trial runs.
+    and the worker count are checked before any trial runs, so no trial checks
+    its own. With `score=False` the trials keep no error account, and each
+    cell's `fb_mse` and `nf_mse` are None: a caller that reads only power pays
+    only for power.
     """
     if not backoff_intervals:
         raise ScenarioError("backoff_intervals must be nonempty")
     check(backoff_intervals=list(backoff_intervals), trials=trials, jobs=jobs)
     cells = _cells(base, backoff_intervals)
     _check_scenarios(cells)
-    per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, base, cells), jobs)
-    return [PairedOutcome(*np.array(rows, dtype=float).T) for rows in zip(*per_trial)]
+    # each cell's two architectures, built once; a trial adds only its seed
+    makers = [tuple(partial(Scenario, **vars(replace(cell, architecture=arch)))
+                    for arch in (Architecture.FB, Architecture.NF)) for cell in cells]
+    per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, base, makers, score), jobs)
+    grid = [PairedOutcome(*np.array(rows, dtype=float).T) for rows in zip(*per_trial)]
+    return grid if score else [cell._replace(fb_mse=None, nf_mse=None) for cell in grid]
 
 
 def run_sweep(base: Scenario, backoff_intervals: Sequence[float], uplink_powers: Sequence[float],
@@ -356,7 +366,7 @@ def region_experiment(
     """
     points = raster_region(set_size, x_values, y_values)  # x-major, like the grid
     base, backoffs = region_cells(set_size, x_values, seed)
-    grid = paired_grid(base, backoffs, trials, jobs)
+    grid = paired_grid(base, backoffs, trials, jobs, score=False)
     for k, p in enumerate(points):
         mean, se = mean_se(grid[k // len(y_values)].power_difference(p.y, 1.0))
         points[k] = replace(p, empirical_mean=mean, empirical_se=se)

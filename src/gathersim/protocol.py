@@ -34,12 +34,13 @@ import numpy as np
 
 from .dynamics import initial_world, measure, observed_rows, step_targets
 from .estimation import SMALL_FIELD, EstimatorState, EstimatorTrace, accumulate_mse, fuse
-from .scenario import Architecture, CostParams, Scenario, ScenarioError, validate
+from .scenario import Architecture, CostParams, Scenario, ScenarioError, check, validate
 
 CENTRAL = -1  # sensor id used for central-unit rows in logs
 
-# event codes in heap entries; their order breaks ties at equal times
-_MOVE, _TX_END, _FEEDBACK_END, _SAMPLE, _TX_START = range(5)
+# event codes in heap entries; their order breaks ties at equal times, and
+# the horizon comes after every other event at its time
+_MOVE, _TX_END, _FEEDBACK_END, _SAMPLE, _TX_START, _HORIZON = range(6)
 
 
 def write_csv(path, kind: str, header: str, lines: Iterable[str]) -> None:
@@ -113,12 +114,13 @@ def trace_to_csv(trace: EstimatorTrace, path) -> None:
 
 
 class TrialResult(NamedTuple):
-    """A trial's event log, its uplink and downlink component totals, and its error trace."""
+    """A trial's event log, its uplink and downlink component totals, and its
+    error trace (None for an unscored trial)."""
 
     events: EventLog
     uplink: int
     downlink: int
-    trace: EstimatorTrace
+    trace: Optional[EstimatorTrace]
 
 
 class TrialInputs(NamedTuple):
@@ -136,6 +138,7 @@ class TrialInputs(NamedTuple):
     move_times: tuple[float, ...]
     positions: tuple[np.ndarray, ...]  # before any move, then after each move
     steps: tuple[tuple, ...]
+    truths: tuple  # `positions` as the engine scores them: lists below SMALL_FIELD targets
 
 
 def input_key(scenario: Scenario) -> tuple:
@@ -192,97 +195,128 @@ def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
             len(counts) - counts.count(0),
             tuple(backoff_rng.random(len(specs)).tolist()),
         ))
-    return TrialInputs(
-        input_key(scenario), tids, sample_times, move_times, tuple(positions), tuple(steps)
-    )
+    truths = [p.tolist() for p in positions] if 0 < len(tids) < SMALL_FIELD else positions
+    return TrialInputs(input_key(scenario), tids, sample_times, move_times, tuple(positions),
+                       tuple(steps), tuple(truths))
 
 
-def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> TrialResult:
+def run_trial(
+    scenario: Scenario, inputs: Optional[TrialInputs] = None, *, checked: bool = False,
+    score: bool = True,
+) -> TrialResult:
     """Simulate one trial over [0, horizon] and return its log, power totals and trace.
 
     `inputs` (drawn here when None) may come from any scenario with the same
     `input_key`, so both architectures and every backoff interval can replay
-    one draw.
+    one draw. Raises ScenarioError for an invalid scenario unless the caller
+    has `checked` it; a replay checks its protocol, the one parameter record
+    outside the key that the engine reads. With `score=False` the trial keeps
+    no error account: its trace is None, and an NF trial fuses nothing, since
+    no echo reads its estimate. Its records and power totals are the same.
     """
     if inputs is None:
-        inputs = draw_inputs(scenario)
-    elif inputs.key != input_key(scenario):
-        raise ValueError("inputs were drawn for a scenario with different draws")
+        inputs = draw_inputs(scenario, checked=checked)
+    else:
+        if inputs.key != input_key(scenario):
+            raise ValueError("inputs were drawn for a scenario with different draws")
+        if not checked:
+            check(scenario.protocol)
 
     proto = scenario.protocol
     fb = scenario.architecture == Architecture.FB
-    n_sensors = len(scenario.sensors)
-    sensor_ids = range(n_sensors)
     eps = proto.trigger_threshold
     horizon = proto.horizon
     interval = proto.backoff_interval
     uplink_delay, downlink_delay = proto.uplink_delay, proto.downlink_delay
-    tids = inputs.target_ids
     steps = inputs.steps
-    # a small field is scored from lists, converted here once per move
-    truths = [p.tolist() for p in inputs.positions] if len(tids) < SMALL_FIELD else inputs.positions
-    positions = truths[0]
-    estimator = EstimatorState(tids, scenario.environment.centroid)
-    score, estimate = estimator.mean_squared_error, estimator.estimate
+    hypot = math.hypot
     log = EventLog()
     record = log.rows.append
+    # the central estimate feeds FB's echoes and the error, so an unscored NF trial keeps none
+    fusing = fb or score
+    if fusing:
+        estimator = EstimatorState(inputs.target_ids, scenario.environment.centroid)
+        estimate = estimator.estimate
 
-    # per-sensor protocol state, indexed by sensor id: the last value each
-    # sensor knows the central unit holds per target, and its scheduled but
-    # unstarted components with their start time (read only while some are
-    # pending). Every SAMPLE drops what the previous step left unstarted, so
-    # pending components always belong to the current step.
-    acknowledged: list[dict[int, tuple[float, float]]] = [{} for _ in sensor_ids]
-    pending: list[dict[int, tuple[float, float]]] = [{} for _ in sensor_ids]
-    start_time = [0.0] * n_sensors
+    # per-sensor protocol state: the last value each sensor knows the central
+    # unit holds per target, by sensor id; and, for the sensors scheduled at
+    # the current step in ascending id order, their unstarted components
+    # (emptied by cancels) and start time. Every SAMPLE drops what the
+    # previous step left unstarted before it schedules its own.
+    acknowledged: list[dict[int, tuple[float, float]]] = [{} for _ in scenario.sensors]
+    pending: dict[int, dict[int, tuple[float, float]]] = {}
+    start_time = [0.0] * len(scenario.sensors)
     step = -1  # the current sampling step
     n_steps = len(inputs.sample_times)
     uplink = downlink = 0  # components sent and fed back
 
     # entries (time, order code, sensor id, seq, payload): seq is unique, so
-    # the first four fields decide the pop order and payloads never compare
+    # the first four fields decide the pop order and payloads never compare;
+    # a move changes only the error, so an unscored trial schedules none
     heap: list[tuple] = [(t, _SAMPLE, 0, k, k) for k, t in enumerate(inputs.sample_times)]
-    heap += [(t, _MOVE, 0, n_steps + i, i) for i, t in enumerate(inputs.move_times)]
+    heap.append((horizon, _HORIZON, 0, n_steps, None))
+    if score:
+        heap += [(t, _MOVE, 0, n_steps + 1 + i, i) for i, t in enumerate(inputs.move_times)]
     heapq.heapify(heap)
     seq = len(heap)
     push, pop = heapq.heappush, heapq.heappop
 
     def drop_pending(t: float, step: int) -> None:
-        for i in sensor_ids:
-            if pending[i]:
-                dropped = tuple(pending[i])
+        for i, comps in pending.items():
+            if comps:
+                dropped = tuple(comps)
                 record((t, "DROP", step, i, dropped, len(dropped), None))
-                pending[i] = {}
+        pending.clear()
 
     collab: frozenset[int] = frozenset()  # collaborative targets of the current step
-    # the error in force before each handled event, integrated in one call at
-    # the end; it changes only when a fusion (TX_END) or a move does
-    times: list[float] = []
-    errors: list[float] = []
-    add_time, add_error = times.append, errors.append
-    inst = score(positions)
-    while heap:
+    if score:
+        # the error in force before each handled event and the horizon,
+        # integrated in one call at the end; a fusion (TX_END) or a move makes
+        # it stale, and it is scored again before the next event
+        truths = inputs.truths
+        truth = truths[0]
+        n_targets = len(truth)
+        estimates = estimator.estimates  # updated in place by `fuse`
+        small = type(estimates) is list
+        times: list[float] = []
+        errors: list[float] = []
+        add_time, add_error = times.append, errors.append
+    stale = True
+    while True:
         t, order, sid, _, payload = pop(heap)
-        if t > horizon:
-            break
-        add_time(t)
-        add_error(inst)
+        if score:
+            if stale:
+                if small:  # bit-identical to mean_squared_error: numpy adds left to right here
+                    total = 0.0
+                    for (ex, ey), (px, py) in zip(estimates, truth):
+                        dx = ex - px
+                        dy = ey - py
+                        total += dx * dx + dy * dy
+                    inst = total / n_targets
+                else:
+                    inst = estimator.mean_squared_error(truth)
+                stale = False
+            add_time(t)
+            add_error(inst)
         if order == _SAMPLE:
-            drop_pending(t, step)  # stale unstarted transmissions are superseded by this step
+            if pending:
+                drop_pending(t, step)  # stale unstarted transmissions are superseded by this step
             step = payload
             observations, collab_ids, observed, uniforms = steps[step]
-            collab = frozenset(collab_ids)
+            if fb:
+                collab = frozenset(collab_ids)
             record((t, "SAMPLE", step, CENTRAL, collab_ids, observed, None))
-            scheduled: list[dict[int, tuple[float, float]]] = [{} for _ in sensor_ids]
+            # the observations come by sensor in id order, so one pass groups them
+            i = -1
             for idx, tid, vx, vy in zip(*observations):
                 ack = acknowledged[idx].get(tid)
-                if ack is None or math.hypot(vx - ack[0], vy - ack[1]) > eps:
-                    scheduled[idx][tid] = (vx, vy)
-            for i, comps in enumerate(scheduled):
-                if not comps:
-                    continue
+                if ack is None or hypot(vx - ack[0], vy - ack[1]) > eps:
+                    if idx != i:
+                        i = idx
+                        comps = pending[i] = {}
+                    comps[tid] = (vx, vy)
+            for i, comps in pending.items():
                 b = uniforms[i] * interval
-                pending[i] = comps
                 start_time[i] = t + b
                 ids = tuple(comps)
                 record((t, "TRIGGER", step, i, ids, len(ids), None))
@@ -290,14 +324,15 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
                 push(heap, (t + b, _TX_START, i, seq, step))
                 seq += 1
         elif order == _TX_START:
-            comps = pending[sid]
-            if payload != step or not comps:
-                continue  # dropped or fully cancelled in the meantime
+            if payload != step:
+                continue  # dropped at a later sample
             # `comps` leaves `pending` here, so no cancel or drop touches the packet
+            comps = pending.pop(sid)
+            if not comps:
+                continue  # fully cancelled
             tgt = tuple(comps)
             n = len(tgt)
             echo_ids = tuple(filter(collab.__contains__, tgt)) if fb else ()
-            pending[sid] = {}
             uplink += n
             record((t, "TX_START", step, sid, tgt, n, None))
             push(heap, (t + n * uplink_delay, _TX_END, sid, seq, (step, comps, tgt, echo_ids)))
@@ -305,7 +340,9 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
         elif order == _TX_END:
             sent, comps, tgt, echo_ids = payload  # the packet's step, maybe before the current one
             record((t, "TX_END", sent, sid, tgt, len(tgt), None))
-            fuse(estimator, comps.items(), sent)
+            if fusing:
+                fuse(estimator, comps.items(), sent)
+                stale = True
             acknowledged[sid].update(comps)
             if echo_ids:
                 echo = tuple(zip(echo_ids, map(estimate, echo_ids)))
@@ -315,30 +352,29 @@ def run_trial(scenario: Scenario, inputs: Optional[TrialInputs] = None) -> Trial
                 arrival = t + m * downlink_delay
                 push(heap, (arrival, _FEEDBACK_END, sid, seq, (sent, echo_ids, echo)))
                 seq += 1
-            inst = score(positions)
         elif order == _FEEDBACK_END:
             sent, echo_ids, echo = payload
             record((t, "FEEDBACK_END", sent, sid, echo_ids, len(echo), None))
             # only sensors with a scheduled-but-unstarted transmission react; a
             # transmission starting exactly now counts as started (no cancel)
-            for i in sensor_ids:
-                comps = pending[i]
+            for i, comps in pending.items():
                 if not comps or start_time[i] <= t:
                     continue
                 for tid, value in echo:
                     own = comps.get(tid)
                     if own is None:
                         continue
-                    if math.hypot(own[0] - value[0], own[1] - value[1]) <= eps:
+                    if hypot(own[0] - value[0], own[1] - value[1]) <= eps:
                         del comps[tid]
                         acknowledged[i][tid] = value
                         record((t, "CANCEL", step, i, (tid,), 1, None))
-        else:  # _MOVE
-            positions = truths[payload + 1]
-            inst = score(positions)
-    add_time(horizon)
-    add_error(inst)
-    trace = accumulate_mse(times, errors)
+        elif order == _MOVE:
+            truth = truths[payload + 1]
+            stale = True
+        else:  # _HORIZON: later events fall outside the run
+            break
     # components still scheduled at the horizon would start after it
-    drop_pending(horizon, step)
+    if pending:
+        drop_pending(horizon, step)
+    trace = accumulate_mse(times, errors) if score else None
     return TrialResult(log, uplink, downlink, trace)

@@ -245,7 +245,9 @@ def reference_paired_grid(base, backoff_intervals, trials):
     cells = [replace(base, protocol=replace(base.protocol, backoff_interval=b))
              for b in backoff_intervals]
     trials_of = [[replace(s, seed=trial_seed(s.seed, i)) for i in range(trials)] for s in cells]
-    return [[experiments.run_paired_trial(t, draw_inputs(t)) for t in ts] for ts in trials_of]
+    return [[experiments.run_paired_trial(replace(t, architecture=Architecture.FB),
+                                          replace(t, architecture=Architecture.NF), draw_inputs(t))
+             for t in ts] for ts in trials_of]
 
 
 GRID_BASE = assumption1_scenario(2, 2, 0, sampling_period=40.0, horizon=160.0, seed=21)
@@ -270,6 +272,24 @@ def test_paired_grid_draws_once_per_trial_and_validates_each_cell_once(monkeypat
     experiments.paired_grid(GRID_BASE, GRID_BACKOFFS, 3, 1)
     assert [s.seed for s in draws] == [trial_seed(GRID_BASE.seed, i) for i in range(3)]
     assert [s.protocol.backoff_interval for s in checks] == list(GRID_BACKOFFS)
+
+
+def test_an_unscored_grid_has_the_same_power_columns_and_no_errors():
+    scored = experiments.paired_grid(GRID_BASE, GRID_BACKOFFS, 4, 1)
+    unscored = experiments.paired_grid(GRID_BASE, GRID_BACKOFFS, 4, 1, score=False)
+    for s, u in zip(scored, unscored, strict=True):
+        assert u.fb_mse is None and u.nf_mse is None
+        for name in ("fb_uplink", "fb_downlink", "nf_uplink"):
+            assert np.array_equal(getattr(u, name), getattr(s, name))
+
+
+def test_region_runs_unscored_checked_trials(monkeypatch):
+    # the map reads only power, and paired_grid has checked every cell
+    calls = []
+    monkeypatch.setattr(experiments, "run_trial",
+                        lambda s, inputs, **kw: calls.append(kw) or run_trial(s, inputs, **kw))
+    region_experiment(2, [0.3, 0.7], [1.0], trials=2)
+    assert calls == [dict(checked=True, score=False)] * (2 * 2 * 2)  # cells x trials x architectures
 
 
 def test_paired_grid_rejects_an_invalid_cell():

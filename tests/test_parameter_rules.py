@@ -52,10 +52,10 @@ RECORD_CALLS = [
 
 # raster_region checks its grids under the closed form's names and its set size
 # as the record field; paired_grid's base scenario, mse_bounds' record and the
-# vote's estimates are covered elsewhere
+# vote's estimates are covered elsewhere, and paired_grid's `score` switch is no number
 LABELS = {(analytics.raster_region, "x_values"): "x", (analytics.raster_region, "y_values"): "y",
           (analytics.raster_region, "set_size"): "AdvantageParams.set_size"}
-UNLISTED = {"base", "params", "estimates"}
+UNLISTED = {"base", "params", "estimates", "score"}
 
 
 def case_id(*parts):

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -18,7 +19,7 @@ from scripted_cases import (
     scripted_scenario,
 )
 
-from gathersim import geometry
+from gathersim import geometry, protocol
 from gathersim.analytics import power_diff
 from gathersim.experiments import assumption1_scenario, trial_seed
 from gathersim.protocol import PowerLedger, draw_inputs, run_trial
@@ -365,6 +366,54 @@ def test_inputs_of_other_draws_rejected():
     shared = replace(scn, architecture=Architecture.FB,
                      protocol=replace(scn.protocol, backoff_interval=9.0))
     assert run_trial(shared, inputs=draw_inputs(scn)).events.records
+
+
+@pytest.mark.parametrize("field, value, label", [
+    ("backoff_interval", -50.0, "ProtocolParams.backoff_interval: must be > 0"),
+    ("backoff_interval", math.nan, "ProtocolParams.backoff_interval: must be finite"),
+    ("backoff_interval", math.inf, "ProtocolParams.backoff_interval: must be finite"),
+    ("trigger_threshold", -1.0, "ProtocolParams.trigger_threshold: must be > 0"),
+])
+def test_a_replay_checks_its_protocol(setting1_path, field, value, label):
+    # fields outside input_key do not change the draws, so the key check
+    # alone lets them through: -50 and NaN once failed deep in the error
+    # integral, inf sent nothing and -1 triggered on every sample
+    scn = load_scenario(setting1_path)
+    inputs = draw_inputs(scn)
+    bad = replace(scn, protocol=replace(scn.protocol, **{field: value}))
+    for score in (True, False):
+        with pytest.raises(ScenarioError, match=re.escape(label)):
+            run_trial(bad, inputs=inputs, score=score)
+
+
+def test_a_checked_replay_skips_the_protocol_check(monkeypatch, setting1_path):
+    scn = load_scenario(setting1_path)
+    inputs = draw_inputs(scn)
+    monkeypatch.setattr(protocol, "check", None)  # a check would fail here
+    assert run_trial(scn, inputs=inputs, checked=True).events.rows
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(protocol, name)
+    monkeypatch.setattr(protocol, name, lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_an_unscored_trial_keeps_no_error_account(monkeypatch, setting1_path, arch):
+    # an NF trial's estimate feeds nothing once the error is not read, and an
+    # FB trial fuses each received packet only for its echo
+    scn = replace(load_scenario(setting1_path), architecture=arch)
+    inputs = draw_inputs(scn)
+    fused = count_calls(monkeypatch, "fuse")
+    integrated = count_calls(monkeypatch, "accumulate_mse")
+    result = run_trial(scn, inputs=inputs, score=False)
+    tx_ends = sum(r.kind == "TX_END" for r in result.events.records)
+    assert tx_ends > 0 and result.trace is None and not integrated
+    assert len(fused) == (tx_ends if arch == Architecture.FB else 0)
+    run_trial(scn, inputs=inputs)  # a scored trial fuses every packet in both architectures
+    assert len(integrated) == 1 and len(fused) == (2 if arch == Architecture.FB else 1) * tx_ends
 
 
 def test_feedback_arriving_exactly_at_tx_start_does_not_cancel():

@@ -7,7 +7,8 @@ components sorted, an int64 numpy ledger incremented per packet, `fuse` once
 per received packet, the error integrated and a trace row added at every event,
 and the error scored with numpy's pairwise sum whatever the field size.
 `run_trial` must give the same records, power totals and trace, compared
-with `==`, on every input the strategies below reach: both architectures,
+with `==`, and an unscored `run_trial` the same records and totals with no
+trace, on every input the strategies below reach: both architectures,
 backoffs forced in the drawn inputs, packets dropped at the next sample,
 packets that end after it, and fields below and from `SMALL_FIELD` targets up.
 On the forced cases, the power.csv that `PowerLedger` reads off the records
@@ -256,6 +257,11 @@ def assert_engine_matches_reference(scenario, inputs, power_csv=False):
     assert got.trace.integral == want.trace.integral
     # a row is added whenever the clock moves, so the last one ends where the reference's clock stopped
     assert (got.trace.rows[-1][0] if got.trace.rows else 0.0) == want.trace.last_time
+    # an unscored trial keeps no error account, and everything else is the same
+    unscored = run_trial(scenario, inputs=inputs, score=False)
+    assert unscored.events.rows == got.events.rows
+    assert (unscored.uplink, unscored.downlink) == (got.uplink, got.downlink)
+    assert unscored.trace is None
     return want
 
 
