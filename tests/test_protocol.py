@@ -376,8 +376,8 @@ def test_inputs_of_other_draws_rejected():
 ])
 def test_a_replay_checks_its_protocol(setting1_path, field, value, label):
     # fields outside input_key do not change the draws, so the key check
-    # alone lets them through: -50 and NaN once failed deep in the error
-    # integral, inf sent nothing and -1 triggered on every sample
+    # alone lets them through; unchecked, -50 and NaN fail deep in the error
+    # integral, inf sends nothing and -1 triggers on every sample
     scn = load_scenario(setting1_path)
     inputs = draw_inputs(scn)
     bad = replace(scn, protocol=replace(scn.protocol, **{field: value}))
