@@ -17,8 +17,8 @@ import numpy as np
 
 from .scenario import Point
 
-# the engine scores fields with fewer targets in plain Python: from 8 elements
-# up, np.add.reduce sums pairwise and its result can differ in the last bit
+# fields with fewer targets are scored in plain Python: from 8 elements up,
+# np.add.reduce sums pairwise and its result can differ in the last bit
 SMALL_FIELD = 8
 
 
@@ -28,7 +28,7 @@ class EstimatorState:
     Targets never seen are scored against `default_point` (normally the
     environment centroid) so the metric is defined from time zero. The
     bookkeeping lives in Python lists, and `fuse` keeps the current
-    `estimates` up to date for the error, in place: a list of (x, y) tuples
+    estimates up to date for `mean_squared_error`: a list of (x, y) tuples
     below `SMALL_FIELD` targets, an (n, 2) array from there up. Steps are
     >= 0, so an epoch of -1 marks a target with no estimate yet.
     """
@@ -40,9 +40,9 @@ class EstimatorState:
         self._counts = [0] * n
         self._epochs = [-1] * n
         if 0 < n < SMALL_FIELD:  # an empty field keeps numpy's nan score
-            self.estimates = [(float(default_point[0]), float(default_point[1]))] * n
+            self._estimates = [(float(default_point[0]), float(default_point[1]))] * n
         else:
-            self.estimates = np.full((n, 2), default_point, dtype=float)
+            self._estimates = np.full((n, 2), default_point, dtype=float)
 
     def estimate(self, target_id: int) -> Point | None:
         row = self._row[target_id]
@@ -53,9 +53,20 @@ class EstimatorState:
         return (sx / c, sy / c)
 
     def mean_squared_error(self, positions) -> float:
-        """The error against the (n, 2) truth array. The engine scores a small
-        field itself, adding left to right as np.add.reduce does below SMALL_FIELD."""
-        diff = np.subtract(self.estimates, positions)
+        """The error against the (n, 2) truth array, or a small field's `tolist()` of it."""
+        estimates = self._estimates
+        if type(estimates) is list:
+            if type(positions) is not list:
+                positions = positions.tolist()
+            # below SMALL_FIELD elements np.add.reduce adds left to right, so
+            # this sum is bit-identical to the array expression below
+            total = 0.0
+            for (ex, ey), (px, py) in zip(estimates, positions):
+                dx = ex - px
+                dy = ey - py
+                total += dx * dx + dy * dy
+            return total / len(estimates)
+        diff = estimates - positions
         sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
         # np.mean's own sum and division (nan for no targets), without its overhead
         return float(np.add.reduce(sq) / len(sq))
@@ -65,7 +76,7 @@ def fuse(state: EstimatorState, components, step: int) -> None:
     """Fuse a fully received uplink packet, whose (target id, value)
     `components` were all measured at `step`, into the central estimate.
     A measurement older than a target's current estimate is stale and dropped."""
-    sums, counts, epochs, estimates = state._sums, state._counts, state._epochs, state.estimates
+    sums, counts, epochs, estimates = state._sums, state._counts, state._epochs, state._estimates
     for tid, (vx, vy) in components:
         row = state._row[tid]
         if step == epochs[row]:

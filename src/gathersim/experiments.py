@@ -76,13 +76,15 @@ def mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def run_paired_trial(fb: Scenario, nf: Scenario, inputs: TrialInputs, *,
-                     score: bool = True, checked: bool = False) -> PairedOutcome:
+                     score: bool = True) -> PairedOutcome:
     """One trial's FB scenario `fb` and NF scenario `nf`, equal but for the
     architecture and at the trial's seed, both replaying `inputs`, that
-    trial's one draw. `checked` and `score` go to `run_trial`: an unscored
-    pair keeps no error account, and its outcome's errors are None."""
-    fb_run = run_trial(fb, inputs, checked=checked, score=score)
-    nf_run = run_trial(nf, inputs, checked=checked, score=score)
+    trial's one draw. The caller has validated both scenarios (`paired_grid`
+    checks every cell), so the trials do not check them again. `score` goes
+    to `run_trial`: an unscored pair keeps no error account, and its
+    outcome's errors are None."""
+    fb_run = run_trial(fb, inputs, checked=True, score=score)
+    nf_run = run_trial(nf, inputs, checked=True, score=score)
     horizon = fb.protocol.horizon
     fb_mse, nf_mse = ((fb_run.trace.time_average(horizon), nf_run.trace.time_average(horizon))
                       if score else (None, None))
@@ -128,13 +130,13 @@ def _check_scenarios(scenarios: Iterable[Scenario]) -> None:
         raise ScenarioError("; ".join(violations))
 
 
-def _grid_trial(base: Scenario, makers, score: bool, i: int) -> list[PairedOutcome]:
-    """Trial i of every cell, each replaying the trial's one draw; `makers`
-    holds each cell's (FB, NF) scenario makers, which take the trial seed."""
+def _grid_trial(base: Scenario, pairs, score: bool, i: int) -> list[PairedOutcome]:
+    """Trial i of every cell, each replaying the trial's one draw; `pairs`
+    holds each cell's FB and NF scenarios."""
     seed = trial_seed(base.seed, i)
     inputs = draw_inputs(replace(base, seed=seed), checked=True)
-    return [run_paired_trial(fb(seed=seed), nf(seed=seed), inputs, score=score, checked=True)
-            for fb, nf in makers]
+    return [run_paired_trial(replace(fb, seed=seed), replace(nf, seed=seed), inputs, score=score)
+            for fb, nf in pairs]
 
 
 def paired_grid(
@@ -158,10 +160,9 @@ def paired_grid(
     check(backoff_intervals=list(backoff_intervals), trials=trials, jobs=jobs)
     cells = _cells(base, backoff_intervals)
     _check_scenarios(cells)
-    # each cell's two architectures, built once; a trial adds only its seed
-    makers = [tuple(partial(Scenario, **vars(replace(cell, architecture=arch)))
-                    for arch in (Architecture.FB, Architecture.NF)) for cell in cells]
-    per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, base, makers, score), jobs)
+    pairs = [tuple(replace(cell, architecture=arch) for arch in (Architecture.FB, Architecture.NF))
+             for cell in cells]
+    per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, base, pairs, score), jobs)
     grid = [PairedOutcome(*np.array(rows, dtype=float).T) for rows in zip(*per_trial)]
     return grid if score else [cell._replace(fb_mse=None, nf_mse=None) for cell in grid]
 

@@ -138,7 +138,6 @@ class TrialInputs(NamedTuple):
     move_times: tuple[float, ...]
     positions: tuple[np.ndarray, ...]  # before any move, then after each move
     steps: tuple[tuple, ...]
-    truths: tuple  # `positions` as the engine scores them: lists below SMALL_FIELD targets
 
 
 def input_key(scenario: Scenario) -> tuple:
@@ -195,9 +194,9 @@ def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
             len(counts) - counts.count(0),
             tuple(backoff_rng.random(len(specs)).tolist()),
         ))
-    truths = [p.tolist() for p in positions] if 0 < len(tids) < SMALL_FIELD else positions
-    return TrialInputs(input_key(scenario), tids, sample_times, move_times, tuple(positions),
-                       tuple(steps), tuple(truths))
+    return TrialInputs(
+        input_key(scenario), tids, sample_times, move_times, tuple(positions), tuple(steps)
+    )
 
 
 def run_trial(
@@ -271,31 +270,20 @@ def run_trial(
     collab: frozenset[int] = frozenset()  # collaborative targets of the current step
     if score:
         # the error in force before each handled event and the horizon,
-        # integrated in one call at the end; a fusion (TX_END) or a move makes
-        # it stale, and it is scored again before the next event
-        truths = inputs.truths
+        # integrated in one call at the end; it changes only when a fusion
+        # (TX_END) or a move does. A small field is scored from lists,
+        # converted here once per move.
+        positions = inputs.positions
+        truths = [p.tolist() for p in positions] if len(positions[0]) < SMALL_FIELD else positions
         truth = truths[0]
-        n_targets = len(truth)
-        estimates = estimator.estimates  # updated in place by `fuse`
-        small = type(estimates) is list
+        mse = estimator.mean_squared_error
+        inst = mse(truth)
         times: list[float] = []
         errors: list[float] = []
         add_time, add_error = times.append, errors.append
-    stale = True
     while True:
         t, order, sid, _, payload = pop(heap)
         if score:
-            if stale:
-                if small:  # bit-identical to mean_squared_error: numpy adds left to right here
-                    total = 0.0
-                    for (ex, ey), (px, py) in zip(estimates, truth):
-                        dx = ex - px
-                        dy = ey - py
-                        total += dx * dx + dy * dy
-                    inst = total / n_targets
-                else:
-                    inst = estimator.mean_squared_error(truth)
-                stale = False
             add_time(t)
             add_error(inst)
         if order == _SAMPLE:
@@ -342,7 +330,8 @@ def run_trial(
             record((t, "TX_END", sent, sid, tgt, len(tgt), None))
             if fusing:
                 fuse(estimator, comps.items(), sent)
-                stale = True
+                if score:
+                    inst = mse(truth)
             acknowledged[sid].update(comps)
             if echo_ids:
                 echo = tuple(zip(echo_ids, map(estimate, echo_ids)))
@@ -370,7 +359,7 @@ def run_trial(
                         record((t, "CANCEL", step, i, (tid,), 1, None))
         elif order == _MOVE:
             truth = truths[payload + 1]
-            stale = True
+            inst = mse(truth)
         else:  # _HORIZON: later events fall outside the run
             break
     # components still scheduled at the horizon would start after it

@@ -95,7 +95,7 @@ SQUARE = st.builds(lambda m, e: m * 10.0**e, st.floats(0.0, 10.0), st.integers(-
 @given(st.lists(SQUARE, min_size=1, max_size=SMALL_FIELD - 1))
 @settings(max_examples=300)
 def test_left_to_right_mean_is_numpy_mean_below_cutoff(sq):
-    # the identity the engine's small-field score rests on
+    # the identity the small-field path of mean_squared_error rests on
     mine = left_to_right(sq) / len(sq)
     numpy = float(np.add.reduce(np.array(sq)) / len(sq))
     assert mine.hex() == numpy.hex()
