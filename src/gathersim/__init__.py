@@ -19,7 +19,7 @@ from .experiments import (
     run_paired_trial,
     run_sweep,
 )
-from .protocol import run_trial
+from .protocol import draw_inputs, run_trial, score_trial
 from .scenario import (
     Architecture,
     CostParams,

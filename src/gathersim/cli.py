@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, experiments, geometry
-from .protocol import PowerLedger, draw_inputs, run_trial, trace_to_csv, write_csv
+from .protocol import PowerLedger, draw_inputs, run_trial, score_trial, trace_to_csv, write_csv
 from .scenario import ScenarioError, load_scenario, load_sweep_spec
 # not called here, but benchmark/spans.py wraps these names on this module
 from .scenario import scenario_from_dict, validate as validate_scenario  # noqa: F401
@@ -76,11 +76,12 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     inputs = draw_inputs(scenario, checked=True)  # load_scenario has validated it
-    result = run_trial(scenario, inputs=inputs, checked=True)
+    result = run_trial(scenario, inputs, checked=True)
+    trace = score_trial(scenario, inputs, result)
     costs = scenario.costs
     result.events.to_csv(out / "events.csv")
     PowerLedger(result.events, costs, len(scenario.sensors)).to_csv(out / "power.csv")
-    trace_to_csv(result.trace, out / "mse.csv")
+    trace_to_csv(trace, out / "mse.csv")
     if args.dump_trajectory:  # every move lies before the horizon
         write_csv(out / "trajectory.csv", "trajectory", "time,target_id,x,y",
                   _trajectory_lines(inputs))
@@ -98,7 +99,7 @@ def cmd_simulate(args) -> int:
     print(
         f"architecture={scenario.architecture.value} "
         f"total_power_norm={total_power / costs.uplink_power!r} "
-        f"time_avg_mse={result.trace.time_average(scenario.protocol.horizon)!r} "
+        f"time_avg_mse={trace.integral / scenario.protocol.horizon!r} "
         f"cancels={kinds['CANCEL']} "
         f"drops={kinds['DROP']} "
         f"events={len(result.events.records)}"

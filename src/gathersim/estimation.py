@@ -26,20 +26,23 @@ class EstimatorState:
     """Per-target fused value, fusion count and epoch bookkeeping.
 
     Targets never seen are scored against `default_point` (normally the
-    environment centroid) so the metric is defined from time zero. The
-    bookkeeping lives in Python lists, and `fuse` keeps the current
-    estimates up to date for `mean_squared_error`: a list of (x, y) tuples
-    below `SMALL_FIELD` targets, an (n, 2) array from there up. Steps are
-    >= 0, so an epoch of -1 marks a target with no estimate yet.
+    environment centroid) so the metric is defined from time zero; without
+    one, the state keeps no estimates and cannot score. The bookkeeping lives
+    in Python lists, and `fuse` keeps the current estimates up to date for
+    `mean_squared_error`: a list of (x, y) tuples below `SMALL_FIELD`
+    targets, an (n, 2) array from there up. Steps are >= 0, so an epoch of
+    -1 marks a target with no estimate yet.
     """
 
-    def __init__(self, target_ids, default_point: Point):
+    def __init__(self, target_ids, default_point: Point | None = None):
         self._row = {tid: i for i, tid in enumerate(target_ids)}
         n = len(target_ids)
         self._sums = [(0.0, 0.0)] * n
         self._counts = [0] * n
         self._epochs = [-1] * n
-        if 0 < n < SMALL_FIELD:  # an empty field keeps numpy's nan score
+        if default_point is None:
+            self._estimates = None
+        elif 0 < n < SMALL_FIELD:  # an empty field keeps numpy's nan score
             self._estimates = [(float(default_point[0]), float(default_point[1]))] * n
         else:
             self._estimates = np.full((n, 2), default_point, dtype=float)
@@ -88,7 +91,8 @@ def fuse(state: EstimatorState, components, step: int) -> None:
             sx, sy = sums[row] = (vx, vy)
         else:
             continue
-        estimates[row] = (sx / c, sy / c)
+        if estimates is not None:
+            estimates[row] = (sx / c, sy / c)
 
 
 class EstimatorTrace:
@@ -110,20 +114,17 @@ class EstimatorTrace:
                 rows.append((last, inst, integral))
         return rows
 
-    def time_average(self, horizon: float) -> float:
-        return self.integral / horizon
-
 
 def accumulate_mse(times, errors) -> EstimatorTrace:
     """Integrate the error from time zero to each of `times` in turn, holding
     the matching entry of `errors` over the interval that ends there.
 
-    The engine passes one trial's series: the time of every event it handles
-    and then the horizon, each paired with the error in force just before it.
-    It recomputes the error with `EstimatorState.mean_squared_error` only when
-    the estimate (fusion) or the truth (a move) changes. An interval ends at
-    `last + dt`, which rounding can put one ulp past `t`; a later time equal
-    to `t` then adds nothing. Times that go back further raise ValueError.
+    `protocol.score_trial` passes one trial's series: the time of every event
+    the engine handled and of every move, in queue order, then the horizon,
+    each paired with the error in force just before it, which it recomputes
+    only after a fusion or a move. An interval ends at `last + dt`, which
+    rounding can put one ulp past `t`; a later time equal to `t` then adds
+    nothing. Times that go back further raise ValueError.
     """
     integral = last = 0.0
     for t, inst in zip(times, errors):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry
 from .analytics import AdvantagePoint, raster_region
-from .protocol import TrialInputs, draw_inputs, run_trial, write_csv
+from .protocol import TrialInputs, draw_inputs, run_trial, score_trial, write_csv
 from .scenario import (
     Architecture,
     CostParams,
@@ -80,14 +80,13 @@ def run_paired_trial(fb: Scenario, nf: Scenario, inputs: TrialInputs, *,
     """One trial's FB scenario `fb` and NF scenario `nf`, equal but for the
     architecture and at the trial's seed, both replaying `inputs`, that
     trial's one draw. The caller has validated both scenarios (`paired_grid`
-    checks every cell), so the trials do not check them again. `score` goes
-    to `run_trial`: an unscored pair keeps no error account, and its
-    outcome's errors are None."""
-    fb_run = run_trial(fb, inputs, checked=True, score=score)
-    nf_run = run_trial(nf, inputs, checked=True, score=score)
+    checks every cell), so the trials do not check them again. An unscored
+    pair computes no error, and its outcome's errors are None."""
+    fb_run = run_trial(fb, inputs, checked=True)
+    nf_run = run_trial(nf, inputs, checked=True)
     horizon = fb.protocol.horizon
-    fb_mse, nf_mse = ((fb_run.trace.time_average(horizon), nf_run.trace.time_average(horizon))
-                      if score else (None, None))
+    fb_mse, nf_mse = ((score_trial(fb, inputs, fb_run).integral / horizon,
+                       score_trial(nf, inputs, nf_run).integral / horizon) if score else (None, None))
     return PairedOutcome(fb_run.uplink, fb_run.downlink, fb_mse, nf_run.uplink, nf_mse)
 
 
@@ -151,9 +150,8 @@ def paired_grid(
     numbers), so the outcomes do not depend on the worker count. A task is one
     trial index; the cells travel with the worker. Every cell, the trial count
     and the worker count are checked before any trial runs, so no trial checks
-    its own. With `score=False` the trials keep no error account, and each
-    cell's `fb_mse` and `nf_mse` are None: a caller that reads only power pays
-    only for power.
+    its own. With `score=False` no trial is scored, and each cell's `fb_mse`
+    and `nf_mse` are None: a caller that reads only power pays only for power.
     """
     if not backoff_intervals:
         raise ScenarioError("backoff_intervals must be nonempty")

@@ -11,13 +11,14 @@ started cancel scheduled components that agree with the echo. Power is charged
 per component: uplink to the transmitter, feedback to the sensor whose packet
 elicited it (everyone else overhears for free).
 
-Event ordering at equal timestamps: target moves, then transmission ends, then
-feedback arrivals, then sampling, then transmission starts; within one kind,
-the lower sensor id first, then the event scheduled first. A transmission
-scheduled exactly at a feedback arrival is therefore not cancelled, and one
-scheduled exactly at the next sampling instant is dropped. Components still
-scheduled when the run ends are dropped at the horizon, so every triggered
-component ends in exactly one TX_START, CANCEL or DROP.
+Event ordering at equal timestamps: target moves (which only `score_trial`
+reads), then transmission ends, then feedback arrivals, then sampling, then
+transmission starts; within one kind, the lower sensor id first, then the
+event scheduled first. A transmission scheduled exactly at a feedback arrival
+is therefore not cancelled, and one scheduled exactly at the next sampling
+instant is dropped. Components still scheduled when the run ends are dropped
+at the horizon, so every triggered component ends in exactly one TX_START,
+CANCEL or DROP.
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .dynamics import initial_world, measure, observed_rows, step_targets
-from .estimation import SMALL_FIELD, EstimatorState, EstimatorTrace, accumulate_mse, fuse
+from .estimation import EstimatorState, EstimatorTrace, accumulate_mse, fuse
 from .scenario import Architecture, CostParams, Scenario, ScenarioError, check, validate
 
 CENTRAL = -1  # sensor id used for central-unit rows in logs
 
 # event codes in heap entries; their order breaks ties at equal times, and
 # the horizon comes after every other event at its time
-_MOVE, _TX_END, _FEEDBACK_END, _SAMPLE, _TX_START, _HORIZON = range(6)
+_TX_END, _FEEDBACK_END, _SAMPLE, _TX_START, _HORIZON = range(5)
 
 
 def write_csv(path, kind: str, header: str, lines: Iterable[str]) -> None:
@@ -114,13 +115,15 @@ def trace_to_csv(trace: EstimatorTrace, path) -> None:
 
 
 class TrialResult(NamedTuple):
-    """A trial's event log, its uplink and downlink component totals, and its
-    error trace (None for an unscored trial)."""
+    """A trial's event log, its uplink and downlink component totals, the time
+    of every entry its queue handled (the horizon last), and each received
+    packet's (step, components) by the index of its TX_END in `clock`."""
 
     events: EventLog
     uplink: int
     downlink: int
-    trace: Optional[EstimatorTrace]
+    clock: list[float]
+    fusions: dict[int, tuple[int, dict[int, tuple[float, float]]]]
 
 
 class TrialInputs(NamedTuple):
@@ -199,27 +202,19 @@ def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
     )
 
 
-def run_trial(
-    scenario: Scenario, inputs: Optional[TrialInputs] = None, *, checked: bool = False,
-    score: bool = True,
-) -> TrialResult:
-    """Simulate one trial over [0, horizon] and return its log, power totals and trace.
+def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False) -> TrialResult:
+    """Simulate one trial over [0, horizon]; `score_trial` reads its error off the result.
 
-    `inputs` (drawn here when None) may come from any scenario with the same
-    `input_key`, so both architectures and every backoff interval can replay
-    one draw. Raises ScenarioError for an invalid scenario unless the caller
-    has `checked` it; a replay checks its protocol, the one parameter record
-    outside the key that the engine reads. With `score=False` the trial keeps
-    no error account: its trace is None, and an NF trial fuses nothing, since
-    no echo reads its estimate. Its records and power totals are the same.
+    `inputs` may come from any scenario with the same `input_key`, so both
+    architectures and every backoff interval can replay one draw. Raises
+    ScenarioError for an invalid protocol, the one parameter record outside
+    the key that the engine reads, unless the caller has `checked` it. Only
+    FB fuses here, for its echoes.
     """
-    if inputs is None:
-        inputs = draw_inputs(scenario, checked=checked)
-    else:
-        if inputs.key != input_key(scenario):
-            raise ValueError("inputs were drawn for a scenario with different draws")
-        if not checked:
-            check(scenario.protocol)
+    if inputs.key != input_key(scenario):
+        raise ValueError("inputs were drawn for a scenario with different draws")
+    if not checked:
+        check(scenario.protocol)
 
     proto = scenario.protocol
     fb = scenario.architecture == Architecture.FB
@@ -231,10 +226,10 @@ def run_trial(
     hypot = math.hypot
     log = EventLog()
     record = log.rows.append
-    # the central estimate feeds FB's echoes and the error, so an unscored NF trial keeps none
-    fusing = fb or score
-    if fusing:
-        estimator = EstimatorState(inputs.target_ids, scenario.environment.centroid)
+    clock, fusions = [], {}  # see TrialResult
+    tick = clock.append
+    if fb:
+        estimator = EstimatorState(inputs.target_ids)  # no default point: no error to keep
         estimate = estimator.estimate
 
     # per-sensor protocol state: the last value each sensor knows the central
@@ -250,12 +245,9 @@ def run_trial(
     uplink = downlink = 0  # components sent and fed back
 
     # entries (time, order code, sensor id, seq, payload): seq is unique, so
-    # the first four fields decide the pop order and payloads never compare;
-    # a move changes only the error, so an unscored trial schedules none
+    # the first four fields decide the pop order and payloads never compare
     heap: list[tuple] = [(t, _SAMPLE, 0, k, k) for k, t in enumerate(inputs.sample_times)]
     heap.append((horizon, _HORIZON, 0, n_steps, None))
-    if score:
-        heap += [(t, _MOVE, 0, n_steps + 1 + i, i) for i, t in enumerate(inputs.move_times)]
     heapq.heapify(heap)
     seq = len(heap)
     push, pop = heapq.heappush, heapq.heappop
@@ -268,24 +260,9 @@ def run_trial(
         pending.clear()
 
     collab: frozenset[int] = frozenset()  # collaborative targets of the current step
-    if score:
-        # the error in force before each handled event and the horizon,
-        # integrated in one call at the end; it changes only when a fusion
-        # (TX_END) or a move does. A small field is scored from lists,
-        # converted here once per move.
-        positions = inputs.positions
-        truths = [p.tolist() for p in positions] if len(positions[0]) < SMALL_FIELD else positions
-        truth = truths[0]
-        mse = estimator.mean_squared_error
-        inst = mse(truth)
-        times: list[float] = []
-        errors: list[float] = []
-        add_time, add_error = times.append, errors.append
     while True:
         t, order, sid, _, payload = pop(heap)
-        if score:
-            add_time(t)
-            add_error(inst)
+        tick(t)
         if order == _SAMPLE:
             if pending:
                 drop_pending(t, step)  # stale unstarted transmissions are superseded by this step
@@ -328,10 +305,9 @@ def run_trial(
         elif order == _TX_END:
             sent, comps, tgt, echo_ids = payload  # the packet's step, maybe before the current one
             record((t, "TX_END", sent, sid, tgt, len(tgt), None))
-            if fusing:
+            fusions[len(clock) - 1] = (sent, comps)
+            if fb:
                 fuse(estimator, comps.items(), sent)
-                if score:
-                    inst = mse(truth)
             acknowledged[sid].update(comps)
             if echo_ids:
                 echo = tuple(zip(echo_ids, map(estimate, echo_ids)))
@@ -357,13 +333,36 @@ def run_trial(
                         del comps[tid]
                         acknowledged[i][tid] = value
                         record((t, "CANCEL", step, i, (tid,), 1, None))
-        elif order == _MOVE:
-            truth = truths[payload + 1]
-            inst = mse(truth)
         else:  # _HORIZON: later events fall outside the run
             break
     # components still scheduled at the horizon would start after it
     if pending:
         drop_pending(horizon, step)
-    trace = accumulate_mse(times, errors) if score else None
-    return TrialResult(log, uplink, downlink, trace)
+    return TrialResult(log, uplink, downlink, clock, fusions)
+
+
+def score_trial(scenario: Scenario, inputs: TrialInputs, trial: TrialResult) -> EstimatorTrace:
+    """The error trace of `trial`, run on `inputs` of `scenario`: its fusions
+    replayed into a fresh estimate, and the drawn moves merged into its clock,
+    a move before any event at its time, as the queue would pop them."""
+    estimator = EstimatorState(inputs.target_ids, scenario.environment.centroid)
+    mse = estimator.mean_squared_error
+    positions, get_fusion = inputs.positions, trial.fusions.get
+    moves = (*inputs.move_times, math.inf)
+    times, errors = [], []
+    add_time, add_error = times.append, errors.append
+    inst = mse(positions[0])
+    j = 0  # moves made so far
+    for k, t in enumerate(trial.clock):
+        while moves[j] <= t:
+            add_time(moves[j])
+            add_error(inst)
+            j += 1
+            inst = mse(positions[j])
+        add_time(t)
+        add_error(inst)
+        fusion = get_fusion(k)
+        if fusion is not None:
+            fuse(estimator, fusion[1].items(), fusion[0])
+            inst = mse(positions[j])
+    return accumulate_mse(times, errors)

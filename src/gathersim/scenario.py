@@ -23,7 +23,7 @@ import yaml
 Point = tuple[float, float]
 
 # Largest horizon / sampling_period or horizon / move_period that `validate` accepts: a
-# trial keeps every step and move in its event queue and power ledger from the start.
+# trial's drawn inputs (`protocol.TrialInputs`) keep every step and move from the start.
 MAX_STEPS = 100_000
 
 

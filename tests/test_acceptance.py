@@ -28,7 +28,7 @@ from gathersim.experiments import (
     region_experiment,
     trial_seed,
 )
-from gathersim.protocol import run_trial
+from gathersim.protocol import draw_inputs, run_trial
 
 STEPS = 5  # region_cells sets the horizon to five sampling periods
 COLLABORATIVE = 3  # collaborative targets in the region_cells layout
@@ -56,7 +56,7 @@ def test_informed_count_matches_closed_form(set_size):
     full = [frozenset(range(set_size))]
 
     def informed_per_step(trial):
-        log = run_trial(trial).events
+        log = run_trial(trial, draw_inputs(trial)).events
         sets = (c for k in range(STEPS) for c in classify_step(trial, log, full, k))
         return sum(len(c.informed) for c in sets) / STEPS
 

@@ -19,7 +19,7 @@ import pytest
 import gathersim.cli
 import gathersim.experiments
 from gathersim.cli import main
-from gathersim.protocol import EventLog, PowerLedger, run_trial
+from gathersim.protocol import EventLog, PowerLedger, draw_inputs, run_trial
 from gathersim.scenario import load_scenario
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -50,7 +50,8 @@ def test_wrapped_call_shapes():
 
 
 def test_trial_events_carry_kind_and_size(minimal_path):
-    records = run_trial(load_scenario(minimal_path)).events.records
+    scn = load_scenario(minimal_path)
+    records = run_trial(scn, draw_inputs(scn)).events.records
     assert records
     for r in records:
         assert isinstance(r.kind, str) and isinstance(r.size, int)

@@ -64,9 +64,9 @@ def test_trial_seeds_of_different_bases_are_independent():
 def test_paired_seed_coupling_log_equality():
     # noiseless paired runs must agree on sampling and backoff events exactly
     scn = assumption1_scenario(3, 3, 0, backoff_interval=30.0, noise_std=0.0, seed=555)
-    seed = trial_seed(scn.seed, 4)
-    fb = run_trial(replace(scn, architecture=Architecture.FB, seed=seed))
-    nf = run_trial(replace(scn, architecture=Architecture.NF, seed=seed))
+    seeded = replace(scn, seed=trial_seed(scn.seed, 4))
+    fb = run_trial(replace(seeded, architecture=Architecture.FB), draw_inputs(seeded))
+    nf = run_trial(replace(seeded, architecture=Architecture.NF), draw_inputs(seeded))
     for kind in ("SAMPLE", "BACKOFF_SET"):
         assert [r for r in fb.events.records if r.kind == kind] == [
             r for r in nf.events.records if r.kind == kind
@@ -288,8 +288,9 @@ def test_region_runs_unscored_checked_trials(monkeypatch):
     calls = []
     monkeypatch.setattr(experiments, "run_trial",
                         lambda s, inputs, **kw: calls.append(kw) or run_trial(s, inputs, **kw))
+    monkeypatch.setattr(experiments, "score_trial", None)  # a score would fail here
     region_experiment(2, [0.3, 0.7], [1.0], trials=2)
-    assert calls == [dict(checked=True, score=False)] * (2 * 2 * 2)  # cells x trials x architectures
+    assert calls == [dict(checked=True)] * (2 * 2 * 2)  # cells x trials x architectures
 
 
 def test_paired_grid_rejects_an_invalid_cell():

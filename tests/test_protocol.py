@@ -22,7 +22,7 @@ from scripted_cases import (
 from gathersim import geometry, protocol
 from gathersim.analytics import power_diff
 from gathersim.experiments import assumption1_scenario, trial_seed
-from gathersim.protocol import PowerLedger, draw_inputs, run_trial
+from gathersim.protocol import PowerLedger, draw_inputs, run_trial, score_trial
 from gathersim.scenario import (
     Architecture,
     CostParams,
@@ -54,7 +54,8 @@ def single_sensor_scenario(n_targets=1, architecture=Architecture.NF, uplink_pow
 
 
 def test_static_target_triggers_only_once():
-    res = run_trial(single_sensor_scenario())
+    scn = single_sensor_scenario()
+    res = run_trial(scn, draw_inputs(scn))
     records = res.events.records
     assert [r.step for r in records if r.kind == "TRIGGER"] == [0]
     assert sum(r.kind == "TX_START" for r in records) == 1
@@ -136,7 +137,7 @@ def total_power(result, costs):
 
 def test_power_single_sensor_four_components(tmp_path):
     scn = single_sensor_scenario(n_targets=4, uplink_power=2.0)
-    powers = step_powers(run_trial(scn), scn, tmp_path / "power.csv")
+    powers = step_powers(run_trial(scn, draw_inputs(scn)), scn, tmp_path / "power.csv")
     assert powers[0] == 8.0
     assert powers[1] == 0.0
     with pytest.raises(IndexError):
@@ -195,7 +196,8 @@ def test_cancel_events_imply_informed_membership():
     scn = assumption1_scenario(3, 3, 0, backoff_interval=30.0, seed=31)
     full = frozenset({0, 1, 2})
     for trial in range(10):
-        res = run_trial(replace(scn, seed=trial_seed(scn.seed, trial)))
+        seeded = replace(scn, seed=trial_seed(scn.seed, trial))
+        res = run_trial(seeded, draw_inputs(seeded))
         by_step = {}
         for rec in res.events.records:
             if rec.kind == "CANCEL":
@@ -208,7 +210,7 @@ def test_cancel_events_imply_informed_membership():
 
 def test_no_overlapping_uplinks_and_monotone_times():
     scn = assumption1_scenario(3, 2, 1, backoff_interval=25.0, seed=13)
-    res = run_trial(scn)
+    res = run_trial(scn, draw_inputs(scn))
     last = -math.inf
     for rec in res.events.records:
         assert rec.time >= last - 1e-12
@@ -227,11 +229,12 @@ def test_no_overlapping_uplinks_and_monotone_times():
 
 def test_trial_determinism():
     scn = assumption1_scenario(3, 2, 1, backoff_interval=25.0, seed=99)
-    a = run_trial(scn)
-    b = run_trial(scn)
+    inputs_a, inputs_b = draw_inputs(scn), draw_inputs(scn)
+    a = run_trial(scn, inputs_a)
+    b = run_trial(scn, inputs_b)
     assert a.events.records == b.events.records
     assert (a.uplink, a.downlink) == (b.uplink, b.downlink)
-    assert a.trace.rows == b.trace.rows
+    assert score_trial(scn, inputs_a, a).rows == score_trial(scn, inputs_b, b).rows
 
 
 @pytest.mark.parametrize("seed", [2, 3, 4, 5])
@@ -240,7 +243,7 @@ def test_every_triggered_component_ends_once(setting1_path, seed):
     # transmissions past the horizon, where they are dropped
     scn = load_scenario(setting1_path)
     scn = replace(scn, seed=seed, protocol=replace(scn.protocol, backoff_interval=200.0))
-    res = run_trial(scn)
+    res = run_trial(scn, draw_inputs(scn))
     triggered = set()
     ends = Counter()
     for r in res.events.records:
@@ -309,8 +312,11 @@ OVERSHOT_SAMPLE = Scenario(
 @example(scn=OVERSHOT_SAMPLE)
 @settings(max_examples=300)
 def test_components_and_power_are_conserved(scn):
+    inputs = draw_inputs(scn)
     for arch in Architecture:
-        res = run_trial(replace(scn, architecture=arch))
+        cell = replace(scn, architecture=arch)
+        res = run_trial(cell, inputs)
+        score_trial(cell, inputs, res)  # integrates the engine's clock without a ValueError
         collaborative = {r.step: set(r.targets) for r in res.events.records if r.kind == "SAMPLE"}
         triggered = Counter()
         ended = Counter()
@@ -351,10 +357,11 @@ def test_drop_when_backoff_crosses_next_sample():
 
 
 def test_invalid_scenario_rejected():
+    # a trial's inputs are drawn first, and the draw checks the whole scenario
     scn = single_sensor_scenario()
     bad = replace(scn, protocol=replace(scn.protocol, sampling_period=-1.0))
     with pytest.raises(ScenarioError):
-        run_trial(bad)
+        draw_inputs(bad)
 
 
 def test_inputs_of_other_draws_rejected():
@@ -376,14 +383,13 @@ def test_inputs_of_other_draws_rejected():
 ])
 def test_a_replay_checks_its_protocol(setting1_path, field, value, label):
     # fields outside input_key do not change the draws, so the key check
-    # alone lets them through; unchecked, -50 and NaN fail deep in the error
-    # integral, inf sends nothing and -1 triggers on every sample
+    # alone lets them through; unchecked, -50 and NaN start packets at
+    # negative or NaN times, inf sends nothing and -1 triggers on every sample
     scn = load_scenario(setting1_path)
     inputs = draw_inputs(scn)
     bad = replace(scn, protocol=replace(scn.protocol, **{field: value}))
-    for score in (True, False):
-        with pytest.raises(ScenarioError, match=re.escape(label)):
-            run_trial(bad, inputs=inputs, score=score)
+    with pytest.raises(ScenarioError, match=re.escape(label)):
+        run_trial(bad, inputs)
 
 
 def test_a_checked_replay_skips_the_protocol_check(monkeypatch, setting1_path):
@@ -402,17 +408,23 @@ def count_calls(monkeypatch, name):
 
 @pytest.mark.parametrize("arch", list(Architecture))
 def test_an_unscored_trial_keeps_no_error_account(monkeypatch, setting1_path, arch):
-    # an NF trial's estimate feeds nothing once the error is not read, and an
-    # FB trial fuses each received packet only for its echo
+    # an NF trial's estimate feeds nothing in the engine, and an FB trial
+    # fuses each received packet only for its echo; the scorer fuses every
+    # packet once more in both architectures and integrates once
     scn = replace(load_scenario(setting1_path), architecture=arch)
     inputs = draw_inputs(scn)
     fused = count_calls(monkeypatch, "fuse")
     integrated = count_calls(monkeypatch, "accumulate_mse")
-    result = run_trial(scn, inputs=inputs, score=False)
+    result = run_trial(scn, inputs)
     tx_ends = sum(r.kind == "TX_END" for r in result.events.records)
-    assert tx_ends > 0 and result.trace is None and not integrated
+    assert tx_ends > 0 and not integrated
     assert len(fused) == (tx_ends if arch == Architecture.FB else 0)
-    run_trial(scn, inputs=inputs)  # a scored trial fuses every packet in both architectures
+    # each fusion sits at its TX_END's clock index, and the clock ends at the horizon
+    ends = [(r.time, r.step, r.targets) for r in result.events.records if r.kind == "TX_END"]
+    placed = [(result.clock[k], step, tuple(comps)) for k, (step, comps) in result.fusions.items()]
+    assert placed == ends
+    assert result.clock[-1] == scn.protocol.horizon
+    score_trial(scn, inputs, result)
     assert len(integrated) == 1 and len(fused) == (2 if arch == Architecture.FB else 1) * tx_ends
 
 

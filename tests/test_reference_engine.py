@@ -6,11 +6,12 @@ flattened: one closure per event kind, a `SensorRuntime` object per sensor,
 components sorted, an int64 numpy ledger incremented per packet, `fuse` once
 per received packet, the error integrated and a trace row added at every event,
 and the error scored with numpy's pairwise sum whatever the field size.
-`run_trial` must give the same records, power totals and trace, compared
-with `==`, and an unscored `run_trial` the same records and totals with no
-trace, on every input the strategies below reach: both architectures,
-backoffs forced in the drawn inputs, packets dropped at the next sample,
-packets that end after it, and fields below and from `SMALL_FIELD` targets up.
+`run_trial` must give the same records and power totals, and `score_trial`
+on its result the same trace and the same error in force before every
+handled event and move, compared with `==`, on every input the strategies
+below reach: both architectures, backoffs forced in the drawn inputs,
+packets dropped at the next sample, packets that end after it, moves at a
+sample or a packet's end, and fields below and from `SMALL_FIELD` targets up.
 On the forced cases, the power.csv that `PowerLedger` reads off the records
 must hold the reference ledger's charges cell by cell.
 """
@@ -24,10 +25,13 @@ from typing import NamedTuple
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
+from scripted_cases import forced_inputs
 
 from gathersim.estimation import SMALL_FIELD, EstimatorState, fuse
 from gathersim.experiments import assumption1_scenario
-from gathersim.protocol import CENTRAL, EventRecord, PowerLedger, draw_inputs, run_trial
+from gathersim.protocol import (
+    CENTRAL, EventRecord, PowerLedger, draw_inputs, run_trial, score_trial,
+)
 from gathersim.scenario import Architecture, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -58,12 +62,14 @@ class SensorRuntime:
 
 
 class ReferenceTrace:
-    """The error trace as the engine once kept it, extended event by event."""
+    """The error trace as the engine once kept it, extended event by event,
+    and the (time, error in force) of every handled event and of the horizon."""
 
     def __init__(self):
         self.rows = []
         self.integral = 0.0
         self.last_time = 0.0
+        self.series = []
 
 
 class ReferenceResult(NamedTuple):
@@ -207,6 +213,7 @@ def reference_trial(scenario, inputs) -> ReferenceResult:
         t, order, key, _, payload = heapq.heappop(heap)
         if t > horizon:
             break
+        trace.series.append((t, inst))
         integrate(trace, inst, t - trace.last_time)
         if order == _SAMPLE:
             handle_sample(t, payload)
@@ -220,6 +227,7 @@ def reference_trial(scenario, inputs) -> ReferenceResult:
         else:
             positions = inputs.positions[payload + 1]
             inst = numpy_mse(estimator, tids, default_point, positions)
+    trace.series.append((horizon, inst))
     integrate(trace, inst, horizon - trace.last_time)
     drop_pending(horizon)
     return ReferenceResult(records, counts, trace)
@@ -243,7 +251,8 @@ def assert_power_csv_matches(scenario, result, counts):
 
 
 def assert_engine_matches_reference(scenario, inputs, power_csv=False):
-    got = run_trial(scenario, inputs=inputs)
+    got = run_trial(scenario, inputs)
+    trace = score_trial(scenario, inputs, got)
     want = reference_trial(scenario, inputs)
     assert got.events.records == want.records
     # same field types too (an int size printed as 3.0 would change the CSV)
@@ -253,15 +262,12 @@ def assert_engine_matches_reference(scenario, inputs, power_csv=False):
     assert got.downlink == int(want.counts[:, :, 1].sum())
     if power_csv:
         assert_power_csv_matches(scenario, got, want.counts)
-    assert got.trace.rows == want.trace.rows
-    assert got.trace.integral == want.trace.integral
+    assert trace.rows == want.trace.rows
+    assert trace.integral == want.trace.integral
     # a row is added whenever the clock moves, so the last one ends where the reference's clock stopped
-    assert (got.trace.rows[-1][0] if got.trace.rows else 0.0) == want.trace.last_time
-    # an unscored trial keeps no error account, and everything else is the same
-    unscored = run_trial(scenario, inputs=inputs, score=False)
-    assert unscored.events.rows == got.events.rows
-    assert (unscored.uplink, unscored.downlink) == (got.uplink, got.downlink)
-    assert unscored.trace is None
+    assert (trace.rows[-1][0] if trace.rows else 0.0) == want.trace.last_time
+    # equal-time entries add nothing to the integral, so only this series shows their order
+    assert list(zip(trace.times, trace.errors)) == want.trace.series
     return want
 
 
@@ -370,6 +376,20 @@ def test_reference_cases_reach_drop_carry_over_and_cancel():
     assert {"DROP", "CANCEL", "FEEDBACK_END"} <= kinds
 
 
+def test_packets_ending_at_a_move_are_scored_after_it():
+    # all three sensors start their 3-component packets at backoff 4, so each
+    # ends at 4 + 3 * 2 = 10, the first move; the engine knows no moves, so
+    # the scorer alone puts the move first, as the reference's heap does
+    scn = assumption1_scenario(3, 3, 0, backoff_interval=8.0, sampling_period=20.0,
+                               horizon=60.0, noise_std=0.5, seed=7)
+    scn = replace(scn, dynamics=replace(scn.dynamics, move_period=10.0))
+    inputs = forced_inputs(scn, {0: (4.0, 4.0, 4.0)})
+    assert inputs.move_times[0] == 10.0
+    for arch in Architecture:
+        records = assert_engine_matches_reference(replace(scn, architecture=arch), inputs).records
+        assert [r.time for r in records if r.kind == "TX_END" and r.step == 0] == [10.0] * 3
+
+
 @given(name=st.sampled_from(["minimal.yaml", "setting1.yaml"]), seed=st.integers(0, 2**63 - 1),
        arch=st.sampled_from(list(Architecture)))
 @settings(max_examples=10)
@@ -377,12 +397,13 @@ def test_log_records_and_trace_rows_are_built_on_first_read(name, seed, arch):
     # a trial whose caller reads only its totals and integral builds neither
     scn = replace(load_scenario(SCENARIOS / name, seed=seed), architecture=arch)
     inputs = draw_inputs(scn)
-    got = run_trial(scn, inputs=inputs)
-    assert "records" not in vars(got.events) and "rows" not in vars(got.trace)
+    got = run_trial(scn, inputs)
+    trace = score_trial(scn, inputs, got)
+    assert "records" not in vars(got.events) and "rows" not in vars(trace)
     assert got.events.rows and {type(r) for r in got.events.rows} == {tuple}
     want = reference_trial(scn, inputs)
-    records, rows = got.events.records, got.trace.rows
+    records, rows = got.events.records, trace.rows
     assert {type(r) for r in records} == {EventRecord}
     assert records == want.records and rows == want.trace.rows
-    assert got.events.records is records and got.trace.rows is rows
+    assert got.events.records is records and trace.rows is rows
     assert got.events.rows is records  # named in place: one copy of the log, not two

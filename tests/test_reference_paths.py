@@ -5,7 +5,7 @@ numpy arrays and `np.mean` for the estimator, one distance test and one
 noise draw per sensor for the sampling step, one distance test per sensor
 for membership, a per-target numpy-scalar loop for target motion, draws
 made in event-time order as the engine once made them inside its loop, and
-a trial that draws its own inputs for replayed ones. The fast paths must
+a trial on its own cell's draw for one on another cell's. The fast paths must
 give exactly the same floats (compared with `==`, not a tolerance) and leave
 every random generator in the same state, since the golden CSVs and the
 paired-trial streams rest on that.
@@ -31,7 +31,7 @@ from gathersim.dynamics import (
 from gathersim.estimation import EstimatorState, fuse
 from gathersim.experiments import assumption1_scenario
 from gathersim.geometry import membership
-from gathersim.protocol import draw_inputs, run_trial
+from gathersim.protocol import draw_inputs, run_trial, score_trial
 from gathersim.scenario import (
     Architecture,
     CostParams,
@@ -339,9 +339,10 @@ def test_draw_inputs_matches_in_loop_order(scenario):
     assert next(moves, None) is None and next(steps, None) is None
 
 
-def run_observed(scenario, inputs=None):
-    result = run_trial(scenario, inputs=inputs)
-    return result.events.records, (result.uplink, result.downlink), result.trace.rows
+def run_observed(scenario, inputs):
+    result = run_trial(scenario, inputs)
+    rows = score_trial(scenario, inputs, result).rows
+    return result.events.records, (result.uplink, result.downlink), rows
 
 
 @given(
@@ -363,7 +364,7 @@ def test_replayed_inputs_match_drawing_run(scenario, backoff_fractions):
                 protocol=replace(scenario.protocol, backoff_interval=interval),
             )
             replayed = run_observed(cell, shared)
-            drawn = run_observed(cell)
+            drawn = run_observed(cell, draw_inputs(cell))
             assert replayed[0] == drawn[0]
             assert replayed[1] == drawn[1]
             assert replayed[2] == drawn[2]
@@ -382,4 +383,4 @@ def test_replay_cases_reach_drop_and_carry_over():
         and r.time > sample_times[r.step + 1]
         for r in records
     )
-    assert records == run_trial(cell).events.records
+    assert records == run_trial(cell, draw_inputs(cell)).events.records
