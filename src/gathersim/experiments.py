@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry
 from .analytics import AdvantagePoint, raster_region
-from .protocol import TrialInputs, draw_inputs, run_trial, score_trial, write_csv
+from .protocol import TrialInputs, TrialResult, _times, draw_inputs, run_trial, score_trial, write_csv
 from .scenario import (
     Architecture,
     CostParams,
@@ -53,7 +53,8 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
 class PairedOutcome(NamedTuple):
     """Component counts and time-averaged error of one paired trial, or of a
     grid cell's trials as float64 columns in trial order. Unscored trials and
-    cells have None for both errors."""
+    cells have None for both errors; their NF counts may come from one run
+    that `paired_grid` shares between cells."""
 
     fb_uplink: float
     fb_downlink: float
@@ -75,15 +76,14 @@ def mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(se)
 
 
-def run_paired_trial(fb: Scenario, nf: Scenario, inputs: TrialInputs, *,
+def run_paired_trial(fb: Scenario, nf: Scenario, inputs: TrialInputs, nf_run: TrialResult, *,
                      score: bool = True) -> PairedOutcome:
-    """One trial's FB scenario `fb` and NF scenario `nf`, equal but for the
-    architecture and at the trial's seed, both replaying `inputs`, that
-    trial's one draw. The caller has validated both scenarios (`paired_grid`
-    checks every cell), so the trials do not check them again. An unscored
-    pair computes no error, and its outcome's errors are None."""
+    """One trial's FB scenario `fb` run on `inputs`, that trial's one draw,
+    paired with `nf_run`, NF scenario `nf`'s run on the same draw (the grid
+    may share it between cells). The caller has validated both scenarios
+    (`paired_grid` checks every cell), so the FB run does not check it again.
+    An unscored pair computes no error, and its outcome's errors are None."""
     fb_run = run_trial(fb, inputs, checked=True)
-    nf_run = run_trial(nf, inputs, checked=True)
     horizon = fb.protocol.horizon
     fb_mse, nf_mse = ((score_trial(fb, inputs, fb_run).integral / horizon,
                        score_trial(nf, inputs, nf_run).integral / horizon) if score else (None, None))
@@ -129,13 +129,28 @@ def _check_scenarios(scenarios: Iterable[Scenario]) -> None:
         raise ScenarioError("; ".join(violations))
 
 
-def _grid_trial(base: Scenario, pairs, score: bool, i: int) -> list[PairedOutcome]:
-    """Trial i of every cell, each replaying the trial's one draw; `pairs`
-    holds each cell's FB and NF scenarios."""
+def _nf_ignores_backoff(cell: Scenario) -> bool:
+    """Whether no backoff up to `cell`'s interval can change NF's counts: the
+    interval plus the longest packet is shorter than the sampling period, and
+    the last sample plus that bound is before the horizon. Then no packet is
+    dropped and each ends by the next sample, where its TX_END sorts first."""
+    p = cell.protocol
+    bound = p.backoff_interval + len(cell.targets) * p.uplink_delay
+    last = _times(p.sampling_period, 0, p.horizon)[-1:]  # empty for a horizon under 1e-12
+    return bound < p.sampling_period and all(t + bound < p.horizon for t in last)
+
+
+def _grid_trial(base: Scenario, fbs, nfs, score: bool, i: int) -> list[PairedOutcome]:
+    """Trial i of every cell, each replaying the trial's one draw: every
+    scenario in `nfs` runs once, and cell k of `fbs` pairs with NF run k, or
+    with the one run when `nfs` holds a single shared scenario."""
     seed = trial_seed(base.seed, i)
     inputs = draw_inputs(replace(base, seed=seed), checked=True)
-    return [run_paired_trial(replace(fb, seed=seed), replace(nf, seed=seed), inputs, score=score)
-            for fb, nf in pairs]
+    nfs = [replace(nf, seed=seed) for nf in nfs]
+    nf_runs = [run_trial(nf, inputs, checked=True) for nf in nfs]
+    n = len(nfs)  # 1 when the cells share NF
+    return [run_paired_trial(replace(fb, seed=seed), nfs[k % n], inputs, nf_runs[k % n], score=score)
+            for k, fb in enumerate(fbs)]
 
 
 def paired_grid(
@@ -152,15 +167,20 @@ def paired_grid(
     and the worker count are checked before any trial runs, so no trial checks
     its own. With `score=False` no trial is scored, and each cell's `fb_mse`
     and `nf_mse` are None: a caller that reads only power pays only for power.
+    If every cell of an unscored grid meets `_nf_ignores_backoff`, NF's counts
+    are the same in every cell, so NF runs once per trial, at the first cell's
+    interval, and pairs with every cell's FB. A scored grid runs NF per cell,
+    since NF's error depends on timing.
     """
     if not backoff_intervals:
         raise ScenarioError("backoff_intervals must be nonempty")
     check(backoff_intervals=list(backoff_intervals), trials=trials, jobs=jobs)
     cells = _cells(base, backoff_intervals)
     _check_scenarios(cells)
-    pairs = [tuple(replace(cell, architecture=arch) for arch in (Architecture.FB, Architecture.NF))
-             for cell in cells]
-    per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, base, pairs, score), jobs)
+    fbs = [replace(cell, architecture=Architecture.FB) for cell in cells]
+    shared = not score and all(map(_nf_ignores_backoff, cells))
+    nfs = [replace(cell, architecture=Architecture.NF) for cell in (cells[:1] if shared else cells)]
+    per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, base, fbs, nfs, score), jobs)
     grid = [PairedOutcome(*np.array(rows, dtype=float).T) for rows in zip(*per_trial)]
     return grid if score else [cell._replace(fb_mse=None, nf_mse=None) for cell in grid]
 

@@ -69,7 +69,7 @@ def test_region_trials_all_log_events(monkeypatch):
 
     monkeypatch.setattr(gathersim.experiments, "run_trial", counting)
     gathersim.experiments.region_experiment(2, [0.3, 0.7], [1.0], trials=3)
-    assert len(logged) == 2 * 3 * 2  # cells x trials x architectures
+    assert len(logged) == 3 * (2 + 1)  # trials x (FB per cell + one shared NF)
     assert all(logged)
 
 

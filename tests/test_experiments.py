@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scripted_cases import forced_inputs
 
 from gathersim import experiments, geometry
@@ -245,9 +245,13 @@ def reference_paired_grid(base, backoff_intervals, trials):
     cells = [replace(base, protocol=replace(base.protocol, backoff_interval=b))
              for b in backoff_intervals]
     trials_of = [[replace(s, seed=trial_seed(s.seed, i)) for i in range(trials)] for s in cells]
-    return [[experiments.run_paired_trial(replace(t, architecture=Architecture.FB),
-                                          replace(t, architecture=Architecture.NF), draw_inputs(t))
-             for t in ts] for ts in trials_of]
+
+    def pair(t):
+        inputs, nf = draw_inputs(t), replace(t, architecture=Architecture.NF)
+        return experiments.run_paired_trial(replace(t, architecture=Architecture.FB), nf, inputs,
+                                            run_trial(nf, inputs))
+
+    return [[pair(t) for t in ts] for ts in trials_of]
 
 
 GRID_BASE = assumption1_scenario(2, 2, 0, sampling_period=40.0, horizon=160.0, seed=21)
@@ -290,7 +294,69 @@ def test_region_runs_unscored_checked_trials(monkeypatch):
                         lambda s, inputs, **kw: calls.append(kw) or run_trial(s, inputs, **kw))
     monkeypatch.setattr(experiments, "score_trial", None)  # a score would fail here
     region_experiment(2, [0.3, 0.7], [1.0], trials=2)
-    assert calls == [dict(checked=True)] * (2 * 2 * 2)  # cells x trials x architectures
+    assert calls == [dict(checked=True)] * (2 * (2 + 1))  # trials x (FB per cell + one shared NF)
+
+
+@pytest.mark.parametrize("set_size", [2, 3])
+def test_a_region_grid_shares_nf_and_matches_per_cell_trials(set_size):
+    base, backoffs = experiments.region_cells(set_size, [0.05, 0.3, 0.7, 0.95], 7)
+    grid = experiments.paired_grid(base, backoffs, 6, 1, score=False)
+    reference = reference_paired_grid(base, backoffs, 6)
+    for cell, trials in zip(grid, reference, strict=True):
+        assert cell.fb_mse is None and cell.nf_mse is None
+        for name in ("fb_uplink", "fb_downlink", "nf_uplink"):
+            assert getattr(cell, name).tolist() == [getattr(t, name) for t in trials]
+
+
+def nf_runs_per_trial(monkeypatch, base, backoffs, score):
+    """How many NF trials one trial of `paired_grid` runs."""
+    archs = []
+    monkeypatch.setattr(experiments, "run_trial",
+                        lambda s, inputs, **kw: archs.append(s.architecture) or run_trial(s, inputs, **kw))
+    experiments.paired_grid(base, backoffs, 2, 1, score=score)
+    assert archs.count(Architecture.FB) == 2 * len(backoffs)
+    return archs.count(Architecture.NF) / 2
+
+
+@pytest.mark.parametrize("backoffs, score, runs", [
+    (GRID_BACKOFFS[:2], False, 1),  # 25 + 2 * 2 < 40 and 120 + 29 < 160
+    (GRID_BACKOFFS, False, 3),  # 55 > 40: a packet may start after the next sample
+    (GRID_BACKOFFS[:2], True, 2),  # NF's error depends on timing
+    (GRID_BACKOFFS, True, 3),
+])
+def test_an_unscored_grid_shares_nf_only_where_no_backoff_can_change_it(monkeypatch, backoffs, score, runs):
+    assert nf_runs_per_trial(monkeypatch, GRID_BASE, backoffs, score) == runs
+
+
+@pytest.mark.parametrize("horizon, backoff", [
+    (160.0, 36.0),  # 36 + 2 * 2 == 40, the sampling period (and 120 + 40 == 160)
+    (150.0, 26.0),  # 120 + 26 + 2 * 2 == 150, the horizon
+])
+def test_a_cell_at_the_bound_does_not_share_nf(monkeypatch, horizon, backoff):
+    base = replace(GRID_BASE, protocol=replace(GRID_BASE.protocol, horizon=horizon))
+    assert nf_runs_per_trial(monkeypatch, base, (4.0, backoff), False) == 2
+    assert nf_runs_per_trial(monkeypatch, base, (4.0, backoff - 1.0), False) == 1
+
+
+@given(st.integers(2, 3), st.integers(1, 4), st.integers(0, 2), st.floats(20.0, 80.0),
+       st.integers(1, 5), st.floats(0.0, 1.0), st.sampled_from([0.1, 1.0, 3.0]),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=4), st.integers(0, 2**32))
+@example(2, 2, 0, 20.0, 2, 1.0, 1.0, [0.0, 0.875], 451)  # uplinks differ; a bound without the packet admits it
+@settings(max_examples=40, deadline=None)
+def test_nf_uplink_is_equal_across_cells_that_meet_the_bound(
+        set_size, collaborative, unique, period, steps, tail, noise, fractions, seed):
+    # cells whose interval plus longest packet fits in the sampling period
+    # and before the horizon: NF's uplink is the same at every interval; the
+    # intervals reach past the bound, for the assumption to cut
+    base = assumption1_scenario(set_size, collaborative, unique, sampling_period=period,
+                                horizon=period * (steps + tail), noise_std=noise, seed=seed)
+    longest = len(base.targets) * base.protocol.uplink_delay
+    backoffs = [max(1.25 * f * (period - longest), 1e-3) for f in fractions]
+    cells = experiments._cells(base, backoffs)
+    assume(period > longest and all(map(experiments._nf_ignores_backoff, cells)))
+    inputs = draw_inputs(base)
+    uplinks = {run_trial(replace(c, architecture=Architecture.NF), inputs).uplink for c in cells}
+    assert len(uplinks) == 1
 
 
 def test_paired_grid_rejects_an_invalid_cell():
