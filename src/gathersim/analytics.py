@@ -188,7 +188,7 @@ def mse_bounds(
 def raster_region(set_size: int, x_values: Sequence[float], y_values: Sequence[float]) -> list[AdvantagePoint]:
     """Theoretical verdict over a grid. Delay ratios above 1 clamp to the
     x = 1 value, which is never advantageous."""
-    check(x=list(x_values), y=list(y_values))
+    check(x=list(x_values), y=list(y_values), grid_cells=len(x_values) * len(y_values))
     out = []
     for x in x_values:
         gx = min(float(x), 1.0)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analytics, experiments, geometry
 from .protocol import PowerLedger, draw_inputs, run_trial, score_trial, trace_to_csv, write_csv
-from .scenario import ScenarioError, load_scenario, load_sweep_spec
+from .scenario import ScenarioError, check, load_scenario, load_sweep_spec
 # not called here, but benchmark/spans.py wraps these names on this module
 from .scenario import scenario_from_dict, validate as validate_scenario  # noqa: F401
 
@@ -32,12 +32,13 @@ def _out_dir(args) -> Path:
 
 def _parse_grid(spec: str, name: str) -> list[float]:
     """Parse 'lo:hi:n' into n evenly spaced values, or a nonempty comma list
-    of values."""
+    of values. A count past the map's cell bound fails before any value is made."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"{name}: expected lo:hi:count (got {spec!r})")
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        check(grid_cells=n)
         values = [lo] if n == 1 else [lo + i * (hi - lo) / (n - 1) for i in range(n)]
     else:
         values = [float(v) for v in spec.split(",") if v.strip()]

@@ -82,8 +82,9 @@ def run_paired_trial(fb: Scenario, nf: Scenario, inputs: TrialInputs, nf_run: Tr
     paired with `nf_run`, NF scenario `nf`'s run on the same draw (the grid
     may share it between cells). The caller has validated both scenarios
     (`paired_grid` checks every cell), so the FB run does not check it again.
-    An unscored pair computes no error, and its outcome's errors are None."""
-    fb_run = run_trial(fb, inputs, checked=True)
+    An unscored pair computes no error, and its outcome's errors are None;
+    its FB run is unobserved, and `nf_run` may be too."""
+    fb_run = run_trial(fb, inputs, checked=True, observe=score)
     horizon = fb.protocol.horizon
     fb_mse, nf_mse = ((score_trial(fb, inputs, fb_run).integral / horizon,
                        score_trial(nf, inputs, nf_run).integral / horizon) if score else (None, None))
@@ -130,14 +131,17 @@ def _check_scenarios(scenarios: Iterable[Scenario]) -> None:
 
 
 def _nf_ignores_backoff(cell: Scenario) -> bool:
-    """Whether no backoff up to `cell`'s interval can change NF's counts: the
-    interval plus the longest packet is shorter than the sampling period, and
-    the last sample plus that bound is before the horizon. Then no packet is
-    dropped and each ends by the next sample, where its TX_END sorts first."""
+    """Whether no backoff up to `cell`'s interval can change NF's counts: after
+    every sample, a packet of every target at the full interval starts before
+    the next sample (the horizon after the last) and ends no later, summed in
+    the engine's order. Rounding is monotone, so no shorter backoff or packet
+    ends later. Then no packet is dropped and each ends by the next sample,
+    where its TX_END sorts first."""
     p = cell.protocol
-    bound = p.backoff_interval + len(cell.targets) * p.uplink_delay
-    last = _times(p.sampling_period, 0, p.horizon)[-1:]  # empty for a horizon under 1e-12
-    return bound < p.sampling_period and all(t + bound < p.horizon for t in last)
+    longest = len(cell.targets) * p.uplink_delay
+    times = _times(p.sampling_period, 0, p.horizon)
+    return all(t + p.backoff_interval < nxt and (t + p.backoff_interval) + longest <= nxt
+               for t, nxt in zip(times, (*times[1:], p.horizon)))
 
 
 def _grid_trial(base: Scenario, fbs, nfs, score: bool, i: int) -> list[PairedOutcome]:
@@ -147,7 +151,7 @@ def _grid_trial(base: Scenario, fbs, nfs, score: bool, i: int) -> list[PairedOut
     seed = trial_seed(base.seed, i)
     inputs = draw_inputs(replace(base, seed=seed), checked=True)
     nfs = [replace(nf, seed=seed) for nf in nfs]
-    nf_runs = [run_trial(nf, inputs, checked=True) for nf in nfs]
+    nf_runs = [run_trial(nf, inputs, checked=True, observe=score) for nf in nfs]
     n = len(nfs)  # 1 when the cells share NF
     return [run_paired_trial(replace(fb, seed=seed), nfs[k % n], inputs, nf_runs[k % n], score=score)
             for k, fb in enumerate(fbs)]
@@ -165,8 +169,9 @@ def paired_grid(
     numbers), so the outcomes do not depend on the worker count. A task is one
     trial index; the cells travel with the worker. Every cell, the trial count
     and the worker count are checked before any trial runs, so no trial checks
-    its own. With `score=False` no trial is scored, and each cell's `fb_mse`
-    and `nf_mse` are None: a caller that reads only power pays only for power.
+    its own. With `score=False` no trial is scored or observed (see
+    `run_trial`), and each cell's `fb_mse` and `nf_mse` are None: a caller
+    that reads only power pays only for power.
     If every cell of an unscored grid meets `_nf_ignores_backoff`, NF's counts
     are the same in every cell, so NF runs once per trial, at the first cell's
     interval, and pairs with every cell's FB. A scored grid runs NF per cell,

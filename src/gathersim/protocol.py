@@ -27,9 +27,8 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from functools import cached_property, partial
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -61,12 +60,19 @@ class EventRecord(NamedTuple):
     value: Optional[float] = None
 
 
-@dataclass
 class EventLog:
     """A trial's events: `rows` of plain tuples in `EventRecord` field order,
-    which `records` names in place on first read; an unread log names none."""
+    which `records` names in place on first read; an unread log names none.
+    An unobserved trial's log makes its rows on first read, by a `rerun`."""
 
-    rows: list[tuple] = field(default_factory=list)
+    def __init__(self, rerun: Optional[Callable[[], "TrialResult"]] = None):
+        if rerun is None:
+            self.rows = []  # shadows the cached property: the engine appends here
+        self._rerun = rerun
+
+    @cached_property
+    def rows(self) -> list[tuple]:
+        return self._rerun().events.rows
 
     @cached_property
     def records(self) -> list[EventRecord]:
@@ -117,13 +123,14 @@ def trace_to_csv(trace: EstimatorTrace, path) -> None:
 class TrialResult(NamedTuple):
     """A trial's event log, its uplink and downlink component totals, the time
     of every entry its queue handled (the horizon last), and each received
-    packet's (step, components) by the index of its TX_END in `clock`."""
+    packet's (step, components) by the index of its TX_END in `clock`; None
+    for both if the trial was not observed."""
 
     events: EventLog
     uplink: int
     downlink: int
-    clock: list[float]
-    fusions: dict[int, tuple[int, dict[int, tuple[float, float]]]]
+    clock: Optional[list[float]]
+    fusions: Optional[dict[int, tuple[int, dict[int, tuple[float, float]]]]]
 
 
 class TrialInputs(NamedTuple):
@@ -202,14 +209,17 @@ def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
     )
 
 
-def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False) -> TrialResult:
+def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
+              observe: bool = True) -> TrialResult:
     """Simulate one trial over [0, horizon]; `score_trial` reads its error off the result.
 
     `inputs` may come from any scenario with the same `input_key`, so both
     architectures and every backoff interval can replay one draw. Raises
     ScenarioError for an invalid protocol, the one parameter record outside
     the key that the engine reads, unless the caller has `checked` it. Only
-    FB fuses here, for its echoes.
+    FB fuses here, for its echoes. An unobserved run (`observe=False`) keeps
+    only the uplink and downlink totals: no clock or fusions, so it cannot be
+    scored, and a log that runs the trial again, observed, when first read.
     """
     if inputs.key != input_key(scenario):
         raise ValueError("inputs were drawn for a scenario with different draws")
@@ -254,15 +264,15 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False)
 
     def drop_pending(t: float, step: int) -> None:
         for i, comps in pending.items():
-            if comps:
-                dropped = tuple(comps)
-                record((t, "DROP", step, i, dropped, len(dropped), None))
+            if comps and observe:
+                record((t, "DROP", step, i, tuple(comps), len(comps), None))
         pending.clear()
 
     collab: frozenset[int] = frozenset()  # collaborative targets of the current step
     while True:
         t, order, sid, _, payload = pop(heap)
-        tick(t)
+        if observe:
+            tick(t)
         if order == _SAMPLE:
             if pending:
                 drop_pending(t, step)  # stale unstarted transmissions are superseded by this step
@@ -270,7 +280,8 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False)
             observations, collab_ids, observed, uniforms = steps[step]
             if fb:
                 collab = frozenset(collab_ids)
-            record((t, "SAMPLE", step, CENTRAL, collab_ids, observed, None))
+            if observe:
+                record((t, "SAMPLE", step, CENTRAL, collab_ids, observed, None))
             # the observations come by sensor in id order, so one pass groups them
             i = -1
             for idx, tid, vx, vy in zip(*observations):
@@ -283,9 +294,10 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False)
             for i, comps in pending.items():
                 b = uniforms[i] * interval
                 start_time[i] = t + b
-                ids = tuple(comps)
-                record((t, "TRIGGER", step, i, ids, len(ids), None))
-                record((t, "BACKOFF_SET", step, i, ids, len(ids), float(b)))
+                if observe:
+                    ids = tuple(comps)
+                    record((t, "TRIGGER", step, i, ids, len(ids), None))
+                    record((t, "BACKOFF_SET", step, i, ids, len(ids), float(b)))
                 push(heap, (t + b, _TX_START, i, seq, step))
                 seq += 1
         elif order == _TX_START:
@@ -299,13 +311,15 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False)
             n = len(tgt)
             echo_ids = tuple(filter(collab.__contains__, tgt)) if fb else ()
             uplink += n
-            record((t, "TX_START", step, sid, tgt, n, None))
+            if observe:
+                record((t, "TX_START", step, sid, tgt, n, None))
             push(heap, (t + n * uplink_delay, _TX_END, sid, seq, (step, comps, tgt, echo_ids)))
             seq += 1
         elif order == _TX_END:
             sent, comps, tgt, echo_ids = payload  # the packet's step, maybe before the current one
-            record((t, "TX_END", sent, sid, tgt, len(tgt), None))
-            fusions[len(clock) - 1] = (sent, comps)
+            if observe:
+                record((t, "TX_END", sent, sid, tgt, len(tgt), None))
+                fusions[len(clock) - 1] = (sent, comps)
             if fb:
                 fuse(estimator, comps.items(), sent)
             acknowledged[sid].update(comps)
@@ -313,13 +327,15 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False)
                 echo = tuple(zip(echo_ids, map(estimate, echo_ids)))
                 m = len(echo)
                 downlink += m
-                record((t, "FEEDBACK_START", sent, sid, echo_ids, m, None))
+                if observe:
+                    record((t, "FEEDBACK_START", sent, sid, echo_ids, m, None))
                 arrival = t + m * downlink_delay
                 push(heap, (arrival, _FEEDBACK_END, sid, seq, (sent, echo_ids, echo)))
                 seq += 1
         elif order == _FEEDBACK_END:
             sent, echo_ids, echo = payload
-            record((t, "FEEDBACK_END", sent, sid, echo_ids, len(echo), None))
+            if observe:
+                record((t, "FEEDBACK_END", sent, sid, echo_ids, len(echo), None))
             # only sensors with a scheduled-but-unstarted transmission react; a
             # transmission starting exactly now counts as started (no cancel)
             for i, comps in pending.items():
@@ -332,19 +348,25 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False)
                     if hypot(own[0] - value[0], own[1] - value[1]) <= eps:
                         del comps[tid]
                         acknowledged[i][tid] = value
-                        record((t, "CANCEL", step, i, (tid,), 1, None))
+                        if observe:
+                            record((t, "CANCEL", step, i, (tid,), 1, None))
         else:  # _HORIZON: later events fall outside the run
             break
     # components still scheduled at the horizon would start after it
     if pending:
         drop_pending(horizon, step)
+    if not observe:  # the same trial, observed, makes the log on first read
+        log, clock, fusions = EventLog(partial(run_trial, scenario, inputs, checked=True)), None, None
     return TrialResult(log, uplink, downlink, clock, fusions)
 
 
 def score_trial(scenario: Scenario, inputs: TrialInputs, trial: TrialResult) -> EstimatorTrace:
     """The error trace of `trial`, run on `inputs` of `scenario`: its fusions
     replayed into a fresh estimate, and the drawn moves merged into its clock,
-    a move before any event at its time, as the queue would pop them."""
+    a move before any event at its time, as the queue would pop them.
+    Raises ValueError for an unobserved trial, which kept neither."""
+    if trial.clock is None:
+        raise ValueError("score_trial needs an observed run: run_trial(..., observe=True)")
     estimator = EstimatorState(inputs.target_ids, scenario.environment.centroid)
     mse = estimator.mean_squared_error
     positions, get_fusion = inputs.positions, trial.fusions.get

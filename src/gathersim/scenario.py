@@ -25,6 +25,7 @@ Point = tuple[float, float]
 # Largest horizon / sampling_period or horizon / move_period that `validate` accepts: a
 # trial's drawn inputs (`protocol.TrialInputs`) keep every step and move from the start.
 MAX_STEPS = 100_000
+MAX_CELLS = 100_000  # most (x, y) cells of an advantage map, so most values on one axis
 
 
 class ScenarioError(ValueError):
@@ -170,6 +171,7 @@ _BOUNDS = {
     "collaborative_targets": _at_least(1, integer=True),
     "unique_targets": _at_least(0, integer=True),
     "trials": _at_least(1, integer=True),
+    "grid_cells": (f"an integer within [1, {MAX_CELLS}]", lambda v: _is_integer(v) and 1 <= v <= MAX_CELLS),
     "jobs": _at_least(1, integer=True),
     "seed": _INTEGER,
     "SensorSpec.id": _at_least(0, integer=True),  # `validate` also wants them 0..n-1

@@ -59,18 +59,22 @@ def test_trial_events_carry_kind_and_size(minimal_path):
 
 def test_region_trials_all_log_events(monkeypatch):
     # model_counts in benchmark/run.py wraps experiments.run_trial, reads the
-    # event records of every trial and divides by the number of calls
-    logged = []
+    # event records of every trial and divides by the number of calls; an
+    # unobserved trial's records come from a rerun that bypasses the wrapper
+    calls, logged = [], []
 
     def counting(*args, **kwargs):
+        calls.append((args, kwargs))
         result = run_trial(*args, **kwargs)
         logged.append(len(result.events.records))
         return result
 
     monkeypatch.setattr(gathersim.experiments, "run_trial", counting)
     gathersim.experiments.region_experiment(2, [0.3, 0.7], [1.0], trials=3)
-    assert len(logged) == 3 * (2 + 1)  # trials x (FB per cell + one shared NF)
+    assert len(calls) == len(logged) == 3 * (2 + 1)  # trials x (FB per cell + one shared NF)
     assert all(logged)
+    assert logged == [len(run_trial(*args, **dict(kwargs, observe=True)).events.records)
+                      for args, kwargs in calls]
 
 
 def test_simulate_runs_one_logged_trial(monkeypatch, setting1_path, tmp_path):

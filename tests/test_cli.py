@@ -181,6 +181,9 @@ BAD_INPUTS = {
     "region_zero_cost_ratio": (None, ["region", "--setsize", 3, "--theory-only", "--y-grid", "0,1"]),
     # the backoff lead delay / 1e-308 overflows to inf
     "region_overflowing_backoff": (None, ["region", "--setsize", 3, "--x-grid", "1e-308", "--trials", 1]),
+    # a count checked only after its list was built ran without bound
+    "region_unbounded_grid_count": (None, ["region", "--setsize", 2, "--x-grid", "0.5:0.6:99999999999999999999"]),
+    "region_too_many_cells": (None, ["region", "--setsize", 2, "--x-grid", "0.5,0.6", "--y-grid", "1:2:60000"]),
     "region_set_size_1": (None, ["region", "--setsize", 1]),
     "region_theory_set_size_1": (None, ["region", "--setsize", 1, "--theory-only"]),
     "region_zero_trials": (None, ["region", "--setsize", 3, "--trials", 0]),

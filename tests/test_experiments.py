@@ -288,13 +288,14 @@ def test_an_unscored_grid_has_the_same_power_columns_and_no_errors():
 
 
 def test_region_runs_unscored_checked_trials(monkeypatch):
-    # the map reads only power, and paired_grid has checked every cell
+    # the map reads only power, paired_grid has checked every cell, and no
+    # trial keeps an event log, clock or fusions it would never read
     calls = []
     monkeypatch.setattr(experiments, "run_trial",
                         lambda s, inputs, **kw: calls.append(kw) or run_trial(s, inputs, **kw))
     monkeypatch.setattr(experiments, "score_trial", None)  # a score would fail here
     region_experiment(2, [0.3, 0.7], [1.0], trials=2)
-    assert calls == [dict(checked=True)] * (2 * (2 + 1))  # trials x (FB per cell + one shared NF)
+    assert calls == [dict(checked=True, observe=False)] * (2 * (2 + 1))  # trials x (FB per cell + one shared NF)
 
 
 @pytest.mark.parametrize("set_size", [2, 3])
@@ -332,10 +333,30 @@ def test_an_unscored_grid_shares_nf_only_where_no_backoff_can_change_it(monkeypa
     (160.0, 36.0),  # 36 + 2 * 2 == 40, the sampling period (and 120 + 40 == 160)
     (150.0, 26.0),  # 120 + 26 + 2 * 2 == 150, the horizon
 ])
-def test_a_cell_at_the_bound_does_not_share_nf(monkeypatch, horizon, backoff):
+def test_a_cell_shares_nf_up_to_the_bound_and_not_past_it(monkeypatch, horizon, backoff):
+    # a packet ending at the next sample is acknowledged first: its TX_END sorts first
     base = replace(GRID_BASE, protocol=replace(GRID_BASE.protocol, horizon=horizon))
-    assert nf_runs_per_trial(monkeypatch, base, (4.0, backoff), False) == 2
-    assert nf_runs_per_trial(monkeypatch, base, (4.0, backoff - 1.0), False) == 1
+    assert nf_runs_per_trial(monkeypatch, base, (4.0, backoff), False) == 1
+    assert nf_runs_per_trial(monkeypatch, base, (4.0, backoff + 1e-9), False) == 2
+
+
+def test_a_cell_inside_the_real_bound_but_past_it_in_float_does_not_share_nf():
+    # 6.699999999999995 + 2 * 0.3 < 7.3, yet the packet of both targets that
+    # the largest uniform below 1 starts after sample 41 (299.3) starts at
+    # 306.0 and ends at 306.6, after sample 42 (306.59999999999997); the
+    # horizon lies past sample 42 plus that sum, as the real-number rule
+    # also asked, and short of a sample 43 by `_times`' 1e-12
+    tb, u, horizon = 6.699999999999995, 1 - 2**-53, 43 * 7.3 + 5e-13
+    base = assumption1_scenario(2, 2, 0, backoff_interval=tb, sampling_period=7.3, horizon=horizon, seed=3)
+    cell = replace(base, architecture=Architecture.NF, protocol=replace(
+        base.protocol, uplink_delay=0.3, trigger_threshold=1e-9))  # every component triggers
+    assert tb + len(cell.targets) * 0.3 < 7.3
+    inputs = forced_inputs(cell, {41: (u * tb, 0.0)})
+    assert inputs.steps[41][3][0] == u
+    records = run_trial(cell, inputs).events.records
+    start, end = (r.time for r in records if r.step == 41 and r.sensor == 0 and r.kind in ("TX_START", "TX_END"))
+    assert (start, end, inputs.sample_times[42:]) == (306.0, 306.6, (306.59999999999997,))
+    assert not experiments._nf_ignores_backoff(cell)
 
 
 @given(st.integers(2, 3), st.integers(1, 4), st.integers(0, 2), st.floats(20.0, 80.0),
@@ -347,13 +368,14 @@ def test_nf_uplink_is_equal_across_cells_that_meet_the_bound(
         set_size, collaborative, unique, period, steps, tail, noise, fractions, seed):
     # cells whose interval plus longest packet fits in the sampling period
     # and before the horizon: NF's uplink is the same at every interval; the
-    # intervals reach past the bound, for the assumption to cut
+    # intervals reach past the bound, for the rule to cut, and at least two
+    # of them must meet it
     base = assumption1_scenario(set_size, collaborative, unique, sampling_period=period,
                                 horizon=period * (steps + tail), noise_std=noise, seed=seed)
     longest = len(base.targets) * base.protocol.uplink_delay
     backoffs = [max(1.25 * f * (period - longest), 1e-3) for f in fractions]
-    cells = experiments._cells(base, backoffs)
-    assume(period > longest and all(map(experiments._nf_ignores_backoff, cells)))
+    cells = [c for c in experiments._cells(base, backoffs) if experiments._nf_ignores_backoff(c)]
+    assume(period > longest and len(cells) >= 2)
     inputs = draw_inputs(base)
     uplinks = {run_trial(replace(c, architecture=Architecture.NF), inputs).uplink for c in cells}
     assert len(uplinks) == 1

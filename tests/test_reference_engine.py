@@ -13,7 +13,9 @@ below reach: both architectures, backoffs forced in the drawn inputs,
 packets dropped at the next sample, packets that end after it, moves at a
 sample or a packet's end, and fields below and from `SMALL_FIELD` targets up.
 On the forced cases, the power.csv that `PowerLedger` reads off the records
-must hold the reference ledger's charges cell by cell.
+must hold the reference ledger's charges cell by cell. An unobserved run
+must give the same totals, refuse to be scored, and make the same records
+on first read.
 """
 
 import heapq
@@ -24,6 +26,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from scripted_cases import forced_inputs
 
@@ -252,6 +255,12 @@ def assert_power_csv_matches(scenario, result, counts):
 
 def assert_engine_matches_reference(scenario, inputs, power_csv=False):
     got = run_trial(scenario, inputs)
+    lean = run_trial(scenario, inputs, observe=False)
+    assert (lean.uplink, lean.downlink, lean.clock, lean.fusions) == (got.uplink, got.downlink, None, None)
+    with pytest.raises(ValueError, match="needs an observed run"):
+        score_trial(scenario, inputs, lean)
+    assert "rows" not in vars(lean.events)  # until the first read reruns the trial, observed
+    assert lean.events.rows == got.events.rows and lean.events.records is lean.events.rows
     trace = score_trial(scenario, inputs, got)
     want = reference_trial(scenario, inputs)
     assert got.events.records == want.records
