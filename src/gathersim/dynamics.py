@@ -55,43 +55,42 @@ def reflect(value: float, bound: float) -> float:
     return r
 
 
-def _confined_jump(x: float, y: float, step: float, center: Point, radius: float, rng) -> Point:
-    cx, cy = center
-    for _ in range(_MAX_DIRECTION_DRAWS):
-        theta = rng.random() * 2.0 * math.pi
-        nx = x + step * math.cos(theta)
-        ny = y + step * math.sin(theta)
-        if (nx - cx) ** 2 + (ny - cy) ** 2 <= radius * radius:
-            return (nx, ny)
-    # fallback: jump straight toward the confinement center
-    d = math.hypot(cx - x, cy - y)
-    if d > 0:
-        nx = x + step * (cx - x) / d
-        ny = y + step * (cy - y) / d
-    else:
-        nx, ny = x + step, y
-    if (nx - cx) ** 2 + (ny - cy) ** 2 <= radius * radius:
-        return (nx, ny)
-    return (x, y)
-
-
 def step_targets(state: WorldState, params: DynamicsParams, rng) -> WorldState:
-    """Advance every target by one move period. Returns a new WorldState."""
+    """Advance every target by one move period. Returns a new WorldState.
+
+    A target draws one uniform to decide whether it moves, then one per direction
+    tried, in `rng.random(k)` blocks used in scalar-draw order. k counts the targets
+    from the current one on: the draws still certain to come (this draw and one
+    decision per later target), so the stream is consumed exactly as by scalar draws.
+    """
     pos = state.positions.tolist()
     env = state.environment
+    p, step = params.move_probability, params.move_step
+    n = len(pos)
+    u = []  # the uniforms drawn ahead, the next to use last
     for i, conf in enumerate(state.confinements):
-        if rng.random() >= params.move_probability:
-            continue
-        if params.move_step == 0.0:
+        if not u:
+            u = rng.random(n - i).tolist()[::-1]
+        if u.pop() >= p or step == 0.0:
             continue
         x, y = pos[i]
-        if conf is not None:
-            pos[i] = _confined_jump(x, y, params.move_step, conf[0], conf[1], rng)
-        else:
-            theta = rng.random() * 2.0 * math.pi
-            nx = x + params.move_step * math.cos(theta)
-            ny = y + params.move_step * math.sin(theta)
-            pos[i] = (reflect(nx, env.width), reflect(ny, env.height))
+        for _ in range(_MAX_DIRECTION_DRAWS):  # only a confined target redraws
+            if not u:
+                u = rng.random(n - i).tolist()[::-1]
+            theta = u.pop() * 2.0 * math.pi
+            nx = x + step * math.cos(theta)
+            ny = y + step * math.sin(theta)
+            if conf is None:
+                pos[i] = (reflect(nx, env.width), reflect(ny, env.height))
+                break
+            (cx, cy), radius = conf
+            if (nx - cx) ** 2 + (ny - cy) ** 2 <= radius * radius:
+                pos[i] = (nx, ny)
+                break
+        else:  # no direction kept it in its disk: straight toward the center, if that does
+            d = math.hypot(cx - x, cy - y)
+            nx, ny = (x + step * (cx - x) / d, y + step * (cy - y) / d) if d > 0 else (x + step, y)
+            pos[i] = (nx, ny) if (nx - cx) ** 2 + (ny - cy) ** 2 <= radius * radius else (x, y)
     return WorldState(np.array(pos, dtype=float), state.target_ids, env, state.confinements)
 
 

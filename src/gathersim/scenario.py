@@ -26,6 +26,9 @@ Point = tuple[float, float]
 # trial's drawn inputs (`protocol.TrialInputs`) keep every step and move from the start.
 MAX_STEPS = 100_000
 MAX_CELLS = 100_000  # most (x, y) cells of an advantage map, so most values on one axis
+# Most trials of a grid: it keeps every trial's outcomes until it reduces, about 0.1 to
+# 0.3 KB a trial plus 0.1 KB a cell, so a million trials of a ten-cell map hold about 1 GB.
+MAX_TRIALS = 1_000_000
 
 
 class ScenarioError(ValueError):
@@ -170,7 +173,7 @@ _BOUNDS = {
     "min_unique": _at_least(1),
     "collaborative_targets": _at_least(1, integer=True),
     "unique_targets": _at_least(0, integer=True),
-    "trials": _at_least(1, integer=True),
+    "trials": (f"an integer within [1, {MAX_TRIALS}]", lambda v: _is_integer(v) and 1 <= v <= MAX_TRIALS),
     "grid_cells": (f"an integer within [1, {MAX_CELLS}]", lambda v: _is_integer(v) and 1 <= v <= MAX_CELLS),
     "jobs": _at_least(1, integer=True),
     "seed": _INTEGER,

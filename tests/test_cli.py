@@ -1,14 +1,17 @@
+import contextlib
+import gc
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import gathersim
 from gathersim import protocol, scenario
-from gathersim.cli import main
+from gathersim.cli import _gc_paused, main
 
 
 def run(args):
@@ -124,6 +127,7 @@ def test_simulate_io_failure(setting1_path, tmp_path):
 
 HUGE = 10**400
 OVERLONG = "1" + "0" * 5000  # past sys.get_int_max_str_digits(), so PyYAML cannot convert it
+TOO_MANY_TRIALS = 99999999999999999999  # past a C ssize_t
 SPEC = "scenario: setting1.yaml\nbackoff_intervals: [20]\nuplink_powers: [1]\ntrials: 1\n"
 MINIMAL = (Path(__file__).resolve().parent.parent / "scenarios" / "minimal.yaml").read_text()
 
@@ -188,6 +192,12 @@ BAD_INPUTS = {
     "region_theory_set_size_1": (None, ["region", "--setsize", 1, "--theory-only"]),
     "region_zero_trials": (None, ["region", "--setsize", 3, "--trials", 0]),
     "sweep_zero_trials": (SPEC, ["sweep", "INPUT", "--trials", 0]),
+    # past scenario.MAX_TRIALS: the grid's list of trials could not be built, or not held
+    "region_unbounded_trials": (
+        None, ["region", "--setsize", 2, "--x-grid", "0.5", "--y-grid", "1", "--trials", TOO_MANY_TRIALS],
+    ),
+    "sweep_unbounded_trials": (SPEC, ["sweep", "INPUT", "--trials", TOO_MANY_TRIALS]),
+    "sweep_unbounded_spec_trials": (SPEC.replace("trials: 1", f"trials: {TOO_MANY_TRIALS}"), ["sweep", "INPUT"]),
     # integers past float range are not finite numbers
     "simulate_overflowing_uplink_power": (
         None, ["simulate", "SETTING1", "--override", f"costs.uplink_power={HUGE}"],
@@ -406,3 +416,65 @@ def test_golden_csv_headers(setting1_path, tmp_path):
         "# gathersim-csv v1 mse",
         "time,mse_instant,mse_integral",
     ]
+
+
+@pytest.fixture
+def gc_state():
+    """The collector's switch and debug flags, restored after the test."""
+    enabled = gc.isenabled()
+    yield
+    gc.set_debug(0)
+    gc.garbage.clear()
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("text, error", [
+    (MINIMAL, None), ("environment: [1, 2\n", scenario.ScenarioError), (None, OSError),
+])
+def test_gc_pause_restores_the_collector(gc_state, tmp_path, text, error):
+    path = tmp_path / "input.yaml"  # no such file when text is None
+    if text is not None:
+        path.write_text(text)
+    gc.enable()
+    with pytest.raises(error) if error else contextlib.nullcontext():
+        with _gc_paused():
+            assert not gc.isenabled()
+            scenario.load_scenario(path)
+    assert gc.isenabled()
+
+
+def test_gc_pause_leaves_a_disabled_collector_off(gc_state):
+    gc.disable()
+    with _gc_paused():
+        pass
+    assert not gc.isenabled()
+
+
+def large_field(path) -> None:
+    """A 64-sensor, 1000-target field, shaped like the large-field benchmark input."""
+    xy = np.random.default_rng(0).uniform(1.0, 159.0, size=(1000, 2)).tolist()
+    sensors = [f"  - {{id: {8 * r + c}, center: [{20.0 * c + 10.0}, {20.0 * r + 10.0}], radius: 14.0}}"
+               for r in range(8) for c in range(8)]
+    targets = [f"  - {{id: {i}, position: [{x!r}, {y!r}]}}" for i, (x, y) in enumerate(xy)]
+    rest = MINIMAL[MINIMAL.index("protocol:"):].replace("architecture: NF", "architecture: FB")
+    path.write_text("\n".join(["environment: {width: 160.0, height: 160.0}", "sensors:", *sensors,
+                               "targets:", *targets, rest]))
+
+
+@pytest.mark.parametrize("name", ["setting1.yaml", "minimal.yaml", "large"])
+def test_gc_paused_blocks_make_no_cyclic_garbage(gc_state, scenarios_dir, tmp_path, name):
+    # with DEBUG_SAVEALL the collector keeps what it finds unreachable, so a
+    # count of 0 means reference counting alone freed each block's objects
+    path = tmp_path / "large.yaml" if name == "large" else scenarios_dir / name
+    if name == "large":
+        large_field(path)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    with _gc_paused():  # cmd_simulate's two blocks
+        loaded = scenario.load_scenario(path)
+    assert gc.collect() == 0
+    with _gc_paused():
+        inputs = protocol.draw_inputs(loaded, checked=True)
+        result = protocol.run_trial(loaded, inputs, checked=True)
+        protocol.score_trial(loaded, inputs, result)
+    assert gc.collect() == 0

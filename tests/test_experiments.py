@@ -18,7 +18,7 @@ from gathersim.experiments import (
     trial_seed,
 )
 from gathersim.protocol import draw_inputs, run_trial
-from gathersim.scenario import Architecture, ScenarioError
+from gathersim.scenario import MAX_TRIALS, Architecture, ScenarioError
 
 
 def test_assumption1_layout_delays():
@@ -388,8 +388,9 @@ def test_paired_grid_rejects_an_invalid_cell():
 
 @pytest.mark.parametrize("backoffs, trials, jobs, message", [
     ((), 1, 1, "backoff_intervals must be nonempty"),
-    (GRID_BACKOFFS, 0, 1, "trials: must be an integer >= 1"),
+    (GRID_BACKOFFS, 0, 1, r"trials: must be an integer within \[1, 1000000\]"),
     (GRID_BACKOFFS, 1, 0, "jobs: must be an integer >= 1"),
+    (GRID_BACKOFFS, MAX_TRIALS + 1, 1, r"trials: must be an integer within \[1, 1000000\]"),
 ])
 def test_paired_grid_rejects_a_bad_grid_before_any_trial(monkeypatch, backoffs, trials, jobs, message):
     monkeypatch.setattr(experiments, "draw_inputs", None)  # a drawn trial would fail here

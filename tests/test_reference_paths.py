@@ -19,15 +19,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from scripted_cases import fusion_count
 
-from gathersim.dynamics import (
-    WorldState,
-    _confined_jump,
-    initial_world,
-    measure,
-    observed_rows,
-    reflect,
-    step_targets,
-)
+from gathersim.dynamics import WorldState, initial_world, measure, observed_rows, reflect, step_targets
 from gathersim.estimation import EstimatorState, fuse
 from gathersim.experiments import assumption1_scenario
 from gathersim.geometry import membership
@@ -37,6 +29,7 @@ from gathersim.scenario import (
     CostParams,
     DynamicsParams,
     Environment,
+    Point,
     ProtocolParams,
     Scenario,
     SensorSpec,
@@ -213,6 +206,30 @@ def test_membership_matches_per_sensor_loop(scenario):
     assert membership(scenario, positions) == reference_membership(scenario, positions)
 
 
+_MAX_DIRECTION_DRAWS = 256  # the library's cap on a confined target's direction draws
+
+
+# a confined jump with one scalar draw per direction tried
+def _confined_jump(x: float, y: float, step: float, center: Point, radius: float, rng) -> Point:
+    cx, cy = center
+    for _ in range(_MAX_DIRECTION_DRAWS):
+        theta = rng.random() * 2.0 * math.pi
+        nx = x + step * math.cos(theta)
+        ny = y + step * math.sin(theta)
+        if (nx - cx) ** 2 + (ny - cy) ** 2 <= radius * radius:
+            return (nx, ny)
+    # fallback: jump straight toward the confinement center
+    d = math.hypot(cx - x, cy - y)
+    if d > 0:
+        nx = x + step * (cx - x) / d
+        ny = y + step * (cy - y) / d
+    else:
+        nx, ny = x + step, y
+    if (nx - cx) ** 2 + (ny - cy) ** 2 <= radius * radius:
+        return (nx, ny)
+    return (x, y)
+
+
 def reference_step_targets(state, params, rng):
     """The motion step on numpy scalars, returning through dataclasses.replace."""
     pos = state.positions.copy()
@@ -233,6 +250,14 @@ def reference_step_targets(state, params, rng):
     return replace(state, positions=pos)
 
 
+# every direction of a 30 jump leaves a radius-5 disk, so target 0 makes all 256
+# direction draws, refilling a block of 2 as it goes, and then takes the fallback
+@example(n=2, seed=0, move_step=30.0, move_probability=1.0, confined=True)
+# decisions only: no target moves, or a move has zero length
+@example(n=5, seed=0, move_step=3.0, move_probability=0.0, confined=True)
+@example(n=5, seed=0, move_step=0.0, move_probability=1.0, confined=True)
+# a block runs out between two of a confined target's direction draws, and a later draw is kept
+@example(n=3, seed=0, move_step=3.0, move_probability=1.0, confined=True)
 @given(
     n=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
