@@ -113,7 +113,8 @@ def cmd_simulate(args) -> int:
         lines += [f"unique,{sensor},{structure.unique_counts[sensor]}\n"
                   for sensor in sorted(structure.unique_counts)]
         write_csv(out / "structure.csv", "structure", "kind,members,count", lines)
-    kinds = Counter(r.kind for r in result.events.records)
+    rows = result.events.rows
+    kinds = Counter(r[1] for r in rows)  # the kind of each event
     total_power = result.uplink * costs.uplink_power + result.downlink * costs.downlink_power
     print(
         f"architecture={scenario.architecture.value} "
@@ -121,7 +122,7 @@ def cmd_simulate(args) -> int:
         f"time_avg_mse={trace.integral / scenario.protocol.horizon!r} "
         f"cancels={kinds['CANCEL']} "
         f"drops={kinds['DROP']} "
-        f"events={len(result.events.records)}"
+        f"events={len(rows)}"
     )
     return 0
 

@@ -25,39 +25,32 @@ SMALL_FIELD = 8
 class EstimatorState:
     """Per-target fused value, fusion count and epoch bookkeeping.
 
-    Targets never seen are scored against `default_point` (normally the
-    environment centroid) so the metric is defined from time zero; without
-    one, the state keeps no estimates and cannot score. The bookkeeping lives
-    in Python lists, and `fuse` keeps the current estimates up to date for
-    `mean_squared_error`: a list of (x, y) tuples below `SMALL_FIELD`
+    `fuse` keeps each target's current estimate in `estimates`, by the row
+    `row` gives its id. Without a default point they are a list that holds
+    None for a target not yet measured, which the engine reads for its
+    echoes; such a state cannot score. With one (normally the environment
+    centroid), targets never seen are scored against it, so the metric is
+    defined from time zero: a list of (x, y) tuples below `SMALL_FIELD`
     targets, an (n, 2) array from there up. Steps are >= 0, so an epoch of
     -1 marks a target with no estimate yet.
     """
 
     def __init__(self, target_ids, default_point: Point | None = None):
-        self._row = {tid: i for i, tid in enumerate(target_ids)}
+        self.row = {tid: i for i, tid in enumerate(target_ids)}
         n = len(target_ids)
         self._sums = [(0.0, 0.0)] * n
         self._counts = [0] * n
         self._epochs = [-1] * n
         if default_point is None:
-            self._estimates = None
+            self.estimates = [None] * n
         elif 0 < n < SMALL_FIELD:  # an empty field keeps numpy's nan score
-            self._estimates = [(float(default_point[0]), float(default_point[1]))] * n
+            self.estimates = [(float(default_point[0]), float(default_point[1]))] * n
         else:
-            self._estimates = np.full((n, 2), default_point, dtype=float)
-
-    def estimate(self, target_id: int) -> Point | None:
-        row = self._row[target_id]
-        if self._epochs[row] < 0:
-            return None
-        sx, sy = self._sums[row]
-        c = self._counts[row]
-        return (sx / c, sy / c)
+            self.estimates = np.full((n, 2), default_point, dtype=float)
 
     def mean_squared_error(self, positions) -> float:
         """The error against the (n, 2) truth array, or a small field's `tolist()` of it."""
-        estimates = self._estimates
+        estimates = self.estimates
         if type(estimates) is list:
             if type(positions) is not list:
                 positions = positions.tolist()
@@ -76,23 +69,23 @@ class EstimatorState:
 
 
 def fuse(state: EstimatorState, components, step: int) -> None:
-    """Fuse a fully received uplink packet, whose (target id, value)
-    `components` were all measured at `step`, into the central estimate.
-    A measurement older than a target's current estimate is stale and dropped."""
-    sums, counts, epochs, estimates = state._sums, state._counts, state._epochs, state._estimates
-    for tid, (vx, vy) in components:
-        row = state._row[tid]
+    """Fuse a fully received uplink packet, whose (target id, (x, y) tuple)
+    `components` were all measured at `step`, into the central estimates.
+    A step's first measurement of a target becomes its estimate as it is
+    (v / 1 is v, bit for bit); a later one from the same step gives the
+    running mean; one older than the current estimate is stale and dropped."""
+    row_of, estimates = state.row, state.estimates
+    sums, counts, epochs = state._sums, state._counts, state._epochs
+    for tid, value in components:
+        row = row_of[tid]
         if step == epochs[row]:
             c = counts[row] = counts[row] + 1
-            sx, sy = sums[row] = (sums[row][0] + vx, sums[row][1] + vy)
-        elif step > epochs[row]:
-            c = counts[row] = 1
-            epochs[row] = step
-            sx, sy = sums[row] = (vx, vy)
-        else:
-            continue
-        if estimates is not None:
+            sx, sy = sums[row] = (sums[row][0] + value[0], sums[row][1] + value[1])
             estimates[row] = (sx / c, sy / c)
+        elif step > epochs[row]:
+            counts[row] = 1
+            epochs[row] = step
+            sums[row] = estimates[row] = value
 
 
 class EstimatorTrace:

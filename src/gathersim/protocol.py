@@ -27,7 +27,7 @@ import bisect
 import heapq
 import itertools
 import math
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -62,7 +62,8 @@ class EventRecord(NamedTuple):
 
 class EventLog:
     """A trial's events: `rows` of plain tuples in `EventRecord` field order,
-    which `records` names in place on first read; an unread log names none.
+    which `records` names in place on first read (the CSV writers read
+    `rows`, so only the tests and the benchmark's counting pass name them).
     An unobserved trial's log makes its rows on first read, by a `rerun`."""
 
     def __init__(self, rerun: Optional[Callable[[], "TrialResult"]] = None):
@@ -82,10 +83,12 @@ class EventLog:
         return rows
 
     def to_csv(self, path) -> None:
+        # rows share their id tuples (TRIGGER with BACKOFF_SET, TX_START with
+        # TX_END, FEEDBACK_START with FEEDBACK_END): join each one once
+        targets = cache(lambda ids: ";".join(map(str, ids)))
         write_csv(path, "events", "time,kind,step,sensor,targets,size,value", (
-            f"{r.time!r},{r.kind},{r.step},{r.sensor},{';'.join(map(str, r.targets))},"
-            f"{r.size},{'' if r.value is None else repr(r.value)}\n"
-            for r in self.records
+            f"{t!r},{kind},{step},{sensor},{targets(ids)},{size},{'' if value is None else repr(value)}\n"
+            for t, kind, step, sensor, ids, size, value in self.rows
         ))
 
 
@@ -99,14 +102,14 @@ class PowerLedger(NamedTuple):
     n_sensors: int
 
     def to_csv(self, path) -> None:
-        records, n = self.events.records, self.n_sensors
-        n_steps = sum(r.kind == "SAMPLE" for r in records)
+        rows, n = self.events.rows, self.n_sensors
+        n_steps = sum(r[1] == "SAMPLE" for r in rows)
         counts = [[0, 0] for _ in range(n_steps * n)]  # (uplink, downlink) at step * n + sensor
-        for r in records:
-            if r.kind == "TX_START":
-                counts[r.step * n + r.sensor][0] += r.size
-            elif r.kind == "FEEDBACK_START":
-                counts[r.step * n + r.sensor][1] += r.size
+        for _, kind, step, sensor, _, size, _ in rows:
+            if kind == "TX_START":
+                counts[step * n + sensor][0] += size
+            elif kind == "FEEDBACK_START":
+                counts[step * n + sensor][1] += size
         up_cost, down_cost = self.costs.uplink_power, self.costs.downlink_power
         write_csv(path, "power", "step,sensor,uplink,downlink", (
             f"{k // n},{k % n},{up * up_cost!r},{down * down_cost!r}\n"
@@ -122,15 +125,16 @@ def trace_to_csv(trace: EstimatorTrace, path) -> None:
 
 class TrialResult(NamedTuple):
     """A trial's event log, its uplink and downlink component totals, the time
-    of every entry its queue handled (the horizon last), and each received
-    packet's (step, components) by the index of its TX_END in `clock`; None
-    for both if the trial was not observed."""
+    of every entry its queue handled (the horizon last), and, by the index of
+    each TX_END in `clock`, the (row, estimate) pairs that fusing its packet
+    left for the packet's targets (a stale component's pair holds the newer
+    estimate); None for both if the trial was not observed."""
 
     events: EventLog
     uplink: int
     downlink: int
     clock: Optional[list[float]]
-    fusions: Optional[dict[int, tuple[int, dict[int, tuple[float, float]]]]]
+    fusions: Optional[dict[int, list[tuple[int, tuple[float, float]]]]]
 
 
 class TrialInputs(NamedTuple):
@@ -216,10 +220,11 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
     `inputs` may come from any scenario with the same `input_key`, so both
     architectures and every backoff interval can replay one draw. Raises
     ScenarioError for an invalid protocol, the one parameter record outside
-    the key that the engine reads, unless the caller has `checked` it. Only
-    FB fuses here, for its echoes. An unobserved run (`observe=False`) keeps
-    only the uplink and downlink totals: no clock or fusions, so it cannot be
-    scored, and a log that runs the trial again, observed, when first read.
+    the key that the engine reads, unless the caller has `checked` it. An FB
+    or observed run fuses every received packet, once; FB echoes read the
+    fused estimates. An unobserved run (`observe=False`) keeps only the
+    uplink and downlink totals: no clock or fusions, so it cannot be scored,
+    and a log that runs the trial again, observed, when first read.
     """
     if inputs.key != input_key(scenario):
         raise ValueError("inputs were drawn for a scenario with different draws")
@@ -238,9 +243,10 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
     record = log.rows.append
     clock, fusions = [], {}  # see TrialResult
     tick = clock.append
-    if fb:
+    fuses = fb or observe
+    if fuses:
         estimator = EstimatorState(inputs.target_ids)  # no default point: no error to keep
-        estimate = estimator.estimate
+        row_of, estimates = estimator.row, estimator.estimates
 
     # per-sensor protocol state: the last value each sensor knows the central
     # unit holds per target, by sensor id; and, for the sensors scheduled at
@@ -319,12 +325,14 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
             sent, comps, tgt, echo_ids = payload  # the packet's step, maybe before the current one
             if observe:
                 record((t, "TX_END", sent, sid, tgt, len(tgt), None))
-                fusions[len(clock) - 1] = (sent, comps)
-            if fb:
+            if fuses:
                 fuse(estimator, comps.items(), sent)
+                if observe:
+                    rows = map(row_of.__getitem__, tgt)
+                    fusions[len(clock) - 1] = [(r, estimates[r]) for r in rows]
             acknowledged[sid].update(comps)
             if echo_ids:
-                echo = tuple(zip(echo_ids, map(estimate, echo_ids)))
+                echo = [(tid, estimates[row_of[tid]]) for tid in echo_ids]
                 m = len(echo)
                 downlink += m
                 if observe:
@@ -361,14 +369,15 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
 
 
 def score_trial(scenario: Scenario, inputs: TrialInputs, trial: TrialResult) -> EstimatorTrace:
-    """The error trace of `trial`, run on `inputs` of `scenario`: its fusions
-    replayed into a fresh estimate, and the drawn moves merged into its clock,
-    a move before any event at its time, as the queue would pop them.
-    Raises ValueError for an unobserved trial, which kept neither."""
+    """The error trace of `trial`, run on `inputs` of `scenario`: the
+    estimates each of its fusions left, written in turn over the default
+    point, and the drawn moves merged into its clock, a move before any event
+    at its time, as the queue would pop them. Fuses nothing itself. Raises
+    ValueError for an unobserved trial, which kept neither."""
     if trial.clock is None:
         raise ValueError("score_trial needs an observed run: run_trial(..., observe=True)")
     estimator = EstimatorState(inputs.target_ids, scenario.environment.centroid)
-    mse = estimator.mean_squared_error
+    mse, estimates = estimator.mean_squared_error, estimator.estimates
     positions, get_fusion = inputs.positions, trial.fusions.get
     moves = (*inputs.move_times, math.inf)
     times, errors = [], []
@@ -385,6 +394,7 @@ def score_trial(scenario: Scenario, inputs: TrialInputs, trial: TrialResult) -> 
         add_error(inst)
         fusion = get_fusion(k)
         if fusion is not None:
-            fuse(estimator, fusion[1].items(), fusion[0])
+            for r, value in fusion:
+                estimates[r] = value
             inst = mse(positions[j])
     return accumulate_mse(times, errors)

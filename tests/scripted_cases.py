@@ -165,4 +165,4 @@ def classify_step(
 
 def fusion_count(state: EstimatorState, target_id: int) -> int:
     """How many measurements the current estimate of `target_id` averages."""
-    return state._counts[state._row[target_id]]
+    return state._counts[state.row[target_id]]

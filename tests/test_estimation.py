@@ -17,15 +17,25 @@ def test_two_measurements_average():
     state = EstimatorState([0], (5.0, 5.0))
     fuse(state, [(0, (1.0, 2.0))], 0)
     fuse(state, [(0, (3.0, 6.0))], 0)
-    assert state.estimate(0) == (2.0, 4.0)
+    assert state.estimates[0] == (2.0, 4.0)
     assert fusion_count(state, 0) == 2
 
 
 def test_first_measurement_exact():
     state = EstimatorState([0], (5.0, 5.0))
     fuse(state, [(0, (1.25, -0.5))], 0)
-    assert state.estimate(0) == (1.25, -0.5)
+    assert state.estimates[0] == (1.25, -0.5)
     assert fusion_count(state, 0) == 1
+
+
+def test_a_state_without_default_point_holds_none_until_measured():
+    # the engine's state: a first measurement is stored as it is (v / 1 is v)
+    state = EstimatorState([4, 7])
+    assert state.estimates == [None, None] and state._epochs == [-1, -1]
+    value = (1.25, -0.5)
+    fuse(state, [(7, value)], 3)
+    assert state.estimates[state.row[7]] is value
+    assert state.estimates[state.row[4]] is None and state._epochs[state.row[4]] < 0
 
 
 def test_epoch_replacement_and_reset():
@@ -33,7 +43,7 @@ def test_epoch_replacement_and_reset():
     fuse(state, [(0, (1.0, 1.0))], 0)
     fuse(state, [(0, (2.0, 2.0))], 0)
     fuse(state, [(0, (10.0, 10.0))], 1)
-    assert state.estimate(0) == (10.0, 10.0)
+    assert state.estimates[0] == (10.0, 10.0)
     assert fusion_count(state, 0) == 1
 
 
@@ -41,7 +51,7 @@ def test_stale_epoch_discarded():
     state = EstimatorState([0], (5.0, 5.0))
     fuse(state, [(0, (10.0, 10.0))], 2)
     fuse(state, [(0, (0.0, 0.0))], 1)
-    assert state.estimate(0) == (10.0, 10.0)
+    assert state.estimates[0] == (10.0, 10.0)
     assert fusion_count(state, 0) == 1
 
 
@@ -55,7 +65,7 @@ def test_fused_variance_shrinks_like_sample_mean():
         for j in range(m):
             v = (sigma * rng.standard_normal(), sigma * rng.standard_normal())
             fuse(state, [(0, v)], 0)
-        values.append(state.estimate(0))
+        values.append(state.estimates[0])
     arr = np.array(values)
     var = arr.var(axis=0, ddof=1)
     expected = sigma * sigma / m
@@ -75,8 +85,8 @@ def test_order_independence_within_epoch(values, seed):
     state_b = EstimatorState([0], (0.0, 0.0))
     for i, v in enumerate(shuffled):
         fuse(state_b, [(0, v)], 0)
-    ax, ay = state_a.estimate(0)
-    bx, by = state_b.estimate(0)
+    ax, ay = state_a.estimates[0]
+    bx, by = state_b.estimates[0]
     assert math.isclose(ax, bx, rel_tol=0, abs_tol=1e-12 * max(1.0, abs(ax)))
     assert math.isclose(ay, by, rel_tol=0, abs_tol=1e-12 * max(1.0, abs(ay)))
 

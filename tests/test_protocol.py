@@ -407,25 +407,32 @@ def count_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize("arch", list(Architecture))
-def test_an_unscored_trial_keeps_no_error_account(monkeypatch, setting1_path, arch):
-    # an NF trial's estimate feeds nothing in the engine, and an FB trial
-    # fuses each received packet only for its echo; the scorer fuses every
-    # packet once more in both architectures and integrates once
+def test_a_trial_fuses_each_received_packet_once(monkeypatch, setting1_path, arch):
+    # an observed run of either architecture fuses each received packet once,
+    # at its TX_END, and keeps no error account; the scorer writes the
+    # estimates the fusions left, fusing nothing, and integrates once; an
+    # unobserved run fuses only for FB's echoes
     scn = replace(load_scenario(setting1_path), architecture=arch)
     inputs = draw_inputs(scn)
     fused = count_calls(monkeypatch, "fuse")
     integrated = count_calls(monkeypatch, "accumulate_mse")
     result = run_trial(scn, inputs)
-    tx_ends = sum(r.kind == "TX_END" for r in result.events.records)
-    assert tx_ends > 0 and not integrated
-    assert len(fused) == (tx_ends if arch == Architecture.FB else 0)
-    # each fusion sits at its TX_END's clock index, and the clock ends at the horizon
-    ends = [(r.time, r.step, r.targets) for r in result.events.records if r.kind == "TX_END"]
-    placed = [(result.clock[k], step, tuple(comps)) for k, (step, comps) in result.fusions.items()]
-    assert placed == ends
+    ends = [r for r in result.events.records if r.kind == "TX_END"]
+    assert ends and not integrated
+    assert [(step, tuple(tid for tid, _ in comps)) for _, comps, step in fused] == [
+        (r.step, r.targets) for r in ends
+    ]
+    # each fusion's pairs sit at its TX_END's clock index, one per target in
+    # its row, and the clock ends at the horizon
+    rows = [(r.time, tuple(map(inputs.target_ids.index, r.targets))) for r in ends]
+    placed = [(result.clock[k], tuple(row for row, _ in pairs)) for k, pairs in result.fusions.items()]
+    assert placed == rows
     assert result.clock[-1] == scn.protocol.horizon
     score_trial(scn, inputs, result)
-    assert len(integrated) == 1 and len(fused) == (2 if arch == Architecture.FB else 1) * tx_ends
+    assert len(integrated) == 1 and len(fused) == len(ends)
+    fused.clear()
+    run_trial(scn, inputs, observe=False)
+    assert len(fused) == (len(ends) if arch == Architecture.FB else 0) and len(integrated) == 1
 
 
 def test_feedback_arriving_exactly_at_tx_start_does_not_cancel():

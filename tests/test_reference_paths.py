@@ -101,9 +101,14 @@ def test_estimator_matches_reference(n, seed, ops):
             row = draw % n
             fuse(fast, [(row, value)], step)
             ref.absorb(row, value, step)
-            assert fast.estimate(row) == ref.estimate(row)
+            assert tuple(fast.estimates[row]) == ref.estimate(row)
             assert fusion_count(fast, row) == ref.counts[row]
             assert fast.mean_squared_error(positions) == ref.mean_squared_error(positions)
+    # a target never measured has no epoch yet, and is scored at the default point
+    for row in range(n):
+        assert (fast._epochs[row] < 0) == (ref.estimate(row) is None)
+        if ref.estimate(row) is None:
+            assert tuple(fast.estimates[row]) == default
 
 
 def reference_measurements(positions, sensors, noise_std, rng):
