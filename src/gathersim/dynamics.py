@@ -62,6 +62,7 @@ def step_targets(state: WorldState, params: DynamicsParams, rng) -> WorldState:
     tried, in `rng.random(k)` blocks used in scalar-draw order. k counts the targets
     from the current one on: the draws still certain to come (this draw and one
     decision per later target), so the stream is consumed exactly as by scalar draws.
+    A block of one is a scalar draw, which costs about half as much.
     """
     pos = state.positions.tolist()
     env = state.environment
@@ -70,13 +71,13 @@ def step_targets(state: WorldState, params: DynamicsParams, rng) -> WorldState:
     u = []  # the uniforms drawn ahead, the next to use last
     for i, conf in enumerate(state.confinements):
         if not u:
-            u = rng.random(n - i).tolist()[::-1]
+            u = rng.random(n - i).tolist()[::-1] if i < n - 1 else [rng.random()]
         if u.pop() >= p or step == 0.0:
             continue
         x, y = pos[i]
         for _ in range(_MAX_DIRECTION_DRAWS):  # only a confined target redraws
             if not u:
-                u = rng.random(n - i).tolist()[::-1]
+                u = rng.random(n - i).tolist()[::-1] if i < n - 1 else [rng.random()]
             theta = u.pop() * 2.0 * math.pi
             nx = x + step * math.cos(theta)
             ny = y + step * math.sin(theta)
@@ -96,15 +97,17 @@ def step_targets(state: WorldState, params: DynamicsParams, rng) -> WorldState:
 
 def observed_rows(
     positions: np.ndarray, centers: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """(sensor index, target row) of every target inside a sensor's observation
     disk, ordered by sensor index and then by row.
 
     `centers` has shape (n_sensors, 2) and `radii` shape (n_sensors,).
+    `positions` has shape (n_targets, 2), or (n_steps, n_targets, 2) for
+    (step, sensor index, target row) ordered by step first.
     """
     # x and y as separate contiguous (sensor, row) planes: unit-stride passes
-    dx = positions[:, 0] - centers[:, 0, None]
-    dy = positions[:, 1] - centers[:, 1, None]
+    dx = positions[..., None, :, 0] - centers[:, 0, None]
+    dy = positions[..., None, :, 1] - centers[:, 1, None]
     dx *= dx
     dy *= dy
     dx += dy

@@ -19,7 +19,9 @@ import numpy as np
 
 from . import geometry
 from .analytics import AdvantagePoint, raster_region
-from .protocol import TrialInputs, TrialResult, _times, draw_inputs, run_trial, score_trial, write_csv
+from .protocol import (
+    TrialInputs, TrialResult, _times, draw_inputs, input_key, run_trial, score_trial, write_csv,
+)
 from .scenario import (
     Architecture,
     CostParams,
@@ -69,19 +71,24 @@ class PairedOutcome(NamedTuple):
         ) * uplink_power - self.fb_downlink * downlink_power
 
 
-def mean_se(values: np.ndarray) -> tuple[float, float]:
-    """Mean of `values` and its standard error: the sample SD (divisor n - 1),
-    taken in two passes (mean, then squared deviations), over sqrt(n); 0 for one value."""
-    se = values.std(ddof=1) / math.sqrt(len(values)) if len(values) > 1 else 0.0
-    return float(values.mean()), float(se)
+def mean_se(values: np.ndarray):
+    """Mean of `values` along its last axis and its standard error: the sample
+    SD (divisor n - 1), taken in two passes (mean, then squared deviations),
+    over sqrt(n); 0 for one value. Floats for 1-D values, lists of one per
+    row for 2-D values; a row's numbers equal those of the row alone."""
+    mean = values.mean(axis=-1)
+    n = values.shape[-1]
+    se = values.std(axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    return mean.tolist(), se.tolist()
 
 
 def run_paired_trial(fb: Scenario, nf: Scenario, inputs: TrialInputs, nf_run: TrialResult, *,
                      score: bool = True) -> PairedOutcome:
     """One trial's FB scenario `fb` run on `inputs`, that trial's one draw,
     paired with `nf_run`, NF scenario `nf`'s run on the same draw (the grid
-    may share it between cells). The caller has validated both scenarios
-    (`paired_grid` checks every cell), so the FB run does not check it again.
+    may share it between cells). The caller has validated both scenarios and
+    checked that `inputs` suit them (`paired_grid` checks every cell once), so
+    the FB run checks neither again.
     An unscored pair computes no error, and its outcome's errors are None;
     its FB run is unobserved, and `nf_run` may be too."""
     fb_run = run_trial(fb, inputs, checked=True, observe=score)
@@ -148,12 +155,10 @@ def _grid_trial(base: Scenario, fbs, nfs, score: bool, i: int) -> list[PairedOut
     """Trial i of every cell, each replaying the trial's one draw: every
     scenario in `nfs` runs once, and cell k of `fbs` pairs with NF run k, or
     with the one run when `nfs` holds a single shared scenario."""
-    seed = trial_seed(base.seed, i)
-    inputs = draw_inputs(replace(base, seed=seed), checked=True)
-    nfs = [replace(nf, seed=seed) for nf in nfs]
+    inputs = draw_inputs(replace(base, seed=trial_seed(base.seed, i)), checked=True)
     nf_runs = [run_trial(nf, inputs, checked=True, observe=score) for nf in nfs]
     n = len(nfs)  # 1 when the cells share NF
-    return [run_paired_trial(replace(fb, seed=seed), nfs[k % n], inputs, nf_runs[k % n], score=score)
+    return [run_paired_trial(fb, nfs[k % n], inputs, nf_runs[k % n], score=score)
             for k, fb in enumerate(fbs)]
 
 
@@ -167,9 +172,11 @@ def paired_grid(
     (component counts are exact as floats). Trial i is drawn once, from
     the base seed and i, and every cell replays that draw (common random
     numbers), so the outcomes do not depend on the worker count. A task is one
-    trial index; the cells travel with the worker. Every cell, the trial count
-    and the worker count are checked before any trial runs, so no trial checks
-    its own. With `score=False` no trial is scored or observed (see
+    trial index; the cells travel with the worker and keep the base seed.
+    Every cell, the trial count and the worker count are checked before any
+    trial runs, and so is that every cell has the base's `input_key` (a
+    ValueError if not), so a trial's draw suits every cell and no trial
+    checks its own. With `score=False` no trial is scored or observed (see
     `run_trial`), and each cell's `fb_mse` and `nf_mse` are None: a caller
     that reads only power pays only for power.
     If every cell of an unscored grid meets `_nf_ignores_backoff`, NF's counts
@@ -182,6 +189,9 @@ def paired_grid(
     check(backoff_intervals=list(backoff_intervals), trials=trials, jobs=jobs)
     cells = _cells(base, backoff_intervals)
     _check_scenarios(cells)
+    key = input_key(base)
+    if any(input_key(cell) != key for cell in cells):
+        raise ValueError("every grid cell must draw what the base scenario draws")
     fbs = [replace(cell, architecture=Architecture.FB) for cell in cells]
     shared = not score and all(map(_nf_ignores_backoff, cells))
     nfs = [replace(cell, architecture=Architecture.NF) for cell in (cells[:1] if shared else cells)]
@@ -391,10 +401,10 @@ def region_experiment(
     points = raster_region(set_size, x_values, y_values)  # x-major, like the grid
     base, backoffs = region_cells(set_size, x_values, seed)
     grid = paired_grid(base, backoffs, trials, jobs, score=False)
-    for k, p in enumerate(points):
-        mean, se = mean_se(grid[k // len(y_values)].power_difference(p.y, 1.0))
-        points[k] = replace(p, empirical_mean=mean, empirical_se=se)
-    return points
+    ys = np.array([p.y for p in points[:len(y_values)]])[:, None]  # one row of differences per y
+    stats = (pair for cell in grid for pair in zip(*mean_se(cell.power_difference(ys, 1.0))))
+    return [replace(p, empirical_mean=mean, empirical_se=se)
+            for p, (mean, se) in zip(points, stats, strict=True)]
 
 
 def region_agreement(points: Sequence[AdvantagePoint]) -> tuple[float, int, int]:

@@ -32,6 +32,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
+from . import geometry
 from .dynamics import initial_world, measure, observed_rows, step_targets
 from .estimation import EstimatorState, EstimatorTrace, accumulate_mse, fuse
 from .scenario import Architecture, CostParams, Scenario, ScenarioError, check, validate
@@ -171,15 +172,22 @@ def _times(period: float, first: int, horizon: float) -> tuple[float, ...]:
 def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
     """Draw target motion, observations, noise and backoff uniforms from three
     seeded streams, each consumed in the order the README states. Raises
-    ScenarioError for an invalid scenario unless the caller has `checked` it."""
+    ScenarioError for an invalid scenario unless the caller has `checked` it.
+
+    Backoff uniforms come in one draw per trial. Observations and their
+    noise come in one pass per group of whole steps holding at most
+    `geometry.SCAN_CELLS` (sensor, target) pairs, so a small field's trial
+    takes one pass. Either way each stream yields what one draw per step
+    would."""
     violations = [] if checked else validate(scenario)
     if violations:
         raise ScenarioError("; ".join(violations))
     proto = scenario.protocol
-    base = np.random.SeedSequence(scenario.seed & 0xFFFFFFFFFFFFFFFF)
-    # the generators np.random.default_rng builds, without its call overhead
+    entropy = scenario.seed & 0xFFFFFFFFFFFFFFFF
+    # SeedSequence(entropy).spawn(3) and np.random.default_rng, without their call overhead
     motion_rng, noise_rng, backoff_rng = (
-        np.random.Generator(np.random.PCG64(s)) for s in base.spawn(3)
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(k,))))
+        for k in range(3)
     )
     sample_times = _times(proto.sampling_period, 0, proto.horizon)
     move_times = _times(scenario.dynamics.move_period, 1, proto.horizon)
@@ -193,21 +201,31 @@ def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
     centers = np.array([s.center for s in specs], dtype=float)
     radii = np.array([s.radius for s in specs], dtype=float)
     tids = world.target_ids
+    n = len(tids)
+    at = [positions[bisect.bisect_right(move_times, t)] for t in sample_times]  # a move at t comes first
+    uniforms = backoff_rng.random((len(at), len(specs))).tolist()
+    per_pass = max(1, geometry.SCAN_CELLS // max(1, len(specs) * n))
     steps = []
-    for t in sample_times:
-        pos = positions[bisect.bisect_right(move_times, t)]  # a move at t comes first
-        owners, rows = observed_rows(pos, centers, radii)
-        counts = np.bincount(rows, minlength=len(tids)).tolist()
-        values = measure(pos, rows, proto.noise_std, noise_rng)
+    for k in range(0, len(at), per_pass):
+        group = at[k:k + per_pass]
+        group = np.array(group).reshape(len(group), n, 2)  # (step, target row, x/y)
+        # (step in group, sensor index, target row), ordered by step, sensor, then row
+        st, owners, r = observed_rows(group, centers, radii)
+        rows = st * n + r
+        xs, ys = measure(group.reshape(-1, 2), rows, proto.noise_std, noise_rng).T.tolist()
         # columns, not one tuple per observation: fewer objects for the cyclic GC to track
-        observations = (owners.tolist(), [tids[r] for r in rows.tolist()],
-                        values[:, 0].tolist(), values[:, 1].tolist())
-        steps.append((
-            tuple(map(tuple, observations)),
-            tuple(tid for tid, c in zip(tids, counts) if c >= 2),
-            len(counts) - counts.count(0),
-            tuple(backoff_rng.random(len(specs)).tolist()),
-        ))
+        sensors, targets = tuple(owners.tolist()), tuple([tids[i] for i in r.tolist()])
+        counts = np.bincount(rows, minlength=len(group) * n).tolist()
+        hi = 0
+        for j in range(len(group)):
+            c = counts[j * n:(j + 1) * n]  # observers per target: the step's observations sum them
+            lo, hi = hi, hi + sum(c)
+            steps.append((
+                (sensors[lo:hi], targets[lo:hi], tuple(xs[lo:hi]), tuple(ys[lo:hi])),
+                tuple(tid for tid, m in zip(tids, c) if m >= 2),
+                n - c.count(0),
+                tuple(uniforms[k + j]),
+            ))
     return TrialInputs(
         input_key(scenario), tids, sample_times, move_times, tuple(positions), tuple(steps)
     )
@@ -219,16 +237,17 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
 
     `inputs` may come from any scenario with the same `input_key`, so both
     architectures and every backoff interval can replay one draw. Raises
-    ScenarioError for an invalid protocol, the one parameter record outside
-    the key that the engine reads, unless the caller has `checked` it. An FB
+    ValueError for inputs drawn for another key, and ScenarioError for an
+    invalid protocol, the one parameter record outside the key that the
+    engine reads, unless the caller has `checked` both. An FB
     or observed run fuses every received packet, once; FB echoes read the
     fused estimates. An unobserved run (`observe=False`) keeps only the
     uplink and downlink totals: no clock or fusions, so it cannot be scored,
     and a log that runs the trial again, observed, when first read.
     """
-    if inputs.key != input_key(scenario):
-        raise ValueError("inputs were drawn for a scenario with different draws")
     if not checked:
+        if inputs.key != input_key(scenario):
+            raise ValueError("inputs were drawn for a scenario with different draws")
         check(scenario.protocol)
 
     proto = scenario.protocol

@@ -108,6 +108,25 @@ def test_mean_se_of_one_value_has_zero_se():
     assert mean_se(np.array([2.5])) == (2.5, 0.0)
 
 
+@example(trials=1, ys=[1.0])
+@given(
+    trials=st.sampled_from([1, 2, 7, 40]),
+    ys=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=5, unique=True),
+)
+@settings(max_examples=20, deadline=None)
+def test_region_reduces_each_x_column_as_each_cell_alone(trials, ys):
+    # one mean_se over a column's (y, trial) differences gives every cell's
+    # numbers bit for bit
+    xs = [0.3, 0.8]
+    points = region_experiment(2, xs, ys, trials=trials, seed=5)
+    base, backoffs = experiments.region_cells(2, xs, 5)
+    grid = experiments.paired_grid(base, backoffs, trials, 1, score=False)
+    for k, p in enumerate(points):
+        mean, se = mean_se(grid[k // len(ys)].power_difference(p.y, 1.0))
+        assert (p.empirical_mean, p.empirical_se) == (mean, se)
+        assert type(mean) is float and type(se) is float
+
+
 def test_region_cell_spot_check():
     points = region_experiment(3, [0.2], [2.0], trials=150, seed=11)
     (point,) = points
@@ -267,15 +286,40 @@ def test_paired_grid_matches_per_cell_trials(jobs):
 
 
 def test_paired_grid_draws_once_per_trial_and_validates_each_cell_once(monkeypatch):
-    draws, checks = [], []
+    draws, checks, runs = [], [], []
     draw = experiments.draw_inputs
     validate = experiments.validate
     monkeypatch.setattr(experiments, "draw_inputs",
                         lambda s, **kw: draws.append(s) or draw(s, **kw))
     monkeypatch.setattr(experiments, "validate", lambda s: checks.append(s) or validate(s))
+    monkeypatch.setattr(experiments, "run_trial",
+                        lambda s, inputs, **kw: runs.append(s) or run_trial(s, inputs, **kw))
     experiments.paired_grid(GRID_BASE, GRID_BACKOFFS, 3, 1)
     assert [s.seed for s in draws] == [trial_seed(GRID_BASE.seed, i) for i in range(3)]
     assert [s.protocol.backoff_interval for s in checks] == list(GRID_BACKOFFS)
+    # the trials replay each draw on the cells as built, with the base seed
+    assert len(runs) == 3 * 2 * len(GRID_BACKOFFS)
+    assert {s.seed for s in runs} == {GRID_BASE.seed}
+
+
+@pytest.mark.parametrize("index, change", [
+    (0, lambda cell: replace(cell, protocol=replace(cell.protocol, noise_std=0.5))),
+    (-1, lambda cell: replace(cell, seed=cell.seed + 1)),
+])
+def test_paired_grid_rejects_a_cell_with_other_draws_before_any_trial(monkeypatch, index, change):
+    # a trial's one draw replays on every cell, so each cell must have the
+    # base's input_key; the trials do not check it again
+    cells = experiments._cells
+
+    def one_cell_changed(base, backoffs):
+        built = cells(base, backoffs)
+        built[index] = change(built[index])
+        return built
+
+    monkeypatch.setattr(experiments, "_cells", one_cell_changed)
+    monkeypatch.setattr(experiments, "draw_inputs", None)  # a drawn trial would fail here
+    with pytest.raises(ValueError, match="every grid cell must draw what the base scenario draws"):
+        experiments.paired_grid(GRID_BASE, GRID_BACKOFFS, 2, 1)
 
 
 def test_an_unscored_grid_has_the_same_power_columns_and_no_errors():

@@ -369,6 +369,8 @@ def test_inputs_of_other_draws_rejected():
     other = replace(scn, protocol=replace(scn.protocol, noise_std=0.5))
     with pytest.raises(ValueError, match="different draws"):
         run_trial(scn, inputs=draw_inputs(other))
+    # a checked run trusts its caller for the key, as paired_grid checks it once
+    assert run_trial(scn, inputs=draw_inputs(other), checked=True).events.records
     # the backoff interval and the architecture do not change the draws
     shared = replace(scn, architecture=Architecture.FB,
                      protocol=replace(scn.protocol, backoff_interval=9.0))

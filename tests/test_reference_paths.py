@@ -16,9 +16,11 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from scripted_cases import fusion_count
 
+from gathersim import geometry
 from gathersim.dynamics import WorldState, initial_world, measure, observed_rows, reflect, step_targets
 from gathersim.estimation import EstimatorState, fuse
 from gathersim.experiments import assumption1_scenario
@@ -355,10 +357,7 @@ def reference_draws(scenario):
     return out
 
 
-@given(scenario=replay_scenarios())
-@settings(max_examples=60)
-def test_draw_inputs_matches_in_loop_order(scenario):
-    inputs = draw_inputs(scenario)
+def assert_draws_match_reference(scenario, inputs):
     moves = iter(inputs.positions[1:])
     steps = iter(inputs.steps)
     for kind, *drawn in reference_draws(scenario):
@@ -367,6 +366,37 @@ def test_draw_inputs_matches_in_loop_order(scenario):
         else:
             assert next(steps) == tuple(drawn)
     assert next(moves, None) is None and next(steps, None) is None
+
+
+@given(scenario=replay_scenarios())
+@settings(max_examples=60)
+def test_draw_inputs_matches_in_loop_order(scenario):
+    assert_draws_match_reference(scenario, draw_inputs(scenario))
+
+
+# its one target starts on the disk's edge, so some steps see it and some do not
+STRAY = layout([SensorSpec(0, (10.0, 10.0), 5.0)], [(15.0, 10.0)], [0])
+
+
+def test_stray_reaches_steps_that_observe_nothing():
+    observed = [count for _, _, count, _ in draw_inputs(STRAY).steps]
+    assert 0 in observed and 1 in observed
+
+
+@example(scenario=layout([SensorSpec(0, (10.0, 10.0), 5.0)], [], []), steps_per_pass=3)  # no targets
+@example(scenario=STRAY, steps_per_pass=3)
+@example(scenario=STRAY, steps_per_pass=1)
+@given(scenario=layouts() | replay_scenarios(), steps_per_pass=st.integers(1, 4))
+@settings(max_examples=80)
+def test_observation_passes_of_grouped_steps_match_in_loop_order(scenario, steps_per_pass):
+    # one observed_rows pass per `steps_per_pass` steps (the last may hold
+    # fewer), where the default bound puts every step of these small fields
+    # in one pass; the draw checks no scenario, so a field may hold no target
+    pairs = len(scenario.sensors) * len(scenario.targets)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "SCAN_CELLS", steps_per_pass * pairs)
+        inputs = draw_inputs(scenario, checked=True)
+    assert_draws_match_reference(scenario, inputs)
 
 
 def run_observed(scenario, inputs):
