@@ -19,9 +19,7 @@ import numpy as np
 
 from . import geometry
 from .analytics import AdvantagePoint, raster_region
-from .protocol import (
-    TrialInputs, TrialResult, _times, draw_inputs, input_key, run_trial, score_trial, write_csv,
-)
+from .protocol import TrialInputs, TrialResult, _times, draw_inputs, run_trial, score_trial, write_csv
 from .scenario import (
     Architecture,
     CostParams,
@@ -125,7 +123,9 @@ def _run_tasks(tasks, worker, jobs: int):
 
 
 def _cells(base: Scenario, backoff_intervals: Sequence[float]) -> list[Scenario]:
-    """The base scenario at each backoff interval, in grid order."""
+    """The base scenario at each backoff interval, in grid order. The cells
+    differ from `base` only outside `input_key`, so a trial's draw from the
+    base suits every cell."""
     return [replace(base, protocol=replace(base.protocol, backoff_interval=float(tb)))
             for tb in backoff_intervals]
 
@@ -174,11 +174,10 @@ def paired_grid(
     numbers), so the outcomes do not depend on the worker count. A task is one
     trial index; the cells travel with the worker and keep the base seed.
     Every cell, the trial count and the worker count are checked before any
-    trial runs, and so is that every cell has the base's `input_key` (a
-    ValueError if not), so a trial's draw suits every cell and no trial
-    checks its own. With `score=False` no trial is scored or observed (see
-    `run_trial`), and each cell's `fb_mse` and `nf_mse` are None: a caller
-    that reads only power pays only for power.
+    trial runs, and every cell has the base's `input_key` (see `_cells`), so
+    no trial checks its own. With `score=False` no trial is scored or
+    observed (see `run_trial`), and each cell's `fb_mse` and `nf_mse` are
+    None: a caller that reads only power pays only for power.
     If every cell of an unscored grid meets `_nf_ignores_backoff`, NF's counts
     are the same in every cell, so NF runs once per trial, at the first cell's
     interval, and pairs with every cell's FB. A scored grid runs NF per cell,
@@ -189,9 +188,6 @@ def paired_grid(
     check(backoff_intervals=list(backoff_intervals), trials=trials, jobs=jobs)
     cells = _cells(base, backoff_intervals)
     _check_scenarios(cells)
-    key = input_key(base)
-    if any(input_key(cell) != key for cell in cells):
-        raise ValueError("every grid cell must draw what the base scenario draws")
     fbs = [replace(cell, architecture=Architecture.FB) for cell in cells]
     shared = not score and all(map(_nf_ignores_backoff, cells))
     nfs = [replace(cell, architecture=Architecture.NF) for cell in (cells[:1] if shared else cells)]
@@ -402,7 +398,9 @@ def region_experiment(
     base, backoffs = region_cells(set_size, x_values, seed)
     grid = paired_grid(base, backoffs, trials, jobs, score=False)
     ys = np.array([p.y for p in points[:len(y_values)]])[:, None]  # one row of differences per y
-    stats = (pair for cell in grid for pair in zip(*mean_se(cell.power_difference(ys, 1.0))))
+    rows = max(1, geometry.SCAN_CELLS // trials)  # y values per reduction of (y, trial) arrays
+    stats = (pair for cell in grid for k in range(0, len(ys), rows)
+             for pair in zip(*mean_se(cell.power_difference(ys[k:k + rows], 1.0))))
     return [replace(p, empirical_mean=mean, empirical_se=se)
             for p, (mean, se) in zip(points, stats, strict=True)]
 

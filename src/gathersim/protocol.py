@@ -208,7 +208,7 @@ def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
     steps = []
     for k in range(0, len(at), per_pass):
         group = at[k:k + per_pass]
-        group = np.array(group).reshape(len(group), n, 2)  # (step, target row, x/y)
+        group = np.concatenate(group).reshape(len(group), n, 2)  # (step, target row, x/y)
         # (step in group, sensor index, target row), ordered by step, sensor, then row
         st, owners, r = observed_rows(group, centers, radii)
         rows = st * n + r

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from scripted_cases import forced_inputs
 
 from gathersim import experiments, geometry
 from gathersim.experiments import (
+    PairedOutcome,
     assumption1_scenario,
     mean_se,
     region_agreement,
@@ -17,7 +19,7 @@ from gathersim.experiments import (
     run_sweep,
     trial_seed,
 )
-from gathersim.protocol import draw_inputs, run_trial
+from gathersim.protocol import draw_inputs, input_key, run_trial
 from gathersim.scenario import MAX_TRIALS, Architecture, ScenarioError
 
 
@@ -125,6 +127,25 @@ def test_region_reduces_each_x_column_as_each_cell_alone(trials, ys):
         mean, se = mean_se(grid[k // len(ys)].power_difference(p.y, 1.0))
         assert (p.empirical_mean, p.empirical_se) == (mean, se)
         assert type(mean) is float and type(se) is float
+
+
+def test_region_reduction_memory_is_bounded(monkeypatch):
+    # one (y, trial) array for all 400 y values of a 20000-trial column
+    # would take 64 MB; the reduction takes a few y values at a time
+    trials, xs, ys = 20000, [0.3, 0.8], np.linspace(0.25, 10.0, 400).tolist()
+    rng = np.random.default_rng(3)
+    columns = [rng.integers(0, 50, (3, trials)).astype(float) for _ in xs]
+    grid = [PairedOutcome(fb, down, None, nf, None) for fb, down, nf in columns]
+    monkeypatch.setattr(experiments, "paired_grid", lambda *args, **kw: grid)
+    tracemalloc.start()
+    try:
+        points = region_experiment(2, xs, ys, trials=trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    for k, p in enumerate(points):
+        assert (p.empirical_mean, p.empirical_se) == mean_se(grid[k // len(ys)].power_difference(p.y, 1.0))
 
 
 def test_region_cell_spot_check():
@@ -302,24 +323,12 @@ def test_paired_grid_draws_once_per_trial_and_validates_each_cell_once(monkeypat
     assert {s.seed for s in runs} == {GRID_BASE.seed}
 
 
-@pytest.mark.parametrize("index, change", [
-    (0, lambda cell: replace(cell, protocol=replace(cell.protocol, noise_std=0.5))),
-    (-1, lambda cell: replace(cell, seed=cell.seed + 1)),
+@pytest.mark.parametrize("base, backoffs", [
+    (GRID_BASE, GRID_BACKOFFS), experiments.region_cells(3, [0.1, 0.5, 2.0], 7),
 ])
-def test_paired_grid_rejects_a_cell_with_other_draws_before_any_trial(monkeypatch, index, change):
-    # a trial's one draw replays on every cell, so each cell must have the
-    # base's input_key; the trials do not check it again
-    cells = experiments._cells
-
-    def one_cell_changed(base, backoffs):
-        built = cells(base, backoffs)
-        built[index] = change(built[index])
-        return built
-
-    monkeypatch.setattr(experiments, "_cells", one_cell_changed)
-    monkeypatch.setattr(experiments, "draw_inputs", None)  # a drawn trial would fail here
-    with pytest.raises(ValueError, match="every grid cell must draw what the base scenario draws"):
-        experiments.paired_grid(GRID_BASE, GRID_BACKOFFS, 2, 1)
+def test_grid_cells_draw_what_the_base_draws(base, backoffs):
+    # a trial's one draw replays on every cell, which no trial checks
+    assert {input_key(cell) for cell in experiments._cells(base, backoffs)} == {input_key(base)}
 
 
 def test_an_unscored_grid_has_the_same_power_columns_and_no_errors():
