@@ -5,7 +5,7 @@ packets are tagged with the sampling step they were taken at; measurements of
 the same target from the same step are averaged, a newer step replaces the
 estimate outright, and stale steps are discarded. The error metric is the
 time integral of the mean squared estimation error, extended piecewise
-constantly between events.
+constantly between events; `protocol.score_trial` computes the error.
 """
 
 from __future__ import annotations
@@ -13,59 +13,23 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-import numpy as np
-
-from .scenario import Point
-
-# fields with fewer targets are scored in plain Python: from 8 elements up,
-# np.add.reduce sums pairwise and its result can differ in the last bit
-SMALL_FIELD = 8
-
 
 class EstimatorState:
     """Per-target fused value, fusion count and epoch bookkeeping.
 
     `fuse` keeps each target's current estimate in `estimates`, by the row
-    `row` gives its id. Without a default point they are a list that holds
-    None for a target not yet measured, which the engine reads for its
-    echoes; such a state cannot score. With one (normally the environment
-    centroid), targets never seen are scored against it, so the metric is
-    defined from time zero: a list of (x, y) tuples below `SMALL_FIELD`
-    targets, an (n, 2) array from there up. Steps are >= 0, so an epoch of
-    -1 marks a target with no estimate yet.
+    `row` gives its id: None for a target not yet measured, else an (x, y)
+    tuple, which the engine reads for its echoes and records for the scorer.
+    Steps are >= 0, so an epoch of -1 marks a target with no estimate yet.
     """
 
-    def __init__(self, target_ids, default_point: Point | None = None):
+    def __init__(self, target_ids):
         self.row = {tid: i for i, tid in enumerate(target_ids)}
         n = len(target_ids)
+        self.estimates = [None] * n
         self._sums = [(0.0, 0.0)] * n
         self._counts = [0] * n
         self._epochs = [-1] * n
-        if default_point is None:
-            self.estimates = [None] * n
-        elif 0 < n < SMALL_FIELD:  # an empty field keeps numpy's nan score
-            self.estimates = [(float(default_point[0]), float(default_point[1]))] * n
-        else:
-            self.estimates = np.full((n, 2), default_point, dtype=float)
-
-    def mean_squared_error(self, positions) -> float:
-        """The error against the (n, 2) truth array, or a small field's `tolist()` of it."""
-        estimates = self.estimates
-        if type(estimates) is list:
-            if type(positions) is not list:
-                positions = positions.tolist()
-            # below SMALL_FIELD elements np.add.reduce adds left to right, so
-            # this sum is bit-identical to the array expression below
-            total = 0.0
-            for (ex, ey), (px, py) in zip(estimates, positions):
-                dx = ex - px
-                dy = ey - py
-                total += dx * dx + dy * dy
-            return total / len(estimates)
-        diff = estimates - positions
-        sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
-        # np.mean's own sum and division (nan for no targets), without its overhead
-        return float(np.add.reduce(sq) / len(sq))
 
 
 def fuse(state: EstimatorState, components, step: int) -> None:

@@ -264,7 +264,7 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
     tick = clock.append
     fuses = fb or observe
     if fuses:
-        estimator = EstimatorState(inputs.target_ids)  # no default point: no error to keep
+        estimator = EstimatorState(inputs.target_ids)
         row_of, estimates = estimator.row, estimator.estimates
 
     # per-sensor protocol state: the last value each sensor knows the central
@@ -389,31 +389,48 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
 
 def score_trial(scenario: Scenario, inputs: TrialInputs, trial: TrialResult) -> EstimatorTrace:
     """The error trace of `trial`, run on `inputs` of `scenario`: the
-    estimates each of its fusions left, written in turn over the default
-    point, and the drawn moves merged into its clock, a move before any event
-    at its time, as the queue would pop them. Fuses nothing itself. Raises
-    ValueError for an unobserved trial, which kept neither."""
+    estimates each of its fusions left, written in turn over the environment
+    centroid, and the drawn moves merged into its clock, a move before any
+    event at its time, as the queue would pop them. Fuses nothing itself. Raises
+    ValueError for an unobserved trial, which kept neither.
+
+    The array `sq` keeps each target's squared error, with the bits of
+    `diff[:, 0] ** 2 + diff[:, 1] ** 2`: a fusion rewrites its rows, a move
+    all of them. The error is numpy's own (pairwise) sum of `sq` over the
+    target count, one arithmetic at every field size."""
     if trial.clock is None:
         raise ValueError("score_trial needs an observed run: run_trial(..., observe=True)")
-    estimator = EstimatorState(inputs.target_ids, scenario.environment.centroid)
-    mse, estimates = estimator.mean_squared_error, estimator.estimates
+    n = len(inputs.target_ids)
+    cx, cy = scenario.environment.centroid
+    xs, ys = [cx] * n, [cy] * n  # the current estimates, by row
     positions, get_fusion = inputs.positions, trial.fusions.get
+    reduce = np.add.reduce
+
+    def moved(j):
+        tx, ty = positions[j].T.tolist()
+        sq = [(ex - px) * (ex - px) + (ey - py) * (ey - py) for ex, ey, px, py in zip(xs, ys, tx, ty)]
+        return tx, ty, np.array(sq)
+
     moves = (*inputs.move_times, math.inf)
     times, errors = [], []
     add_time, add_error = times.append, errors.append
-    inst = mse(positions[0])
+    tx, ty, sq = moved(0)
+    inst = float(reduce(sq) / n)
     j = 0  # moves made so far
     for k, t in enumerate(trial.clock):
         while moves[j] <= t:
             add_time(moves[j])
             add_error(inst)
             j += 1
-            inst = mse(positions[j])
+            tx, ty, sq = moved(j)
+            inst = float(reduce(sq) / n)
         add_time(t)
         add_error(inst)
         fusion = get_fusion(k)
         if fusion is not None:
-            for r, value in fusion:
-                estimates[r] = value
-            inst = mse(positions[j])
+            for r, (ex, ey) in fusion:
+                xs[r], ys[r] = ex, ey
+                dx, dy = ex - tx[r], ey - ty[r]
+                sq[r] = dx * dx + dy * dy
+            inst = float(reduce(sq) / n)
     return accumulate_mse(times, errors)

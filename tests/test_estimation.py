@@ -1,20 +1,20 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scripted_cases import fusion_count
 
-from gathersim.estimation import SMALL_FIELD, EstimatorState, accumulate_mse, fuse
-
-
-def mse(state, positions):
-    return state.mean_squared_error(np.array(positions, dtype=float))
+from gathersim.estimation import EstimatorState, accumulate_mse, fuse
+from gathersim.experiments import assumption1_scenario
+from gathersim.protocol import EventLog, TrialInputs, TrialResult, score_trial
+from gathersim.scenario import Environment
 
 
 def test_two_measurements_average():
-    state = EstimatorState([0], (5.0, 5.0))
+    state = EstimatorState([0])
     fuse(state, [(0, (1.0, 2.0))], 0)
     fuse(state, [(0, (3.0, 6.0))], 0)
     assert state.estimates[0] == (2.0, 4.0)
@@ -22,7 +22,7 @@ def test_two_measurements_average():
 
 
 def test_first_measurement_exact():
-    state = EstimatorState([0], (5.0, 5.0))
+    state = EstimatorState([0])
     fuse(state, [(0, (1.25, -0.5))], 0)
     assert state.estimates[0] == (1.25, -0.5)
     assert fusion_count(state, 0) == 1
@@ -39,7 +39,7 @@ def test_a_state_without_default_point_holds_none_until_measured():
 
 
 def test_epoch_replacement_and_reset():
-    state = EstimatorState([0], (5.0, 5.0))
+    state = EstimatorState([0])
     fuse(state, [(0, (1.0, 1.0))], 0)
     fuse(state, [(0, (2.0, 2.0))], 0)
     fuse(state, [(0, (10.0, 10.0))], 1)
@@ -48,7 +48,7 @@ def test_epoch_replacement_and_reset():
 
 
 def test_stale_epoch_discarded():
-    state = EstimatorState([0], (5.0, 5.0))
+    state = EstimatorState([0])
     fuse(state, [(0, (10.0, 10.0))], 2)
     fuse(state, [(0, (0.0, 0.0))], 1)
     assert state.estimates[0] == (10.0, 10.0)
@@ -61,7 +61,7 @@ def test_fused_variance_shrinks_like_sample_mean():
     m, sigma, reps = 3, 0.5, 100_000
     values = []
     for _ in range(reps):
-        state = EstimatorState([0], (0.0, 0.0))
+        state = EstimatorState([0])
         for j in range(m):
             v = (sigma * rng.standard_normal(), sigma * rng.standard_normal())
             fuse(state, [(0, v)], 0)
@@ -77,12 +77,12 @@ def test_fused_variance_shrinks_like_sample_mean():
        st.integers(0, 1000))
 @settings(max_examples=100)
 def test_order_independence_within_epoch(values, seed):
-    state_a = EstimatorState([0], (0.0, 0.0))
+    state_a = EstimatorState([0])
     for i, v in enumerate(values):
         fuse(state_a, [(0, v)], 0)
     shuffled = list(values)
     random.Random(seed).shuffle(shuffled)
-    state_b = EstimatorState([0], (0.0, 0.0))
+    state_b = EstimatorState([0])
     for i, v in enumerate(shuffled):
         fuse(state_b, [(0, v)], 0)
     ax, ay = state_a.estimates[0]
@@ -91,74 +91,26 @@ def test_order_independence_within_epoch(values, seed):
     assert math.isclose(ay, by, rel_tol=0, abs_tol=1e-12 * max(1.0, abs(ay)))
 
 
-def left_to_right(values):
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
-# squared errors from 1e-12 to 1e12, so small terms can vanish in a large sum
-SQUARE = st.builds(lambda m, e: m * 10.0**e, st.floats(0.0, 10.0), st.integers(-12, 12))
-
-
-@given(st.lists(SQUARE, min_size=1, max_size=SMALL_FIELD - 1))
-@settings(max_examples=300)
-def test_left_to_right_mean_is_numpy_mean_below_cutoff(sq):
-    # the identity the small-field path of mean_squared_error rests on
-    mine = left_to_right(sq) / len(sq)
-    numpy = float(np.add.reduce(np.array(sq)) / len(sq))
-    assert mine.hex() == numpy.hex()
-
-
-def test_numpy_sums_pairwise_from_cutoff():
-    # why SMALL_FIELD cannot be raised: from 8 elements numpy's sum is pairwise
-    sq = [0.1] * SMALL_FIELD
-    assert SMALL_FIELD == 8
-    assert float(np.add.reduce(np.array(sq))) == 0.8
-    assert left_to_right(sq) == 0.7999999999999999
-
-
-COORD = st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-6, 6))
-
-
-@given(st.lists(st.tuples(COORD, COORD, COORD, COORD), min_size=1, max_size=SMALL_FIELD + 2))
-@settings(max_examples=100)
-def test_mean_squared_error_is_numpy_expression_bitwise(rows):
-    # estimates and truth of mixed magnitude, below and from the cutoff
-    state = EstimatorState(range(len(rows)), (0.0, 0.0))
-    for tid, (ex, ey, _, _) in enumerate(rows):
-        fuse(state, [(tid, (ex, ey))], 0)
-    positions = np.array([(px, py) for _, _, px, py in rows])
-    diff = np.array([(ex, ey) for ex, ey, _, _ in rows]) - positions
-    sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
-    assert state.mean_squared_error(positions).hex() == float(np.add.reduce(sq) / len(sq)).hex()
-
-
 def test_integral_zero_for_perfect_estimate():
-    state = EstimatorState([0], (0.0, 0.0))
-    fuse(state, [(0, (7.0, 8.0))], 0)
-    trace = accumulate_mse([5.0], [mse(state, [(7.0, 8.0)])])
+    trace = accumulate_mse([5.0], [0.0])
     assert trace.integral == 0.0
 
 
 def test_integral_known_increment():
-    state = EstimatorState([0], (0.0, 0.0))
-    fuse(state, [(0, (3.0, 4.0))], 0)
-    trace = accumulate_mse([2.0], [mse(state, [(0.0, 0.0)])])
+    trace = accumulate_mse([2.0], [3.0**2 + 4.0**2])
     assert trace.integral == 50.0  # error vector (3,4): 25 per unit time
 
 
 def test_unseen_target_scored_against_default_point():
-    state = EstimatorState([0], (10.0, 10.0))
-    trace = accumulate_mse([1.0], [mse(state, [(13.0, 14.0)])])
+    # the scorer's default point is the environment's centroid, (10, 10) here
+    scenario = replace(assumption1_scenario(2, 1, 1, seed=0), environment=Environment(20.0, 20.0))
+    inputs = TrialInputs((), (0,), (), (), (np.array([[13.0, 14.0]]),), ())
+    trace = score_trial(scenario, inputs, TrialResult(EventLog(), 0, 0, [1.0], {}))
     assert trace.integral == 25.0
 
 
 def test_integral_additivity():
-    state = EstimatorState([0], (0.0, 0.0))
-    fuse(state, [(0, (3.0, 4.0))], 0)
-    inst = mse(state, [(0.0, 0.0)])
+    inst = 3.0**2 + 4.0**2
     one = accumulate_mse([8.0], [inst])
     split = accumulate_mse([3.0, 8.0], [inst, inst])
     assert abs(one.integral - split.integral) < 1e-12
@@ -166,9 +118,8 @@ def test_integral_additivity():
 
 
 def test_negative_dt_rejected():
-    state = EstimatorState([0], (0.0, 0.0))
     with pytest.raises(ValueError):
-        accumulate_mse([-1.0], [mse(state, [(0.0, 0.0)])])
+        accumulate_mse([-1.0], [0.0])
     with pytest.raises(ValueError):
         accumulate_mse([5.0, 3.0], [1.0, 1.0])
 

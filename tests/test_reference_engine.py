@@ -14,7 +14,7 @@ same trace and the same error in force before every handled event and move,
 compared with `==`, on every input the strategies below reach: both
 architectures, backoffs forced in the drawn inputs, packets dropped at the
 next sample, packets that end after it, moves at a sample or a packet's end,
-and fields below and from `SMALL_FIELD` targets up.
+and fields below and from 8 targets up, where numpy's sum turns pairwise.
 On the forced cases, the power.csv that `PowerLedger` reads off the records
 must hold the reference ledger's charges cell by cell. An unobserved run
 must give the same totals, refuse to be scored, and make the same records
@@ -33,7 +33,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scripted_cases import forced_inputs
 
-from gathersim.estimation import SMALL_FIELD, EstimatorState, fuse
+from gathersim.estimation import EstimatorState, fuse
 from gathersim.experiments import assumption1_scenario
 from gathersim.protocol import (
     CENTRAL, EventRecord, PowerLedger, draw_inputs, run_trial, score_trial,
@@ -127,7 +127,7 @@ def reference_trial(scenario, inputs) -> ReferenceResult:
     tids = inputs.target_ids
     positions = inputs.positions[0]
     default_point = scenario.environment.centroid
-    estimator = EstimatorState(tids, default_point)
+    estimator = EstimatorState(tids)
     trace = ReferenceTrace()
     records = []
     fusions = []
@@ -303,10 +303,12 @@ def assert_engine_matches_reference(scenario, inputs, power_csv=False):
 
 
 # (set size, collaborative targets, unique targets per sensor) of every
-# feasible assumption-1 layout with up to 3 of each, by field size
+# feasible assumption-1 layout with up to 3 of each, by field size: from 8
+# elements np.add.reduce sums pairwise, below it adds left to right
 LAYOUTS = [(m, c, u) for m in (2, 3) for c in (1, 2, 3) for u in (0, 1, 2, 3)]
-SMALL = [lay for lay in LAYOUTS if lay[1] + lay[0] * lay[2] < SMALL_FIELD]
-LARGE = [lay for lay in LAYOUTS if lay[1] + lay[0] * lay[2] >= SMALL_FIELD]
+PAIRWISE = 8
+SMALL = [lay for lay in LAYOUTS if lay[1] + lay[0] * lay[2] < PAIRWISE]
+LARGE = [lay for lay in LAYOUTS if lay[1] + lay[0] * lay[2] >= PAIRWISE]
 
 
 def field(layout, sampling, periods, noise_std, move_probability, seed, move_fraction):

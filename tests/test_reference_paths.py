@@ -1,18 +1,18 @@
 """The engine's fast paths against straightforward reference implementations.
 
 Each reference below does the same arithmetic the simple way:
-numpy arrays and `np.mean` for the estimator, one distance test and one
-noise draw per sensor for the sampling step, one distance test per sensor
-for membership, a per-target numpy-scalar loop for target motion, draws
-made in event-time order as the engine once made them inside its loop, and
-a trial on its own cell's draw for one on another cell's. The fast paths must
+numpy arrays for the estimator, an (n, 2) estimates array and numpy's own
+sum for the scorer, one distance test and one noise draw per sensor for the
+sampling step, one distance test per sensor for membership, a per-target
+numpy-scalar loop for target motion, draws made in event-time order as the
+engine once made them inside its loop, and a trial on its own cell's draw
+for one on another cell's. The fast paths must
 give exactly the same floats (compared with `==`, not a tolerance) and leave
 every random generator in the same state, since the golden CSVs and the
 paired-trial streams rest on that.
 """
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +25,7 @@ from gathersim.dynamics import WorldState, initial_world, measure, observed_rows
 from gathersim.estimation import EstimatorState, fuse
 from gathersim.experiments import assumption1_scenario
 from gathersim.geometry import membership
-from gathersim.protocol import draw_inputs, run_trial, score_trial
+from gathersim.protocol import EventLog, TrialInputs, TrialResult, draw_inputs, run_trial, score_trial
 from gathersim.scenario import (
     Architecture,
     CostParams,
@@ -38,16 +38,15 @@ from gathersim.scenario import (
     TargetSpec,
 )
 
-# up to 40 targets, plus one size past numpy's 8- and 128-element pairwise-sum blocks
+# up to 40 targets, plus one large field
 TARGET_COUNTS = st.one_of(st.integers(0, 40), st.just(1000))
 COORD = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 class ReferenceEstimator:
-    """EstimatorState on numpy arrays, scored with np.mean."""
+    """EstimatorState on numpy arrays."""
 
-    def __init__(self, n, default_point):
-        self.default_point = default_point
+    def __init__(self, n):
         self.sums = np.zeros((n, 2))
         self.counts = np.zeros(n, dtype=np.int64)
         self.epochs = np.full(n, -1, dtype=np.int64)
@@ -69,48 +68,83 @@ class ReferenceEstimator:
         c = self.counts[row]
         return (self.sums[row, 0] / c, self.sums[row, 1] / c)
 
-    def mean_squared_error(self, positions):
-        c = np.maximum(self.counts, 1)
-        est = self.sums / c[:, None]
-        est = np.where(self.valid[:, None], est, np.array(self.default_point))
-        diff = est - positions
-        return float(np.mean(diff[:, 0] ** 2 + diff[:, 1] ** 2))
-
-
-def same_float(a, b):
-    return a == b or (math.isnan(a) and math.isnan(b))
-
 
 @given(
     n=TARGET_COUNTS,
-    seed=st.integers(0, 2**32 - 1),
     # (target draw, value, step): steps 0-3 give same-step averaging,
     # replacement by a newer step and stale drops
     ops=st.lists(st.tuples(st.integers(0, 10**6), st.tuples(COORD, COORD), st.integers(0, 3)), max_size=30),
 )
-@example(n=3, seed=0, ops=[(0, (1.0, 2.0), 0), (0, (3.0, 6.0), 0), (0, (0.5, 0.5), 0)])
+@example(n=3, ops=[(0, (1.0, 2.0), 0), (0, (3.0, 6.0), 0), (0, (0.5, 0.5), 0)])
 @settings(max_examples=200)
-def test_estimator_matches_reference(n, seed, ops):
-    rng = np.random.default_rng(seed)
-    positions = rng.uniform(-100.0, 100.0, size=(n, 2))
-    default = (25.0, 25.0)
-    fast = EstimatorState(range(n), default)
-    ref = ReferenceEstimator(n, default)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # no targets: both give nan
-        assert same_float(fast.mean_squared_error(positions), ref.mean_squared_error(positions))
-        for draw, value, step in ops if n else ():
-            row = draw % n
-            fuse(fast, [(row, value)], step)
-            ref.absorb(row, value, step)
-            assert tuple(fast.estimates[row]) == ref.estimate(row)
-            assert fusion_count(fast, row) == ref.counts[row]
-            assert fast.mean_squared_error(positions) == ref.mean_squared_error(positions)
-    # a target never measured has no epoch yet, and is scored at the default point
+def test_estimator_matches_reference(n, ops):
+    fast = EstimatorState(range(n))
+    ref = ReferenceEstimator(n)
+    for draw, value, step in ops if n else ():
+        row = draw % n
+        fuse(fast, [(row, value)], step)
+        ref.absorb(row, value, step)
+        assert tuple(fast.estimates[row]) == ref.estimate(row)
+        assert fusion_count(fast, row) == ref.counts[row]
+    # a target never measured has no epoch and no estimate yet
     for row in range(n):
-        assert (fast._epochs[row] < 0) == (ref.estimate(row) is None)
-        if ref.estimate(row) is None:
-            assert tuple(fast.estimates[row]) == default
+        assert (fast._epochs[row] < 0) == (ref.estimate(row) is None) == (fast.estimates[row] is None)
+
+
+def mixed(rng, shape):
+    """Coordinates of either sign from 1e-6 to 1e7 in size, so small squared
+    errors can vanish in a large sum."""
+    return rng.uniform(-10.0, 10.0, shape) * 10.0 ** rng.integers(-6, 7, shape)
+
+
+@given(
+    # every size up to 40 (left to right below 8, eight accumulators from
+    # there), both sides of the 128-element pairwise split, and a large field
+    n=st.sampled_from([*range(1, 41), 127, 128, 129, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+    events=st.integers(0, 30),
+    moves=st.integers(0, 4),
+)
+@example(n=127, seed=0, events=30, moves=4)
+@example(n=128, seed=1, events=30, moves=4)
+@example(n=129, seed=2, events=30, moves=4)
+@example(n=1000, seed=3, events=30, moves=4)
+@settings(max_examples=150)
+def test_score_trial_is_numpy_mean_of_squared_errors(n, seed, events, moves):
+    # a hand-built trial: fusions of random (row, estimate) pairs at random
+    # events, and moves between events or at an event's own time
+    rng = np.random.default_rng(seed)
+    width, height = rng.uniform(1.0, 10.0, 2) * 10.0 ** rng.integers(-3, 7, 2)
+    horizon = 100.0
+    clock = [*sorted(rng.uniform(0.0, horizon, events).tolist()), horizon]
+    move_times = tuple(sorted(rng.choice([*clock, *rng.uniform(0.0, horizon, moves)], moves).tolist()))
+    positions = tuple(mixed(rng, (n, 2)) for _ in range(moves + 1))
+    fusions = {
+        k: [(r, tuple(mixed(rng, 2).tolist())) for r in rng.choice(n, rng.integers(1, 7)).tolist()]
+        for k in range(events) if rng.random() < 0.6
+    }
+    scenario = replace(assumption1_scenario(2, 1, 1, seed=0), environment=Environment(width, height))
+    inputs = TrialInputs((), tuple(range(n)), (), move_times, positions, ())
+    trace = score_trial(scenario, inputs, TrialResult(EventLog(), 0, 0, clock, fusions))
+
+    estimates = np.full((n, 2), (width / 2.0, height / 2.0))
+
+    def error(j):
+        diff = estimates - positions[j]
+        return float(np.add.reduce(diff[:, 0] ** 2 + diff[:, 1] ** 2) / n)
+
+    want, j, inst = [], 0, error(0)
+    for k, t in enumerate(clock):
+        while j < moves and move_times[j] <= t:
+            want.append((move_times[j], inst.hex()))
+            j += 1
+            inst = error(j)
+        want.append((t, inst.hex()))
+        if k in fusions:
+            for r, value in fusions[k]:
+                estimates[r] = value
+            inst = error(j)
+    assert [(t, e.hex()) for t, e in zip(trace.times, trace.errors)] == want
 
 
 def reference_measurements(positions, sensors, noise_std, rng):
