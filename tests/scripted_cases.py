@@ -18,6 +18,8 @@ from gathersim.scenario import Architecture, CostParams, Scenario
 
 UPLINK_POWER = 2
 DOWNLINK_POWER = 1
+# from this many elements np.add.reduce sums pairwise, below it adds left to right
+PAIRWISE = 8
 
 
 def scripted_scenario(set_size, collab, unique=0, seed=77):

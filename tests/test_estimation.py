@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scripted_cases import fusion_count
+from scripted_cases import PAIRWISE, fusion_count
 
 from gathersim.estimation import EstimatorState, accumulate_mse, fuse
 from gathersim.experiments import assumption1_scenario
@@ -89,6 +89,54 @@ def test_order_independence_within_epoch(values, seed):
     bx, by = state_b.estimates[0]
     assert math.isclose(ax, bx, rel_tol=0, abs_tol=1e-12 * max(1.0, abs(ax)))
     assert math.isclose(ay, by, rel_tol=0, abs_tol=1e-12 * max(1.0, abs(ay)))
+
+
+def left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+# squared errors from 1e-12 to 1e12, so small terms can vanish in a large sum
+SQUARE = st.builds(lambda m, e: m * 10.0**e, st.floats(0.0, 10.0), st.integers(-12, 12))
+
+
+@given(st.lists(SQUARE, min_size=1, max_size=PAIRWISE - 1))
+@settings(max_examples=300)
+def test_left_to_right_mean_is_numpy_mean_below_cutoff(sq):
+    # why the reference engine's layouts below PAIRWISE targets test one order
+    mine = left_to_right(sq) / len(sq)
+    numpy = float(np.add.reduce(np.array(sq)) / len(sq))
+    assert mine.hex() == numpy.hex()
+
+
+def test_numpy_sums_pairwise_from_cutoff():
+    # why the reference engine splits its layouts at PAIRWISE targets: from
+    # 8 elements numpy's sum, and so the scorer's, is pairwise
+    sq = [0.1] * PAIRWISE
+    assert PAIRWISE == 8
+    assert float(np.add.reduce(np.array(sq))) == 0.8
+    assert left_to_right(sq) == 0.7999999999999999
+
+
+COORD = st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-6, 6))
+
+
+@given(st.lists(st.tuples(COORD, COORD, COORD, COORD), min_size=1, max_size=PAIRWISE + 2))
+@settings(max_examples=100)
+def test_mean_squared_error_is_numpy_expression_bitwise(rows):
+    # estimates and truth of mixed magnitude, below and from the cutoff: the
+    # scorer's error once every target is fused at the trial's one event
+    n = len(rows)
+    scenario = replace(assumption1_scenario(2, 1, 1, seed=0), environment=Environment(20.0, 20.0))
+    positions = np.array([(px, py) for _, _, px, py in rows])
+    inputs = TrialInputs((), tuple(range(n)), (), (), (positions,), ())
+    fusions = {0: [(row, (ex, ey)) for row, (ex, ey, _, _) in enumerate(rows)]}
+    trace = score_trial(scenario, inputs, TrialResult(EventLog(), 0, 0, [1.0, 2.0], fusions))
+    diff = np.array([(ex, ey) for ex, ey, _, _ in rows]) - positions
+    want = float(np.add.reduce(diff[:, 0] ** 2 + diff[:, 1] ** 2) / n)
+    assert trace.errors[-1].hex() == want.hex()
 
 
 def test_integral_zero_for_perfect_estimate():

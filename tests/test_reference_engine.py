@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scripted_cases import forced_inputs
+from scripted_cases import PAIRWISE, forced_inputs
 
 from gathersim.estimation import EstimatorState, fuse
 from gathersim.experiments import assumption1_scenario
@@ -306,7 +306,6 @@ def assert_engine_matches_reference(scenario, inputs, power_csv=False):
 # feasible assumption-1 layout with up to 3 of each, by field size: from 8
 # elements np.add.reduce sums pairwise, below it adds left to right
 LAYOUTS = [(m, c, u) for m in (2, 3) for c in (1, 2, 3) for u in (0, 1, 2, 3)]
-PAIRWISE = 8
 SMALL = [lay for lay in LAYOUTS if lay[1] + lay[0] * lay[2] < PAIRWISE]
 LARGE = [lay for lay in LAYOUTS if lay[1] + lay[0] * lay[2] >= PAIRWISE]
 
