@@ -13,7 +13,6 @@ import contextlib
 import gc
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -56,22 +55,24 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _trajectory_lines(inputs):
-    """`time,target_id,x,y` lines of every target before any move and after each.
+def _trajectory_snapshots(inputs):
+    """`time,target_id,x,y` lines of every target before any move and after
+    each, one string (a time stamp before each target's tail) per snapshot.
 
     A target's `,id,x,y` tail is formatted once and again only at a move that
     changed its row. Rows are compared by their bits, so an unchanged tail is
     still the row's repr (0.0 and -0.0 are equal floats with different reprs).
+    `validate` requires a target, so no snapshot is a bare stamp.
     """
     tids, positions = inputs.target_ids, inputs.positions
     tails = [f",{tid},{x!r},{y!r}\n" for tid, (x, y) in zip(tids, positions[0].tolist())]
-    yield from ("0.0" + tail for tail in tails)
+    yield "0.0" + "0.0".join(tails)
     for t, prev, pos in zip(inputs.move_times, positions, positions[1:]):
         moved = np.flatnonzero((pos.view(np.int64) != prev.view(np.int64)).any(axis=1))
         for i, (x, y) in zip(moved.tolist(), pos[moved].tolist()):
             tails[i] = f",{tids[i]},{x!r},{y!r}\n"
         stamp = repr(t)
-        yield from (stamp + tail for tail in tails)
+        yield stamp + stamp.join(tails)
 
 
 @contextlib.contextmanager
@@ -87,6 +88,27 @@ def _gc_paused():
             gc.enable()
 
 
+def _run_trial_to_csv(scenario, inputs, out: Path) -> str:
+    """Run and score the trial, write events.csv, power.csv and mse.csv, and
+    return the summary line. The result, its rows and the trace die on return."""
+    result = run_trial(scenario, inputs, checked=True)
+    trace = score_trial(scenario, inputs, result)
+    costs = scenario.costs
+    result.events.to_csv(out / "events.csv")
+    PowerLedger(result.events, costs, len(scenario.sensors)).to_csv(out / "power.csv")
+    trace_to_csv(trace, out / "mse.csv")
+    rows = result.events.rows
+    total_power = result.uplink * costs.uplink_power + result.downlink * costs.downlink_power
+    return (
+        f"architecture={scenario.architecture.value} "
+        f"total_power_norm={total_power / costs.uplink_power!r} "
+        f"time_avg_mse={trace.integral / scenario.protocol.horizon!r} "
+        f"cancels={sum(r[5] for r in rows if r[1] == 'CANCEL')} "
+        f"drops={sum(r[5] for r in rows if r[1] == 'DROP')} "
+        f"events={len(rows)}"
+    )
+
+
 def cmd_simulate(args) -> int:
     # a large field's YAML nodes and trial rows are tens of thousands of GC-tracked objects
     with _gc_paused():
@@ -95,15 +117,11 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with _gc_paused():
         inputs = draw_inputs(scenario, checked=True)  # load_scenario has validated it
-        result = run_trial(scenario, inputs, checked=True)
-        trace = score_trial(scenario, inputs, result)
-    costs = scenario.costs
-    result.events.to_csv(out / "events.csv")
-    PowerLedger(result.events, costs, len(scenario.sensors)).to_csv(out / "power.csv")
-    trace_to_csv(trace, out / "mse.csv")
+        summary = _run_trial_to_csv(scenario, inputs, out)
+    # the dumps read only inputs and scenario; pausing over them too raised peak RSS
     if args.dump_trajectory:  # every move lies before the horizon
         write_csv(out / "trajectory.csv", "trajectory", "time,target_id,x,y",
-                  _trajectory_lines(inputs))
+                  _trajectory_snapshots(inputs))
     if args.dump_structure:
         structure = geometry.initial_structure(scenario)
         lines = [
@@ -113,17 +131,7 @@ def cmd_simulate(args) -> int:
         lines += [f"unique,{sensor},{structure.unique_counts[sensor]}\n"
                   for sensor in sorted(structure.unique_counts)]
         write_csv(out / "structure.csv", "structure", "kind,members,count", lines)
-    rows = result.events.rows
-    kinds = Counter(r[1] for r in rows)  # the kind of each event
-    total_power = result.uplink * costs.uplink_power + result.downlink * costs.downlink_power
-    print(
-        f"architecture={scenario.architecture.value} "
-        f"total_power_norm={total_power / costs.uplink_power!r} "
-        f"time_avg_mse={trace.integral / scenario.protocol.horizon!r} "
-        f"cancels={kinds['CANCEL']} "
-        f"drops={kinds['DROP']} "
-        f"events={len(rows)}"
-    )
+    print(summary)
     return 0
 
 

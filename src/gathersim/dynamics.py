@@ -75,16 +75,20 @@ def step_targets(state: WorldState, params: DynamicsParams, rng) -> WorldState:
         if u.pop() >= p or step == 0.0:
             continue
         x, y = pos[i]
+        if conf is None:  # one direction, folded back into the environment
+            if not u:
+                u = rng.random(n - i).tolist()[::-1] if i < n - 1 else [rng.random()]
+            theta = u.pop() * 2.0 * math.pi
+            pos[i] = (reflect(x + step * math.cos(theta), env.width),
+                      reflect(y + step * math.sin(theta), env.height))
+            continue
+        (cx, cy), radius = conf
         for _ in range(_MAX_DIRECTION_DRAWS):  # only a confined target redraws
             if not u:
                 u = rng.random(n - i).tolist()[::-1] if i < n - 1 else [rng.random()]
             theta = u.pop() * 2.0 * math.pi
             nx = x + step * math.cos(theta)
             ny = y + step * math.sin(theta)
-            if conf is None:
-                pos[i] = (reflect(nx, env.width), reflect(ny, env.height))
-                break
-            (cx, cy), radius = conf
             if (nx - cx) ** 2 + (ny - cy) ** 2 <= radius * radius:
                 pos[i] = (nx, ny)
                 break

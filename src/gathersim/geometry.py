@@ -126,7 +126,10 @@ def collaborative_sets(scenario: Scenario) -> list[frozenset[int]]:
             wx, wy = lens_middle(*disks)
             i = min(max(round(wx / GRID_STEP - 0.5), i0), i1)
             k = min(max(round(wy / GRID_STEP - 0.5), k0), k1)
-            if inside_all(disks, _cells(i, i), _cells(k, k))[0]:
+            # inside_all at one cell center, on floats: `*`, as float `**` is libm's pow
+            x, y = (i + 0.5) * GRID_STEP, (k + 0.5) * GRID_STEP
+            if all((x - s.center[0]) * (x - s.center[0]) + (y - s.center[1]) * (y - s.center[1])
+                   <= s.radius * s.radius for s in disks):
                 return True
         if inside_all(disks, targets[:, 0], targets[:, 1]).any():
             return True

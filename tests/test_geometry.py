@@ -315,6 +315,35 @@ def test_block_scan_matches_the_dense_grid_reference(monkeypatch):
         assert geometry.collaborative_sets(scn) == reference_sets(scn)
 
 
+def test_pair_cell_test_agrees_with_numpy_on_a_disk_edge(monkeypatch):
+    # disk 0's edge passes through the cell center c in float arithmetic
+    # (d * d == r * r), and disk 1 overlaps it 0.01 deep along the same line,
+    # so c is the lens's only cell. With radius r, the pair's own cell test must
+    # accept c, as the numpy test does, and scan nothing; one ulp smaller, it must
+    # reject c and leave the verdict to the scan, which finds no cell.
+    cells, scans = geometry._cells, []
+    monkeypatch.setattr(geometry, "_cells", lambda a, b: scans.append((a, b)) or cells(a, b))
+    checked = 0
+    for i, k in itertools.product(range(100, 106), repeat=2):
+        cx, cy = (i + 0.5) * geometry.GRID_STEP, (k + 0.5) * geometry.GRID_STEP
+        ax, ay = cx - 1.8, cy - 2.4
+        d2 = (cx - ax) * (cx - ax) + (cy - ay) * (cy - ay)
+        r = math.sqrt(d2)
+        if r * r != d2 or math.nextafter(r, 0.0) ** 2 == d2:
+            continue
+        checked += 1
+        for radius, inside in ((r, True), (math.nextafter(r, 0.0), False)):
+            x, y = np.array([cx]), np.array([cy])
+            assert bool(((x - ax) ** 2 + (y - ay) ** 2 <= radius * radius)[0]) is inside
+            scn = make_scenario([((ax, ay), radius), ((cx + 0.6 * 2.99, cy + 0.8 * 2.99), 3.0)],
+                                [(0.5, 0.5)], size=20.0)
+            scans.clear()
+            sets = geometry.collaborative_sets(scn)
+            assert sets == ([frozenset({0, 1})] if inside else []) == reference_sets(scn)
+            assert (scans == []) is inside
+    assert checked >= 10
+
+
 def test_group_scan_memory_is_bounded():
     # three disks share a region that holds no target, so the triple is
     # scanned; one grid over its 3600 x 3600-cell bounding box took 279 MB

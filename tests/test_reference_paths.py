@@ -4,7 +4,8 @@ Each reference below does the same arithmetic the simple way:
 numpy arrays for the estimator, an (n, 2) estimates array and numpy's own
 sum for the scorer, one distance test and one noise draw per sensor for the
 sampling step, one distance test per sensor for membership, a per-target
-numpy-scalar loop for target motion, draws made in event-time order as the
+numpy-scalar loop for target motion, one trajectory line at a time
+for the trajectory dump, draws made in event-time order as the
 engine once made them inside its loop, and a trial on its own cell's draw
 for one on another cell's. The fast paths must
 give exactly the same floats (compared with `==`, not a tolerance) and leave
@@ -21,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from scripted_cases import fusion_count
 
 from gathersim import geometry
+from gathersim.cli import _trajectory_snapshots
 from gathersim.dynamics import WorldState, initial_world, measure, observed_rows, reflect, step_targets
 from gathersim.estimation import EstimatorState, fuse
 from gathersim.experiments import assumption1_scenario
@@ -299,6 +301,8 @@ def reference_step_targets(state, params, rng):
 @example(n=5, seed=0, move_step=0.0, move_probability=1.0, confined=True)
 # a block runs out between two of a confined target's direction draws, and a later draw is kept
 @example(n=3, seed=0, move_step=3.0, move_probability=1.0, confined=True)
+# a free target's direction draw refills a block of one
+@example(n=1, seed=0, move_step=3.0, move_probability=1.0, confined=False)
 @given(
     n=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
@@ -320,9 +324,54 @@ def test_step_targets_matches_reference(n, seed, move_step, move_probability, co
     for _ in range(3):
         fast = step_targets(state, params, rng_fast)
         ref = reference_step_targets(state, params, rng_ref)
-        assert np.array_equal(fast.positions, ref.positions)
+        assert np.array_equal(fast.positions.view(np.int64), ref.positions.view(np.int64))
         assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
         state = fast
+
+
+def reference_trajectory_lines(inputs):
+    """The trajectory dump one `stamp + tail` line at a time."""
+    tids, positions = inputs.target_ids, inputs.positions
+    tails = [f",{tid},{x!r},{y!r}\n" for tid, (x, y) in zip(tids, positions[0].tolist())]
+    yield from ("0.0" + tail for tail in tails)
+    for t, prev, pos in zip(inputs.move_times, positions, positions[1:]):
+        moved = np.flatnonzero((pos.view(np.int64) != prev.view(np.int64)).any(axis=1))
+        for i, (x, y) in zip(moved.tolist(), pos[moved].tolist()):
+            tails[i] = f",{tids[i]},{x!r},{y!r}\n"
+        stamp = repr(t)
+        yield from (stamp + tail for tail in tails)
+
+
+@st.composite
+def trajectories(draw):
+    """Inputs of 1-6 targets with 0-4 moves, in which a row keeps its bits,
+    flips between 0.0 and -0.0, or takes a new value."""
+    n = draw(st.integers(1, 6))
+    value = st.sampled_from([0.0, -0.0, 1.5, 1e-300]) | COORD
+    rows = [[draw(value), draw(value)] for _ in range(n)]
+    positions = [np.array(rows)]
+    for _ in range(draw(st.integers(0, 4))):
+        change = {"keep": lambda v: v, "flip": lambda v: -v if v == 0.0 else v,
+                  "new": lambda v: draw(value)}
+        rows = [[change[draw(st.sampled_from(sorted(change)))](v) for v in row] for row in rows]
+        positions.append(np.array(rows))
+    times = sorted(draw(st.sets(st.floats(1.0, 1e4), min_size=len(positions) - 1,
+                                max_size=len(positions) - 1)))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    return TrialInputs((), tuple(sorted(ids)), (), tuple(times), tuple(positions), ())
+
+
+# no move at all: the horizon is within one move period
+@example(inputs=TrialInputs((), (0, 1), (), (), (np.array([[0.0, -0.0], [2.5, 3.0]]),), ()))
+# every row flips the sign of its zeros, then stays put
+@example(inputs=TrialInputs((), (3,), (), (10.0, 20.0),
+                            tuple(np.array(r) for r in ([[0.0, -0.0]], [[-0.0, 0.0]], [[-0.0, 0.0]])), ()))
+@given(inputs=trajectories())
+@settings(max_examples=150)
+def test_trajectory_snapshots_join_the_line_by_line_dump(inputs):
+    snapshots = list(_trajectory_snapshots(inputs))
+    assert len(snapshots) == len(inputs.positions)
+    assert "".join(snapshots) == "".join(reference_trajectory_lines(inputs))
 
 
 @st.composite
