@@ -21,9 +21,10 @@ some x only when y exceeds 1/(M-1), the feasibility threshold.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import geometry
 from .scenario import Scenario, ScenarioError, check
@@ -140,10 +141,14 @@ def advantage_poly(params: AdvantageParams) -> float:
     exactly -M at x = 1 for every y.
     """
     check(params)
-    x, m = params.x, params.set_size
+    return _g(params.x, params.y, params.set_size)
+
+
+def _g(x, y, m):
+    """`advantage_poly`'s formula, on parameters its caller has checked."""
     xm = x**m
     base = xm - m * x
-    return params.y * (base + m - 1) + base - 1
+    return y * (base + m - 1) + base - 1
 
 
 def mse_advantage(params: MseAdvantageParams) -> tuple[float, bool]:
@@ -185,21 +190,34 @@ def mse_bounds(
     return gain_lower, loss_upper
 
 
-def raster_region(set_size: int, x_values: Sequence[float], y_values: Sequence[float]) -> list[AdvantagePoint]:
-    """Theoretical verdict over a grid. Delay ratios above 1 clamp to the
-    x = 1 value, which is never advantageous."""
+def check_raster(set_size: int, x_values: Sequence[float], y_values: Sequence[float]) -> None:
+    """Raise ScenarioError unless every point of the (x, y) grid makes a valid
+    `advantage_poly` parameter record. A checked x clamps into [0, 1] and a
+    checked y is positive, so after the lists only the set size is left,
+    checked once under its record field's rule."""
     check(x=list(x_values), y=list(y_values), grid_cells=len(x_values) * len(y_values))
+    check(AdvantageParams(x=0.0, y=1.0, set_size=set_size))
+
+
+def raster_points(set_size: int, x_values: Sequence[float], y_values: Sequence[float],
+                  empirical: Iterable[tuple[Optional[float], Optional[float]]]) -> list[AdvantagePoint]:
+    """The grid's points, x-major, each with its (mean, standard error) from
+    `empirical`, one pair per point in that order; the caller has run
+    `check_raster`. Delay ratios above 1 clamp to the x = 1 value, which is
+    never advantageous."""
+    cells = ((float(x), float(y)) for x in x_values for y in y_values)
     out = []
-    for x in x_values:
-        gx = min(float(x), 1.0)
-        for y in y_values:
-            g = advantage_poly(AdvantageParams(x=gx, y=float(y), set_size=set_size))
-            out.append(
-                AdvantagePoint(
-                    x=float(x), y=float(y), set_size=set_size, g=g, theory_advantage=g > 0,
-                )
-            )
+    for (x, y), (mean, se) in zip(cells, empirical, strict=True):
+        g = _g(min(x, 1.0), y, set_size)
+        out.append(AdvantagePoint(x, y, set_size, g, g > 0, mean, se))
     return out
+
+
+def raster_region(set_size: int, x_values: Sequence[float], y_values: Sequence[float]) -> list[AdvantagePoint]:
+    """Theoretical verdict over a grid, x-major (see `raster_points`)."""
+    check_raster(set_size, x_values, y_values)
+    return raster_points(set_size, x_values, y_values,
+                         itertools.repeat((None, None), len(x_values) * len(y_values)))
 
 
 @dataclass(frozen=True)

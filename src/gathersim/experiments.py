@@ -18,8 +18,10 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import geometry
-from .analytics import AdvantagePoint, raster_region
-from .protocol import TrialInputs, TrialResult, _times, draw_inputs, run_trial, score_trial, write_csv
+from .analytics import AdvantagePoint, check_raster, raster_points
+from .protocol import (
+    DrawLayout, TrialInputs, TrialResult, _times, draw_layout, draw_trial, run_trial, score_trial, write_csv,
+)
 from .scenario import (
     Architecture,
     CostParams,
@@ -85,7 +87,7 @@ def run_paired_trial(fb: Scenario, nf: Scenario, inputs: TrialInputs, nf_run: Tr
     """One trial's FB scenario `fb` run on `inputs`, that trial's one draw,
     paired with `nf_run`, NF scenario `nf`'s run on the same draw (the grid
     may share it between cells). The caller has validated both scenarios and
-    checked that `inputs` suit them (`paired_grid` checks every cell once), so
+    checked that `inputs` suit them (`paired_grid` checks its cells once), so
     the FB run checks neither again.
     An unscored pair computes no error, and its outcome's errors are None;
     its FB run is unobserved, and `nf_run` may be too."""
@@ -151,11 +153,12 @@ def _nf_ignores_backoff(cell: Scenario) -> bool:
                for t, nxt in zip(times, (*times[1:], p.horizon)))
 
 
-def _grid_trial(base: Scenario, fbs, nfs, score: bool, i: int) -> list[PairedOutcome]:
-    """Trial i of every cell, each replaying the trial's one draw: every
-    scenario in `nfs` runs once, and cell k of `fbs` pairs with NF run k, or
-    with the one run when `nfs` holds a single shared scenario."""
-    inputs = draw_inputs(replace(base, seed=trial_seed(base.seed, i)), checked=True)
+def _grid_trial(layout: DrawLayout, seed: int, fbs, nfs, score: bool, i: int) -> list[PairedOutcome]:
+    """Trial i of every cell, each replaying the trial's one draw, from the
+    grid's `layout` at `trial_seed(seed, i)`: every scenario in `nfs` runs
+    once, and cell k of `fbs` pairs with NF run k, or with the one run when
+    `nfs` holds a single shared scenario."""
+    inputs = draw_trial(layout, trial_seed(seed, i))
     nf_runs = [run_trial(nf, inputs, checked=True, observe=score) for nf in nfs]
     n = len(nfs)  # 1 when the cells share NF
     return [run_paired_trial(fb, nfs[k % n], inputs, nf_runs[k % n], score=score)
@@ -172,10 +175,12 @@ def paired_grid(
     (component counts are exact as floats). Trial i is drawn once, from
     the base seed and i, and every cell replays that draw (common random
     numbers), so the outcomes do not depend on the worker count. A task is one
-    trial index; the cells travel with the worker and keep the base seed.
-    Every cell, the trial count and the worker count are checked before any
-    trial runs, and every cell has the base's `input_key` (see `_cells`), so
-    no trial checks its own. With `score=False` no trial is scored or
+    trial index; the cells, which keep the base seed, and the base's
+    `draw_layout`, built once, travel with the worker. Every interval, the
+    trial count and the worker count are checked before any trial runs. The
+    cells differ only in a checked interval, so validating one checks every
+    cell, and every cell has the base's `input_key` (see `_cells`), so no
+    trial checks its own. With `score=False` no trial is scored or
     observed (see `run_trial`), and each cell's `fb_mse` and `nf_mse` are
     None: a caller that reads only power pays only for power.
     If every cell of an unscored grid meets `_nf_ignores_backoff`, NF's counts
@@ -187,11 +192,12 @@ def paired_grid(
         raise ScenarioError("backoff_intervals must be nonempty")
     check(backoff_intervals=list(backoff_intervals), trials=trials, jobs=jobs)
     cells = _cells(base, backoff_intervals)
-    _check_scenarios(cells)
+    _check_scenarios(cells[:1])
     fbs = [replace(cell, architecture=Architecture.FB) for cell in cells]
     shared = not score and all(map(_nf_ignores_backoff, cells))
     nfs = [replace(cell, architecture=Architecture.NF) for cell in (cells[:1] if shared else cells)]
-    per_trial = _run_tasks(list(range(trials)), partial(_grid_trial, base, fbs, nfs, score), jobs)
+    worker = partial(_grid_trial, draw_layout(base, checked=True), base.seed, fbs, nfs, score)
+    per_trial = _run_tasks(list(range(trials)), worker, jobs)
     grid = [PairedOutcome(*np.array(rows, dtype=float).T) for rows in zip(*per_trial)]
     return grid if score else [cell._replace(fb_mse=None, nf_mse=None) for cell in grid]
 
@@ -391,18 +397,18 @@ def region_experiment(
     The trials of each x run on `region_cells`; each cell's power difference
     is recomputed from the same trials' component counts with uplink power y
     and downlink power 1. Cells whose mean difference is within two standard
-    errors of zero should be treated as boundary cells. The theory raster is
-    computed first, so a bad set size or cost ratio fails before any trial.
+    errors of zero should be treated as boundary cells. The theory raster's
+    parameters are checked first, so a bad set size or cost ratio fails
+    before any trial; each point is built once, after the trials.
     """
-    points = raster_region(set_size, x_values, y_values)  # x-major, like the grid
+    check_raster(set_size, x_values, y_values)
     base, backoffs = region_cells(set_size, x_values, seed)
     grid = paired_grid(base, backoffs, trials, jobs, score=False)
-    ys = np.array([p.y for p in points[:len(y_values)]])[:, None]  # one row of differences per y
+    ys = np.array([float(y) for y in y_values])[:, None]  # one row of differences per y
     rows = max(1, geometry.SCAN_CELLS // trials)  # y values per reduction of (y, trial) arrays
     stats = (pair for cell in grid for k in range(0, len(ys), rows)
              for pair in zip(*mean_se(cell.power_difference(ys[k:k + rows], 1.0))))
-    return [replace(p, empirical_mean=mean, empirical_se=se)
-            for p, (mean, se) in zip(points, stats, strict=True)]
+    return raster_points(set_size, x_values, y_values, stats)  # x-major, like the grid
 
 
 def region_agreement(points: Sequence[AdvantagePoint]) -> tuple[float, int, int]:

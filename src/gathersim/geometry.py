@@ -23,7 +23,7 @@ MembershipMap = dict[int, frozenset[int]]
 # Spacing of the grid whose cell centers decide whether sensor disks share a region.
 GRID_STEP = 0.05
 # Grid cells tested at once, so a group's scan holds a few arrays of this size;
-# `protocol.draw_inputs` bounds its (sensor, target) pairs per pass by it too,
+# `protocol.draw_trial` bounds its (sensor, target) pairs per pass by it too,
 # and `experiments.region_experiment` its (y, trial) differences per reduction.
 SCAN_CELLS = 2**16
 # Most collaborative sets allowed: with co-located sensors every group is one.

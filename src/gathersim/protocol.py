@@ -33,9 +33,9 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import geometry
-from .dynamics import initial_world, measure, observed_rows, step_targets
+from .dynamics import WorldState, initial_world, measure, observed_rows, step_targets
 from .estimation import EstimatorState, EstimatorTrace, accumulate_mse, fuse
-from .scenario import Architecture, CostParams, Scenario, ScenarioError, check, validate
+from .scenario import Architecture, CostParams, DynamicsParams, Scenario, ScenarioError, check, validate
 
 CENTRAL = -1  # sensor id used for central-unit rows in logs
 
@@ -139,7 +139,7 @@ class TrialResult(NamedTuple):
 
 
 class TrialInputs(NamedTuple):
-    """One trial's random inputs, drawn by `draw_inputs` and replayed by `run_trial`.
+    """One trial's random inputs, drawn by `draw_trial` and replayed by `run_trial`.
 
     `steps[k]` is sampling step k's (observations, collaborative ids,
     observed-target count, backoff uniforms by sensor id before scaling by
@@ -157,54 +157,84 @@ class TrialInputs(NamedTuple):
 
 def input_key(scenario: Scenario) -> tuple:
     """Every field the draws depend on, so scenarios with equal keys draw equal
-    inputs; backoff interval, delays, threshold, costs and architecture do not."""
+    inputs; backoff interval, delays, threshold, costs and architecture do not.
+    The seed comes last: a `DrawLayout` keys the rest."""
     p = scenario.protocol
     return (scenario.environment, scenario.sensors, scenario.targets, scenario.dynamics,
             p.sampling_period, p.horizon, p.noise_std, scenario.seed)
 
 
 def _times(period: float, first: int, horizon: float) -> tuple[float, ...]:
-    """first*period, (first+1)*period, ... while short of the horizon."""
+    """first*period, (first+1)*period, ... while short of the horizon by more
+    than 4 ulps of it, so a multiple that rounding puts just below the horizon
+    counts as the horizon at every horizon size."""
+    end = horizon - 4 * math.ulp(horizon)
     multiples = (k * period for k in itertools.count(first))
-    return tuple(itertools.takewhile(lambda t: t < horizon - 1e-12, multiples))
+    return tuple(itertools.takewhile(end.__gt__, multiples))
 
 
-def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
-    """Draw target motion, observations, noise and backoff uniforms from three
-    seeded streams, each consumed in the order the README states. Raises
-    ScenarioError for an invalid scenario unless the caller has `checked` it.
+class DrawLayout(NamedTuple):
+    """What every trial drawn for one scenario shares, whatever its seed:
+    built once by `draw_layout`, drawn from by `draw_trial`."""
+
+    key: tuple  # input_key of the scenario without its seed
+    world: WorldState  # the targets before any move (its positions are read-only)
+    dynamics: DynamicsParams
+    noise_std: float
+    sample_times: tuple[float, ...]
+    move_times: tuple[float, ...]
+    moves_before: tuple[int, ...]  # moves made by each sample time: a move at t comes first
+    centers: np.ndarray  # row i holds sensor id i's center
+    radii: np.ndarray
+
+
+def draw_layout(scenario: Scenario, *, checked: bool = False) -> DrawLayout:
+    """The layout `scenario`'s trials draw from at any seed. Raises
+    ScenarioError for an invalid scenario unless the caller has `checked` it."""
+    violations = [] if checked else validate(scenario)
+    if violations:
+        raise ScenarioError("; ".join(violations))
+    proto = scenario.protocol
+    sample_times = _times(proto.sampling_period, 0, proto.horizon)
+    move_times = _times(scenario.dynamics.move_period, 1, proto.horizon)
+    world = initial_world(scenario)
+    world.positions.flags.writeable = False  # every trial's inputs hold this array
+    # validated ids are 0..n-1, so row i holds sensor i
+    specs = sorted(scenario.sensors, key=lambda s: s.id)
+    return DrawLayout(
+        input_key(scenario)[:-1], world, scenario.dynamics, proto.noise_std,
+        sample_times, move_times, tuple(bisect.bisect_right(move_times, t) for t in sample_times),
+        np.array([s.center for s in specs], dtype=float), np.array([s.radius for s in specs], dtype=float),
+    )
+
+
+def draw_trial(layout: DrawLayout, seed: int) -> TrialInputs:
+    """Draw target motion, observations, noise and backoff uniforms at `seed`
+    from three seeded streams, each consumed in the order the README states:
+    the inputs of `layout`'s scenario at that seed.
 
     Backoff uniforms come in one draw per trial. Observations and their
     noise come in one pass per group of whole steps holding at most
     `geometry.SCAN_CELLS` (sensor, target) pairs, so a small field's trial
     takes one pass. Either way each stream yields what one draw per step
     would."""
-    violations = [] if checked else validate(scenario)
-    if violations:
-        raise ScenarioError("; ".join(violations))
-    proto = scenario.protocol
-    entropy = scenario.seed & 0xFFFFFFFFFFFFFFFF
+    entropy = seed & 0xFFFFFFFFFFFFFFFF
     # SeedSequence(entropy).spawn(3) and np.random.default_rng, without their call overhead
     motion_rng, noise_rng, backoff_rng = (
         np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(k,))))
         for k in range(3)
     )
-    sample_times = _times(proto.sampling_period, 0, proto.horizon)
-    move_times = _times(scenario.dynamics.move_period, 1, proto.horizon)
-    world = initial_world(scenario)
+    world = layout.world
     positions = [world.positions]
-    for _ in move_times:
-        world = step_targets(world, scenario.dynamics, motion_rng)
+    for _ in layout.move_times:
+        world = step_targets(world, layout.dynamics, motion_rng)
         positions.append(world.positions)
-    # validated ids are 0..n-1, so row i holds sensor i
-    specs = sorted(scenario.sensors, key=lambda s: s.id)
-    centers = np.array([s.center for s in specs], dtype=float)
-    radii = np.array([s.radius for s in specs], dtype=float)
+    centers, radii = layout.centers, layout.radii
     tids = world.target_ids
     n = len(tids)
-    at = [positions[bisect.bisect_right(move_times, t)] for t in sample_times]  # a move at t comes first
-    uniforms = backoff_rng.random((len(at), len(specs))).tolist()
-    per_pass = max(1, geometry.SCAN_CELLS // max(1, len(specs) * n))
+    at = [positions[m] for m in layout.moves_before]
+    uniforms = backoff_rng.random((len(at), len(centers))).tolist()
+    per_pass = max(1, geometry.SCAN_CELLS // max(1, len(centers) * n))
     steps = []
     for k in range(0, len(at), per_pass):
         group = at[k:k + per_pass]
@@ -212,7 +242,7 @@ def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
         # (step in group, sensor index, target row), ordered by step, sensor, then row
         st, owners, r = observed_rows(group, centers, radii)
         rows = st * n + r
-        xs, ys = measure(group.reshape(-1, 2), rows, proto.noise_std, noise_rng).T.tolist()
+        xs, ys = measure(group.reshape(-1, 2), rows, layout.noise_std, noise_rng).T.tolist()
         # columns, not one tuple per observation: fewer objects for the cyclic GC to track
         sensors, targets = tuple(owners.tolist()), tuple([tids[i] for i in r.tolist()])
         counts = np.bincount(rows, minlength=len(group) * n).tolist()
@@ -227,8 +257,15 @@ def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
                 tuple(uniforms[k + j]),
             ))
     return TrialInputs(
-        input_key(scenario), tids, sample_times, move_times, tuple(positions), tuple(steps)
+        (*layout.key, seed), tids, layout.sample_times, layout.move_times, tuple(positions), tuple(steps)
     )
+
+
+def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
+    """`scenario`'s trial inputs: `draw_trial` from its `draw_layout` at its
+    seed. Raises ScenarioError for an invalid scenario unless the caller has
+    `checked` it."""
+    return draw_trial(draw_layout(scenario, checked=checked), scenario.seed)
 
 
 def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
@@ -256,12 +293,13 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
     horizon = proto.horizon
     interval = proto.backoff_interval
     uplink_delay, downlink_delay = proto.uplink_delay, proto.downlink_delay
-    steps = inputs.steps
+    steps, sample_times = inputs.steps, inputs.sample_times
     hypot = math.hypot
-    log = EventLog()
-    record = log.rows.append
-    clock, fusions = [], {}  # see TrialResult
-    tick = clock.append
+    if observe:
+        log = EventLog()
+        record = log.rows.append
+        clock, fusions = [], {}  # see TrialResult
+        tick = clock.append
     fuses = fb or observe
     if fuses:
         estimator = EstimatorState(inputs.target_ids)
@@ -276,21 +314,25 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
     pending: dict[int, dict[int, tuple[float, float]]] = {}
     start_time = [0.0] * len(scenario.sensors)
     step = -1  # the current sampling step
-    n_steps = len(inputs.sample_times)
+    n_steps = len(sample_times)
     uplink = downlink = 0  # components sent and fed back
 
-    # entries (time, order code, sensor id, seq, payload): seq is unique, so
-    # the first four fields decide the pop order and payloads never compare
-    heap: list[tuple] = [(t, _SAMPLE, 0, k, k) for k, t in enumerate(inputs.sample_times)]
-    heap.append((horizon, _HORIZON, 0, n_steps, None))
-    heapq.heapify(heap)
-    seq = len(heap)
+    # entries (time, order code, sensor id, seq, payload): seq is unique and
+    # grows with each push, so the first four fields decide the pop order and
+    # payloads never compare. The queue holds only the next SAMPLE, which each
+    # SAMPLE pushes; no other entry has its order code, so none ties with it,
+    # and the pop order is the one of queueing every SAMPLE up front.
+    heap: list[tuple] = [(horizon, _HORIZON, 0, 0, None)]
     push, pop = heapq.heappush, heapq.heappop
+    if n_steps:
+        push(heap, (sample_times[0], _SAMPLE, 0, 1, 0))
+    seq = 2
 
     def drop_pending(t: float, step: int) -> None:
-        for i, comps in pending.items():
-            if comps and observe:
-                record((t, "DROP", step, i, tuple(comps), len(comps), None))
+        if observe:
+            for i, comps in pending.items():
+                if comps:
+                    record((t, "DROP", step, i, tuple(comps), len(comps), None))
         pending.clear()
 
     collab: frozenset[int] = frozenset()  # collaborative targets of the current step
@@ -302,6 +344,9 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
             if pending:
                 drop_pending(t, step)  # stale unstarted transmissions are superseded by this step
             step = payload
+            if step + 1 < n_steps:
+                push(heap, (sample_times[step + 1], _SAMPLE, 0, seq, step + 1))
+                seq += 1
             observations, collab_ids, observed, uniforms = steps[step]
             if fb:
                 collab = frozenset(collab_ids)
@@ -383,7 +428,8 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
     if pending:
         drop_pending(horizon, step)
     if not observe:  # the same trial, observed, makes the log on first read
-        log, clock, fusions = EventLog(partial(run_trial, scenario, inputs, checked=True)), None, None
+        return TrialResult(EventLog(partial(run_trial, scenario, inputs, checked=True)),
+                           uplink, downlink, None, None)
     return TrialResult(log, uplink, downlink, clock, fusions)
 
 

@@ -224,17 +224,18 @@ def test_sweep_spec_validation(setting1_path):
         run_sweep(scn, (1.0,), (1.0,), 0)
 
 
-def test_run_sweep_validates_each_backoff_and_each_cost_once(monkeypatch):
+def test_run_sweep_validates_one_cell_and_each_cost_once(monkeypatch):
     checks = []
     validate = experiments.validate
     monkeypatch.setattr(experiments, "validate", lambda s: checks.append(s) or validate(s))
     backoffs = tuple(float(b) for b in range(5, 60, 5))  # 11, some above the sampling period
     costs = (1.0, 2.0, 3.0, 4.0)
     rows = run_sweep(GRID_BASE, backoffs, costs, 1)
-    assert len(checks) == len(backoffs) + len(costs) == 15
+    assert len(checks) == len(costs) + 1 == 5
     assert len(rows) == 2 * len(backoffs) * len(costs)
-    assert {s.costs.uplink_power for s in checks} == set(costs)
-    assert {s.protocol.backoff_interval for s in checks} == set(backoffs)  # base's 30.0 among them
+    assert [s.costs.uplink_power for s in checks] == [*costs, GRID_BASE.costs.uplink_power]
+    # each cost on the base (interval 30.0), then the grid's first cell
+    assert [s.protocol.backoff_interval for s in checks] == [30.0] * len(costs) + [backoffs[0]]
 
 
 def test_run_sweep_rejects_an_invalid_cost_and_backoff():
@@ -306,18 +307,22 @@ def test_paired_grid_matches_per_cell_trials(jobs):
     assert [list(zip(*cell)) for cell in grid] == reference_paired_grid(GRID_BASE, GRID_BACKOFFS, 5)
 
 
-def test_paired_grid_draws_once_per_trial_and_validates_each_cell_once(monkeypatch):
-    draws, checks, runs = [], [], []
-    draw = experiments.draw_inputs
+def test_paired_grid_draws_once_per_trial_and_validates_one_cell(monkeypatch):
+    layouts, draws, checks, runs = [], [], [], []
+    layout_of, draw = experiments.draw_layout, experiments.draw_trial
     validate = experiments.validate
-    monkeypatch.setattr(experiments, "draw_inputs",
-                        lambda s, **kw: draws.append(s) or draw(s, **kw))
+    monkeypatch.setattr(experiments, "draw_layout",
+                        lambda s, **kw: layouts.append(s) or layout_of(s, **kw))
+    monkeypatch.setattr(experiments, "draw_trial",
+                        lambda layout, seed: draws.append(seed) or draw(layout, seed))
     monkeypatch.setattr(experiments, "validate", lambda s: checks.append(s) or validate(s))
     monkeypatch.setattr(experiments, "run_trial",
                         lambda s, inputs, **kw: runs.append(s) or run_trial(s, inputs, **kw))
     experiments.paired_grid(GRID_BASE, GRID_BACKOFFS, 3, 1)
-    assert [s.seed for s in draws] == [trial_seed(GRID_BASE.seed, i) for i in range(3)]
-    assert [s.protocol.backoff_interval for s in checks] == list(GRID_BACKOFFS)
+    assert layouts == [GRID_BASE]  # one layout per grid, from the base
+    assert draws == [trial_seed(GRID_BASE.seed, i) for i in range(3)]
+    # the cells differ only in their checked intervals, so one stands for all
+    assert [s.protocol.backoff_interval for s in checks] == [GRID_BACKOFFS[0]]
     # the trials replay each draw on the cells as built, with the base seed
     assert len(runs) == 3 * 2 * len(GRID_BACKOFFS)
     assert {s.seed for s in runs} == {GRID_BASE.seed}
@@ -398,8 +403,9 @@ def test_a_cell_inside_the_real_bound_but_past_it_in_float_does_not_share_nf():
     # the largest uniform below 1 starts after sample 41 (299.3) starts at
     # 306.0 and ends at 306.6, after sample 42 (306.59999999999997); the
     # horizon lies past sample 42 plus that sum, as the real-number rule
-    # also asked, and short of a sample 43 by `_times`' 1e-12
-    tb, u, horizon = 6.699999999999995, 1 - 2**-53, 43 * 7.3 + 5e-13
+    # also asked, and 2 ulps past 43 * 7.3, within the 4 ulps by which
+    # `_times` must fall short of the horizon, so there is no sample 43
+    tb, u, horizon = 6.699999999999995, 1 - 2**-53, 43 * 7.3 + 2 * math.ulp(43 * 7.3)
     base = assumption1_scenario(2, 2, 0, backoff_interval=tb, sampling_period=7.3, horizon=horizon, seed=3)
     cell = replace(base, architecture=Architecture.NF, protocol=replace(
         base.protocol, uplink_delay=0.3, trigger_threshold=1e-9))  # every component triggers
@@ -435,8 +441,21 @@ def test_nf_uplink_is_equal_across_cells_that_meet_the_bound(
 
 
 def test_paired_grid_rejects_an_invalid_cell():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match=r"^backoff_intervals\[1\]: must be > 0 \(got -1.0\)$"):
         experiments.paired_grid(GRID_BASE, (4.0, -1.0, 55.0), 1, 1)
+
+
+def test_validating_one_cell_gives_the_message_of_every_cell():
+    # violations outside the interval, over intervals on both sides of the
+    # sampling period: the message is the de-duplicated union over the cells
+    bad = replace(GRID_BASE, seed=2.5, dynamics=replace(GRID_BASE.dynamics, move_step=-1.0),
+                  targets=(replace(GRID_BASE.targets[0], position=(80.0, 5.0)), *GRID_BASE.targets[1:]))
+    backoffs = (4.0, 25.0, 55.0, 4.0)
+    union = dict.fromkeys(v for cell in experiments._cells(bad, backoffs) for v in experiments.validate(cell))
+    assert len(union) == 3
+    with pytest.raises(ScenarioError) as raised:
+        experiments.paired_grid(bad, backoffs, 2, 1)
+    assert str(raised.value) == "; ".join(union)
 
 
 @pytest.mark.parametrize("backoffs, trials, jobs, message", [
@@ -446,7 +465,8 @@ def test_paired_grid_rejects_an_invalid_cell():
     (GRID_BACKOFFS, MAX_TRIALS + 1, 1, r"trials: must be an integer within \[1, 1000000\]"),
 ])
 def test_paired_grid_rejects_a_bad_grid_before_any_trial(monkeypatch, backoffs, trials, jobs, message):
-    monkeypatch.setattr(experiments, "draw_inputs", None)  # a drawn trial would fail here
+    monkeypatch.setattr(experiments, "draw_layout", None)  # a drawn trial would fail here
+    monkeypatch.setattr(experiments, "draw_trial", None)
     with pytest.raises(ScenarioError, match=message):
         experiments.paired_grid(GRID_BASE, backoffs, trials, jobs)
 

@@ -46,14 +46,25 @@ CASES = {
         ]
         for m in (2, 3)
     },
+    # the pool's workers carry the grid's draw layout: the same bytes as one process
+    **{
+        f"region_setsize{m}_jobs2": [
+            "region", "--setsize", m, "--x-grid", "0.05:0.95:3", "--y-grid", "0.25:10:3",
+            "--trials", 5, "--jobs", 2,
+        ]
+        for m in (2, 3)
+    },
 }
+# cases checked against another case's golden directory
+GOLDEN_OF = {f"region_setsize{m}_jobs2": f"region_setsize{m}" for m in (2, 3)}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden(case, tmp_path):
     out = tmp_path / case
     assert main([str(a) for a in CASES[case]] + ["--out", str(out)]) == 0
-    expected = sorted(p.name for p in (GOLDEN / case).iterdir())
+    golden = GOLDEN / GOLDEN_OF.get(case, case)
+    expected = sorted(p.name for p in golden.iterdir())
     assert expected, f"no golden files for {case}"
     for name in expected:
-        assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), f"{case}/{name}"
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), f"{case}/{name}"

@@ -5,6 +5,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +23,7 @@ from scripted_cases import (
 from gathersim import geometry, protocol
 from gathersim.analytics import power_diff
 from gathersim.experiments import assumption1_scenario, trial_seed
-from gathersim.protocol import PowerLedger, draw_inputs, run_trial, score_trial
+from gathersim.protocol import PowerLedger, _times, draw_inputs, run_trial, score_trial
 from gathersim.scenario import (
     Architecture,
     CostParams,
@@ -354,6 +355,24 @@ def test_drop_when_backoff_crosses_next_sample():
     assert not [r for r in step0 if r.kind == "TX_START"]
     # the superseding step transmits normally
     assert any(r.kind == "TX_START" and r.step == 1 for r in res.events.records)
+
+
+def test_sample_and_move_times_stop_short_of_the_horizon_at_every_size():
+    # d * (H / d) may round a few ulps below H; with an absolute tolerance
+    # of 1e-12, which falls below one ulp once H reaches 2e4, that multiple
+    # became a sample or move at the horizon
+    missed = [(horizon, d) for horizon in np.geomspace(1e-3, 7e9, 65).tolist() for d in range(1, 300)
+              if len(_times(horizon / d, 0, horizon)) != d or len(_times(horizon / d, 1, horizon)) != d - 1]
+    assert missed == []
+
+
+def test_a_large_horizon_is_no_sampling_instant():
+    # the 12th multiple of 1e5 / 11 is 99999.99999999999: it was sampled, and
+    # its two packets dropped at the horizon
+    scn = assumption1_scenario(2, 3, 0, sampling_period=1e5 / 11, horizon=1e5)
+    inputs = draw_inputs(scn)
+    assert (len(inputs.sample_times), len(inputs.move_times)) == (11, 10)
+    assert not [r for r in run_trial(scn, inputs).events.records if r.kind == "DROP"]
 
 
 def test_invalid_scenario_rejected():

@@ -27,7 +27,9 @@ from gathersim.dynamics import WorldState, initial_world, measure, observed_rows
 from gathersim.estimation import EstimatorState, fuse
 from gathersim.experiments import assumption1_scenario
 from gathersim.geometry import membership
-from gathersim.protocol import EventLog, TrialInputs, TrialResult, draw_inputs, run_trial, score_trial
+from gathersim.protocol import (
+    EventLog, TrialInputs, TrialResult, draw_inputs, draw_layout, draw_trial, input_key, run_trial, score_trial,
+)
 from gathersim.scenario import (
     Architecture,
     CostParams,
@@ -403,12 +405,13 @@ def reference_draws(scenario):
     motion_rng, noise_rng, backoff_rng = (np.random.default_rng(s) for s in base.spawn(3))
     proto = scenario.protocol
     events = []
+    end = proto.horizon - 4 * math.ulp(proto.horizon)  # instants this close to the horizon are not drawn
     k = 0
-    while k * proto.sampling_period < proto.horizon - 1e-12:
+    while k * proto.sampling_period < end:
         events.append((k * proto.sampling_period, 1))
         k += 1
     m = 1
-    while m * scenario.dynamics.move_period < proto.horizon - 1e-12:
+    while m * scenario.dynamics.move_period < end:
         events.append((m * scenario.dynamics.move_period, 0))
         m += 1
     world = initial_world(scenario)
@@ -480,6 +483,44 @@ def test_observation_passes_of_grouped_steps_match_in_loop_order(scenario, steps
         patch.setattr(geometry, "SCAN_CELLS", steps_per_pass * pairs)
         inputs = draw_inputs(scenario, checked=True)
     assert_draws_match_reference(scenario, inputs)
+
+
+@st.composite
+def grid_bases(draw):
+    """`layouts()` with some targets confined (to disks narrower or wider
+    than a move step), or assumption-1 layouts, whose targets all are; over
+    one or three sampling steps, with moves before, at or after the samples,
+    or no move."""
+    scn = draw(layouts() | replay_scenarios())
+    if not any(t.confined for t in scn.targets):
+        radii = st.sampled_from([None, 0.5, 4.0])  # below the move step of 1: no direction stays inside
+        scn = replace(scn, targets=tuple(
+            t if r is None else replace(t, confine_center=t.position, confine_radius=r)
+            for t, r in ((t, draw(radii)) for t in scn.targets)))
+    period = scn.protocol.sampling_period
+    horizon = period * draw(st.sampled_from([0.5, 1.0, 2.5]))
+    move_period = period * draw(st.sampled_from([0.4, 1.0, 3.0]))
+    return replace(scn, protocol=replace(scn.protocol, horizon=horizon),
+                   dynamics=replace(scn.dynamics, move_period=move_period))
+
+
+@given(base=grid_bases(), seeds=st.lists(st.integers(-2**63, 2**64 - 1), min_size=1, max_size=3))
+@settings(max_examples=60)
+def test_a_trial_drawn_from_a_shared_layout_is_its_own_draw(base, seeds):
+    # a grid builds one layout and draws every trial from it at the trial's
+    # seed; that trial must be the scenario's own draw at that seed, field
+    # by field, its key included
+    layout = draw_layout(base, checked=True)
+    assert len(layout.sample_times) in (1, 3)
+    for seed in seeds:
+        got, want = draw_trial(layout, seed), draw_inputs(replace(base, seed=seed), checked=True)
+        assert got.key == want.key == input_key(replace(base, seed=seed))
+        assert (got.target_ids, got.sample_times, got.move_times) == (
+            want.target_ids, want.sample_times, want.move_times)
+        assert len(got.positions) == len(want.positions) == len(got.move_times) + 1
+        for mine, theirs in zip(got.positions, want.positions):
+            assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
+        assert got.steps == want.steps
 
 
 def run_observed(scenario, inputs):
