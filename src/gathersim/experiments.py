@@ -13,14 +13,14 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import geometry
 from .analytics import AdvantagePoint, check_raster, raster_points
 from .protocol import (
-    DrawLayout, TrialInputs, TrialResult, _times, draw_layout, draw_trial, run_trial, score_trial, write_csv,
+    DrawLayout, TrialInputs, TrialResult, draw_layout, draw_trial, run_trial, score_trial, write_csv,
 )
 from .scenario import (
     Architecture,
@@ -132,23 +132,15 @@ def _cells(base: Scenario, backoff_intervals: Sequence[float]) -> list[Scenario]
             for tb in backoff_intervals]
 
 
-def _check_scenarios(scenarios: Iterable[Scenario]) -> None:
-    """Raise ScenarioError with every distinct violation of `scenarios`, in order."""
-    violations = dict.fromkeys(v for s in scenarios for v in validate(s))
-    if violations:
-        raise ScenarioError("; ".join(violations))
-
-
-def _nf_ignores_backoff(cell: Scenario) -> bool:
+def _nf_ignores_backoff(cell: Scenario, times: Sequence[float]) -> bool:
     """Whether no backoff up to `cell`'s interval can change NF's counts: after
-    every sample, a packet of every target at the full interval starts before
-    the next sample (the horizon after the last) and ends no later, summed in
-    the engine's order. Rounding is monotone, so no shorter backoff or packet
-    ends later. Then no packet is dropped and each ends by the next sample,
-    where its TX_END sorts first."""
+    every sample at `times` (its layout's `sample_times`), a packet of every
+    target at the full interval starts before the next sample (the horizon
+    after the last) and ends no later, summed in the engine's order. Rounding
+    is monotone, so no shorter backoff or packet ends later. Then no packet is
+    dropped and each ends by the next sample, where its TX_END sorts first."""
     p = cell.protocol
     longest = len(cell.targets) * p.uplink_delay
-    times = _times(p.sampling_period, 0, p.horizon)
     return all(t + p.backoff_interval < nxt and (t + p.backoff_interval) + longest <= nxt
                for t, nxt in zip(times, (*times[1:], p.horizon)))
 
@@ -192,11 +184,14 @@ def paired_grid(
         raise ScenarioError("backoff_intervals must be nonempty")
     check(backoff_intervals=list(backoff_intervals), trials=trials, jobs=jobs)
     cells = _cells(base, backoff_intervals)
-    _check_scenarios(cells[:1])
+    violations = validate(cells[0])
+    if violations:
+        raise ScenarioError("; ".join(violations))
+    layout = draw_layout(base, checked=True)
     fbs = [replace(cell, architecture=Architecture.FB) for cell in cells]
-    shared = not score and all(map(_nf_ignores_backoff, cells))
+    shared = not score and all(_nf_ignores_backoff(cell, layout.sample_times) for cell in cells)
     nfs = [replace(cell, architecture=Architecture.NF) for cell in (cells[:1] if shared else cells)]
-    worker = partial(_grid_trial, draw_layout(base, checked=True), base.seed, fbs, nfs, score)
+    worker = partial(_grid_trial, layout, base.seed, fbs, nfs, score)
     per_trial = _run_tasks(list(range(trials)), worker, jobs)
     grid = [PairedOutcome(*np.array(rows, dtype=float).T) for rows in zip(*per_trial)]
     return grid if score else [cell._replace(fb_mse=None, nf_mse=None) for cell in grid]
@@ -207,14 +202,15 @@ def run_sweep(base: Scenario, backoff_intervals: Sequence[float], uplink_powers:
     """Run paired trials of `base` over every (backoff interval, uplink cost)
     and aggregate power and error.
 
-    Each uplink cost is validated once here, and `paired_grid` checks the
-    rest. Power is reported normalized by the uplink cost. Results are
-    aggregated in (backoff, trial) order, so they are independent of worker
-    count.
+    The uplink costs are checked here, under `validate`'s rule for
+    `CostParams.uplink_power`, and `paired_grid` validates the base once and
+    checks the rest, all before any trial. Power is reported normalized by the
+    uplink cost. Results are aggregated in (backoff, trial) order, so they are
+    independent of worker count.
     """
     if not uplink_powers:
         raise ScenarioError("uplink_powers must be nonempty")
-    _check_scenarios(replace(base, costs=replace(base.costs, uplink_power=up)) for up in uplink_powers)
+    check(uplink_powers=list(uplink_powers))
     grid = paired_grid(base, backoff_intervals, trials, jobs)
 
     down = base.costs.downlink_power

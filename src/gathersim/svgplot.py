@@ -17,24 +17,26 @@ TICKS = 5  # per axis
 MARGIN = 55  # around the plot rectangle
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    step = (hi - lo) / (TICKS - 1)
-    return [lo + i * step for i in range(TICKS)]
+class _Plot:
+    """An SVG canvas whose plot rectangle, inset by MARGIN, spans the data
+    ranges of `xs` and `ys`; a range of one value is widened by 1."""
 
-
-class SvgCanvas:
-    def __init__(self, width: int, height: int):
+    def __init__(self, width: int, height: int, xs: Sequence[float], ys: Sequence[float]):
         self.width = width
         self.height = height
         self.parts: list[str] = []
+        self.x0, self.x1 = min(xs), max(xs)
+        self.y0, self.y1 = min(ys), max(ys)
+        if self.x1 <= self.x0:
+            self.x1 = self.x0 + 1.0
+        if self.y1 <= self.y0:
+            self.y1 = self.y0 + 1.0
 
-    def rect(self, x, y, w, h, fill="none", opacity=1.0):
-        self.parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'fill="{fill}" stroke="none" fill-opacity="{opacity}"/>'
-        )
+    def px(self, x: float) -> float:
+        return MARGIN + (x - self.x0) / (self.x1 - self.x0) * (self.width - 2 * MARGIN)
+
+    def py(self, y: float) -> float:
+        return self.height - MARGIN - (y - self.y0) / (self.y1 - self.y0) * (self.height - 2 * MARGIN)
 
     def line(self, x1, y1, x2, y2, stroke="black", width=1.0):
         self.parts.append(
@@ -42,25 +44,36 @@ class SvgCanvas:
             f'stroke="{stroke}" stroke-width="{width}"/>'
         )
 
-    def circle(self, cx, cy, r, fill="black", stroke="none"):
+    def circle(self, cx, cy, r, fill, stroke="none"):
         self.parts.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{fill}" stroke="{stroke}"/>'
         )
 
-    def polyline(self, pts, stroke="black"):
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-        self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="1.5"/>'
-        )
-
     def text(self, x, y, s, size=12, anchor="start", rotate: Optional[float] = None):
-        extra = ""
-        if rotate is not None:
-            extra = f' transform="rotate({_fmt(rotate)} {_fmt(x)} {_fmt(y)})"'
+        extra = "" if rotate is None else f' transform="rotate({_fmt(rotate)} {_fmt(x)} {_fmt(y)})"'
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" font-family="sans-serif" '
             f'text-anchor="{anchor}"{extra}>{s}</text>'
         )
+
+    def axes(self, xlabel: str, ylabel: str, title: str) -> None:
+        """Both axes with TICKS evenly spaced labelled ticks each, the axis labels and the title."""
+        m, w, h = MARGIN, self.width, self.height
+        self.line(m, h - m, w - m, h - m)
+        self.line(m, m, m, h - m)
+        step = (self.x1 - self.x0) / (TICKS - 1)
+        for tx in (self.x0 + i * step for i in range(TICKS)):
+            px = self.px(tx)
+            self.line(px, h - m, px, h - m + 4)
+            self.text(px, h - m + 16, f"{tx:.3g}", size=10, anchor="middle")
+        step = (self.y1 - self.y0) / (TICKS - 1)
+        for ty in (self.y0 + i * step for i in range(TICKS)):
+            py = self.py(ty)
+            self.line(m - 4, py, m, py)
+            self.text(m - 6, py + 3, f"{ty:.3g}", size=10, anchor="end")
+        self.text(w / 2, h - 12, xlabel, anchor="middle")
+        self.text(16, h / 2, ylabel, anchor="middle", rotate=-90.0)
+        self.text(w / 2, 20, title, size=14, anchor="middle")
 
     def render(self) -> str:
         body = "\n".join(self.parts)
@@ -72,68 +85,25 @@ class SvgCanvas:
         )
 
 
-class _Frame:
-    """Maps data coordinates onto a plot rectangle with margins."""
-
-    def __init__(self, canvas: SvgCanvas, x_range, y_range):
-        self.canvas = canvas
-        self.m = MARGIN
-        self.x0, self.x1 = x_range
-        self.y0, self.y1 = y_range
-        if self.x1 <= self.x0:
-            self.x1 = self.x0 + 1.0
-        if self.y1 <= self.y0:
-            self.y1 = self.y0 + 1.0
-
-    def px(self, x: float) -> float:
-        w = self.canvas.width - 2 * self.m
-        return self.m + (x - self.x0) / (self.x1 - self.x0) * w
-
-    def py(self, y: float) -> float:
-        h = self.canvas.height - 2 * self.m
-        return self.canvas.height - self.m - (y - self.y0) / (self.y1 - self.y0) * h
-
-    def axes(self, xlabel: str, ylabel: str, title: str) -> None:
-        c = self.canvas
-        c.line(self.m, c.height - self.m, c.width - self.m, c.height - self.m)
-        c.line(self.m, self.m, self.m, c.height - self.m)
-        for tx in _ticks(self.x0, self.x1):
-            px = self.px(tx)
-            c.line(px, c.height - self.m, px, c.height - self.m + 4)
-            c.text(px, c.height - self.m + 16, f"{tx:.3g}", size=10, anchor="middle")
-        for ty in _ticks(self.y0, self.y1):
-            py = self.py(ty)
-            c.line(self.m - 4, py, self.m, py)
-            c.text(self.m - 6, py + 3, f"{ty:.3g}", size=10, anchor="end")
-        c.text(c.width / 2, c.height - 12, xlabel, anchor="middle")
-        c.text(16, c.height / 2, ylabel, anchor="middle", rotate=-90.0)
-        c.text(c.width / 2, 20, title, size=14, anchor="middle")
-
-
-def line_chart(
-    series: Sequence[tuple[str, str, Sequence[tuple[float, float]]]],
-    xlabel: str,
-    ylabel: str,
-    title: str,
-) -> str:
+def line_chart(series: Sequence[tuple[str, str, Sequence[tuple[float, float]]]],
+               xlabel: str, ylabel: str, title: str) -> str:
     """Render labelled (name, color, points) polylines with shared axes on a
     640 x 480 canvas."""
     xs = [p[0] for _, _, pts in series for p in pts]
     ys = [p[1] for _, _, pts in series for p in pts]
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
-    canvas = SvgCanvas(640, 480)
-    frame = _Frame(canvas, (min(xs), max(xs)), (min(ys), max(ys)))
-    frame.axes(xlabel, ylabel, title)
+    plot = _Plot(640, 480, xs, ys)
+    plot.axes(xlabel, ylabel, title)
     for idx, (name, color, pts) in enumerate(series):
         if len(pts) >= 2:
-            canvas.polyline([(frame.px(x), frame.py(y)) for x, y in pts], stroke=color)
+            coords = " ".join(f"{_fmt(plot.px(x))},{_fmt(plot.py(y))}" for x, y in pts)
+            plot.parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         for x, y in pts:
-            canvas.circle(frame.px(x), frame.py(y), 2.5, fill=color)
-        canvas.text(canvas.width - 150, 30 + 16 * idx, name, size=11)
-        canvas.line(canvas.width - 170, 26 + 16 * idx, canvas.width - 155, 26 + 16 * idx,
-                    stroke=color, width=3)
-    return canvas.render()
+            plot.circle(plot.px(x), plot.py(y), 2.5, fill=color)
+        plot.text(plot.width - 150, 30 + 16 * idx, name, size=11)
+        plot.line(plot.width - 170, 26 + 16 * idx, plot.width - 155, 26 + 16 * idx, stroke=color, width=3)
+    return plot.render()
 
 
 def region_map(points, title: str) -> str:
@@ -145,26 +115,24 @@ def region_map(points, title: str) -> str:
     """
     xs = sorted({p.x for p in points})
     ys = sorted({p.y for p in points})
-    canvas = SvgCanvas(560, 520)
-    frame = _Frame(canvas, (min(xs), max(xs)), (min(ys), max(ys)))
+    plot = _Plot(560, 520, xs, ys)
     dx = (xs[1] - xs[0]) if len(xs) > 1 else 1.0
     dy = (ys[1] - ys[0]) if len(ys) > 1 else 1.0
     for p in points:
         if p.theory_advantage:
-            x0 = frame.px(p.x - dx / 2)
-            x1 = frame.px(p.x + dx / 2)
-            y0 = frame.py(p.y + dy / 2)
-            y1 = frame.py(p.y - dy / 2)
-            canvas.rect(x0, y0, x1 - x0, y1 - y0, fill="#7fb3d5", opacity=0.6)
-    frame.axes("delay ratio x", "cost ratio y", title)
+            x0, x1 = plot.px(p.x - dx / 2), plot.px(p.x + dx / 2)
+            y0, y1 = plot.py(p.y + dy / 2), plot.py(p.y - dy / 2)
+            plot.parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
+                              f'height="{_fmt(y1 - y0)}" fill="#7fb3d5" stroke="none" fill-opacity="0.6"/>')
+    plot.axes("delay ratio x", "cost ratio y", title)
     for p in points:
         if p.empirical_mean is None:
             continue
-        cx, cy = frame.px(p.x), frame.py(p.y)
+        cx, cy = plot.px(p.x), plot.py(p.y)
         if p.boundary:
-            canvas.circle(cx, cy, 3, fill="#aaaaaa")
+            plot.circle(cx, cy, 3, fill="#aaaaaa")
         elif p.empirical_advantage:
-            canvas.circle(cx, cy, 3, fill="#1a5276")
+            plot.circle(cx, cy, 3, fill="#1a5276")
         else:
-            canvas.circle(cx, cy, 3, fill="white", stroke="#1a5276")
-    return canvas.render()
+            plot.circle(cx, cy, 3, fill="white", stroke="#1a5276")
+    return plot.render()
