@@ -20,12 +20,14 @@ class EstimatorState:
     `fuse` keeps each target's current estimate in `estimates`, by the row
     `row` gives its id: None for a target not yet measured, else an (x, y)
     tuple, which the engine reads for its echoes and records for the scorer.
-    Steps are >= 0, so an epoch of -1 marks a target with no estimate yet.
+    `row`, the caller's map of target ids to rows 0..n-1, is only read, so the
+    trials of a draw layout share it. Steps are >= 0, so an epoch of -1 marks
+    a target with no estimate yet.
     """
 
-    def __init__(self, target_ids):
-        self.row = {tid: i for i, tid in enumerate(target_ids)}
-        n = len(target_ids)
+    def __init__(self, row):
+        self.row = row
+        n = len(row)
         self.estimates = [None] * n
         self._sums = [(0.0, 0.0)] * n
         self._counts = [0] * n

@@ -149,6 +149,7 @@ class TrialInputs(NamedTuple):
 
     key: tuple  # input_key of the scenario they were drawn for
     target_ids: tuple[int, ...]
+    rows: dict[int, int]  # the row of each target id: its layout's dict, which no trial writes
     sample_times: tuple[float, ...]
     move_times: tuple[float, ...]
     positions: tuple[np.ndarray, ...]  # before any move, then after each move
@@ -179,6 +180,7 @@ class DrawLayout(NamedTuple):
 
     key: tuple  # input_key of the scenario without its seed
     world: WorldState  # the targets before any move (its positions are read-only)
+    rows: dict[int, int]  # the row of each target id in `world`
     dynamics: DynamicsParams
     noise_std: float
     sample_times: tuple[float, ...]
@@ -202,7 +204,8 @@ def draw_layout(scenario: Scenario, *, checked: bool = False) -> DrawLayout:
     # validated ids are 0..n-1, so row i holds sensor i
     specs = sorted(scenario.sensors, key=lambda s: s.id)
     return DrawLayout(
-        input_key(scenario)[:-1], world, scenario.dynamics, proto.noise_std,
+        input_key(scenario)[:-1], world, {tid: i for i, tid in enumerate(world.target_ids)},
+        scenario.dynamics, proto.noise_std,
         sample_times, move_times, tuple(bisect.bisect_right(move_times, t) for t in sample_times),
         np.array([s.center for s in specs], dtype=float), np.array([s.radius for s in specs], dtype=float),
     )
@@ -256,9 +259,8 @@ def draw_trial(layout: DrawLayout, seed: int) -> TrialInputs:
                 n - c.count(0),
                 tuple(uniforms[k + j]),
             ))
-    return TrialInputs(
-        (*layout.key, seed), tids, layout.sample_times, layout.move_times, tuple(positions), tuple(steps)
-    )
+    return TrialInputs((*layout.key, seed), tids, layout.rows, layout.sample_times, layout.move_times,
+                       tuple(positions), tuple(steps))
 
 
 def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
@@ -281,6 +283,14 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
     fused estimates. An unobserved run (`observe=False`) keeps only the
     uplink and downlink totals: no clock or fusions, so it cannot be scored,
     and a log that runs the trial again, observed, when first read.
+
+    An unobserved run also charges, but does not queue, every echo that no
+    pending sensor can hear: one that arrives neither before the latest start
+    of the current step's pending sensors nor after the next sampling instant
+    (the horizon after the last). The rule is exact. Sensors become pending
+    only at a SAMPLE, with their start times fixed there; a start equal to the
+    arrival counts as started; and a FEEDBACK_END sorts before a SAMPLE at its
+    time, so an echo that arrives at the next sample meets this step's sensors.
     """
     if not checked:
         if inputs.key != input_key(scenario):
@@ -302,7 +312,7 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
         tick = clock.append
     fuses = fb or observe
     if fuses:
-        estimator = EstimatorState(inputs.target_ids)
+        estimator = EstimatorState(inputs.rows)
         row_of, estimates = estimator.row, estimator.estimates
 
     # per-sensor protocol state: the last value each sensor knows the central
@@ -344,8 +354,10 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
             if pending:
                 drop_pending(t, step)  # stale unstarted transmissions are superseded by this step
             step = payload
+            next_sample = horizon
             if step + 1 < n_steps:
-                push(heap, (sample_times[step + 1], _SAMPLE, 0, seq, step + 1))
+                next_sample = sample_times[step + 1]
+                push(heap, (next_sample, _SAMPLE, 0, seq, step + 1))
                 seq += 1
             observations, collab_ids, observed, uniforms = steps[step]
             if fb:
@@ -370,6 +382,7 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
                     record((t, "BACKOFF_SET", step, i, ids, len(ids), float(b)))
                 push(heap, (t + b, _TX_START, i, seq, step))
                 seq += 1
+            last_start = max(map(start_time.__getitem__, pending), default=t)
         elif order == _TX_START:
             if payload != step:
                 continue  # dropped at a later sample
@@ -379,7 +392,9 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
                 continue  # fully cancelled
             tgt = tuple(comps)
             n = len(tgt)
-            echo_ids = tuple(filter(collab.__contains__, tgt)) if fb else ()
+            echo_ids = ()
+            if fb:  # a packet whose targets are all collaborative echoes its own tuple
+                echo_ids = tgt if collab.issuperset(tgt) else tuple(filter(collab.__contains__, tgt))
             uplink += n
             if observe:
                 record((t, "TX_START", step, sid, tgt, n, None))
@@ -396,14 +411,16 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
                     fusions[len(clock) - 1] = [(r, estimates[r]) for r in rows]
             acknowledged[sid].update(comps)
             if echo_ids:
-                echo = [(tid, estimates[row_of[tid]]) for tid in echo_ids]
-                m = len(echo)
+                m = len(echo_ids)
                 downlink += m
                 if observe:
                     record((t, "FEEDBACK_START", sent, sid, echo_ids, m, None))
                 arrival = t + m * downlink_delay
-                push(heap, (arrival, _FEEDBACK_END, sid, seq, (sent, echo_ids, echo)))
-                seq += 1
+                # unobserved, queue only an echo that a pending sensor can hear (see the docstring)
+                if observe or arrival < last_start or arrival > next_sample:
+                    echo = [(tid, estimates[row_of[tid]]) for tid in echo_ids]
+                    push(heap, (arrival, _FEEDBACK_END, sid, seq, (sent, echo_ids, echo)))
+                    seq += 1
         elif order == _FEEDBACK_END:
             sent, echo_ids, echo = payload
             if observe:

@@ -14,7 +14,7 @@ from gathersim.scenario import Environment
 
 
 def test_two_measurements_average():
-    state = EstimatorState([0])
+    state = EstimatorState({0: 0})
     fuse(state, [(0, (1.0, 2.0))], 0)
     fuse(state, [(0, (3.0, 6.0))], 0)
     assert state.estimates[0] == (2.0, 4.0)
@@ -22,7 +22,7 @@ def test_two_measurements_average():
 
 
 def test_first_measurement_exact():
-    state = EstimatorState([0])
+    state = EstimatorState({0: 0})
     fuse(state, [(0, (1.25, -0.5))], 0)
     assert state.estimates[0] == (1.25, -0.5)
     assert fusion_count(state, 0) == 1
@@ -30,7 +30,7 @@ def test_first_measurement_exact():
 
 def test_a_state_without_default_point_holds_none_until_measured():
     # the engine's state: a first measurement is stored as it is (v / 1 is v)
-    state = EstimatorState([4, 7])
+    state = EstimatorState({4: 0, 7: 1})
     assert state.estimates == [None, None] and state._epochs == [-1, -1]
     value = (1.25, -0.5)
     fuse(state, [(7, value)], 3)
@@ -39,7 +39,7 @@ def test_a_state_without_default_point_holds_none_until_measured():
 
 
 def test_epoch_replacement_and_reset():
-    state = EstimatorState([0])
+    state = EstimatorState({0: 0})
     fuse(state, [(0, (1.0, 1.0))], 0)
     fuse(state, [(0, (2.0, 2.0))], 0)
     fuse(state, [(0, (10.0, 10.0))], 1)
@@ -48,7 +48,7 @@ def test_epoch_replacement_and_reset():
 
 
 def test_stale_epoch_discarded():
-    state = EstimatorState([0])
+    state = EstimatorState({0: 0})
     fuse(state, [(0, (10.0, 10.0))], 2)
     fuse(state, [(0, (0.0, 0.0))], 1)
     assert state.estimates[0] == (10.0, 10.0)
@@ -61,7 +61,7 @@ def test_fused_variance_shrinks_like_sample_mean():
     m, sigma, reps = 3, 0.5, 100_000
     values = []
     for _ in range(reps):
-        state = EstimatorState([0])
+        state = EstimatorState({0: 0})
         for j in range(m):
             v = (sigma * rng.standard_normal(), sigma * rng.standard_normal())
             fuse(state, [(0, v)], 0)
@@ -77,12 +77,12 @@ def test_fused_variance_shrinks_like_sample_mean():
        st.integers(0, 1000))
 @settings(max_examples=100)
 def test_order_independence_within_epoch(values, seed):
-    state_a = EstimatorState([0])
+    state_a = EstimatorState({0: 0})
     for i, v in enumerate(values):
         fuse(state_a, [(0, v)], 0)
     shuffled = list(values)
     random.Random(seed).shuffle(shuffled)
-    state_b = EstimatorState([0])
+    state_b = EstimatorState({0: 0})
     for i, v in enumerate(shuffled):
         fuse(state_b, [(0, v)], 0)
     ax, ay = state_a.estimates[0]
@@ -131,7 +131,7 @@ def test_mean_squared_error_is_numpy_expression_bitwise(rows):
     n = len(rows)
     scenario = replace(assumption1_scenario(2, 1, 1, seed=0), environment=Environment(20.0, 20.0))
     positions = np.array([(px, py) for _, _, px, py in rows])
-    inputs = TrialInputs((), tuple(range(n)), (), (), (positions,), ())
+    inputs = TrialInputs((), tuple(range(n)), dict(zip(range(n), range(n))), (), (), (positions,), ())
     fusions = {0: [(row, (ex, ey)) for row, (ex, ey, _, _) in enumerate(rows)]}
     trace = score_trial(scenario, inputs, TrialResult(EventLog(), 0, 0, [1.0, 2.0], fusions))
     diff = np.array([(ex, ey) for ex, ey, _, _ in rows]) - positions
@@ -152,7 +152,7 @@ def test_integral_known_increment():
 def test_unseen_target_scored_against_default_point():
     # the scorer's default point is the environment's centroid, (10, 10) here
     scenario = replace(assumption1_scenario(2, 1, 1, seed=0), environment=Environment(20.0, 20.0))
-    inputs = TrialInputs((), (0,), (), (), (np.array([[13.0, 14.0]]),), ())
+    inputs = TrialInputs((), (0,), {0: 0}, (), (), (np.array([[13.0, 14.0]]),), ())
     trace = score_trial(scenario, inputs, TrialResult(EventLog(), 0, 0, [1.0], {}))
     assert trace.integral == 25.0
 

@@ -1,9 +1,11 @@
+import heapq
 import math
 import re
 import tempfile
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from scripted_cases import (
 
 from gathersim import geometry, protocol
 from gathersim.analytics import power_diff
-from gathersim.experiments import assumption1_scenario, trial_seed
-from gathersim.protocol import PowerLedger, _times, draw_inputs, run_trial, score_trial
+from gathersim.experiments import assumption1_scenario, region_cells, trial_seed
+from gathersim.protocol import PowerLedger, _times, draw_inputs, draw_layout, draw_trial, run_trial, score_trial
 from gathersim.scenario import (
     Architecture,
     CostParams,
@@ -456,8 +458,42 @@ def test_a_trial_fuses_each_received_packet_once(monkeypatch, setting1_path, arc
     assert len(fused) == (len(ends) if arch == Architecture.FB else 0) and len(integrated) == 1
 
 
-def test_feedback_arriving_exactly_at_tx_start_does_not_cancel():
+def feedback_pushes(monkeypatch):
+    """The FEEDBACK_END entries `run_trial` queues from now on, through its module's `heapq`."""
+    pushes = []
+
+    def push(heap, entry):
+        if entry[1] == protocol._FEEDBACK_END:
+            pushes.append(entry)
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(protocol, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
+    return pushes
+
+
+def observed_and_lean(scn, inputs, pushes, checked=False):
+    """`scn`'s observed and unobserved runs on `inputs`, which must charge the
+    same components, and the echoes each of them queued."""
+    pushes.clear()
+    observed = run_trial(scn, inputs, checked=checked)
+    queued = len(pushes)
+    lean = run_trial(scn, inputs, checked=checked, observe=False)
+    assert (lean.uplink, lean.downlink) == (observed.uplink, observed.downlink)
+    return observed, queued, len(pushes) - queued
+
+
+def two_step_fb(backoffs):
+    """Two sensors sharing one static target, sampled at 0 and 100 with a
+    horizon of 200; a packet takes 2 and its echo 1 (see `scripted_scenario`)."""
+    scn = scripted_scenario(2, 1)
+    scn = replace(scn, architecture=Architecture.FB,
+                  protocol=replace(scn.protocol, backoff_interval=256.0, horizon=200.0))
+    return scn, forced_inputs(scn, backoffs)
+
+
+def test_feedback_arriving_exactly_at_tx_start_does_not_cancel(monkeypatch):
     # cutoff edge: second sensor starts exactly when feedback lands
+    pushes = feedback_pushes(monkeypatch)
     scn = scripted_scenario(2, 1)  # delay = 3
     fb, _ = run_scripted_pair(scn, (1.0, 4.0))
     kinds = Counter(r.kind for r in fb.events.records)
@@ -465,6 +501,60 @@ def test_feedback_arriving_exactly_at_tx_start_does_not_cancel():
     assert kinds["TX_START"] == 2
     cls = classify_step(scn, fb.events, [frozenset({0, 1})], 0)
     assert cls[0].informed == frozenset()
+    # no sensor waits past either echo, so an unobserved run queues neither
+    fb_scn = replace(scn, architecture=Architecture.FB)
+    _, queued, lean_queued = observed_and_lean(fb_scn, forced_inputs(scn, {0: (1.0, 4.0)}), pushes)
+    assert (queued, lean_queued) == (2, 0)
+
+
+def test_an_unobserved_run_keeps_an_echo_that_a_later_step_hears(monkeypatch):
+    # step 0: sensor 0 sends at 97.5, its echo lands at 100.5, after the next
+    # sample and after sensor 1's start at 100.25, which sample 1 drops; at
+    # step 1 sensor 1 triggers again, starts at 110 and the echo cancels it
+    pushes = feedback_pushes(monkeypatch)
+    scn, inputs = two_step_fb({0: (97.5, 100.25), 1: (10.0, 10.0)})
+    observed, queued, lean_queued = observed_and_lean(scn, inputs, pushes)
+    records = observed.events.records
+    assert [(r.time, r.step, r.sensor) for r in records if r.kind == "CANCEL"] == [(100.5, 1, 1)]
+    assert [(r.step, r.sensor) for r in records if r.kind == "DROP"] == [(0, 1)]
+    assert (observed.uplink, observed.downlink, queued, lean_queued) == (1, 1, 1, 1)
+
+
+def test_an_unobserved_run_keeps_an_echo_that_lands_at_the_next_sample(monkeypatch):
+    # sensor 0's echo lands at 100, the next sample, which sorts after it:
+    # sensor 1, waiting to start at 150, cancels, so sample 1 drops nothing
+    # and neither sensor triggers at step 1
+    pushes = feedback_pushes(monkeypatch)
+    scn, inputs = two_step_fb({0: (97.0, 150.0)})
+    observed, queued, lean_queued = observed_and_lean(scn, inputs, pushes)
+    records = observed.events.records
+    assert [(r.time, r.step, r.sensor) for r in records if r.kind == "CANCEL"] == [(100.0, 0, 1)]
+    assert not [r for r in records if r.kind == "DROP" or (r.kind == "TRIGGER" and r.step == 1)]
+    assert (observed.uplink, observed.downlink, queued, lean_queued) == (1, 1, 1, 1)
+
+
+def test_unobserved_region_cells_charge_what_observed_ones_do(monkeypatch):
+    # every FB cell of both region maps, at the CLI's 10 default delay ratios,
+    # over 20 trials: equal counts, with a fifth (M = 2) to under a third (M = 3)
+    # of the echoes queued
+    pushes = feedback_pushes(monkeypatch)
+    xs = [0.05 + k * (0.95 - 0.05) / 9 for k in range(10)]
+    queued = {}
+    for set_size in (2, 3):
+        base, backoffs = region_cells(set_size, xs, seed=7)
+        layout = draw_layout(base, checked=True)
+        cells = [replace(base, architecture=Architecture.FB,
+                         protocol=replace(base.protocol, backoff_interval=tb)) for tb in backoffs]
+        totals = [0, 0]
+        for i in range(20):
+            inputs = draw_trial(layout, trial_seed(base.seed, i))
+            for cell in cells:
+                # a region grid's cells replay each trial's draw as built, checked
+                _, observed, lean = observed_and_lean(cell, inputs, pushes, checked=True)
+                totals[0] += observed
+                totals[1] += lean
+        queued[set_size] = tuple(totals)
+    assert queued == {2: (1661, 339), 3: (2278, 641)}
 
 
 @given(

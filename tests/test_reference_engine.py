@@ -127,7 +127,7 @@ def reference_trial(scenario, inputs) -> ReferenceResult:
     tids = inputs.target_ids
     positions = inputs.positions[0]
     default_point = scenario.environment.centroid
-    estimator = EstimatorState(tids)
+    estimator = EstimatorState({tid: i for i, tid in enumerate(tids)})
     trace = ReferenceTrace()
     records = []
     fusions = []

@@ -82,7 +82,7 @@ class ReferenceEstimator:
 @example(n=3, ops=[(0, (1.0, 2.0), 0), (0, (3.0, 6.0), 0), (0, (0.5, 0.5), 0)])
 @settings(max_examples=200)
 def test_estimator_matches_reference(n, ops):
-    fast = EstimatorState(range(n))
+    fast = EstimatorState(dict(zip(range(n), range(n))))
     ref = ReferenceEstimator(n)
     for draw, value, step in ops if n else ():
         row = draw % n
@@ -128,7 +128,7 @@ def test_score_trial_is_numpy_mean_of_squared_errors(n, seed, events, moves):
         for k in range(events) if rng.random() < 0.6
     }
     scenario = replace(assumption1_scenario(2, 1, 1, seed=0), environment=Environment(width, height))
-    inputs = TrialInputs((), tuple(range(n)), (), move_times, positions, ())
+    inputs = TrialInputs((), tuple(range(n)), dict(zip(range(n), range(n))), (), move_times, positions, ())
     trace = score_trial(scenario, inputs, TrialResult(EventLog(), 0, 0, clock, fusions))
 
     estimates = np.full((n, 2), (width / 2.0, height / 2.0))
@@ -360,13 +360,14 @@ def trajectories(draw):
     times = sorted(draw(st.sets(st.floats(1.0, 1e4), min_size=len(positions) - 1,
                                 max_size=len(positions) - 1)))
     ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
-    return TrialInputs((), tuple(sorted(ids)), (), tuple(times), tuple(positions), ())
+    ids = tuple(sorted(ids))
+    return TrialInputs((), ids, dict(zip(ids, range(n))), (), tuple(times), tuple(positions), ())
 
 
 # no move at all: the horizon is within one move period
-@example(inputs=TrialInputs((), (0, 1), (), (), (np.array([[0.0, -0.0], [2.5, 3.0]]),), ()))
+@example(inputs=TrialInputs((), (0, 1), {0: 0, 1: 1}, (), (), (np.array([[0.0, -0.0], [2.5, 3.0]]),), ()))
 # every row flips the sign of its zeros, then stays put
-@example(inputs=TrialInputs((), (3,), (), (10.0, 20.0),
+@example(inputs=TrialInputs((), (3,), {3: 0}, (), (10.0, 20.0),
                             tuple(np.array(r) for r in ([[0.0, -0.0]], [[-0.0, 0.0]], [[-0.0, 0.0]])), ()))
 @given(inputs=trajectories())
 @settings(max_examples=150)
