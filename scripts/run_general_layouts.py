@@ -10,6 +10,7 @@ comparison is qualitative; symmetric layouts agree more closely.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from gathersim import analytics, experiments
@@ -21,6 +22,7 @@ from gathersim.scenario import (
     Environment,
     ProtocolParams,
     Scenario,
+    ScenarioError,
     SensorSpec,
     TargetSpec,
 )
@@ -70,9 +72,15 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default="out/general")
     args = parser.parse_args()
+    try:
+        return run(args)
+    except ScenarioError as e:  # a bad trial or worker count: the library names it
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
+
+def run(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     xs = [0.1 + 0.2 * i for i in range(5)]
     ys = [0.5, 1.0, 2.0, 5.0]
     for name, base in LAYOUTS.items():
@@ -92,6 +100,7 @@ def main() -> int:
                 rows.append((x, y, frac, predicted, mean, se, empirical))
                 if predicted == empirical:
                     agree += 1
+        out.mkdir(parents=True, exist_ok=True)  # after the first grid has checked the arguments
         path = out / f"approx_{name}.csv"
         write_csv(path, "approx-region",
                   "x,y,vote_fraction,predicted,empirical_mean,empirical_se,empirical", (

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: validate, simulate, sweep, region, analyze. Exit codes: 0 on
-success, 1 for validation or parameter errors, 2 for I/O failures. The front
+success, 1 for validation, parameter or usage errors, 2 for I/O failures. The front
 end turns flags into library calls and checks only which flags go together;
 the library checks every value and raises a ScenarioError naming it.
 """
@@ -34,17 +34,20 @@ def _out_dir(args) -> Path:
 def _parse_grid(spec: str, name: str) -> list[float]:
     """Parse 'lo:hi:n' into n evenly spaced values, or a nonempty comma list
     of values. A count past the map's cell bound fails before any value is made."""
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"{name}: expected lo:hi:count (got {spec!r})")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        check(grid_cells=n)
-        values = [lo] if n == 1 else [lo + i * (hi - lo) / (n - 1) for i in range(n)]
-    else:
-        values = [float(v) for v in spec.split(",") if v.strip()]
+    try:
+        if ":" in spec:
+            parts = spec.split(":")
+            if len(parts) != 3:
+                raise ValueError(f"expected lo:hi:count (got {spec!r})")
+            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+            check(grid_cells=n)
+            values = [lo] if n == 1 else [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+        else:
+            values = [float(v) for v in spec.split(",") if v.strip()]
+    except ValueError as e:  # a ScenarioError from `check` too
+        raise ScenarioError(f"{name}: {e}") from e
     if not values:
-        raise ValueError(f"{name}: expected one or more values (got {spec!r})")
+        raise ScenarioError(f"{name}: expected one or more values (got {spec!r})")
     return values
 
 
@@ -64,10 +67,10 @@ def _trajectory_snapshots(inputs):
     still the row's repr (0.0 and -0.0 are equal floats with different reprs).
     `validate` requires a target, so no snapshot is a bare stamp.
     """
-    tids, positions = inputs.target_ids, inputs.positions
+    tids, positions = inputs.layout.world.target_ids, inputs.positions
     tails = [f",{tid},{x!r},{y!r}\n" for tid, (x, y) in zip(tids, positions[0].tolist())]
     yield "0.0" + "0.0".join(tails)
-    for t, prev, pos in zip(inputs.move_times, positions, positions[1:]):
+    for t, prev, pos in zip(inputs.layout.move_times, positions, positions[1:]):
         moved = np.flatnonzero((pos.view(np.int64) != prev.view(np.int64)).any(axis=1))
         for i, (x, y) in zip(moved.tolist(), pos[moved].tolist()):
             tails[i] = f",{tids[i]},{x!r},{y!r}\n"
@@ -92,7 +95,7 @@ def _run_trial_to_csv(scenario, inputs, out: Path) -> str:
     """Run and score the trial, write events.csv, power.csv and mse.csv, and
     return the summary line. The result, its rows and the trace die on return."""
     result = run_trial(scenario, inputs, checked=True)
-    trace = score_trial(scenario, inputs, result)
+    trace = score_trial(inputs, result)
     costs = scenario.costs
     result.events.to_csv(out / "events.csv")
     PowerLedger(result.events, costs, len(scenario.sensors)).to_csv(out / "power.csv")
@@ -168,11 +171,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_region(args) -> int:
-    try:
-        xs = _parse_grid(args.x_grid, "--x-grid")
-        ys = _parse_grid(args.y_grid, "--y-grid")
-    except ValueError as e:
-        raise ScenarioError(str(e)) from e
+    xs = _parse_grid(args.x_grid, "--x-grid")
+    ys = _parse_grid(args.y_grid, "--y-grid")
     # the library checks every value before anything is written
     if args.theory_only:
         points = analytics.raster_region(args.setsize, xs, ys)
@@ -266,8 +266,13 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error, its subcommands' too: `main` exits 1
+        raise ScenarioError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gathersim",
         description="Simulate and analyze feedback vs no-feedback data-gathering architectures.",
     )
@@ -323,9 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)

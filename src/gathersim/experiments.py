@@ -20,7 +20,8 @@ import numpy as np
 from . import geometry
 from .analytics import AdvantagePoint, check_raster, raster_points
 from .protocol import (
-    DrawLayout, TrialInputs, TrialResult, draw_layout, draw_trial, run_trial, score_trial, write_csv,
+    DrawLayout, TrialInputs, TrialResult, draw_layout, draw_trial, nf_ignores_backoff, run_trial, score_trial,
+    write_csv,
 )
 from .scenario import (
     Architecture,
@@ -82,19 +83,18 @@ def mean_se(values: np.ndarray):
     return mean.tolist(), se.tolist()
 
 
-def run_paired_trial(fb: Scenario, nf: Scenario, inputs: TrialInputs, nf_run: TrialResult, *,
-                     score: bool = True) -> PairedOutcome:
+def run_paired_trial(fb: Scenario, inputs: TrialInputs, nf_run: TrialResult) -> PairedOutcome:
     """One trial's FB scenario `fb` run on `inputs`, that trial's one draw,
-    paired with `nf_run`, NF scenario `nf`'s run on the same draw (the grid
-    may share it between cells). The caller has validated both scenarios and
-    checked that `inputs` suit them (`paired_grid` checks its cells once), so
-    the FB run checks neither again.
-    An unscored pair computes no error, and its outcome's errors are None;
-    its FB run is unobserved, and `nf_run` may be too."""
+    paired with `nf_run`, an NF run on the same draw (the grid may share it
+    between cells). The caller has validated `fb` and checked that `inputs`
+    suit it (`paired_grid` checks its cells once), so the FB run checks
+    neither again. The pair is scored exactly when `nf_run` was observed;
+    an unscored pair runs FB unobserved, and its outcome's errors are None."""
+    score = nf_run.clock is not None
     fb_run = run_trial(fb, inputs, checked=True, observe=score)
     horizon = fb.protocol.horizon
-    fb_mse, nf_mse = ((score_trial(fb, inputs, fb_run).integral / horizon,
-                       score_trial(nf, inputs, nf_run).integral / horizon) if score else (None, None))
+    fb_mse, nf_mse = ((score_trial(inputs, fb_run).integral / horizon,
+                       score_trial(inputs, nf_run).integral / horizon) if score else (None, None))
     return PairedOutcome(fb_run.uplink, fb_run.downlink, fb_mse, nf_run.uplink, nf_mse)
 
 
@@ -132,19 +132,6 @@ def _cells(base: Scenario, backoff_intervals: Sequence[float]) -> list[Scenario]
             for tb in backoff_intervals]
 
 
-def _nf_ignores_backoff(cell: Scenario, times: Sequence[float]) -> bool:
-    """Whether no backoff up to `cell`'s interval can change NF's counts: after
-    every sample at `times` (its layout's `sample_times`), a packet of every
-    target at the full interval starts before the next sample (the horizon
-    after the last) and ends no later, summed in the engine's order. Rounding
-    is monotone, so no shorter backoff or packet ends later. Then no packet is
-    dropped and each ends by the next sample, where its TX_END sorts first."""
-    p = cell.protocol
-    longest = len(cell.targets) * p.uplink_delay
-    return all(t + p.backoff_interval < nxt and (t + p.backoff_interval) + longest <= nxt
-               for t, nxt in zip(times, (*times[1:], p.horizon)))
-
-
 def _grid_trial(layout: DrawLayout, seed: int, fbs, nfs, score: bool, i: int) -> list[PairedOutcome]:
     """Trial i of every cell, each replaying the trial's one draw, from the
     grid's `layout` at `trial_seed(seed, i)`: every scenario in `nfs` runs
@@ -153,8 +140,7 @@ def _grid_trial(layout: DrawLayout, seed: int, fbs, nfs, score: bool, i: int) ->
     inputs = draw_trial(layout, trial_seed(seed, i))
     nf_runs = [run_trial(nf, inputs, checked=True, observe=score) for nf in nfs]
     n = len(nfs)  # 1 when the cells share NF
-    return [run_paired_trial(fb, nfs[k % n], inputs, nf_runs[k % n], score=score)
-            for k, fb in enumerate(fbs)]
+    return [run_paired_trial(fb, inputs, nf_runs[k % n]) for k, fb in enumerate(fbs)]
 
 
 def paired_grid(
@@ -175,7 +161,7 @@ def paired_grid(
     trial checks its own. With `score=False` no trial is scored or
     observed (see `run_trial`), and each cell's `fb_mse` and `nf_mse` are
     None: a caller that reads only power pays only for power.
-    If every cell of an unscored grid meets `_nf_ignores_backoff`, NF's counts
+    If every cell of an unscored grid meets `nf_ignores_backoff`, NF's counts
     are the same in every cell, so NF runs once per trial, at the first cell's
     interval, and pairs with every cell's FB. A scored grid runs NF per cell,
     since NF's error depends on timing.
@@ -189,7 +175,7 @@ def paired_grid(
         raise ScenarioError("; ".join(violations))
     layout = draw_layout(base, checked=True)
     fbs = [replace(cell, architecture=Architecture.FB) for cell in cells]
-    shared = not score and all(_nf_ignores_backoff(cell, layout.sample_times) for cell in cells)
+    shared = not score and all(nf_ignores_backoff(cell, layout) for cell in cells)
     nfs = [replace(cell, architecture=Architecture.NF) for cell in (cells[:1] if shared else cells)]
     worker = partial(_grid_trial, layout, base.seed, fbs, nfs, score)
     per_trial = _run_tasks(list(range(trials)), worker, jobs)

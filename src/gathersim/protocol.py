@@ -138,24 +138,6 @@ class TrialResult(NamedTuple):
     fusions: Optional[dict[int, list[tuple[int, tuple[float, float]]]]]
 
 
-class TrialInputs(NamedTuple):
-    """One trial's random inputs, drawn by `draw_trial` and replayed by `run_trial`.
-
-    `steps[k]` is sampling step k's (observations, collaborative ids,
-    observed-target count, backoff uniforms by sensor id before scaling by
-    the interval); the observations are the columns (sensor index, target id,
-    measured x, measured y), in noise-draw order: by sensor index, then by
-    ascending target id: `run_trial` logs its id tuples sorted without sorting them."""
-
-    key: tuple  # input_key of the scenario they were drawn for
-    target_ids: tuple[int, ...]
-    rows: dict[int, int]  # the row of each target id: its layout's dict, which no trial writes
-    sample_times: tuple[float, ...]
-    move_times: tuple[float, ...]
-    positions: tuple[np.ndarray, ...]  # before any move, then after each move
-    steps: tuple[tuple, ...]
-
-
 def input_key(scenario: Scenario) -> tuple:
     """Every field the draws depend on, so scenarios with equal keys draw equal
     inputs; backoff interval, delays, threshold, costs and architecture do not.
@@ -188,6 +170,21 @@ class DrawLayout(NamedTuple):
     moves_before: tuple[int, ...]  # moves made by each sample time: a move at t comes first
     centers: np.ndarray  # row i holds sensor id i's center
     radii: np.ndarray
+
+
+class TrialInputs(NamedTuple):
+    """One trial's random inputs, drawn by `draw_trial` and replayed by `run_trial`.
+
+    `steps[k]` is sampling step k's (observations, collaborative ids,
+    observed-target count, backoff uniforms by sensor id before scaling by
+    the interval); the observations are the columns (sensor index, target id,
+    measured x, measured y), in noise-draw order: by sensor index, then by
+    ascending target id: `run_trial` logs its id tuples sorted without sorting them."""
+
+    layout: DrawLayout  # the one they were drawn from, itself: the home of their key, ids, rows and times
+    seed: int
+    positions: tuple[np.ndarray, ...]  # before any move, then after each move
+    steps: tuple[tuple, ...]
 
 
 def draw_layout(scenario: Scenario, *, checked: bool = False) -> DrawLayout:
@@ -259,8 +256,7 @@ def draw_trial(layout: DrawLayout, seed: int) -> TrialInputs:
                 n - c.count(0),
                 tuple(uniforms[k + j]),
             ))
-    return TrialInputs((*layout.key, seed), tids, layout.rows, layout.sample_times, layout.move_times,
-                       tuple(positions), tuple(steps))
+    return TrialInputs(layout, seed, tuple(positions), tuple(steps))
 
 
 def draw_inputs(scenario: Scenario, *, checked: bool = False) -> TrialInputs:
@@ -293,7 +289,7 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
     time, so an echo that arrives at the next sample meets this step's sensors.
     """
     if not checked:
-        if inputs.key != input_key(scenario):
+        if (*inputs.layout.key, inputs.seed) != input_key(scenario):
             raise ValueError("inputs were drawn for a scenario with different draws")
         check(scenario.protocol)
 
@@ -303,7 +299,7 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
     horizon = proto.horizon
     interval = proto.backoff_interval
     uplink_delay, downlink_delay = proto.uplink_delay, proto.downlink_delay
-    steps, sample_times = inputs.steps, inputs.sample_times
+    steps, sample_times = inputs.steps, inputs.layout.sample_times
     hypot = math.hypot
     if observe:
         log = EventLog()
@@ -312,7 +308,7 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
         tick = clock.append
     fuses = fb or observe
     if fuses:
-        estimator = EstimatorState(inputs.rows)
+        estimator = EstimatorState(inputs.layout.rows)
         row_of, estimates = estimator.row, estimator.estimates
 
     # per-sensor protocol state: the last value each sensor knows the central
@@ -450,10 +446,23 @@ def run_trial(scenario: Scenario, inputs: TrialInputs, *, checked: bool = False,
     return TrialResult(log, uplink, downlink, clock, fusions)
 
 
-def score_trial(scenario: Scenario, inputs: TrialInputs, trial: TrialResult) -> EstimatorTrace:
-    """The error trace of `trial`, run on `inputs` of `scenario`: the
-    estimates each of its fusions left, written in turn over the environment
-    centroid, and the drawn moves merged into its clock, a move before any
+def nf_ignores_backoff(scenario: Scenario, layout: DrawLayout) -> bool:
+    """Whether no backoff up to `scenario`'s interval can change NF's counts
+    on `layout`'s draws: after every sample, a packet of every target at the
+    full interval starts before the next sample (the horizon after the last)
+    and ends no later, summed in `run_trial`'s order. Rounding is monotone, so
+    no shorter backoff or packet ends later. Then no packet is dropped and
+    each ends by the next sample, where its TX_END sorts first."""
+    p, times = scenario.protocol, layout.sample_times
+    longest = len(scenario.targets) * p.uplink_delay
+    return all(t + p.backoff_interval < nxt and (t + p.backoff_interval) + longest <= nxt
+               for t, nxt in zip(times, (*times[1:], p.horizon)))
+
+
+def score_trial(inputs: TrialInputs, trial: TrialResult) -> EstimatorTrace:
+    """The error trace of `trial`, run on `inputs`: the estimates each of its
+    fusions left, written in turn over the centroid of the layout's
+    environment, and the drawn moves merged into its clock, a move before any
     event at its time, as the queue would pop them. Fuses nothing itself. Raises
     ValueError for an unobserved trial, which kept neither.
 
@@ -463,8 +472,8 @@ def score_trial(scenario: Scenario, inputs: TrialInputs, trial: TrialResult) -> 
     target count, one arithmetic at every field size."""
     if trial.clock is None:
         raise ValueError("score_trial needs an observed run: run_trial(..., observe=True)")
-    n = len(inputs.target_ids)
-    cx, cy = scenario.environment.centroid
+    n = len(inputs.layout.rows)
+    cx, cy = inputs.layout.world.environment.centroid
     xs, ys = [cx] * n, [cy] * n  # the current estimates, by row
     positions, get_fusion = inputs.positions, trial.fusions.get
     reduce = np.add.reduce
@@ -474,7 +483,7 @@ def score_trial(scenario: Scenario, inputs: TrialInputs, trial: TrialResult) -> 
         sq = [(ex - px) * (ex - px) + (ey - py) * (ey - py) for ex, ey, px, py in zip(xs, ys, tx, ty)]
         return tx, ty, np.array(sq)
 
-    moves = (*inputs.move_times, math.inf)
+    moves = (*inputs.layout.move_times, math.inf)
     times, errors = [], []
     add_time, add_error = times.append, errors.append
     tx, ty, sq = moved(0)

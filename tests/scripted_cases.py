@@ -11,9 +11,10 @@ an estimator's per-target fusion count.
 
 from dataclasses import dataclass, replace
 
+from gathersim.dynamics import WorldState
 from gathersim.estimation import EstimatorState
 from gathersim.experiments import assumption1_scenario
-from gathersim.protocol import CENTRAL, EventLog, EventRecord, draw_inputs, run_trial
+from gathersim.protocol import CENTRAL, DrawLayout, EventLog, EventRecord, TrialInputs, draw_inputs, run_trial
 from gathersim.scenario import Architecture, CostParams, Scenario
 
 UPLINK_POWER = 2
@@ -91,6 +92,17 @@ def forced_inputs(scenario, backoffs):
         assert [u * interval for u in uniforms] == list(table), (table, interval)
         steps[k] = (*steps[k][:3], uniforms)
     return inputs._replace(steps=tuple(steps))
+
+
+def hand_inputs(positions, move_times=(), target_ids=None, environment=None):
+    """Inputs of hand-made target positions (before any move, then after each
+    of `move_times`), on a layout that holds only what the scorer and the
+    trajectory dump read: the target ids and rows, the environment and the
+    move times. The targets are ids 0..n-1 unless `target_ids` names them."""
+    ids = tuple(range(len(positions[0]))) if target_ids is None else tuple(target_ids)
+    world = WorldState(positions[0], ids, environment, (None,) * len(ids))
+    layout = DrawLayout((), world, dict(zip(ids, range(len(ids)))), None, 0.0, (), tuple(move_times), (), None, None)
+    return TrialInputs(layout, 0, tuple(positions), ())
 
 
 def run_scripted_pair(scenario, table):

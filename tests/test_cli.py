@@ -225,6 +225,12 @@ BAD_INPUTS = {
     "simulate_overlong_integer_literal": (
         MINIMAL.replace("seed: ", f"seed: {OVERLONG}\n# "), ["simulate", "INPUT"],
     ),
+    # usage errors: argparse's own, reported like every other bad input
+    "region_fractional_set_size": (None, ["region", "--setsize", "2.5"]),
+    "region_fractional_trials": (None, ["region", "--setsize", 2, "--trials", "1.5"]),
+    "region_without_set_size": (None, ["region"]),
+    "simulate_without_scenario": (None, ["simulate"]),
+    "unknown_subcommand": (None, ["bogus"]),
 }
 
 
@@ -246,6 +252,24 @@ def check_exits_1_with_message(case, setting1_path, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_1_with_message(case, setting1_path, tmp_path, capsys):
     check_exits_1_with_message(case, setting1_path, tmp_path, capsys)
+
+
+def test_no_arguments_exit_1_with_message(capsys):
+    assert main([]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "command" in err
+
+
+@pytest.mark.parametrize("flag, spec", [
+    ("--x-grid", "a,b"), ("--y-grid", "1:b:3"), ("--x-grid", "0.1:0.5:2.5"), ("--y-grid", "1:2"),
+    ("--x-grid", ","), ("--y-grid", "0.5:0.6:99999999999999999999"),
+])
+def test_grid_errors_name_their_flag(flag, spec, tmp_path, capsys):
+    # number-conversion errors included: they are bad input like the rest
+    assert run(["region", "--setsize", 2, flag, spec, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,13 @@
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scripted_cases import PAIRWISE, fusion_count
+from scripted_cases import PAIRWISE, fusion_count, hand_inputs
 
 from gathersim.estimation import EstimatorState, accumulate_mse, fuse
-from gathersim.experiments import assumption1_scenario
-from gathersim.protocol import EventLog, TrialInputs, TrialResult, score_trial
+from gathersim.protocol import EventLog, TrialResult, score_trial
 from gathersim.scenario import Environment
 
 
@@ -129,11 +127,10 @@ def test_mean_squared_error_is_numpy_expression_bitwise(rows):
     # estimates and truth of mixed magnitude, below and from the cutoff: the
     # scorer's error once every target is fused at the trial's one event
     n = len(rows)
-    scenario = replace(assumption1_scenario(2, 1, 1, seed=0), environment=Environment(20.0, 20.0))
     positions = np.array([(px, py) for _, _, px, py in rows])
-    inputs = TrialInputs((), tuple(range(n)), dict(zip(range(n), range(n))), (), (), (positions,), ())
+    inputs = hand_inputs((positions,), environment=Environment(20.0, 20.0))
     fusions = {0: [(row, (ex, ey)) for row, (ex, ey, _, _) in enumerate(rows)]}
-    trace = score_trial(scenario, inputs, TrialResult(EventLog(), 0, 0, [1.0, 2.0], fusions))
+    trace = score_trial(inputs, TrialResult(EventLog(), 0, 0, [1.0, 2.0], fusions))
     diff = np.array([(ex, ey) for ex, ey, _, _ in rows]) - positions
     want = float(np.add.reduce(diff[:, 0] ** 2 + diff[:, 1] ** 2) / n)
     assert trace.errors[-1].hex() == want.hex()
@@ -151,9 +148,8 @@ def test_integral_known_increment():
 
 def test_unseen_target_scored_against_default_point():
     # the scorer's default point is the environment's centroid, (10, 10) here
-    scenario = replace(assumption1_scenario(2, 1, 1, seed=0), environment=Environment(20.0, 20.0))
-    inputs = TrialInputs((), (0,), {0: 0}, (), (), (np.array([[13.0, 14.0]]),), ())
-    trace = score_trial(scenario, inputs, TrialResult(EventLog(), 0, 0, [1.0], {}))
+    inputs = hand_inputs((np.array([[13.0, 14.0]]),), environment=Environment(20.0, 20.0))
+    trace = score_trial(inputs, TrialResult(EventLog(), 0, 0, [1.0], {}))
     assert trace.integral == 25.0
 
 

@@ -19,7 +19,7 @@ from gathersim.experiments import (
     run_sweep,
     trial_seed,
 )
-from gathersim.protocol import draw_inputs, draw_layout, input_key, run_trial
+from gathersim.protocol import draw_inputs, draw_layout, input_key, nf_ignores_backoff, run_trial, score_trial
 from gathersim.scenario import MAX_TRIALS, Architecture, ScenarioError
 
 
@@ -75,11 +75,46 @@ def test_paired_seed_coupling_log_equality():
         ]
 
 
+PAIR_BASE = assumption1_scenario(3, 2, 1, backoff_interval=25.0, seed=17)
+
+
+def recording_run_trial(monkeypatch):
+    """The keyword arguments of every `run_trial` call in `experiments`."""
+    calls = []
+    monkeypatch.setattr(experiments, "run_trial",
+                        lambda s, inputs, **kw: calls.append(kw) or run_trial(s, inputs, **kw))
+    return calls
+
+
+def test_a_pair_with_an_unobserved_nf_run_is_unscored(monkeypatch):
+    inputs = draw_inputs(PAIR_BASE)
+    nf_run = run_trial(replace(PAIR_BASE, architecture=Architecture.NF), inputs, observe=False)
+    calls = recording_run_trial(monkeypatch)
+    monkeypatch.setattr(experiments, "score_trial", None)  # a score would fail here
+    got = experiments.run_paired_trial(replace(PAIR_BASE, architecture=Architecture.FB), inputs, nf_run)
+    assert calls == [dict(checked=True, observe=False)]
+    fb_run = run_trial(replace(PAIR_BASE, architecture=Architecture.FB), inputs)
+    assert got == (fb_run.uplink, fb_run.downlink, None, nf_run.uplink, None)
+
+
+def test_a_pair_with_an_observed_nf_run_scores_both_runs(monkeypatch):
+    inputs = draw_inputs(PAIR_BASE)
+    fb, nf = (replace(PAIR_BASE, architecture=arch) for arch in (Architecture.FB, Architecture.NF))
+    nf_run = run_trial(nf, inputs)
+    calls = recording_run_trial(monkeypatch)
+    got = experiments.run_paired_trial(fb, inputs, nf_run)
+    assert calls == [dict(checked=True, observe=True)]
+    fb_run, horizon = run_trial(fb, inputs), PAIR_BASE.protocol.horizon
+    assert got == (fb_run.uplink, fb_run.downlink, score_trial(inputs, fb_run).integral / horizon,
+                   nf_run.uplink, score_trial(inputs, nf_run).integral / horizon)
+    assert got.fb_mse != got.nf_mse
+
+
 def test_paired_trajectories_identical():
     scn = assumption1_scenario(3, 3, 0, backoff_interval=30.0, seed=3)
     fb = draw_inputs(replace(scn, architecture=Architecture.FB))
     nf = draw_inputs(replace(scn, architecture=Architecture.NF))
-    assert fb.move_times == nf.move_times
+    assert fb.layout.move_times == nf.layout.move_times
     assert len(fb.positions) == len(nf.positions) > 1
     assert all(map(np.array_equal, fb.positions, nf.positions))
 
@@ -288,9 +323,9 @@ def reference_paired_grid(base, backoff_intervals, trials):
     trials_of = [[replace(s, seed=trial_seed(s.seed, i)) for i in range(trials)] for s in cells]
 
     def pair(t):
-        inputs, nf = draw_inputs(t), replace(t, architecture=Architecture.NF)
-        return experiments.run_paired_trial(replace(t, architecture=Architecture.FB), nf, inputs,
-                                            run_trial(nf, inputs))
+        inputs = draw_inputs(t)
+        nf_run = run_trial(replace(t, architecture=Architecture.NF), inputs)
+        return experiments.run_paired_trial(replace(t, architecture=Architecture.FB), inputs, nf_run)
 
     return [[pair(t) for t in ts] for ts in trials_of]
 
@@ -414,8 +449,8 @@ def test_a_cell_inside_the_real_bound_but_past_it_in_float_does_not_share_nf():
     assert inputs.steps[41][3][0] == u
     records = run_trial(cell, inputs).events.records
     start, end = (r.time for r in records if r.step == 41 and r.sensor == 0 and r.kind in ("TX_START", "TX_END"))
-    assert (start, end, inputs.sample_times[42:]) == (306.0, 306.6, (306.59999999999997,))
-    assert not experiments._nf_ignores_backoff(cell, draw_layout(cell).sample_times)
+    assert (start, end, inputs.layout.sample_times[42:]) == (306.0, 306.6, (306.59999999999997,))
+    assert not nf_ignores_backoff(cell, inputs.layout)
 
 
 @given(st.integers(2, 3), st.integers(1, 4), st.integers(0, 2), st.floats(20.0, 80.0),
@@ -433,8 +468,8 @@ def test_nf_uplink_is_equal_across_cells_that_meet_the_bound(
                                 horizon=period * (steps + tail), noise_std=noise, seed=seed)
     longest = len(base.targets) * base.protocol.uplink_delay
     backoffs = [max(1.25 * f * (period - longest), 1e-3) for f in fractions]
-    sample_times = draw_layout(base).sample_times
-    cells = [c for c in experiments._cells(base, backoffs) if experiments._nf_ignores_backoff(c, sample_times)]
+    layout = draw_layout(base)
+    cells = [c for c in experiments._cells(base, backoffs) if nf_ignores_backoff(c, layout)]
     assume(period > longest and len(cells) >= 2)
     inputs = draw_inputs(base)
     uplinks = {run_trial(replace(c, architecture=Architecture.NF), inputs).uplink for c in cells}

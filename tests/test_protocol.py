@@ -25,7 +25,9 @@ from scripted_cases import (
 from gathersim import geometry, protocol
 from gathersim.analytics import power_diff
 from gathersim.experiments import assumption1_scenario, region_cells, trial_seed
-from gathersim.protocol import PowerLedger, _times, draw_inputs, draw_layout, draw_trial, run_trial, score_trial
+from gathersim.protocol import (
+    PowerLedger, TrialInputs, _times, draw_inputs, draw_layout, draw_trial, run_trial, score_trial,
+)
 from gathersim.scenario import (
     Architecture,
     CostParams,
@@ -230,6 +232,18 @@ def test_no_overlapping_uplinks_and_monotone_times():
             assert e1 <= s2 + 1e-12
 
 
+def test_trial_inputs_hold_the_layout_they_were_drawn_from():
+    # the layout is the one home of the key, target ids, rows and times: a
+    # draw keeps the very object, copies none of its fields, and starts from
+    # its targets' own position array
+    layout = draw_layout(assumption1_scenario(3, 2, 1, seed=5))
+    inputs = draw_trial(layout, 11)
+    assert TrialInputs._fields == ("layout", "seed", "positions", "steps")
+    assert inputs.layout is layout and inputs.seed == 11
+    assert inputs.positions[0] is layout.world.positions
+    assert draw_trial(layout, 12).layout is layout
+
+
 def test_trial_determinism():
     scn = assumption1_scenario(3, 2, 1, backoff_interval=25.0, seed=99)
     inputs_a, inputs_b = draw_inputs(scn), draw_inputs(scn)
@@ -237,7 +251,7 @@ def test_trial_determinism():
     b = run_trial(scn, inputs_b)
     assert a.events.records == b.events.records
     assert (a.uplink, a.downlink) == (b.uplink, b.downlink)
-    assert score_trial(scn, inputs_a, a).rows == score_trial(scn, inputs_b, b).rows
+    assert score_trial(inputs_a, a).rows == score_trial(inputs_b, b).rows
 
 
 @pytest.mark.parametrize("seed", [2, 3, 4, 5])
@@ -319,7 +333,7 @@ def test_components_and_power_are_conserved(scn):
     for arch in Architecture:
         cell = replace(scn, architecture=arch)
         res = run_trial(cell, inputs)
-        score_trial(cell, inputs, res)  # integrates the engine's clock without a ValueError
+        score_trial(inputs, res)  # integrates the engine's clock without a ValueError
         collaborative = {r.step: set(r.targets) for r in res.events.records if r.kind == "SAMPLE"}
         triggered = Counter()
         ended = Counter()
@@ -373,7 +387,7 @@ def test_a_large_horizon_is_no_sampling_instant():
     # its two packets dropped at the horizon
     scn = assumption1_scenario(2, 3, 0, sampling_period=1e5 / 11, horizon=1e5)
     inputs = draw_inputs(scn)
-    assert (len(inputs.sample_times), len(inputs.move_times)) == (11, 10)
+    assert (len(inputs.layout.sample_times), len(inputs.layout.move_times)) == (11, 10)
     assert not [r for r in run_trial(scn, inputs).events.records if r.kind == "DROP"]
 
 
@@ -388,8 +402,9 @@ def test_invalid_scenario_rejected():
 def test_inputs_of_other_draws_rejected():
     scn = single_sensor_scenario()
     other = replace(scn, protocol=replace(scn.protocol, noise_std=0.5))
-    with pytest.raises(ValueError, match="different draws"):
-        run_trial(scn, inputs=draw_inputs(other))
+    for drawn in (other, replace(scn, seed=scn.seed + 1)):  # the layout's key, then the seed
+        with pytest.raises(ValueError, match="different draws"):
+            run_trial(scn, inputs=draw_inputs(drawn))
     # a checked run trusts its caller for the key, as paired_grid checks it once
     assert run_trial(scn, inputs=draw_inputs(other), checked=True).events.records
     # the backoff interval and the architecture do not change the draws
@@ -447,11 +462,11 @@ def test_a_trial_fuses_each_received_packet_once(monkeypatch, setting1_path, arc
     ]
     # each fusion's pairs sit at its TX_END's clock index, one per target in
     # its row, and the clock ends at the horizon
-    rows = [(r.time, tuple(map(inputs.target_ids.index, r.targets))) for r in ends]
+    rows = [(r.time, tuple(map(inputs.layout.rows.__getitem__, r.targets))) for r in ends]
     placed = [(result.clock[k], tuple(row for row, _ in pairs)) for k, pairs in result.fusions.items()]
     assert placed == rows
     assert result.clock[-1] == scn.protocol.horizon
-    score_trial(scn, inputs, result)
+    score_trial(inputs, result)
     assert len(integrated) == 1 and len(fused) == len(ends)
     fused.clear()
     run_trial(scn, inputs, observe=False)

@@ -124,7 +124,7 @@ def reference_trial(scenario, inputs) -> ReferenceResult:
     sensors = [SensorRuntime(i) for i in range(len(scenario.sensors))]
     eps = proto.trigger_threshold
     horizon = proto.horizon
-    tids = inputs.target_ids
+    tids = inputs.layout.world.target_ids
     positions = inputs.positions[0]
     default_point = scenario.environment.centroid
     estimator = EstimatorState({tid: i for i, tid in enumerate(tids)})
@@ -132,7 +132,7 @@ def reference_trial(scenario, inputs) -> ReferenceResult:
     records = []
     fusions = []
     stale = 0
-    counts = np.zeros((len(inputs.sample_times), len(sensors), 2), dtype=np.int64)
+    counts = np.zeros((len(inputs.layout.sample_times), len(sensors), 2), dtype=np.int64)
 
     def log(*fields):
         records.append(EventRecord(*fields))
@@ -145,9 +145,9 @@ def reference_trial(scenario, inputs) -> ReferenceResult:
         heapq.heappush(heap, (time, order, key, seq, payload))
         seq += 1
 
-    for step, t in enumerate(inputs.sample_times):
+    for step, t in enumerate(inputs.layout.sample_times):
         push(t, _SAMPLE, 0, step)
-    for i, t in enumerate(inputs.move_times):
+    for i, t in enumerate(inputs.layout.move_times):
         push(t, _MOVE, 0, i)
 
     collab = frozenset()
@@ -279,10 +279,10 @@ def assert_engine_matches_reference(scenario, inputs, power_csv=False):
     lean = run_trial(scenario, inputs, observe=False)
     assert (lean.uplink, lean.downlink, lean.clock, lean.fusions) == (got.uplink, got.downlink, None, None)
     with pytest.raises(ValueError, match="needs an observed run"):
-        score_trial(scenario, inputs, lean)
+        score_trial(inputs, lean)
     assert "rows" not in vars(lean.events)  # until the first read reruns the trial, observed
     assert lean.events.rows == got.events.rows and lean.events.records is lean.events.rows
-    trace = score_trial(scenario, inputs, got)
+    trace = score_trial(inputs, got)
     want = reference_trial(scenario, inputs)
     assert got.events.records == want.records
     # same field types too (an int size printed as 3.0 would change the CSV)
@@ -439,7 +439,7 @@ def test_packets_ending_at_a_move_are_scored_after_it():
                                horizon=60.0, noise_std=0.5, seed=7)
     scn = replace(scn, dynamics=replace(scn.dynamics, move_period=10.0))
     inputs = forced_inputs(scn, {0: (4.0, 4.0, 4.0)})
-    assert inputs.move_times[0] == 10.0
+    assert inputs.layout.move_times[0] == 10.0
     for arch in Architecture:
         records = assert_engine_matches_reference(replace(scn, architecture=arch), inputs).records
         assert [r.time for r in records if r.kind == "TX_END" and r.step == 0] == [10.0] * 3
@@ -453,7 +453,7 @@ def test_log_records_and_trace_rows_are_built_on_first_read(name, seed, arch):
     scn = replace(load_scenario(SCENARIOS / name, seed=seed), architecture=arch)
     inputs = draw_inputs(scn)
     got = run_trial(scn, inputs)
-    trace = score_trial(scn, inputs, got)
+    trace = score_trial(inputs, got)
     assert "records" not in vars(got.events) and "rows" not in vars(trace)
     assert got.events.rows and {type(r) for r in got.events.rows} == {tuple}
     want = reference_trial(scn, inputs)

@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scripted_cases import fusion_count
+from scripted_cases import fusion_count, hand_inputs
 
 from gathersim import geometry
 from gathersim.cli import _trajectory_snapshots
@@ -28,7 +28,7 @@ from gathersim.estimation import EstimatorState, fuse
 from gathersim.experiments import assumption1_scenario
 from gathersim.geometry import membership
 from gathersim.protocol import (
-    EventLog, TrialInputs, TrialResult, draw_inputs, draw_layout, draw_trial, input_key, run_trial, score_trial,
+    EventLog, TrialResult, draw_inputs, draw_layout, draw_trial, input_key, run_trial, score_trial,
 )
 from gathersim.scenario import (
     Architecture,
@@ -127,9 +127,8 @@ def test_score_trial_is_numpy_mean_of_squared_errors(n, seed, events, moves):
         k: [(r, tuple(mixed(rng, 2).tolist())) for r in rng.choice(n, rng.integers(1, 7)).tolist()]
         for k in range(events) if rng.random() < 0.6
     }
-    scenario = replace(assumption1_scenario(2, 1, 1, seed=0), environment=Environment(width, height))
-    inputs = TrialInputs((), tuple(range(n)), dict(zip(range(n), range(n))), (), move_times, positions, ())
-    trace = score_trial(scenario, inputs, TrialResult(EventLog(), 0, 0, clock, fusions))
+    inputs = hand_inputs(positions, move_times, environment=Environment(width, height))
+    trace = score_trial(inputs, TrialResult(EventLog(), 0, 0, clock, fusions))
 
     estimates = np.full((n, 2), (width / 2.0, height / 2.0))
 
@@ -333,10 +332,10 @@ def test_step_targets_matches_reference(n, seed, move_step, move_probability, co
 
 def reference_trajectory_lines(inputs):
     """The trajectory dump one `stamp + tail` line at a time."""
-    tids, positions = inputs.target_ids, inputs.positions
+    tids, positions = inputs.layout.world.target_ids, inputs.positions
     tails = [f",{tid},{x!r},{y!r}\n" for tid, (x, y) in zip(tids, positions[0].tolist())]
     yield from ("0.0" + tail for tail in tails)
-    for t, prev, pos in zip(inputs.move_times, positions, positions[1:]):
+    for t, prev, pos in zip(inputs.layout.move_times, positions, positions[1:]):
         moved = np.flatnonzero((pos.view(np.int64) != prev.view(np.int64)).any(axis=1))
         for i, (x, y) in zip(moved.tolist(), pos[moved].tolist()):
             tails[i] = f",{tids[i]},{x!r},{y!r}\n"
@@ -361,14 +360,13 @@ def trajectories(draw):
                                 max_size=len(positions) - 1)))
     ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
     ids = tuple(sorted(ids))
-    return TrialInputs((), ids, dict(zip(ids, range(n))), (), tuple(times), tuple(positions), ())
+    return hand_inputs(positions, times, ids)
 
 
 # no move at all: the horizon is within one move period
-@example(inputs=TrialInputs((), (0, 1), {0: 0, 1: 1}, (), (), (np.array([[0.0, -0.0], [2.5, 3.0]]),), ()))
+@example(inputs=hand_inputs((np.array([[0.0, -0.0], [2.5, 3.0]]),)))
 # every row flips the sign of its zeros, then stays put
-@example(inputs=TrialInputs((), (3,), {3: 0}, (), (10.0, 20.0),
-                            tuple(np.array(r) for r in ([[0.0, -0.0]], [[-0.0, 0.0]], [[-0.0, 0.0]])), ()))
+@example(inputs=hand_inputs([np.array(r) for r in ([[0.0, -0.0]], [[-0.0, 0.0]], [[-0.0, 0.0]])], (10.0, 20.0), (3,)))
 @given(inputs=trajectories())
 @settings(max_examples=150)
 def test_trajectory_snapshots_join_the_line_by_line_dump(inputs):
@@ -510,15 +508,17 @@ def grid_bases(draw):
 def test_a_trial_drawn_from_a_shared_layout_is_its_own_draw(base, seeds):
     # a grid builds one layout and draws every trial from it at the trial's
     # seed; that trial must be the scenario's own draw at that seed, field
-    # by field, its key included
+    # by field, its key included, and hold that very layout
     layout = draw_layout(base, checked=True)
     assert len(layout.sample_times) in (1, 3)
     for seed in seeds:
         got, want = draw_trial(layout, seed), draw_inputs(replace(base, seed=seed), checked=True)
-        assert got.key == want.key == input_key(replace(base, seed=seed))
-        assert (got.target_ids, got.sample_times, got.move_times) == (
-            want.target_ids, want.sample_times, want.move_times)
-        assert len(got.positions) == len(want.positions) == len(got.move_times) + 1
+        assert got.layout is layout
+        assert (*got.layout.key, got.seed) == (*want.layout.key, want.seed) == input_key(replace(base, seed=seed))
+        for name in ("rows", "sample_times", "move_times", "moves_before"):
+            assert getattr(got.layout, name) == getattr(want.layout, name)
+        assert got.layout.world.target_ids == want.layout.world.target_ids
+        assert len(got.positions) == len(want.positions) == len(layout.move_times) + 1
         for mine, theirs in zip(got.positions, want.positions):
             assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
         assert got.steps == want.steps
@@ -526,7 +526,7 @@ def test_a_trial_drawn_from_a_shared_layout_is_its_own_draw(base, seeds):
 
 def run_observed(scenario, inputs):
     result = run_trial(scenario, inputs)
-    rows = score_trial(scenario, inputs, result).rows
+    rows = score_trial(inputs, result).rows
     return result.events.records, (result.uplink, result.downlink), rows
 
 
