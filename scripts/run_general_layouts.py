@@ -9,11 +9,11 @@ the matching backoff interval, and writes both verdicts side by side. The
 comparison is qualitative; symmetric layouts agree more closely.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
 from gathersim import analytics, experiments
+from gathersim.cli import _Parser
 from gathersim.protocol import write_csv
 from gathersim.scenario import (
     Architecture,
@@ -67,14 +67,13 @@ LAYOUTS = {
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)  # raises a usage error as a ScenarioError
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default="out/general")
-    args = parser.parse_args()
     try:
-        return run(args)
-    except ScenarioError as e:  # a bad trial or worker count: the library names it
+        return run(parser.parse_args())
+    except ScenarioError as e:  # a malformed flag, or a bad trial or worker count the library names
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -149,6 +149,9 @@ def cmd_sweep(args) -> int:
         from . import svgplot
 
         down = base.costs.downlink_power
+        ratios = {dpu / down for dpu in uplink_powers}
+        # the fewest significant digits, from 3 up, that tell the cost ratios apart
+        digits = next(n for n in range(3, 18) if len({f"{y:.{n}g}" for y in ratios}) == len(ratios))
         for dpu in uplink_powers:
             series = []
             for arch, color in (("FB", "#c0392b"), ("NF", "#7f8c8d")):
@@ -162,9 +165,9 @@ def cmd_sweep(args) -> int:
                 series,
                 xlabel="total power (normalized by uplink cost)",
                 ylabel="time-averaged MSE",
-                title=f"uplink/downlink cost ratio y={dpu / down:.3g}",
+                title=f"uplink/downlink cost ratio y={dpu / down:.{digits}g}",
             )
-            path = out / f"sweep_y{dpu / down:.3g}.svg"
+            path = out / f"sweep_y{dpu / down:.{digits}g}.svg"
             path.write_text(svg, encoding="utf-8")
             print(f"wrote {path}")
     return 0

@@ -314,6 +314,18 @@ def test_sweep_plot_emits_svg(scenarios_dir, tmp_path):
     assert svgs[0].read_text().startswith("<svg")
 
 
+def test_sweep_plot_names_close_cost_ratios_apart(scenarios_dir, tmp_path, capsys):
+    spec = tmp_path / "close.yaml"
+    spec.write_text(
+        f"scenario: {scenarios_dir / 'setting1.yaml'}\n"
+        "backoff_intervals: [20]\nuplink_powers: [1.0001, 1.0002]\ntrials: 1\n"
+    )
+    out = tmp_path / "plot"
+    assert run(["sweep", spec, "--out", out, "--plot"]) == 0
+    assert sorted(p.name for p in out.glob("*.svg")) == ["sweep_y1.0001.svg", "sweep_y1.0002.svg"]
+    assert "y=1.0002" in read(out / "sweep_y1.0002.svg")
+
+
 def test_analyze_feasibility(capsys):
     assert run(["analyze", "--setsize", 3]) == 0
     assert "feasibility_threshold(set_size=3) = 0.5" in capsys.readouterr().out
@@ -371,6 +383,30 @@ def test_thin_lens_pair_is_a_collaborative_set(setting1_path, tmp_path, capsys):
     first = lines.index("sensor  delay_est  delay_ratio  set_size_est  g  advantage") + 1
     assert [line.split()[0] for line in lines[first:first + 2]] == ["0", "1"]
     assert lines[first + 2].startswith("network advantage vote")
+
+
+def test_pair_seen_through_underflow_is_a_collaborative_set(tmp_path, capsys):
+    # the squared distances from the target to both centers underflow to 0,
+    # so both sensors observe it, though the disks are 1e-170 apart
+    path = tmp_path / "tiny.yaml"
+    path.write_text(
+        "environment: {width: 1.0, height: 1.0}\n"
+        "sensors:\n"
+        "  - {id: 0, center: [1.0e-170, 1.0e-170], radius: 1.0e-200}\n"
+        "  - {id: 1, center: [2.0e-170, 1.0e-170], radius: 1.0e-200}\n"
+        "targets:\n"
+        "  - {id: 0, position: [1.5e-170, 1.0e-170]}\n"
+        "protocol: {sampling_period: 10.0, backoff_interval: 5.0, uplink_delay: 1.0, "
+        "downlink_delay: 0.5, trigger_threshold: 1.0, noise_std: 0.1, horizon: 30.0}\n"
+        "dynamics: {move_step: 1.0e-300, move_period: 10.0, move_probability: 0.0}\n"
+        "costs: {uplink_power: 1.0, downlink_power: 1.0}\n"
+        "architecture: FB\n"
+        "seed: 1\n"
+    )
+    assert run(["simulate", path, "--out", tmp_path / "out", "--dump-structure"]) == 0
+    assert "collaborative,0;1,1" in read(tmp_path / "out" / "structure.csv").splitlines()
+    assert run(["analyze", "--scenario", path]) == 0
+    assert "network advantage vote" in capsys.readouterr().out
 
 
 def test_analyze_requires_arguments():

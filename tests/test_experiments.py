@@ -27,8 +27,7 @@ def test_assumption1_layout_delays():
     scn = assumption1_scenario(3, 3, 0)
     assert scn.protocol.uplink_delay == 2.0
     assert scn.protocol.downlink_delay == 1.0
-    members = geometry.membership(scn, [t.position for t in scn.targets])
-    structure = geometry.component_counts(members, geometry.collaborative_sets(scn))
+    structure = geometry.initial_structure(scn)
     full = frozenset({0, 1, 2})
     counts = {s.members: s.collaborative_count for s in structure.sets}
     assert counts[full] == 3

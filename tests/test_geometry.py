@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gathersim import geometry
-from gathersim.geometry import GeometryError
 from gathersim.scenario import (
     Architecture,
     CostParams,
@@ -18,6 +17,7 @@ from gathersim.scenario import (
     ScenarioError,
     SensorSpec,
     TargetSpec,
+    validate,
 )
 
 
@@ -100,7 +100,7 @@ def test_collaborative_sets_at_the_reach_boundary():
     touching = [((2.0, 5.0), 1.0), ((5.0, 5.0), 2.0)]
     assert geometry.collaborative_sets(make_scenario(touching, [(3.0, 5.0)])) == [frozenset({0, 1})]
     assert geometry.collaborative_sets(make_scenario(touching, [(3.0, 6.0)])) == []
-    # 1e-6 apart: inside the reach bound, but past nonempty's own rejection
+    # 1e-6 apart: inside the reach bound, but no point lies in both disks
     apart = [((2.0, 5.0), 1.0), ((5.000001, 5.0), 2.0)]
     for target in [(3.0, 5.0), (3.0000005, 5.0), (3.000001, 5.0), (4.0, 5.0)]:
         assert geometry.collaborative_sets(make_scenario(apart, [target])) == []
@@ -142,8 +142,7 @@ def total_components(structure):
 
 def test_component_counts_constructed_example():
     scn = make_scenario(FIG_SENSORS, FIG_TARGETS)
-    members = geometry.membership(scn, FIG_TARGETS)
-    structure = geometry.component_counts(members, geometry.collaborative_sets(scn))
+    structure = geometry.initial_structure(scn)
     assert structure.unique_counts == {0: 2, 1: 1, 2: 1}
     counts = {s.members: s.collaborative_count for s in structure.sets}
     assert counts[frozenset({0, 1})] == 1
@@ -154,8 +153,8 @@ def test_component_counts_constructed_example():
 
 
 def test_component_counts_no_targets():
-    scn = make_scenario(FIG_SENSORS, [(2.5, 3.2)])
-    structure = geometry.component_counts({}, geometry.collaborative_sets(scn))
+    scn = make_scenario(FIG_SENSORS, [])
+    structure = geometry.initial_structure(scn)
     assert structure.unique_counts == {}
     assert all(s.collaborative_count == 0 for s in structure.sets)
 
@@ -163,15 +162,9 @@ def test_component_counts_no_targets():
 def test_component_counts_single_sensor():
     targets = [(5.0, 5.0), (5.5, 5.0), (5.0, 5.5), (4.5, 5.0), (5.0, 4.5)]
     scn = make_scenario([((5.0, 5.0), 2.0)], targets)
-    members = geometry.membership(scn, targets)
-    structure = geometry.component_counts(members, geometry.collaborative_sets(scn))
+    structure = geometry.initial_structure(scn)
     assert structure.unique_counts == {0: 5}
     assert structure.sets == ()
-
-
-def test_component_counts_missing_set_raises():
-    with pytest.raises(GeometryError):
-        geometry.component_counts({0: frozenset({0, 1})}, [])
 
 
 def _random_layout(rng, n_sensors, env=30.0):
@@ -196,7 +189,7 @@ def test_conservation_random_configurations():
         targets = [tuple(p) for p in rng.uniform(0.5, 29.5, size=(10, 2))]
         scn = make_scenario(sensors, targets, size=30.0)
         members = geometry.membership(scn, targets)
-        structure = geometry.component_counts(members, geometry.collaborative_sets(scn))
+        structure = geometry.initial_structure(scn)
         observed = sum(1 for g in members.values() if g)
         assert total_components(structure) == observed
 
@@ -219,7 +212,7 @@ def test_conservation_property(seed):
     targets = [tuple(p) for p in rng.uniform(0.5, 29.5, size=(6, 2))]
     scn = make_scenario(sensors, targets, size=30.0)
     members = geometry.membership(scn, targets)
-    structure = geometry.component_counts(members, geometry.collaborative_sets(scn))
+    structure = geometry.initial_structure(scn)
     assert total_components(structure) == sum(1 for g in members.values() if g)
 
 
@@ -372,3 +365,62 @@ def test_enumeration_stops_past_max_sets(monkeypatch):
     monkeypatch.setattr(geometry, "MAX_SETS", 246)
     with pytest.raises(ScenarioError, match="MAX_SETS = 246"):
         geometry.collaborative_sets(scn)
+
+
+@st.composite
+def scaled_layouts(draw):
+    """Valid layouts of 2-4 sensors whose positions and radii each take their
+    own magnitude, from subnormal to about 10 units; targets sit at sensor
+    centers, midway between two, or anywhere in the field. Where squared
+    distances underflow, a target lies in disks that do not reach each other."""
+    unit = 10.0 ** draw(st.integers(-320, 0))
+    scale = 10.0 ** draw(st.integers(-320, 0))
+    point = st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)).map(
+        lambda p: (p[0] * unit, p[1] * unit))
+    sensors = [(draw(point), draw(st.floats(0.5, 5.0)) * scale)
+               for _ in range(draw(st.integers(2, 4)))]
+    spots = [c for c, _ in sensors] + [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+                                       for (a, _), (b, _) in itertools.combinations(sensors, 2)]
+    targets = draw(st.lists(st.sampled_from(spots) | point, min_size=1, max_size=4))
+    scn = make_scenario(sensors, targets, size=10.0 * unit)
+    assert validate(scn) == []
+    return scn
+
+
+@given(scaled_layouts())
+@settings(max_examples=200, deadline=None)
+def test_every_observer_group_is_a_set(scn):
+    members = geometry.membership(scn, [t.position for t in scn.targets])
+    sets = geometry.collaborative_sets(scn)
+    assert all(group in sets for group in members.values() if len(group) >= 2)
+    structure = geometry.initial_structure(scn)
+    assert total_components(structure) == sum(1 for g in members.values() if g)
+
+
+def far_field(size):
+    # three disks whose triple region starts at x = 0.3 * size, with the
+    # target outside it, in a size x size field
+    disks = [((0.4 * size, 0.4 * size), 0.3 * size), ((0.6 * size, 0.4 * size), 0.3 * size),
+             ((0.5 * size, 0.57 * size), 0.3 * size)]
+    return make_scenario(disks, [(0.1 * size, 0.1 * size)], size=size)
+
+
+def test_group_scan_splits_tall_columns():
+    # in a 1e5 field one column of the triple's bounding box holds 860000
+    # cells, and its first cell inside all three disks lies 260000 cells up it
+    assert geometry.collaborative_sets(far_field(1e5)) == [
+        frozenset(s) for s in ({0, 1}, {0, 2}, {1, 2}, {0, 1, 2})]
+
+
+def test_group_scan_stops_past_max_scan_cells(monkeypatch):
+    # in a 1e10 field that first cell lies 2.6e10 cells up the first column,
+    # which one array would hold in 688 GB
+    monkeypatch.setattr(geometry, "MAX_SCAN_CELLS", 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError, match=r"sensors \[0, 1, 2\] passes MAX_SCAN_CELLS = 1048576"):
+            geometry.collaborative_sets(far_field(1e10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

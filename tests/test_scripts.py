@@ -34,3 +34,16 @@ def test_run_general_layouts_reports_bad_input(tmp_path, monkeypatch, capsys, fl
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag[2:]}: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_run_general_layouts_reports_usage_errors(tmp_path, monkeypatch, capsys):
+    # a malformed flag is a usage error, reported as gathersim reports one
+    script = SCRIPTS / "run_general_layouts.py"
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", [str(script), "--trials", "1.5", "--out", str(out)])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exited.value.code == 1
+    err = capsys.readouterr().err
+    assert err == "error: argument --trials: invalid int value: '1.5'\n"
+    assert not out.exists()
